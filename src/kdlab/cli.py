@@ -81,7 +81,12 @@ def _cmd_speeds(args) -> int:
     return 0
 
 
-def _read_snapshot_csv(path: Path) -> tuple[float, dict[str, np.ndarray]]:
+def _read_snapshot(path: Path) -> tuple[float, dict[str, np.ndarray]]:
+    """Time and named columns of one field snapshot, CSV or npz."""
+    if path.suffix == ".npz":
+        with np.load(path, allow_pickle=False) as data:
+            cols = {name: np.atleast_1d(data[name]) for name in data.files if name != "t"}
+            return float(data["t"]), cols
     with open(path) as f:
         header = f.readline().strip()
     if not header.startswith("# t="):
@@ -99,8 +104,9 @@ def _cmd_diag(args) -> int:
     config = harness.ExperimentConfig.from_json_file(run_dir / "config.json")
     p = config.params
     snaps = []
-    for f in sorted((run_dir / "fields").glob("snap_*.csv")):
-        t, cols = _read_snapshot_csv(f)
+    fields = run_dir / "fields"
+    for f in sorted([*fields.glob("snap_*.csv"), *fields.glob("snap_*.npz")]):
+        t, cols = _read_snapshot(f)
         x = cols["x"]
         grid = Grid1D(float(x[0]), float(x[-1]), x.size, t, t, 0)
 

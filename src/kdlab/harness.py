@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -348,26 +349,40 @@ def _speeds_entry(fit: SpeedFit | None) -> dict | None:
 
 
 def save_checkpoint(obj, path: str | Path, config: ExperimentConfig | None = None) -> None:
-    """Serialize a ParticleState, SpaceTimeField, or Profile losslessly."""
+    """Serialize a ParticleState, SpaceTimeField, or Profile losslessly.
+
+    The archive is written to a temporary file next to path and then renamed
+    over it, so a crash mid-write leaves the previous checkpoint intact.
+    """
     path = Path(path)
     meta = {"checkpoint_version": CHECKPOINT_VERSION, "code_version": __version__}
     if config is not None:
         meta["config"] = config.to_dict()
     if isinstance(obj, ParticleState):
-        np.savez(
-            path, kind="particles", meta=json.dumps(meta, sort_keys=True),
+        arrays = dict(
+            kind="particles", meta=json.dumps(meta, sort_keys=True),
             positions=obj.positions, time=obj.time, seed=obj.seed,
             step_index=obj.step_index, stream_ids=obj.stream_ids,
         )
     elif isinstance(obj, (SpaceTimeField, Profile)):
         g = obj.grid
-        np.savez(
-            path, kind="field" if isinstance(obj, SpaceTimeField) else "profile",
+        arrays = dict(
+            kind="field" if isinstance(obj, SpaceTimeField) else "profile",
             meta=json.dumps(meta, sort_keys=True), values=obj.values,
             grid=np.array([g.x_min, g.x_max, g.nx, g.t0, g.t_final, g.nt]),
         )
     else:
         raise CheckpointError(f"cannot checkpoint objects of type {type(obj).__name__}")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        # A file object, not a name: np.savez would append ".npz" to a name.
+        with open(tmp, "wb") as f:
+            np.savez(f, **arrays)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path):
@@ -377,7 +392,19 @@ def load_checkpoint(path: str | Path):
         data = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    with data:
+        try:
+            return _checkpoint_from_npz(data)
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint {path} lacks key {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"checkpoint {path} has malformed meta: {exc}") from exc
+
+
+def _checkpoint_from_npz(data):
     meta = json.loads(str(data["meta"]))
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint meta must be a JSON object")
     if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {meta.get('checkpoint_version')!r} unsupported"
@@ -508,6 +535,8 @@ def _run_nash(cfg: ExperimentConfig, out: Path) -> tuple[_TrackRecorder, list[Sn
         "converged": sol.converged,
         "iterations": sol.iterations,
         "residuals": sol.residuals,
+        "thetas": sol.thetas,
+        "contraction": sol.contraction,
     }
     return rec, snaps, mfg_info
 

@@ -1,12 +1,12 @@
-"""Nash-equilibrium computation by damped best-response iteration.
+"""Nash-equilibrium computation by adaptively damped best-response iteration.
 
 The equilibrium strategy field is a fixed point of the map that (i) runs the
 distribution forward under a strategy, (ii) runs the propensity-to-learn
 field backward given that flow, and (iii) re-optimizes the allocation from
 the resulting pay-off.  Damped Picard is used rather than Newton: it is the
 standard workhorse for this class of coupled systems, and a non-converged run
-is easy to diagnose from the residual history.  Non-convergence is reported
-in the result, never raised or silently retried.
+is easy to diagnose from the residual and damping histories.  Non-convergence
+is reported in the result, never raised or silently retried.
 """
 
 from __future__ import annotations
@@ -25,9 +25,13 @@ from .grid import Grid1D, Profile, SpaceTimeField
 
 @dataclass(frozen=True)
 class MfgConfig:
-    """Iteration controls: damping theta in (0, 1], residual target, caps."""
+    """Iteration controls: starting damping theta in (0, 1], residual target, caps.
 
-    theta: float = 0.5
+    theta is the damping of the first Picard step; `solve_nash` halves it
+    whenever the residual rises.
+    """
+
+    theta: float = 1.0
     tol: float = 1e-6
     max_iter: int = 50
     burn_in_frac: float = 0.1
@@ -54,8 +58,16 @@ class MfgSolution:
     w_field: SpaceTimeField
     strategy_field: SpaceTimeField
     residuals: list[float] = field(default_factory=list)
+    thetas: list[float] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+
+    @property
+    def contraction(self) -> float | None:
+        """Geometric mean of successive residual ratios; None for one iteration."""
+        if len(self.residuals) < 2:
+            return None
+        return (self.residuals[-1] / self.residuals[0]) ** (1.0 / (len(self.residuals) - 1))
 
 
 def best_response(
@@ -94,7 +106,14 @@ def solve_nash(
     grid: Grid1D,
     cfg: MfgConfig | None = None,
 ) -> MfgSolution:
-    """Damped Picard iteration to the Nash strategy field.
+    """Adaptively damped Picard iteration to the Nash strategy field.
+
+    Each iteration steps s <- s + theta * (BR(s) - s).  theta starts at
+    cfg.theta and is halved, for all remaining iterations, whenever a residual
+    exceeds the one before it.  Undamped steps converge fastest where the map
+    contracts; halving restores convergence where it overshoots.  thetas[i] is
+    the damping in effect after residuals[i] (no step follows the last one of
+    a converged run).
 
     Warm start: one forward run under the intrinsic closure, whose allocation
     (full time left of the intrinsic front, s_m of the intrinsic pay-off to
@@ -123,9 +142,12 @@ def solve_nash(
         F_field = SpaceTimeField(grid, F0.values[np.newaxis, :].copy())
         w_field = solve_backward(wT, F_field, SpaceTimeField(grid, s_vals), p, grid)
         s_field = best_response(F_field, w_field, p)
-        return MfgSolution(F_field, w_field, s_field, residuals=[0.0], converged=True, iterations=1)
+        return MfgSolution(F_field, w_field, s_field, residuals=[0.0], thetas=[cfg.theta],
+                           converged=True, iterations=1)
 
+    theta = cfg.theta
     residuals: list[float] = []
+    thetas: list[float] = []
     F_field = w_field = s_field = None
     converged = False
     iterations = 0
@@ -135,11 +157,14 @@ def solve_nash(
         w_field = solve_backward(wT, F_field, s_field, p, grid)
         s_resp = best_response(F_field, w_field, p)
         res = residual(s_resp, s_field)
+        if residuals and res > residuals[-1]:
+            theta *= 0.5
         residuals.append(res)
+        thetas.append(theta)
         if res <= cfg.tol:
             converged = True
             break
-        s_vals = (1.0 - cfg.theta) * s_vals + cfg.theta * s_resp.values
+        s_vals = (1.0 - theta) * s_vals + theta * s_resp.values
     # The stored fields are always the ones generated by s_field, so the
     # fixed-point defect of the returned triple equals the last residual.
     return MfgSolution(
@@ -147,6 +172,7 @@ def solve_nash(
         w_field=w_field,
         strategy_field=s_field,
         residuals=residuals,
+        thetas=thetas,
         converged=converged,
         iterations=iterations,
     )

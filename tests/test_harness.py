@@ -172,6 +172,48 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             save_checkpoint({"a": 1}, tmp_path / "x.npz")
 
+    def test_crash_mid_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        g = Grid1D(-2.0, 2.0, 17, 0.0, 1.0, 4)
+        old = SpaceTimeField(g, np.random.default_rng(2).random((5, 17)))
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(old, path)
+
+        def torn_write(file, **arrays):
+            file.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(SpaceTimeField(g, np.zeros((5, 17))), path)
+        monkeypatch.undo()
+        back, _ = load_checkpoint(path)
+        assert back == old
+        assert [f.name for f in tmp_path.iterdir()] == ["checkpoint.npz"]
+
+    @pytest.mark.parametrize("drop", ["meta", "kind", "positions", "stream_ids", "grid", "values"])
+    def test_missing_key(self, tmp_path, drop):
+        if drop in ("grid", "values"):
+            obj = Profile(Grid1D(-2.0, 2.0, 17, 0.0, 0.0, 0), np.linspace(1, 0, 17))
+        else:
+            obj = ParticleState(positions=np.zeros(4), time=0.0, seed=1)
+        path = tmp_path / "k.npz"
+        save_checkpoint(obj, path)
+        data = dict(np.load(path, allow_pickle=False))
+        del data[drop]
+        np.savez(path, **data)
+        with pytest.raises(CheckpointError, match=drop):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta", ["{not json", "[1, 2]"])
+    def test_malformed_meta(self, tmp_path, meta):
+        path = tmp_path / "m.npz"
+        save_checkpoint(ParticleState(positions=np.zeros(4), time=0.0, seed=1), path)
+        data = dict(np.load(path, allow_pickle=False))
+        data["meta"] = meta
+        np.savez(path, **data)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
 
 class TestResume:
     def test_resumed_run_matches_uninterrupted(self, tmp_path):
@@ -234,8 +276,27 @@ class TestCli:
         cfg = ExperimentConfig(name="mini-nash", mode="nash", params=p, grid=grid,
                                snapshot_stride=20)
         res = run(cfg, tmp_path / "mini-nash")
-        assert res.manifest["mfg"]["converged"]
+        mfg = res.manifest["mfg"]
+        assert mfg["converged"]
+        r, thetas = mfg["residuals"], mfg["thetas"]
+        assert len(r) == len(thetas) == mfg["iterations"] > 1
+        assert thetas[0] == cfg.mfg.theta
+        assert mfg["contraction"] == pytest.approx((r[-1] / r[0]) ** (1.0 / (len(r) - 1)))
+        assert json.loads((res.out_dir / "manifest.json").read_text())["mfg"] == mfg
         assert main(["diag", str(res.out_dir)]) == 0
         out = capsys.readouterr().out
         assert "payoff_below_intrinsic" in out
         assert "diagnostics: PASS" in out
+
+    def test_diag_reads_binary_snapshots(self, tmp_path, capsys):
+        p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)
+        grid = Grid1D(-20.0, 40.0, 241, 0.0, 2.0, 40)
+        reports = []
+        for binary in (False, True):
+            cfg = ExperimentConfig(name="mini", mode="intrinsic", params=p, grid=grid,
+                                   snapshot_stride=10, binary_fields=binary)
+            res = run(cfg, tmp_path / f"binary-{binary}")
+            assert main(["diag", str(res.out_dir)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert "diagnostics: PASS" in reports[1]
+        assert reports[1] == reports[0]

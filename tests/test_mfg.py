@@ -174,6 +174,27 @@ class TestSolveNash:
         assert sol_a.converged and sol_b.converged
         assert residual(sol_a.strategy_field, sol_b.strategy_field) <= 1e-5
 
+    def test_default_config_within_tol_of_tight_fixed_point(self, small_nash):
+        grid, sol = small_nash
+        ref = solve_nash(_ramp(grid), None, P_LOTTERY, grid, MfgConfig(tol=1e-11))
+        assert ref.converged
+        assert residual(sol.strategy_field, ref.strategy_field) <= MfgConfig().tol
+
+    def test_damping_halves_exactly_when_residual_rises(self):
+        # Balanced regime (alpha1 > kappa): the undamped first step overshoots,
+        # so the second residual exceeds the first.
+        p = ModelParams(kappa=1.0, rho=2.0, alpha1=8.0, k=0.5)
+        grid = Grid1D(-20.0, 76.0, 385, 0.0, 4.0, 320)
+        cfg = MfgConfig()
+        sol = solve_nash(_ramp(grid), None, p, grid, cfg)
+        assert sol.converged
+        res, thetas = sol.residuals, sol.thetas
+        assert len(thetas) == len(res) and thetas[0] == cfg.theta
+        rose = [b > a for a, b in zip(res, res[1:])]
+        assert any(rose)
+        for up, before, after in zip(rose, thetas, thetas[1:]):
+            assert after == (before / 2 if up else before)
+
     def test_nonconvergence_is_flagged_not_raised(self):
         grid = _nash_grid(5.0)
         sol = solve_nash(_ramp(grid), None, P_LOTTERY, grid,
