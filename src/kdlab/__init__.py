@@ -34,7 +34,6 @@ from .errors import (
     SingularSystemError,
 )
 from .forward import (
-    ForwardConfig,
     dt_max,
     nonlocal_rate,
     solve_forward,

@@ -13,15 +13,13 @@ right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import model
-from .errors import DomainError, GridMismatchError, NonFiniteError, NumericalError, OvershootError
-from .grid import Grid1D, Profile, SpaceTimeField, implicit_operator, solve_tridiagonal
-
-OVERSHOOT_TOL = 1e-9
-SLOPE_TOL = 1e-9
+from .errors import DomainError, GridMismatchError
+from .grid import SLOPE_TOL, Grid1D, Profile, SpaceTimeField, _march
 
 
 @dataclass(frozen=True)
@@ -65,27 +63,25 @@ def dt_max_backward(p: model.ModelParams) -> float:
     return 1.0 / (p.rho_minus_kappa + p.alpha1)
 
 
-def _step_from_strategy(
-    w_vals: np.ndarray,
-    F_vals: np.ndarray,
-    s_vals: np.ndarray,
-    p: model.ModelParams,
-    dt: float,
-    dx: float,
-) -> np.ndarray:
-    source = p.rho_minus_kappa * (1.0 - s_vals - w_vals) - model.alpha(s_vals, p) * w_vals * F_vals
-    rhs = w_vals + dt * source
-    rhs[0] = 0.0
-    rhs[-1] = 1.0
-    lower, diag, upper = implicit_operator(w_vals.size, dx, dt, p.kappa, drift=2.0 * p.kappa)
-    out = solve_tridiagonal(lower, diag, upper, rhs)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("backward step produced non-finite values")
-    if out.min() < -OVERSHOOT_TOL or out.max() > 1.0 + OVERSHOOT_TOL:
-        raise OvershootError(
-            f"w left [0,1] by {max(-out.min(), out.max() - 1.0):.3e} in one step"
-        )
-    return np.clip(out, 0.0, 1.0)
+def _upwind_steps(
+    w_vals: np.ndarray, slices: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    p: model.ModelParams, dx: float, dt: float, nt: int, slope: int = 1,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Steps of the backward scheme on the shared stepper, w pinned to 0 left and 1 right.
+
+    Diffusion and the upwinded drift are implicit, the source is explicit;
+    slices(n) gives the (F, s) values that step n reads.
+    """
+
+    def rhs(n: int, w: np.ndarray) -> np.ndarray:
+        F_vals, s_vals = slices(n)
+        source = p.rho_minus_kappa * (1.0 - s_vals - w) - model.alpha(s_vals, p) * w * F_vals
+        return w + dt * source
+
+    return _march(
+        w_vals, nt, dx, dt, p.kappa, rhs, ends=(0.0, 1.0), drift=2.0 * p.kappa,
+        slope=slope, name="w",
+    )
 
 
 def step_backward(
@@ -102,9 +98,9 @@ def step_backward(
     if dt > dt_max_backward(p) * (1.0 + 1e-12):
         raise DomainError(f"dt={dt} exceeds the backward source bound {dt_max_backward(p)}")
     s_vals = model.s_m(payoff.values, p)
-    return Profile(
-        w.grid, _step_from_strategy(w.values.copy(), F.values, s_vals, p, dt, w.grid.dx)
-    )
+    steps = _upwind_steps(w.values, lambda n: (F.values, s_vals), p, w.grid.dx, dt, 1, slope=0)
+    _, out = list(steps)[-1]
+    return Profile(w.grid, out)
 
 
 def solve_backward(
@@ -118,8 +114,8 @@ def solve_backward(
 
     strategy_field holds the allocation values s of the current outer
     iterate; they are consumed as given, not recomputed here.  Every slice
-    stays in [0, 1] and, for a monotone terminal condition, non-decreasing in
-    x within the slope tolerance.
+    stays in [0, 1] and, like the terminal condition, non-decreasing in x
+    within the slope tolerance.
     """
     if F_field.grid != grid or strategy_field.grid != grid:
         raise GridMismatchError("fields do not live on the run grid")
@@ -129,16 +125,11 @@ def solve_backward(
         )
     if isinstance(wT, Profile):
         wT = TerminalCondition(kind="custom", profile=wT)
-    vals = wT.build(grid)
-    terminal_monotone = np.min(np.diff(vals), initial=np.inf) >= -SLOPE_TOL
-    out = np.empty((grid.nt + 1, grid.nx))
-    out[grid.nt] = vals
-    for j in range(grid.nt, 0, -1):
-        vals = _step_from_strategy(
-            vals.copy(), F_field.values[j], np.clip(strategy_field.values[j], 0.0, 1.0),
-            p, grid.dt, grid.dx,
-        )
-        if terminal_monotone and np.min(np.diff(vals)) < -SLOPE_TOL:
-            raise NumericalError(f"w lost monotonicity at slice {j - 1}")
-        out[j - 1] = vals
+    nt = grid.nt
+    F, s = F_field.values, strategy_field.values
+    steps = _upwind_steps(wT.build(grid), lambda n: (F[nt - n], np.clip(s[nt - n], 0.0, 1.0)),
+                          p, grid.dx, grid.dt, nt)
+    out = np.empty((nt + 1, grid.nx))
+    for n, vals in steps:
+        out[nt - n] = vals
     return SpaceTimeField(grid, out)

@@ -3,8 +3,8 @@
 Subcommands: run a config file, run a shipped preset, fit speeds from a track
 file, re-evaluate diagnostics on a run directory, and resume a checkpointed
 particle run.  Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 I/O error.  Diagnostic failures do not change the exit status; they are
-flagged in the manifest.
+4 I/O error or unreadable checkpoint.  Diagnostic failures do not change the
+exit status; they are flagged in the manifest.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import harness
 from .analysis import FrontTrack, Snapshot, estimate_speed, run_diagnostics
-from .errors import ConfigError, KdlabError, NumericalError
+from .errors import CheckpointError, ConfigError, KdlabError, NumericalError
 from .grid import Grid1D, Profile
 
 
@@ -36,7 +36,7 @@ def _cmd_run(args) -> int:
     print(f"wrote {result.out_dir}")
     if not result.manifest["diagnostics_passed"]:
         print("diagnostics: FAILED checks " + ", ".join(result.manifest["diagnostics_failures"]))
-    return result.status
+    return 0
 
 
 def _cmd_preset(args) -> int:
@@ -55,7 +55,7 @@ def _cmd_preset(args) -> int:
             print(f"{kind} speed: {entry['speed']:.4f} (r^2={entry['r_squared']:.5f})")
     if not result.manifest["diagnostics_passed"]:
         print("diagnostics: FAILED checks " + ", ".join(result.manifest["diagnostics_failures"]))
-    return result.status
+    return 0
 
 
 def _cmd_speeds(args) -> int:
@@ -136,7 +136,7 @@ def _cmd_resume(args) -> int:
     run_name = ck.parent.name or "resumed"
     result = harness.resume(ck, out / f"{run_name}-resumed")
     print(f"wrote {result.out_dir}")
-    return result.status
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, CheckpointError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
 

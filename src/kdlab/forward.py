@@ -14,38 +14,21 @@ rank-strategy reduction is exposed separately as solve_rank_local.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from . import model
-from .errors import DomainError, GridMismatchError, NonFiniteError, NumericalError, OvershootError
-from .grid import Grid1D, Profile, SpaceTimeField, implicit_operator, solve_tridiagonal
-
-#: Allowed drift of F outside [0, 1] per step before the solver declares
-#: instability; anything below is clamped as roundoff.
-OVERSHOOT_TOL = 1e-9
-
-#: Allowed positive discrete slope before monotonicity is declared broken.
-SLOPE_TOL = 1e-9
+from .errors import DomainError, GridMismatchError
+from .grid import SLOPE_TOL, Grid1D, Profile, SpaceTimeField, _march
 
 INTRINSIC = "intrinsic-J"
 CONSTANT_ALPHA = "constant-alpha"
-PRESCRIBED = "prescribed-strategy"
 
 StrategyInput = Union[SpaceTimeField, str]
 
-
-@dataclass(frozen=True)
-class ForwardConfig:
-    """Coupling mode of a forward run; boundaries are always F=1 left, F=0 right."""
-
-    coupling_mode: str = PRESCRIBED
-
-    def __post_init__(self) -> None:
-        if self.coupling_mode not in (PRESCRIBED, INTRINSIC, CONSTANT_ALPHA):
-            raise DomainError(f"unknown coupling mode {self.coupling_mode!r}")
+#: Growth rate c(t_n, .) of step n, given the slice F_n it starts from.
+RateFn = Callable[[int, np.ndarray], np.ndarray]
 
 
 def dt_max(p: model.ModelParams) -> float:
@@ -77,29 +60,40 @@ def nonlocal_rate(F: Profile, s_star: Profile, p: model.ModelParams) -> Profile:
     return Profile(F.grid, _rate_from_alpha(F.values, model.alpha(s, p)))
 
 
-def _imex_step(
-    F_vals: np.ndarray, c_vals: np.ndarray, p: model.ModelParams, dt: float, dx: float
-) -> np.ndarray:
-    rhs = F_vals * (1.0 + dt * c_vals)
-    rhs[0] = 1.0
-    rhs[-1] = 0.0
-    lower, diag, upper = implicit_operator(F_vals.size, dx, dt, p.kappa)
-    out = solve_tridiagonal(lower, diag, upper, rhs)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("forward step produced non-finite values")
-    if out.min() < -OVERSHOOT_TOL or out.max() > 1.0 + OVERSHOOT_TOL:
-        raise OvershootError(
-            f"F left [0,1] by {max(-out.min(), out.max() - 1.0):.3e} in one step"
-        )
-    return np.clip(out, 0.0, 1.0)
+def _imex_steps(
+    F_vals: np.ndarray, rate: RateFn, p: model.ModelParams,
+    dx: float, dt: float, nt: int, slope: int = -1,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Steps of the IMEX scheme on the shared stepper, F pinned to 1 left and 0 right.
+
+    Diffusion is implicit, the reaction F (1 + dt c) with c = rate(n, F) explicit.
+    """
+    return _march(
+        F_vals, nt, dx, dt, p.kappa, lambda n, F: F * (1.0 + dt * rate(n, F)),
+        ends=(1.0, 0.0), slope=slope, name="F",
+    )
+
+
+def _run_steps(
+    F0: Profile, rate: RateFn, p: model.ModelParams, grid: Grid1D
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Check a whole-grid forward run's inputs, then return its steps."""
+    if F0.grid != grid:
+        raise GridMismatchError("F0 does not live on the run grid")
+    if grid.nt > 0 and grid.dt > dt_max(p) * (1.0 + 1e-12):
+        raise DomainError(f"grid dt={grid.dt} exceeds dt_max={dt_max(p)}")
+    if np.max(np.diff(F0.values), initial=-np.inf) > SLOPE_TOL:
+        raise DomainError("F0 must be non-increasing")
+    return _imex_steps(F0.values.copy(), rate, p, grid.dx, grid.dt, grid.nt)
 
 
 def step_forward(F: Profile, s_star: Profile, p: model.ModelParams, dt: float) -> Profile:
     """Advance F by one IMEX step under the given strategy slice."""
     if dt > dt_max(p):
         raise DomainError(f"dt={dt} exceeds dt_max={dt_max(p)}")
-    c = nonlocal_rate(F, s_star, p)
-    return Profile(F.grid, _imex_step(F.values.copy(), c.values, p, dt, F.grid.dx))
+    c = nonlocal_rate(F, s_star, p).values
+    _, out = list(_imex_steps(F.values, lambda n, u: c, p, F.grid.dx, dt, 1, slope=0))[-1]
+    return Profile(F.grid, out)
 
 
 def _alpha_slice(
@@ -121,7 +115,6 @@ def iter_forward(
     strategy: StrategyInput,
     p: model.ModelParams,
     grid: Grid1D,
-    check_monotone: bool = True,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (slice index, F values) for j = 0 .. nt, stepping lazily.
 
@@ -129,24 +122,12 @@ def iter_forward(
     the contract.  Used by solve_forward and by the streaming experiment
     runner, which avoids holding a long trajectory in memory.
     """
-    if F0.grid != grid:
-        raise GridMismatchError("F0 does not live on the run grid")
     if isinstance(strategy, SpaceTimeField) and strategy.grid != grid:
         raise GridMismatchError("strategy field does not live on the run grid")
-    if grid.nt > 0 and grid.dt > dt_max(p) * (1.0 + 1e-12):
-        raise DomainError(f"grid dt={grid.dt} exceeds dt_max={dt_max(p)}")
-    vals = F0.values.copy()
-    if check_monotone and np.max(np.diff(vals), initial=-np.inf) > SLOPE_TOL:
-        raise DomainError("F0 must be non-increasing")
     dx = grid.dx
-    yield 0, vals
-    for j in range(grid.nt):
-        a = _alpha_slice(vals, strategy, j, p, dx)
-        c = _rate_from_alpha(vals, a)
-        vals = _imex_step(vals, c, p, grid.dt, dx)
-        if check_monotone and np.max(np.diff(vals)) > SLOPE_TOL:
-            raise NumericalError(f"F lost monotonicity at step {j + 1}")
-        yield j + 1, vals
+    yield from _run_steps(
+        F0, lambda j, F: _rate_from_alpha(F, _alpha_slice(F, strategy, j, p, dx)), p, grid
+    )
 
 
 def solve_forward(
@@ -175,20 +156,8 @@ def solve_rank_local(F0: Profile, p: model.ModelParams, grid: Grid1D) -> SpaceTi
     rank-proportional search and the cross-check target for the particle
     simulator.
     """
-    if F0.grid != grid:
-        raise GridMismatchError("F0 does not live on the run grid")
-    if grid.nt > 0 and grid.dt > dt_max(p) * (1.0 + 1e-12):
-        raise DomainError(f"grid dt={grid.dt} exceeds dt_max={dt_max(p)}")
-    vals = F0.values.copy()
-    if np.max(np.diff(vals), initial=-np.inf) > SLOPE_TOL:
-        raise DomainError("F0 must be non-increasing")
     q1 = model.q_integral(1.0, p)
     out = np.empty((grid.nt + 1, grid.nx))
-    out[0] = vals
-    for j in range(grid.nt):
-        c = q1 - model.q_integral(vals, p)
-        vals = _imex_step(vals, c, p, grid.dt, grid.dx)
-        if np.max(np.diff(vals)) > SLOPE_TOL:
-            raise NumericalError(f"F lost monotonicity at step {j + 1}")
-        out[j + 1] = vals
+    for j, vals in _run_steps(F0, lambda j, F: q1 - model.q_integral(F, p), p, grid):
+        out[j] = vals
     return SpaceTimeField(grid, out)

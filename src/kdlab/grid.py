@@ -2,23 +2,35 @@
 
 The spatial variable is log-productivity, truncated to a uniform grid
 [x_min, x_max]; time runs on a uniform step from t0 to t_final.  Both PDE
-solvers share the implicit-operator assembly and the banded solve defined
-here.
+solvers step through the one implicit time stepper defined here, which also
+owns their range and monotonicity guards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     DomainError,
     GridMismatchError,
     NonFiniteError,
+    NumericalError,
+    OvershootError,
     SingularSystemError,
 )
+
+#: Allowed drift of a stepped field outside [0, 1] per step before the
+#: stepper declares instability; anything below is clamped as roundoff.
+OVERSHOOT_TOL = 1e-9
+
+#: Allowed discrete slope against a field's monotone direction before
+#: monotonicity is declared broken.
+SLOPE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -203,3 +215,41 @@ def implicit_operator(
     upper[0] = 0.0
     lower[-1] = 0.0
     return lower, diag, upper
+
+
+def _march(
+    u0: np.ndarray, nt: int, dx: float, dt: float, kappa: float,
+    rhs: Callable[[int, np.ndarray], np.ndarray], ends: tuple[float, float],
+    drift: float = 0.0, slope: int = 0, name: str = "u",
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, u_n) for n = 0 .. nt of the implicit diffusion scheme.
+
+    Step n solves (I - dt*(kappa*D2 + drift*D+)) u_{n+1} = rhs(n, u_n), a
+    fresh array whose end values are first pinned to the Dirichlet data
+    ends.  The matrix never changes, so it is LU-factored once (LAPACK
+    gttrf) and every step is one gttrs solve.  Each new slice is guarded:
+    non-finite values raise NonFiniteError; drift outside [0, 1] beyond
+    OVERSHOOT_TOL raises OvershootError and smaller drift is clamped; with
+    slope -1 (+1) the slice must be non-increasing (non-decreasing) in x to
+    within SLOPE_TOL, else NumericalError.
+    """
+    lower, diag, upper = implicit_operator(u0.size, dx, dt, kappa, drift)
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
+    if info != 0:
+        raise SingularSystemError(f"implicit operator is singular (gttrf info={info})")
+    u = u0
+    yield 0, u
+    for n in range(nt):
+        b = rhs(n, u)
+        b[0], b[-1] = ends
+        u, _ = lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+        if not np.all(np.isfinite(u)):
+            raise NonFiniteError(f"{name} became non-finite at step {n + 1}")
+        if u.min() < -OVERSHOOT_TOL or u.max() > 1.0 + OVERSHOOT_TOL:
+            raise OvershootError(
+                f"{name} left [0,1] by {max(-u.min(), u.max() - 1.0):.3e} in one step"
+            )
+        np.clip(u, 0.0, 1.0, out=u)
+        if slope and np.max(-slope * np.diff(u)) > SLOPE_TOL:
+            raise NumericalError(f"{name} lost monotonicity at step {n + 1}")
+        yield n + 1, u

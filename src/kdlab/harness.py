@@ -293,17 +293,22 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _write_snapshot(path: Path, t: float, x: np.ndarray, cols: dict[str, np.ndarray]) -> None:
+def _write_snapshot(
+    cfg: ExperimentConfig, out: Path, j: int, t: float, cols: dict[str, np.ndarray]
+) -> None:
+    """Write slice j's fields to out/fields as npz, or as CSV with NaN for absent columns."""
+    fields_dir = out / "fields"
+    fields_dir.mkdir(parents=True, exist_ok=True)
+    x = cfg.grid.x
+    if cfg.binary_fields:
+        np.savez_compressed(fields_dir / f"snap_{j:06d}.npz", t=t, x=x, **cols)
+        return
     names = ["x", "F", "w", "I", "J", "s"]
     arrays = [x] + [cols.get(n, np.full_like(x, math.nan)) for n in names[1:]]
     lines = [f"# t={_fmt(t)}", ",".join(names)]
     for row in zip(*arrays):
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_snapshot_npz(path: Path, t: float, x: np.ndarray, cols: dict[str, np.ndarray]) -> None:
-    np.savez_compressed(path, t=t, x=x, **cols)
+    (fields_dir / f"snap_{j:06d}.csv").write_text("\n".join(lines) + "\n")
 
 
 def _write_tracks(path: Path, rows: list[tuple[float, float, float, float]]) -> None:
@@ -439,7 +444,6 @@ def checkpoint_roundtrip(obj, path: str | Path):
 
 @dataclass
 class RunResult:
-    status: int
     out_dir: Path
     manifest: dict
     final_state: ParticleState | None = None
@@ -472,9 +476,6 @@ def _run_pde(cfg: ExperimentConfig, out: Path) -> tuple[_TrackRecorder, list[Sna
     strategy = CONSTANT_ALPHA if cfg.mode == "kpp" else INTRINSIC
     rec = _TrackRecorder()
     snaps: list[Snapshot] = []
-    fields_dir = out / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
-    x = grid.x
     for j, vals in iter_forward(F0, strategy, p, grid):
         t = grid.time_at(j)
         J = model.discounted_tail(vals, grid.dx, p.rho_minus_kappa)
@@ -489,11 +490,7 @@ def _run_pde(cfg: ExperimentConfig, out: Path) -> tuple[_TrackRecorder, list[Sna
                 Snapshot(t=t, F=Profile(grid, vals.copy()), intrinsic=Jprof,
                          strategy=Profile(grid, s_vals))
             )
-            cols = {"F": vals, "J": J, "s": s_vals}
-            if cfg.binary_fields:
-                _write_snapshot_npz(fields_dir / f"snap_{j:06d}.npz", t, x, cols)
-            else:
-                _write_snapshot(fields_dir / f"snap_{j:06d}.csv", t, x, cols)
+            _write_snapshot(cfg, out, j, t, {"F": vals, "J": J, "s": s_vals})
     return rec, snaps
 
 
@@ -507,9 +504,6 @@ def _run_nash(cfg: ExperimentConfig, out: Path) -> tuple[_TrackRecorder, list[Sn
     intrinsic = model.discounted_tail(sol.F_field.values, grid.dx, p.rho_minus_kappa)
     rec = _TrackRecorder()
     snaps: list[Snapshot] = []
-    fields_dir = out / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
-    x = grid.x
     for j in range(grid.nt + 1):
         t = grid.time_at(j)
         Fp = Profile(grid, sol.F_field.values[j])
@@ -523,14 +517,10 @@ def _run_nash(cfg: ExperimentConfig, out: Path) -> tuple[_TrackRecorder, list[Sn
                          payoff=Ip, intrinsic=Jp,
                          strategy=Profile(grid, sol.strategy_field.values[j]))
             )
-            cols = {
+            _write_snapshot(cfg, out, j, t, {
                 "F": sol.F_field.values[j], "w": sol.w_field.values[j],
                 "I": payoff[j], "J": intrinsic[j], "s": sol.strategy_field.values[j],
-            }
-            if cfg.binary_fields:
-                _write_snapshot_npz(fields_dir / f"snap_{j:06d}.npz", t, x, cols)
-            else:
-                _write_snapshot(fields_dir / f"snap_{j:06d}.csv", t, x, cols)
+            })
     mfg_info = {
         "converged": sol.converged,
         "iterations": sol.iterations,
@@ -564,9 +554,6 @@ def _run_particles(
         )
     rec = _TrackRecorder()
     snaps: list[Snapshot] = []
-    fields_dir = out / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
-    x = grid.x
     last_step = grid.nt if max_steps is None else min(grid.nt, state.step_index + max_steps)
 
     def observe(st: ParticleState) -> None:
@@ -587,10 +574,7 @@ def _run_particles(
             cols = {"F": est.profile.values, "J": J}
             if s_nodes is not None:
                 cols["s"] = s_nodes
-            if cfg.binary_fields:
-                _write_snapshot_npz(fields_dir / f"snap_{j:06d}.npz", t, x, cols)
-            else:
-                _write_snapshot(fields_dir / f"snap_{j:06d}.csv", t, x, cols)
+            _write_snapshot(cfg, out, j, t, cols)
             save_checkpoint(st, out / "checkpoint.npz", config=cfg)
 
     observe(state)
@@ -610,6 +594,14 @@ def _sample_from_cdf(init: Profile, n: int, seed: int) -> np.ndarray:
     return np.interp(u, 1.0 - init.values, init.grid.x)
 
 
+def _start_run_dir(config: ExperimentConfig, out_dir: str | Path) -> Path:
+    """Create a run directory holding the config.json that `kdlab diag` reads."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(config.to_json() + "\n")
+    return out
+
+
 def run(
     config: ExperimentConfig, out_dir: str | Path, max_steps: int | None = None
 ) -> RunResult:
@@ -619,10 +611,7 @@ def run(
     included), which is how interrupted-run recovery is exercised; PDE modes
     always run to completion.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(config.to_json() + "\n")
-
+    out = _start_run_dir(config, out_dir)
     mfg_info = None
     final_state = None
     pde_rec = None
@@ -683,7 +672,7 @@ def run(
             files[str(f.relative_to(out))] = _sha256(f)
     manifest["files"] = files
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return RunResult(status=0, out_dir=out, manifest=manifest, final_state=final_state)
+    return RunResult(out_dir=out, manifest=manifest, final_state=final_state)
 
 
 def _run_compare_pde(cfg: ExperimentConfig, out: Path) -> _TrackRecorder:
@@ -710,8 +699,7 @@ def resume(checkpoint_path: str | Path, out_dir: str | Path) -> RunResult:
         raise CheckpointError("resume needs a particle checkpoint with an embedded config")
     if config.mode not in ("particles", "compare"):
         raise ConfigError(f"resume supports particle runs, not mode {config.mode!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _start_run_dir(config, out_dir)
     rec, snaps, final_state = _run_particles(config, out, state=state)
     _write_tracks(out / "tracks.csv", rec.rows)
     report = run_diagnostics(snaps, config.params, temporal=False)
@@ -730,4 +718,4 @@ def resume(checkpoint_path: str | Path, out_dir: str | Path) -> RunResult:
             files[str(f.relative_to(out))] = _sha256(f)
     manifest["files"] = files
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return RunResult(status=0, out_dir=out, manifest=manifest, final_state=final_state)
+    return RunResult(out_dir=out, manifest=manifest, final_state=final_state)

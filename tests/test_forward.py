@@ -9,7 +9,6 @@ from kdlab.errors import DomainError
 from kdlab.forward import (
     CONSTANT_ALPHA,
     INTRINSIC,
-    ForwardConfig,
     dt_max,
     nonlocal_rate,
     solve_forward,
@@ -81,10 +80,6 @@ class TestStepForward:
         with pytest.raises(DomainError):
             step_forward(F, s, P, dt=0.1 / P.alpha1 * 1.5)
         assert dt_max(ModelParams(kappa=1.0, rho=2.0, alpha1=0.0)) == math.inf
-
-    def test_mode_validation(self):
-        with pytest.raises(DomainError):
-            ForwardConfig(coupling_mode="nonsense")
 
 
 class TestHeatOracle:

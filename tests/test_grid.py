@@ -1,17 +1,22 @@
-"""Grids, profiles, interpolation, and the tridiagonal solver."""
+"""Grids, profiles, interpolation, the tridiagonal solver, and the shared stepper."""
 
 import numpy as np
 import pytest
 
-from kdlab.errors import DomainError, GridMismatchError, SingularSystemError
+from kdlab.backward import TerminalCondition, solve_backward
+from kdlab.errors import DomainError, GridMismatchError, OvershootError, SingularSystemError
+from kdlab.forward import CONSTANT_ALPHA, INTRINSIC, solve_forward, solve_rank_local
 from kdlab.grid import (
     Grid1D,
     Profile,
+    SpaceTimeField,
     implicit_operator,
     interp_linear,
     recommended_domain,
     solve_tridiagonal,
 )
+from kdlab.mfg import intrinsic_strategy
+from kdlab.model import ModelParams, alpha, alpha_of_sm, discounted_tail, q_integral
 
 from conftest import space_grid
 
@@ -160,3 +165,62 @@ class TestImplicitOperator:
         # row sums of the interior equal 1 + dt*drift/dx boundary terms aside
         with pytest.raises(DomainError):
             implicit_operator(16, 0.1, 0.01, kappa=1.0, drift=-1.0)
+
+
+def _replay(u, nt, dx, dt, kappa, rhs, ends, drift=0.0):
+    """The implicit scheme rebuilt and re-solved step by step, for reference."""
+    lower, diag, upper = implicit_operator(u.size, dx, dt, kappa, drift)
+    out = [u]
+    for n in range(nt):
+        b = rhs(n, out[-1])
+        b[0], b[-1] = ends
+        out.append(np.clip(solve_tridiagonal(lower, diag, upper, b), 0.0, 1.0))
+    return np.array(out)
+
+
+class TestSharedStepper:
+    """The solvers' one prefactored stepper against a per-step rebuild."""
+
+    P = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)
+
+    def ramp(self, g):
+        return Profile(g, np.clip((2.0 - g.x) / 4.0, 0.0, 1.0))
+
+    def test_overshoot_raises(self):
+        g = Grid1D(-10.0, 10.0, 101, 0.0, 0.5, 10)
+        with pytest.raises(OvershootError):
+            solve_forward(Profile(g, np.full(g.nx, 1.5)), CONSTANT_ALPHA, self.P, g)
+
+    def test_forward_intrinsic_matches_replay(self):
+        p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
+
+        def rhs(n, F):
+            a = alpha_of_sm(discounted_tail(F, g.dx, p.rho_minus_kappa), p)
+            c = np.concatenate(([0.0], np.cumsum(0.5 * (a[:-1] + a[1:]) * (F[:-1] - F[1:]))))
+            return F * (1.0 + g.dt * c)
+
+        ref = _replay(self.ramp(g).values, g.nt, g.dx, g.dt, p.kappa, rhs, (1.0, 0.0))
+        assert np.array_equal(solve_forward(self.ramp(g), INTRINSIC, p, g).values, ref)
+
+    def test_rank_local_matches_replay(self):
+        p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
+
+        def rhs(n, F):
+            return F * (1.0 + g.dt * (q_integral(1.0, p) - q_integral(F, p)))
+
+        ref = _replay(self.ramp(g).values, g.nt, g.dx, g.dt, p.kappa, rhs, (1.0, 0.0))
+        assert np.array_equal(solve_rank_local(self.ramp(g), p, g).values, ref)
+
+    def test_backward_matches_replay(self):
+        p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
+        F = solve_forward(self.ramp(g), INTRINSIC, p, g)
+        s = SpaceTimeField(g, intrinsic_strategy(F, p))
+        wT = TerminalCondition(kind="logistic", center=5.0, slope=1.0)
+
+        def rhs(n, w):
+            j = g.nt - n
+            sj, Fj = s.values[j], F.values[j]
+            return w + g.dt * (p.rho_minus_kappa * (1.0 - sj - w) - alpha(sj, p) * w * Fj)
+
+        ref = _replay(wT.build(g), g.nt, g.dx, g.dt, p.kappa, rhs, (0.0, 1.0), 2.0 * p.kappa)
+        assert np.array_equal(solve_backward(wT, F, s, p, g).values, ref[::-1])

