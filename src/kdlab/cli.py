@@ -2,9 +2,10 @@
 
 Subcommands: run a config file, run a shipped preset, fit speeds from a track
 file, re-evaluate diagnostics on a run directory, and resume a checkpointed
-particle run.  Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 I/O error or unreadable checkpoint.  Diagnostic failures do not change the
-exit status; they are flagged in the manifest.
+particle run.  Exit codes: 0 success, 2 config error or any other invalid
+input (a KdlabError without a code of its own, such as a DomainError), 3
+numerical failure, 4 I/O error or unreadable checkpoint.  Diagnostic failures
+do not change the exit status; they are flagged in the manifest.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .analysis import FrontTrack, Snapshot, estimate_speed, run_diagnostics
+from .analysis import FrontTrack, estimate_speed
 from .errors import CheckpointError, ConfigError, KdlabError, NumericalError
-from .grid import Grid1D, Profile
 
 
 def _out_root(override: str | None) -> Path:
@@ -64,6 +64,8 @@ def _cmd_speeds(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--window must be 'a,b', got {args.window!r}") from exc
     data = np.genfromtxt(args.track_file, delimiter=",", names=True)
+    if "t" not in (data.dtype.names or ()):
+        raise ConfigError(f"{args.track_file}: no 't' column")
     t = np.atleast_1d(data["t"])
     for col, kind in (("x_median", "median"), ("x_learning", "learning"), ("x_intrinsic", "intrinsic")):
         if col not in (data.dtype.names or ()):
@@ -81,47 +83,8 @@ def _cmd_speeds(args) -> int:
     return 0
 
 
-def _read_snapshot(path: Path) -> tuple[float, dict[str, np.ndarray]]:
-    """Time and named columns of one field snapshot, CSV or npz."""
-    if path.suffix == ".npz":
-        with np.load(path, allow_pickle=False) as data:
-            cols = {name: np.atleast_1d(data[name]) for name in data.files if name != "t"}
-            return float(data["t"]), cols
-    with open(path) as f:
-        header = f.readline().strip()
-    if not header.startswith("# t="):
-        raise ConfigError(f"{path}: missing '# t=' header")
-    t = float(header[4:])
-    data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
-    cols = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
-    return t, cols
-
-
 def _cmd_diag(args) -> int:
-    run_dir = Path(args.snapshot_dir)
-    if run_dir.name == "fields":
-        run_dir = run_dir.parent
-    config = harness.ExperimentConfig.from_json_file(run_dir / "config.json")
-    p = config.params
-    snaps = []
-    fields = run_dir / "fields"
-    for f in sorted([*fields.glob("snap_*.csv"), *fields.glob("snap_*.npz")]):
-        t, cols = _read_snapshot(f)
-        x = cols["x"]
-        grid = Grid1D(float(x[0]), float(x[-1]), x.size, t, t, 0)
-
-        def prof(name):
-            v = cols.get(name)
-            return Profile(grid, v) if v is not None and np.all(np.isfinite(v)) else None
-
-        snaps.append(
-            Snapshot(t=t, F=prof("F"), w=prof("w"), payoff=prof("I"),
-                     intrinsic=prof("J"), strategy=prof("s"))
-        )
-    if not snaps:
-        raise ConfigError(f"no field snapshots under {run_dir}")
-    temporal = config.mode in ("kpp", "intrinsic", "nash")
-    report = run_diagnostics(snaps, p, temporal=temporal)
+    report = harness.diagnose_run_dir(args.snapshot_dir)
     for check, t, passed, worst, loc in report.to_rows():
         status = "pass" if passed else "FAIL"
         where = "" if math.isnan(loc) else f" at x={loc:.4g}"
@@ -187,6 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, CheckpointError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except KdlabError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,14 +16,15 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, model
 from .analysis import (
+    DiagnosticsReport,
     FrontTrack,
     Snapshot,
-    SpeedFit,
     default_window,
     estimate_speed,
     locate_level,
@@ -41,6 +42,9 @@ from .grid import Grid1D, Profile, SpaceTimeField, recommended_domain
 from .mfg import MfgConfig, solve_nash
 from .model import ModelParams, TheoryPredictions
 from .particles import (
+    RANK,
+    RATIO,
+    SMOOTHED_RANK,
     ParticleState,
     StrategyRule,
     empirical_cdf,
@@ -53,6 +57,14 @@ MODES = ("kpp", "intrinsic", "nash", "particles", "compare")
 OUTPUT_ROOT_ENV = "KDLAB_OUT"
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ParticleSpec:
     n: int
@@ -61,8 +73,18 @@ class ParticleSpec:
     kernel_width: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigError("particle count must be at least 2")
+        if not (_is_int(self.n) and self.n >= 2):
+            raise ConfigError(f"particles.n must be an integer of at least 2, got {self.n!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**63):
+            raise ConfigError(f"particles.seed must be an integer in [0, 2^63), got {self.seed!r}")
+        if self.rule not in (RANK, RATIO, SMOOTHED_RANK):
+            raise ConfigError(
+                f"particles.rule must be one of {(RANK, RATIO, SMOOTHED_RANK)}, got {self.rule!r}"
+            )
+        if self.rule == SMOOTHED_RANK and not (
+            _is_number(self.kernel_width) and self.kernel_width > 0
+        ):
+            raise ConfigError("particles.rule 'smoothed-rank' needs a positive kernel_width")
 
     def make_rule(self) -> StrategyRule:
         return StrategyRule(kind=self.rule, kernel_width=self.kernel_width)
@@ -95,6 +117,15 @@ class ExperimentConfig:
             raise ConfigError("initial_l0 must be positive")
         if self.snapshot_stride < 1 or self.track_stride < 1:
             raise ConfigError("strides must be positive")
+        for key in ("nx", "nt"):
+            v = getattr(self.grid, key)
+            if not _is_int(v):
+                raise ConfigError(f"grid.{key} must be an integer, got {v!r}")
+        fw = self.fit_window
+        if fw is not None and not (
+            len(fw) == 2 and all(_is_number(v) for v in fw) and fw[0] < fw[1]
+        ):
+            raise ConfigError(f"output.fit_window must be two increasing numbers, got {fw!r}")
 
     # -- JSON round trip ---------------------------------------------------
 
@@ -150,6 +181,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(d).__name__}")
         try:
             if d.get("schema_version") != SCHEMA_VERSION:
                 raise ConfigError(
@@ -311,6 +344,55 @@ def _write_snapshot(
     (fields_dir / f"snap_{j:06d}.csv").write_text("\n".join(lines) + "\n")
 
 
+def _snapshot(grid: Grid1D, t: float, cols: dict[str, np.ndarray]) -> Snapshot:
+    """Snapshot of one slice's columns; a column absent or not finite is left out."""
+
+    def prof(name: str) -> Profile | None:
+        v = cols.get(name)
+        return Profile(grid, v) if v is not None and np.all(np.isfinite(v)) else None
+
+    return Snapshot(t=t, F=prof("F"), w=prof("w"), payoff=prof("I"),
+                    intrinsic=prof("J"), strategy=prof("s"))
+
+
+def _read_snapshot(path: Path) -> Snapshot:
+    """Inverse of _write_snapshot for one CSV or npz file."""
+    if path.suffix == ".npz":
+        with np.load(path, allow_pickle=False) as data:
+            cols = {name: np.atleast_1d(data[name]) for name in data.files if name != "t"}
+            t = float(data["t"])
+    else:
+        with open(path) as f:
+            header = f.readline().strip()
+        if not header.startswith("# t="):
+            raise ConfigError(f"{path}: missing '# t=' header")
+        t = float(header[4:])
+        data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
+        cols = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
+    x = cols["x"]
+    return _snapshot(Grid1D(float(x[0]), float(x[-1]), x.size, t, t, 0), t, cols)
+
+
+def _diagnose(config: ExperimentConfig, snaps: list[Snapshot]) -> DiagnosticsReport:
+    # The temporal checks are mean-field statements; particle fields are
+    # finite-sample estimates, so their runs get the static checks only.
+    temporal = config.mode in ("kpp", "intrinsic", "nash")
+    return run_diagnostics(snaps, config.params, temporal=temporal)
+
+
+def diagnose_run_dir(run_dir: str | Path) -> DiagnosticsReport:
+    """Re-evaluate the diagnostics of a run directory (or its fields/) from its files."""
+    run_dir = Path(run_dir)
+    if run_dir.name == "fields":
+        run_dir = run_dir.parent
+    config = ExperimentConfig.from_json_file(run_dir / "config.json")
+    fields = run_dir / "fields"
+    paths = sorted([*fields.glob("snap_*.csv"), *fields.glob("snap_*.npz")])
+    if not paths:
+        raise ConfigError(f"no field snapshots under {run_dir}")
+    return _diagnose(config, [_read_snapshot(f) for f in paths])
+
+
 def _write_tracks(path: Path, rows: list[tuple[float, float, float, float]]) -> None:
     lines = ["t,x_median,x_learning,x_intrinsic"]
     for row in rows:
@@ -325,21 +407,13 @@ def _write_diagnostics(path: Path, rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
-def _fit_or_none(track: FrontTrack, window: tuple[float, float]) -> SpeedFit | None:
+def _speed_entry(rows: list[tuple], kind: str, window: tuple[float, float]) -> dict | None:
+    """Speed fit of one front column of the track rows; None when it cannot be fitted."""
+    arr = np.array(rows)
+    col = {"median": 1, "learning": 2, "intrinsic": 3}[kind]
     try:
-        return estimate_speed(track, window)
+        fit = estimate_speed(FrontTrack(kind, arr[:, 0], arr[:, col]), window)
     except KdlabError:
-        return None
-
-
-def _speeds_entry(fit: SpeedFit | None) -> dict | None:
-    if fit is None:
         return None
     return {
         "speed": fit.speed,
@@ -456,71 +530,72 @@ def _try_front(prof: Profile, level: float) -> float:
         return math.nan
 
 
-class _TrackRecorder:
-    def __init__(self) -> None:
-        self.rows: list[tuple[float, float, float, float]] = []
+def _front_row(grid: Grid1D, p: ModelParams, t: float, cols: dict[str, np.ndarray]) -> tuple:
+    """(t, median, learning, intrinsic) fronts of one slice.
 
-    def add(self, t: float, median: float, learning: float, intrinsic: float) -> None:
-        self.rows.append((t, median, learning, intrinsic))
-
-    def track(self, kind: str) -> FrontTrack:
-        col = {"median": 1, "learning": 2, "intrinsic": 3}[kind]
-        arr = np.array(self.rows)
-        return FrontTrack(kind, arr[:, 0], arr[:, col])
+    The learning front is the pay-off front where the slice has I, else the
+    intrinsic front.
+    """
+    e = _try_front(Profile(grid, cols["J"]), p.i_crit)
+    eta = _try_front(Profile(grid, cols["I"]), p.i_crit) if "I" in cols else e
+    return (t, _try_front(Profile(grid, cols["F"]), 0.5), eta, e)
 
 
-def _run_pde(cfg: ExperimentConfig, out: Path) -> tuple[_TrackRecorder, list[Snapshot]]:
+class _Recorder:
+    """Samples one run's slices into front-track rows and field snapshots.
+
+    A slice j gets a track row when j is a multiple of track_stride, and is
+    written to fields/ and kept for the diagnostics when j is a multiple of
+    snapshot_stride; the last step always gets both.  strategy, when given,
+    computes the s column from the slice's columns, at snapshot steps only.
+    """
+
+    def __init__(
+        self, cfg: ExperimentConfig, out: Path,
+        strategy: Callable[[dict], np.ndarray] | None = None, last_step: int | None = None,
+    ) -> None:
+        self.cfg, self.out, self.strategy = cfg, out, strategy
+        self.last_step = cfg.grid.nt if last_step is None else last_step
+        self.rows: list[tuple] = []
+        self.snaps: list[Snapshot] = []
+
+    def record(self, j: int, cols: dict[str, np.ndarray]) -> bool:
+        """Record slice j's columns (F and J, plus w, I, s where known); True at a snapshot."""
+        cfg, t = self.cfg, self.cfg.grid.time_at(j)
+        if j % cfg.track_stride == 0 or j == self.last_step:
+            self.rows.append(_front_row(cfg.grid, cfg.params, t, cols))
+        if j % cfg.snapshot_stride != 0 and j != self.last_step:
+            return False
+        if self.strategy is not None:
+            cols = {**cols, "s": self.strategy(cols)}
+        _write_snapshot(cfg, self.out, j, t, cols)
+        self.snaps.append(_snapshot(cfg.grid, t, cols))
+        return True
+
+
+def _run_pde(cfg: ExperimentConfig, out: Path) -> _Recorder:
     """Streaming forward run for the kpp / intrinsic modes."""
     p, grid = cfg.params, cfg.grid
-    F0 = ramp_initial(grid, cfg.initial_l0)
-    strategy = CONSTANT_ALPHA if cfg.mode == "kpp" else INTRINSIC
-    rec = _TrackRecorder()
-    snaps: list[Snapshot] = []
-    for j, vals in iter_forward(F0, strategy, p, grid):
-        t = grid.time_at(j)
-        J = model.discounted_tail(vals, grid.dx, p.rho_minus_kappa)
-        Jprof = Profile(grid, J)
-        if j % cfg.track_stride == 0 or j == grid.nt:
-            med = _try_front(Profile(grid, vals), 0.5)
-            e_l = _try_front(Jprof, p.i_crit)
-            rec.add(t, med, e_l, e_l)
-        if j % cfg.snapshot_stride == 0 or j == grid.nt:
-            s_vals = np.ones_like(vals) if cfg.mode == "kpp" else model.s_m(J, p)
-            snaps.append(
-                Snapshot(t=t, F=Profile(grid, vals.copy()), intrinsic=Jprof,
-                         strategy=Profile(grid, s_vals))
-            )
-            _write_snapshot(cfg, out, j, t, {"F": vals, "J": J, "s": s_vals})
-    return rec, snaps
+    if cfg.mode == "kpp":
+        strategy, s_of = CONSTANT_ALPHA, lambda c: np.ones_like(c["F"])
+    else:
+        strategy, s_of = INTRINSIC, lambda c: model.s_m(c["J"], p)
+    rec = _Recorder(cfg, out, s_of)
+    for j, vals in iter_forward(ramp_initial(grid, cfg.initial_l0), strategy, p, grid):
+        rec.record(j, {"F": vals, "J": model.discounted_tail(vals, grid.dx, p.rho_minus_kappa)})
+    return rec
 
 
-def _run_nash(cfg: ExperimentConfig, out: Path) -> tuple[_TrackRecorder, list[Snapshot], dict]:
+def _run_nash(cfg: ExperimentConfig, out: Path) -> tuple[_Recorder, dict]:
     p, grid = cfg.params, cfg.grid
-    F0 = ramp_initial(grid, cfg.initial_l0)
-    sol = solve_nash(F0, cfg.terminal, p, grid, cfg.mfg)
-    payoff = model.discounted_tail(
-        sol.F_field.values * sol.w_field.values, grid.dx, p.rho_minus_kappa
-    )
-    intrinsic = model.discounted_tail(sol.F_field.values, grid.dx, p.rho_minus_kappa)
-    rec = _TrackRecorder()
-    snaps: list[Snapshot] = []
+    sol = solve_nash(ramp_initial(grid, cfg.initial_l0), cfg.terminal, p, grid, cfg.mfg)
+    F, w = sol.F_field.values, sol.w_field.values
+    payoff = model.discounted_tail(F * w, grid.dx, p.rho_minus_kappa)
+    intrinsic = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
+    rec = _Recorder(cfg, out)
     for j in range(grid.nt + 1):
-        t = grid.time_at(j)
-        Fp = Profile(grid, sol.F_field.values[j])
-        Ip = Profile(grid, payoff[j])
-        Jp = Profile(grid, intrinsic[j])
-        if j % cfg.track_stride == 0 or j == grid.nt:
-            rec.add(t, _try_front(Fp, 0.5), _try_front(Ip, p.i_crit), _try_front(Jp, p.i_crit))
-        if j % cfg.snapshot_stride == 0 or j == grid.nt:
-            snaps.append(
-                Snapshot(t=t, F=Fp, w=Profile(grid, sol.w_field.values[j]),
-                         payoff=Ip, intrinsic=Jp,
-                         strategy=Profile(grid, sol.strategy_field.values[j]))
-            )
-            _write_snapshot(cfg, out, j, t, {
-                "F": sol.F_field.values[j], "w": sol.w_field.values[j],
-                "I": payoff[j], "J": intrinsic[j], "s": sol.strategy_field.values[j],
-            })
+        rec.record(j, {"F": F[j], "w": w[j], "I": payoff[j], "J": intrinsic[j],
+                       "s": sol.strategy_field.values[j]})
     mfg_info = {
         "converged": sol.converged,
         "iterations": sol.iterations,
@@ -528,23 +603,14 @@ def _run_nash(cfg: ExperimentConfig, out: Path) -> tuple[_TrackRecorder, list[Sn
         "thetas": sol.thetas,
         "contraction": sol.contraction,
     }
-    return rec, snaps, mfg_info
-
-
-def _particle_strategy_nodes(
-    cdf_vals: np.ndarray, J: np.ndarray, rule: str, p: ModelParams
-) -> np.ndarray | None:
-    if rule == "rank":
-        return cdf_vals.copy()
-    if rule == "ratio":
-        return np.minimum(1.0, p.rho_minus_kappa * J)
-    return None
+    return rec, mfg_info
 
 
 def _run_particles(
     cfg: ExperimentConfig, out: Path, max_steps: int | None = None,
     state: ParticleState | None = None,
-) -> tuple[_TrackRecorder, list[Snapshot], ParticleState]:
+) -> tuple[_Recorder, ParticleState]:
+    """Particle run from state (fresh when None), checkpointed at every snapshot."""
     p, grid, spec = cfg.params, cfg.grid, cfg.particles
     rule = spec.make_rule()
     if state is None:
@@ -552,37 +618,22 @@ def _run_particles(
         state = ParticleState(
             positions=_sample_from_cdf(init, spec.n, spec.seed), time=grid.t0, seed=spec.seed
         )
-    rec = _TrackRecorder()
-    snaps: list[Snapshot] = []
     last_step = grid.nt if max_steps is None else min(grid.nt, state.step_index + max_steps)
-
-    def observe(st: ParticleState) -> None:
-        j = st.step_index
-        t = grid.time_at(j)
-        est = empirical_cdf(st, grid)
-        J = model.discounted_tail(est.profile.values, grid.dx, p.rho_minus_kappa)
-        Jprof = Profile(grid, J)
-        if j % cfg.track_stride == 0 or j == last_step:
-            e_l = _try_front(Jprof, p.i_crit)
-            rec.add(t, _try_front(est.profile, 0.5), e_l, e_l)
-        if j % cfg.snapshot_stride == 0 or j == last_step:
-            s_nodes = _particle_strategy_nodes(est.profile.values, J, spec.rule, p)
-            snaps.append(
-                Snapshot(t=t, F=est.profile, intrinsic=Jprof,
-                         strategy=Profile(grid, s_nodes) if s_nodes is not None else None)
-            )
-            cols = {"F": est.profile.values, "J": J}
-            if s_nodes is not None:
-                cols["s"] = s_nodes
-            _write_snapshot(cfg, out, j, t, cols)
-            save_checkpoint(st, out / "checkpoint.npz", config=cfg)
-
-    observe(state)
-    while state.step_index < last_step:
+    # The s column a snapshot records: the rule's strategy read off the field
+    # estimate; smoothed-rank has no node-wise form, so its snapshots have none.
+    strategy = {
+        RANK: lambda c: c["F"].copy(),
+        RATIO: lambda c: np.minimum(1.0, p.rho_minus_kappa * c["J"]),
+    }.get(spec.rule)
+    rec = _Recorder(cfg, out, strategy, last_step)
+    while True:
+        F = empirical_cdf(state, grid).profile.values
+        J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
+        if rec.record(state.step_index, {"F": F, "J": J}):
+            save_checkpoint(state, out / "checkpoint.npz", config=cfg)
+        if state.step_index >= last_step:
+            return rec, state
         state = step_particles(state, rule, p, grid.dt)
-        observe(state)
-    save_checkpoint(state, out / "checkpoint.npz", config=cfg)
-    return rec, snaps, state
 
 
 def _sample_from_cdf(init: Profile, n: int, seed: int) -> np.ndarray:
@@ -594,57 +645,58 @@ def _sample_from_cdf(init: Profile, n: int, seed: int) -> np.ndarray:
     return np.interp(u, 1.0 - init.values, init.grid.x)
 
 
-def _start_run_dir(config: ExperimentConfig, out_dir: str | Path) -> Path:
-    """Create a run directory holding the config.json that `kdlab diag` reads."""
+def _compare_pde_rows(cfg: ExperimentConfig) -> list[tuple]:
+    """Front rows, at every particle step, of the local rank-strategy PDE run."""
+    p, grid = cfg.params, cfg.grid
+    # The tau-leap step is too coarse for the PDE side; refine in time only.
+    refine = max(1, int(math.ceil(grid.dt / 0.02)))
+    fine = Grid1D(grid.x_min, grid.x_max, grid.nx, grid.t0, grid.t_final, grid.nt * refine)
+    F = solve_rank_local(ramp_initial(fine, cfg.initial_l0), p, fine).values
+    return [
+        _front_row(fine, p, fine.time_at(j),
+                   {"F": F[j], "J": model.discounted_tail(F[j], fine.dx, p.rho_minus_kappa)})
+        for j in range(0, fine.nt + 1, refine)
+    ]
+
+
+def _execute(
+    config: ExperimentConfig, out_dir: str | Path, max_steps: int | None = None,
+    state: ParticleState | None = None,
+) -> RunResult:
+    """Run config into out_dir and write every artifact of its run directory.
+
+    With a particle state the run continues from it, and the manifest records
+    the step it resumed from.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(config.to_json() + "\n")
-    return out
-
-
-def run(
-    config: ExperimentConfig, out_dir: str | Path, max_steps: int | None = None
-) -> RunResult:
-    """Execute one experiment and write its artifact files.
-
-    max_steps truncates a particle run after that many steps (checkpoint
-    included), which is how interrupted-run recovery is exercised; PDE modes
-    always run to completion.
-    """
-    out = _start_run_dir(config, out_dir)
-    mfg_info = None
+    manifest: dict = {}
     final_state = None
-    pde_rec = None
+    pde_rows = None
     if config.mode in ("kpp", "intrinsic"):
-        rec, snaps = _run_pde(config, out)
+        rec = _run_pde(config, out)
     elif config.mode == "nash":
-        rec, snaps, mfg_info = _run_nash(config, out)
-    elif config.mode == "particles":
-        rec, snaps, final_state = _run_particles(config, out, max_steps=max_steps)
-    elif config.mode == "compare":
-        rec, snaps, final_state = _run_particles(config, out, max_steps=max_steps)
-        pde_rec = _run_compare_pde(config, out)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unhandled mode {config.mode!r}")
+        rec, manifest["mfg"] = _run_nash(config, out)
+    else:
+        rec, final_state = _run_particles(config, out, max_steps, state)
+        if config.mode == "compare":
+            pde_rows = _compare_pde_rows(config)
 
     _write_tracks(out / "tracks.csv", rec.rows)
-    if pde_rec is not None:
-        _write_tracks(out / "pde_tracks.csv", pde_rec.rows)
-
     window = config.fit_window or default_window(config.grid.t0, config.grid.t_final)
-    speeds = {}
-    for kind in ("median", "learning", "intrinsic"):
-        speeds[kind] = _speeds_entry(_fit_or_none(rec.track(kind), window))
-    if pde_rec is not None:
-        speeds["pde_median"] = _speeds_entry(_fit_or_none(pde_rec.track("median"), window))
+    speeds = {kind: _speed_entry(rec.rows, kind, window)
+              for kind in ("median", "learning", "intrinsic")}
+    if pde_rows is not None:
+        _write_tracks(out / "pde_tracks.csv", pde_rows)
+        speeds["pde_median"] = _speed_entry(pde_rows, "median", window)
     (out / "speeds.json").write_text(json.dumps(speeds, indent=2, sort_keys=True) + "\n")
 
-    temporal = config.mode in ("kpp", "intrinsic", "nash")
-    report = run_diagnostics(snaps, config.params, temporal=temporal)
+    report = _diagnose(config, rec.snaps)
     _write_diagnostics(out / "diagnostics.csv", report.to_rows())
 
     th = TheoryPredictions.from_params(config.params)
-    manifest = {
+    manifest.update({
         "schema_version": SCHEMA_VERSION,
         "code_version": __version__,
         "mode": config.mode,
@@ -661,61 +713,40 @@ def run(
         },
         "diagnostics_passed": report.passed,
         "diagnostics_failures": [r.check for r in report.failures()],
-    }
-    if mfg_info is not None:
-        manifest["mfg"] = mfg_info
+    })
     if max_steps is not None:
         manifest["partial"] = True
-    files = {}
-    for f in sorted(out.rglob("*")):
-        if f.is_file() and f.name != "manifest.json":
-            files[str(f.relative_to(out))] = _sha256(f)
-    manifest["files"] = files
+    if state is not None:
+        manifest["resumed_from_step"] = state.step_index
+    manifest["files"] = {
+        str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(out.rglob("*")) if f.is_file() and f.name != "manifest.json"
+    }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return RunResult(out_dir=out, manifest=manifest, final_state=final_state)
 
 
-def _run_compare_pde(cfg: ExperimentConfig, out: Path) -> _TrackRecorder:
-    """Local rank-strategy PDE run matching the particle configuration."""
-    p, grid = cfg.params, cfg.grid
-    # The tau-leap step is too coarse for the PDE side; refine in time only.
-    refine = max(1, int(math.ceil(grid.dt / 0.02)))
-    fine = Grid1D(grid.x_min, grid.x_max, grid.nx, grid.t0, grid.t_final, grid.nt * refine)
-    field = solve_rank_local(ramp_initial(fine, cfg.initial_l0), p, fine)
-    rec = _TrackRecorder()
-    for j in range(0, fine.nt + 1, refine):
-        t = fine.time_at(j)
-        Fp = Profile(fine, field.values[j])
-        J = model.discounted_tail(field.values[j], fine.dx, p.rho_minus_kappa)
-        e_l = _try_front(Profile(fine, J), p.i_crit)
-        rec.add(t, _try_front(Fp, 0.5), e_l, e_l)
-    return rec
+def run(
+    config: ExperimentConfig, out_dir: str | Path, max_steps: int | None = None
+) -> RunResult:
+    """Execute one experiment and write its artifact files.
+
+    max_steps truncates a particle run after that many steps (checkpoint
+    included), which is how interrupted-run recovery is exercised; PDE modes
+    always run to completion.
+    """
+    return _execute(config, out_dir, max_steps)
 
 
 def resume(checkpoint_path: str | Path, out_dir: str | Path) -> RunResult:
-    """Continue a particle run from a checkpoint to its configured end."""
+    """Continue a particle run from a checkpoint to its configured end.
+
+    The run directory holds the same files as a fresh run's, with tracks and
+    snapshots from the checkpoint step on; the manifest adds resumed_from_step.
+    """
     state, config = load_checkpoint(checkpoint_path)
     if config is None or not isinstance(state, ParticleState):
         raise CheckpointError("resume needs a particle checkpoint with an embedded config")
     if config.mode not in ("particles", "compare"):
         raise ConfigError(f"resume supports particle runs, not mode {config.mode!r}")
-    out = _start_run_dir(config, out_dir)
-    rec, snaps, final_state = _run_particles(config, out, state=state)
-    _write_tracks(out / "tracks.csv", rec.rows)
-    report = run_diagnostics(snaps, config.params, temporal=False)
-    _write_diagnostics(out / "diagnostics.csv", report.to_rows())
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "code_version": __version__,
-        "mode": config.mode,
-        "name": config.name,
-        "resumed_from_step": state.step_index,
-        "diagnostics_passed": report.passed,
-    }
-    files = {}
-    for f in sorted(out.rglob("*")):
-        if f.is_file() and f.name != "manifest.json":
-            files[str(f.relative_to(out))] = _sha256(f)
-    manifest["files"] = files
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return RunResult(out_dir=out, manifest=manifest, final_state=final_state)
+    return _execute(config, out_dir, state=state)

@@ -11,7 +11,9 @@ from kdlab.grid import Grid1D, Profile, SpaceTimeField
 from kdlab.harness import (
     ExperimentConfig,
     ParticleSpec,
+    _write_diagnostics,
     checkpoint_roundtrip,
+    diagnose_run_dir,
     load_checkpoint,
     preset_config,
     ramp_initial,
@@ -31,6 +33,13 @@ def tiny_particle_config(name="tiny", n=400, nt=30, seed=11):
         particles=ParticleSpec(n=n, rule="rank", seed=seed),
         snapshot_stride=10, initial_l0=2.0,
     )
+
+
+def assert_diagnostics_rebuilt(out):
+    """The diagnostics rebuilt from out/fields equal out/diagnostics.csv byte for byte."""
+    rebuilt = out.parent / f"{out.name}-rebuilt.csv"
+    _write_diagnostics(rebuilt, diagnose_run_dir(out).to_rows())
+    assert rebuilt.read_bytes() == (out / "diagnostics.csv").read_bytes()
 
 
 class TestConfig:
@@ -225,6 +234,24 @@ class TestResume:
                               full.final_state.positions)
         assert resumed.final_state.step_index == full.final_state.step_index
 
+    def test_resumed_compare_run_has_fresh_run_files(self, tmp_path):
+        cfg = tiny_particle_config(nt=20)
+        cfg.mode = "compare"
+        fresh = run(cfg, tmp_path / "fresh")
+        partial = run(cfg, tmp_path / "partial", max_steps=7)
+        resumed = resume(partial.out_dir / "checkpoint.npz", tmp_path / "resumed")
+        names = {f.name for f in fresh.out_dir.iterdir()}
+        assert {"speeds.json", "pde_tracks.csv"} <= names
+        assert {f.name for f in resumed.out_dir.iterdir()} == names
+        assert set(resumed.manifest) == set(fresh.manifest) | {"resumed_from_step"}
+        assert resumed.manifest["resumed_from_step"] == 7
+        on_disk = json.loads((resumed.out_dir / "manifest.json").read_text())
+        assert on_disk == resumed.manifest
+        tracks = (resumed.out_dir / "tracks.csv").read_text().splitlines()
+        assert float(tracks[1].split(",")[0]) == pytest.approx(cfg.grid.time_at(7))
+        assert ((resumed.out_dir / "pde_tracks.csv").read_bytes()
+                == (fresh.out_dir / "pde_tracks.csv").read_bytes())
+
     def test_resume_requires_particles(self, tmp_path):
         p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)
         g = Grid1D(-2.0, 2.0, 17, 0.0, 1.0, 4)
@@ -251,11 +278,50 @@ class TestCli:
         assert "median" in out
         assert main(["diag", str(run_dir)]) == 0
         assert "diagnostics:" in capsys.readouterr().out
+        assert_diagnostics_rebuilt(run_dir)
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", str(bad)]) == 2
+
+    @pytest.mark.parametrize("break_config", [
+        lambda d: [d],
+        lambda d: d["grid"].update(nx=241.0),
+        lambda d: d["grid"].update(nt=30.0),
+        lambda d: d["output"].update(fit_window=[1.0]),
+        lambda d: d["output"].update(fit_window=[2.0, 1.0]),
+        lambda d: d["output"].update(fit_window="ab"),
+        lambda d: d["particles"].update(rule="majority"),
+        lambda d: d["particles"].update(rule="smoothed-rank"),
+        lambda d: d["particles"].update(rule="smoothed-rank", kernel_width=-0.5),
+        lambda d: d["particles"].update(n=400.5),
+        lambda d: d["particles"].update(seed=-1),
+        lambda d: d["particles"].update(seed=11.5),
+    ], ids=["not-object", "float-nx", "float-nt", "window-length", "window-order",
+            "window-string", "unknown-rule", "smoothed-no-width", "smoothed-negative-width",
+            "float-n", "negative-seed", "float-seed"])
+    def test_invalid_config_exit_code(self, tmp_path, break_config):
+        d = tiny_particle_config().to_dict()
+        d = break_config(d) or d
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_unmapped_kdlab_error_exit_code(self, tmp_path, capsys):
+        d = tiny_particle_config().to_dict()
+        del d["particles"]
+        d["mode"] = "intrinsic"
+        d["grid"].update(nt=1, t_final=1.0)  # dt = 1 exceeds 0.1/alpha1 = 0.2
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(d))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "dt_max" in capsys.readouterr().err
+
+    def test_speeds_needs_t_column(self, tmp_path):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text("time,x_median\n0,1\n1,2\n")
+        assert main(["speeds", str(tracks), "--window", "0,1"]) == 2
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["speeds", str(tmp_path / "nope.csv"), "--window", "0,1"]) == 4
@@ -277,6 +343,7 @@ class TestCli:
         resumed = resume(partial.out_dir / "checkpoint.npz", tmp_path / "resumed")
         assert main(["diag", str(resumed.out_dir)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "diagnostics: PASS"
+        assert_diagnostics_rebuilt(resumed.out_dir)
 
     def test_diag_on_coupled_run(self, tmp_path, capsys):
         # Exercise the full snapshot schema (w, I present) through the
@@ -297,6 +364,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "payoff_below_intrinsic" in out
         assert "diagnostics: PASS" in out
+        assert_diagnostics_rebuilt(res.out_dir)
 
     def test_diag_reads_binary_snapshots(self, tmp_path, capsys):
         p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)
@@ -308,5 +376,6 @@ class TestCli:
             res = run(cfg, tmp_path / f"binary-{binary}")
             assert main(["diag", str(res.out_dir)]) == 0
             reports.append(capsys.readouterr().out)
+            assert_diagnostics_rebuilt(res.out_dir)
         assert "diagnostics: PASS" in reports[1]
         assert reports[1] == reports[0]
