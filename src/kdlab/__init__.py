@@ -44,9 +44,7 @@ from .grid import (
     Grid1D,
     Profile,
     SpaceTimeField,
-    interp_linear,
     recommended_domain,
-    solve_tridiagonal,
 )
 from .mfg import MfgConfig, MfgSolution, best_response, residual, solve_nash
 from .model import (

@@ -25,13 +25,13 @@ import numpy as np
 from . import model
 from .errors import (
     DomainError,
+    FrontBracketError,
     FrontOffGridLeft,
     FrontOffGridRight,
     NonMonotoneProfileError,
 )
-from .grid import Grid1D, Profile
+from .grid import SLOPE_TOL, Grid1D, Profile
 
-SLOPE_TOL = 1e-9
 #: Multiplicative slack on the decay bounds, absorbing quadrature and
 #: interpolation error.
 DECAY_SLACK = 1.05
@@ -67,6 +67,14 @@ def locate_level(
     x = prof.grid.x
     frac = (v[i - 1] - lvl) / (v[i - 1] - v[i])
     return float(x[i - 1] + frac * (x[i] - x[i - 1]))
+
+
+def front_or_nan(prof: Profile, level: float) -> float:
+    """locate_level on a decreasing profile, unchecked; NaN when the crossing is off the grid."""
+    try:
+        return locate_level(prof, level, "decreasing", check_monotone=False)
+    except FrontBracketError:
+        return math.nan
 
 
 def learning_front(payoff_prof: Profile, p: model.ModelParams) -> float:
@@ -118,10 +126,10 @@ def estimate_speed(track: FrontTrack, window: tuple[float, float]) -> SpeedFit:
     return fit
 
 
-def default_window(t0: float, t_final: float, burn_in: float = 0.1, trim: float = 0.1) -> tuple[float, float]:
-    """Fit window after trimming the burn-in and terminal layers."""
+def default_window(t0: float, t_final: float) -> tuple[float, float]:
+    """Fit window after trimming the burn-in and terminal layers, a tenth of the run each."""
     span = t_final - t0
-    return (t0 + burn_in * span, t_final - trim * span)
+    return (t0 + 0.1 * span, t_final - 0.1 * span)
 
 
 @dataclass
@@ -201,14 +209,6 @@ def _range_check(name: str, t: float, vals: np.ndarray, x: np.ndarray, out: list
     out.append(CheckResult(name, t, worst <= SLOPE_TOL, max(worst, 0.0), float(x[idx])))
 
 
-def _front_of(snap: Snapshot, p: model.ModelParams, which: str) -> float:
-    prof = snap.payoff if which == "payoff" else snap.intrinsic
-    try:
-        return locate_level(prof, p.i_crit, "decreasing", check_monotone=False)
-    except (FrontOffGridLeft, FrontOffGridRight):
-        return math.nan
-
-
 def check_snapshot(snap: Snapshot, p: model.ModelParams) -> list[CheckResult]:
     """Static checks on one snapshot: monotonicity, ranges, domination, decay."""
     out: list[CheckResult] = []
@@ -237,7 +237,7 @@ def check_snapshot(snap: Snapshot, p: model.ModelParams) -> list[CheckResult]:
     # Decay beyond the learning front, against the run's operative pay-off.
     prof = snap.payoff if snap.payoff is not None else snap.intrinsic
     if prof is not None and p.alpha1 > 0:
-        front = _front_of(snap, p, "payoff" if snap.payoff is not None else "intrinsic")
+        front = front_or_nan(prof, p.i_crit)
         if math.isfinite(front):
             ahead = x > front
             if np.any(ahead):
@@ -272,40 +272,36 @@ def check_snapshot(snap: Snapshot, p: model.ModelParams) -> list[CheckResult]:
 
 
 def _stable_series(
-    name: str, times: np.ndarray, series: np.ndarray, burn_in_frac: float,
-    rate_tol: float | None, out: list[CheckResult],
+    name: str, times: np.ndarray, series: np.ndarray, out: list[CheckResult]
 ) -> None:
     """Fitted-constant discipline: the series must stop growing.
 
     A quantity that is bounded in time may still approach its limit slowly
     (the observed saturation slopes decay like a few units over a doubling of
     the horizon), so "stops growing" is read as: the least-squares slope over
-    the final half of the (burned-in) series stays below 3/t at the window
-    start.  A genuinely diverging quantity in this system grows at
-    front-speed scale, an order of magnitude above the tolerance at every
-    preset horizon, so the reading stays falsifiable.
+    the final half of the series, after a burn-in of its first tenth, stays
+    below 3/t at the window start.  A genuinely diverging quantity in this
+    system grows at front-speed scale, an order of magnitude above the
+    tolerance at every preset horizon, so the reading stays falsifiable.
     """
     ok = np.isfinite(series)
     times, series = times[ok], series[ok]
     if times.size < 4:
         return
-    t_lo = times[0] + burn_in_frac * (times[-1] - times[0])
+    t_lo = times[0] + 0.1 * (times[-1] - times[0])
     mid = t_lo + 0.5 * (times[-1] - t_lo)
     keep = times >= mid
     if np.count_nonzero(keep) < 2:
         return
-    if rate_tol is None:
-        rate_tol = 3.0 / max(mid, 1.0)
     slope = float(np.polyfit(times[keep], series[keep], 1)[0])
-    out.append(CheckResult(name, float(times[-1]), slope <= rate_tol, max(slope, 0.0), None))
+    out.append(CheckResult(name, float(times[-1]), slope <= 3.0 / max(mid, 1.0),
+                           max(slope, 0.0), None))
 
 
 def run_diagnostics(
     snapshots: list[Snapshot],
     p: model.ModelParams,
-    burn_in_frac: float = 0.1,
     temporal: bool = True,
-    rate_tol: float | None = None,
 ) -> DiagnosticsReport:
     """Evaluate the invariant suite over a time-ordered snapshot sequence.
 
@@ -323,10 +319,10 @@ def run_diagnostics(
 
     dx = snapshots[0].F.grid.dx
     times = np.array([s.t for s in snapshots])
-    e_front = np.array([_front_of(s, p, "intrinsic") for s in snapshots])
+    e_front = np.array([front_or_nan(s.intrinsic, p.i_crit) for s in snapshots])
     have_w = all(s.payoff is not None for s in snapshots)
     l_front = (
-        np.array([_front_of(s, p, "payoff") for s in snapshots]) if have_w else None
+        np.array([front_or_nan(s.payoff, p.i_crit) for s in snapshots]) if have_w else None
     )
 
     # Learning front sandwiched by the intrinsic front: eta <= e and the
@@ -338,8 +334,7 @@ def run_diagnostics(
             CheckResult("front_sandwich", float(times[int(np.argmax(over))]),
                         worst <= 2.0 * dx, max(worst, 0.0), None)
         )
-        _stable_series("sandwich_gap_stable", times, e_front - l_front, burn_in_frac,
-                       rate_tol, report.results)
+        _stable_series("sandwich_gap_stable", times, e_front - l_front, report.results)
 
     # The intrinsic front advances at least at rate kappa (5% slack).
     if np.all(np.isfinite(e_front)):
@@ -367,25 +362,11 @@ def run_diagnostics(
         )
 
     # Level-set tightness of the distribution: the 0.1-0.9 width stops growing.
-    widths = np.full(times.size, math.nan)
-    for i, s in enumerate(snapshots):
-        try:
-            lo = locate_level(s.F, 0.9, "decreasing", check_monotone=False)
-            hi = locate_level(s.F, 0.1, "decreasing", check_monotone=False)
-            widths[i] = hi - lo
-        except (FrontOffGridLeft, FrontOffGridRight):
-            pass
-    _stable_series("levelset_tightness", times, widths, burn_in_frac, rate_tol,
-                   report.results)
+    widths = np.array([front_or_nan(s.F, 0.1) - front_or_nan(s.F, 0.9) for s in snapshots])
+    _stable_series("levelset_tightness", times, widths, report.results)
 
     # Median never outruns the learning front by a growing margin.
-    medians = np.full(times.size, math.nan)
-    for i, s in enumerate(snapshots):
-        try:
-            medians[i] = locate_level(s.F, 0.5, "decreasing", check_monotone=False)
-        except (FrontOffGridLeft, FrontOffGridRight):
-            pass
+    medians = np.array([front_or_nan(s.F, 0.5) for s in snapshots])
     ref = l_front if l_front is not None else e_front
-    _stable_series("median_vs_learning", times, medians - ref, burn_in_frac, rate_tol,
-                   report.results)
+    _stable_series("median_vs_learning", times, medians - ref, report.results)
     return report

@@ -97,17 +97,15 @@ def step_forward(F: Profile, s_star: Profile, p: model.ModelParams, dt: float) -
 
 
 def _alpha_slice(
-    F_vals: np.ndarray, strategy: StrategyInput, j: int, p: model.ModelParams, dx: float
+    F_vals: np.ndarray, J_vals: np.ndarray | None, strategy: StrategyInput, j: int,
+    p: model.ModelParams,
 ) -> np.ndarray:
-    """Search-rate values alpha(s(t_j, .)) for the step starting at slice j."""
+    """Search-rate values alpha(s(t_j, .)) for the step starting at slice j with pay-off J."""
     if isinstance(strategy, SpaceTimeField):
         return model.alpha(np.clip(strategy.values[j], 0.0, 1.0), p)
     if strategy == CONSTANT_ALPHA:
         return np.full_like(F_vals, p.alpha1)
-    if strategy == INTRINSIC:
-        J = model.discounted_tail(F_vals, dx, p.rho_minus_kappa)
-        return model.alpha_of_sm(J, p)
-    raise DomainError(f"unknown strategy input {strategy!r}")
+    return model.alpha_of_sm(J_vals, p)
 
 
 def iter_forward(
@@ -115,19 +113,29 @@ def iter_forward(
     strategy: StrategyInput,
     p: model.ModelParams,
     grid: Grid1D,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (slice index, F values) for j = 0 .. nt, stepping lazily.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    """Yield (slice index, F values, intrinsic pay-off J) for j = 0 .. nt, stepping lazily.
 
-    Consumers that keep slices should copy them; the buffers are not part of
-    the contract.  Used by solve_forward and by the streaming experiment
-    runner, which avoids holding a long trajectory in memory.
+    Under a closure J is discounted_tail of the slice, computed once: the
+    intrinsic closure steps from that same J.  Under a prescribed strategy
+    field J is None.  Consumers that keep slices should copy them; the
+    buffers are not part of the contract.  Used by solve_forward and by the
+    streaming experiment runner, which avoids holding a long trajectory in
+    memory.
     """
-    if isinstance(strategy, SpaceTimeField) and strategy.grid != grid:
-        raise GridMismatchError("strategy field does not live on the run grid")
-    dx = grid.dx
-    yield from _run_steps(
-        F0, lambda j, F: _rate_from_alpha(F, _alpha_slice(F, strategy, j, p, dx)), p, grid
+    if isinstance(strategy, SpaceTimeField):
+        if strategy.grid != grid:
+            raise GridMismatchError("strategy field does not live on the run grid")
+    elif strategy not in (INTRINSIC, CONSTANT_ALPHA):
+        raise DomainError(f"unknown strategy input {strategy!r}")
+    J = None  # the pay-off of the slice last yielded, which the next step reads
+    steps = _run_steps(
+        F0, lambda j, F: _rate_from_alpha(F, _alpha_slice(F, J, strategy, j, p)), p, grid
     )
+    for j, F in steps:
+        if not isinstance(strategy, SpaceTimeField):
+            J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
+        yield j, F, J
 
 
 def solve_forward(
@@ -143,7 +151,7 @@ def solve_forward(
     "intrinsic-J" / "constant-alpha".
     """
     out = np.empty((grid.nt + 1, grid.nx))
-    for j, vals in iter_forward(F0, strategy, p, grid):
+    for j, vals, _ in iter_forward(F0, strategy, p, grid):
         out[j] = vals
     return SpaceTimeField(grid, out)
 

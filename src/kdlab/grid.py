@@ -1,4 +1,4 @@
-"""1-D space-time discretization, profile containers, and tridiagonal linear algebra.
+"""1-D space-time discretization, profile containers, and the implicit time stepper.
 
 The spatial variable is log-productivity, truncated to a uniform grid
 [x_min, x_max]; time runs on a uniform step from t0 to t_final.  Both PDE
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import (
@@ -154,44 +153,6 @@ class SpaceTimeField:
 
     def __repr__(self) -> str:
         return f"SpaceTimeField(nt={self.grid.nt}, nx={self.grid.nx})"
-
-
-def interp_linear(prof: Profile, x) -> float | np.ndarray:
-    """Piecewise-linear interpolation of a profile at x (scalar or array)."""
-    xq = np.asarray(x, dtype=float)
-    g = prof.grid
-    if np.any(xq < g.x_min) or np.any(xq > g.x_max):
-        raise DomainError(f"query outside [{g.x_min}, {g.x_max}]")
-    out = np.interp(xq, g.x, prof.values)
-    return float(out) if np.isscalar(x) or xq.ndim == 0 else out
-
-
-def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve the tridiagonal system A x = rhs.
-
-    Row i of A is (lower[i], diag[i], upper[i]) acting on
-    (x[i-1], x[i], x[i+1]); lower[0] and upper[-1] are ignored.  Backed by
-    the LAPACK banded solver; raises SingularSystemError when the system
-    has no unique solution.
-    """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = diag.size
-    if not (lower.size == upper.size == rhs.size == n):
-        raise GridMismatchError("tridiagonal bands and rhs must share one length")
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    try:
-        x = scipy.linalg.solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("banded solve produced non-finite values")
-    return x
 
 
 def implicit_operator(

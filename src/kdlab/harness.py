@@ -27,16 +27,11 @@ from .analysis import (
     Snapshot,
     default_window,
     estimate_speed,
-    locate_level,
+    front_or_nan,
     run_diagnostics,
 )
 from .backward import TerminalCondition
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    FrontBracketError,
-    KdlabError,
-)
+from .errors import CheckpointError, ConfigError, KdlabError
 from .forward import CONSTANT_ALPHA, INTRINSIC, iter_forward, solve_rank_local
 from .grid import Grid1D, Profile, SpaceTimeField, recommended_domain
 from .mfg import MfgConfig, solve_nash
@@ -115,8 +110,14 @@ class ExperimentConfig:
                 raise ConfigError(f"mode {self.mode!r} needs a particles section")
         if not self.initial_l0 > 0:
             raise ConfigError("initial_l0 must be positive")
-        if self.snapshot_stride < 1 or self.track_stride < 1:
-            raise ConfigError("strides must be positive")
+        for key in ("snapshot_stride", "track_stride"):
+            v = getattr(self, key)
+            if not (_is_int(v) and v >= 1):
+                raise ConfigError(f"output.{key} must be a positive integer, got {v!r}")
+        if not isinstance(self.binary_fields, bool):
+            raise ConfigError(
+                f"output.binary_fields must be true or false, got {self.binary_fields!r}"
+            )
         for key in ("nx", "nt"):
             v = getattr(self.grid, key)
             if not _is_int(v):
@@ -167,8 +168,6 @@ class ExperimentConfig:
                 "theta": self.mfg.theta,
                 "tol": self.mfg.tol,
                 "max_iter": self.mfg.max_iter,
-                "burn_in_frac": self.mfg.burn_in_frac,
-                "terminal_trim_frac": self.mfg.terminal_trim_frac,
             }
         if self.particles is not None:
             d["particles"] = {
@@ -214,9 +213,9 @@ class ExperimentConfig:
                 terminal=terminal,
                 mfg=mfg,
                 particles=particles,
-                snapshot_stride=int(out.get("snapshot_stride", 100)),
-                track_stride=int(out.get("track_stride", 1)),
-                binary_fields=bool(out.get("binary_fields", False)),
+                snapshot_stride=out.get("snapshot_stride", 100),
+                track_stride=out.get("track_stride", 1),
+                binary_fields=out.get("binary_fields", False),
                 fit_window=tuple(fw) if fw else None,
             )
         except ConfigError:
@@ -506,13 +505,6 @@ def _checkpoint_from_npz(data):
     raise CheckpointError(f"unknown checkpoint kind {kind!r}")
 
 
-def checkpoint_roundtrip(obj, path: str | Path):
-    """Write obj to path and read it back; the result compares equal."""
-    save_checkpoint(obj, path)
-    loaded, _ = load_checkpoint(path)
-    return loaded
-
-
 # -- runners -----------------------------------------------------------------
 
 
@@ -523,22 +515,15 @@ class RunResult:
     final_state: ParticleState | None = None
 
 
-def _try_front(prof: Profile, level: float) -> float:
-    try:
-        return locate_level(prof, level, "decreasing", check_monotone=False)
-    except FrontBracketError:
-        return math.nan
-
-
 def _front_row(grid: Grid1D, p: ModelParams, t: float, cols: dict[str, np.ndarray]) -> tuple:
     """(t, median, learning, intrinsic) fronts of one slice.
 
     The learning front is the pay-off front where the slice has I, else the
     intrinsic front.
     """
-    e = _try_front(Profile(grid, cols["J"]), p.i_crit)
-    eta = _try_front(Profile(grid, cols["I"]), p.i_crit) if "I" in cols else e
-    return (t, _try_front(Profile(grid, cols["F"]), 0.5), eta, e)
+    e = front_or_nan(Profile(grid, cols["J"]), p.i_crit)
+    eta = front_or_nan(Profile(grid, cols["I"]), p.i_crit) if "I" in cols else e
+    return (t, front_or_nan(Profile(grid, cols["F"]), 0.5), eta, e)
 
 
 class _Recorder:
@@ -546,8 +531,9 @@ class _Recorder:
 
     A slice j gets a track row when j is a multiple of track_stride, and is
     written to fields/ and kept for the diagnostics when j is a multiple of
-    snapshot_stride; the last step always gets both.  strategy, when given,
-    computes the s column from the slice's columns, at snapshot steps only.
+    snapshot_stride; the last step always gets both (see sampled).
+    strategy, when given, computes the s column from the slice's columns, at
+    snapshot steps only.
     """
 
     def __init__(
@@ -559,12 +545,18 @@ class _Recorder:
         self.rows: list[tuple] = []
         self.snaps: list[Snapshot] = []
 
+    def sampled(self, j: int) -> tuple[bool, bool]:
+        """Whether slice j gets (a track row, a snapshot); a slice with neither is unused."""
+        last = j == self.last_step
+        return j % self.cfg.track_stride == 0 or last, j % self.cfg.snapshot_stride == 0 or last
+
     def record(self, j: int, cols: dict[str, np.ndarray]) -> bool:
         """Record slice j's columns (F and J, plus w, I, s where known); True at a snapshot."""
         cfg, t = self.cfg, self.cfg.grid.time_at(j)
-        if j % cfg.track_stride == 0 or j == self.last_step:
+        track, snapshot = self.sampled(j)
+        if track:
             self.rows.append(_front_row(cfg.grid, cfg.params, t, cols))
-        if j % cfg.snapshot_stride != 0 and j != self.last_step:
+        if not snapshot:
             return False
         if self.strategy is not None:
             cols = {**cols, "s": self.strategy(cols)}
@@ -581,8 +573,8 @@ def _run_pde(cfg: ExperimentConfig, out: Path) -> _Recorder:
     else:
         strategy, s_of = INTRINSIC, lambda c: model.s_m(c["J"], p)
     rec = _Recorder(cfg, out, s_of)
-    for j, vals in iter_forward(ramp_initial(grid, cfg.initial_l0), strategy, p, grid):
-        rec.record(j, {"F": vals, "J": model.discounted_tail(vals, grid.dx, p.rho_minus_kappa)})
+    for j, F, J in iter_forward(ramp_initial(grid, cfg.initial_l0), strategy, p, grid):
+        rec.record(j, {"F": F, "J": J})
     return rec
 
 
@@ -627,10 +619,11 @@ def _run_particles(
     }.get(spec.rule)
     rec = _Recorder(cfg, out, strategy, last_step)
     while True:
-        F = empirical_cdf(state, grid).profile.values
-        J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
-        if rec.record(state.step_index, {"F": F, "J": J}):
-            save_checkpoint(state, out / "checkpoint.npz", config=cfg)
+        if any(rec.sampled(state.step_index)):
+            F = empirical_cdf(state, grid).profile.values
+            J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
+            if rec.record(state.step_index, {"F": F, "J": J}):
+                save_checkpoint(state, out / "checkpoint.npz", config=cfg)
         if state.step_index >= last_step:
             return rec, state
         state = step_particles(state, rule, p, grid.dt)

@@ -34,8 +34,6 @@ class MfgConfig:
     theta: float = 1.0
     tol: float = 1e-6
     max_iter: int = 50
-    burn_in_frac: float = 0.1
-    terminal_trim_frac: float = 0.1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 1.0:
@@ -44,10 +42,6 @@ class MfgConfig:
             raise DomainError("tol must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
-        for name in ("burn_in_frac", "terminal_trim_frac"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 0.5:
-                raise DomainError(f"{name} must lie in [0, 0.5)")
 
 
 @dataclass

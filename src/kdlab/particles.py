@@ -22,12 +22,11 @@ import numpy as np
 
 from . import model
 from .errors import DomainError, NonFiniteError
-from .grid import Grid1D, Profile, SpaceTimeField, interp_linear
+from .grid import Grid1D, Profile
 
 RANK = "rank"
 SMOOTHED_RANK = "smoothed-rank"
 RATIO = "ratio"
-PDE_LOOKUP = "pde-lookup"
 
 _FIRE, _PARTNER, _NOISE = 0, 1, 2
 
@@ -80,21 +79,16 @@ class StrategyRule:
     smoothed-rank: rank with the sharp comparison replaced by a smooth ramp
         of the given width in log-productivity.
     ratio: expected relative productivity gain over better agents, capped at 1.
-    pde-lookup: interpolate a strategy profile (or the nearest-in-time slice
-        of a space-time field) at the agent's position.
     """
 
     kind: str = RANK
     kernel_width: float | None = None
-    field: Profile | SpaceTimeField | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (RANK, SMOOTHED_RANK, RATIO, PDE_LOOKUP):
+        if self.kind not in (RANK, SMOOTHED_RANK, RATIO):
             raise DomainError(f"unknown strategy kind {self.kind!r}")
         if self.kind == SMOOTHED_RANK and not (self.kernel_width and self.kernel_width > 0):
             raise DomainError("smoothed-rank needs a positive kernel width")
-        if self.kind == PDE_LOOKUP and self.field is None:
-            raise DomainError("pde-lookup needs a strategy field handle")
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -150,14 +144,7 @@ def eval_strategy(state: ParticleState, rule: StrategyRule) -> np.ndarray:
         return _rank_fractions(state.positions)
     if rule.kind == SMOOTHED_RANK:
         return _smoothed_rank_fractions(state.positions, rule.kernel_width)
-    if rule.kind == RATIO:
-        return _ratio_fractions(state.positions)
-    prof = rule.field
-    if isinstance(prof, SpaceTimeField):
-        j = int(np.clip(round((state.time - prof.grid.t0) / prof.grid.dt), 0, prof.grid.nt))
-        prof = prof.profile_at(j)
-    xq = np.clip(state.positions, prof.grid.x_min, prof.grid.x_max)
-    return np.clip(interp_linear(prof, xq), 0.0, 1.0)
+    return _ratio_fractions(state.positions)
 
 
 def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:

@@ -128,23 +128,27 @@ class TestCriterion4OracleSuite:
         assert ok
 
     def test_tridiagonal_vs_dense(self):
-        from kdlab.grid import solve_tridiagonal
+        from kdlab.grid import _march, implicit_operator
 
         rng = np.random.default_rng(2024)
         worst = 0.0
         for n in (4, 8, 16):
             for _ in range(10):
-                lower = rng.uniform(-1, 1, n)
-                upper = rng.uniform(-1, 1, n)
-                diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 2.0, n)
-                rhs = rng.uniform(-3, 3, n)
-                lower[0] = upper[-1] = 0.0
-                x = solve_tridiagonal(lower, diag, upper, rhs)
-                ref = np.linalg.solve(_dense(lower, diag, upper), rhs)
-                worst = max(worst, float(np.max(np.abs(x - ref))
-                                         / max(1.0, np.max(np.abs(ref)))))
+                dx, dt = rng.uniform(0.05, 1.0), rng.uniform(0.01, 1.0)
+                kappa = rng.uniform(0.1, 2.0)
+                for drift in (0.0, 2.0 * kappa):
+                    rhs = rng.uniform(0.0, 1.0, n)
+                    # One step of the stepper solves the implicit system for rhs.
+                    steps = _march(np.zeros(n), 1, dx, dt, kappa, lambda k, u: rhs.copy(),
+                                   (rhs[0], rhs[-1]), drift)
+                    x = list(steps)[-1][1]
+                    A = _dense(*implicit_operator(n, dx, dt, kappa, drift))
+                    ref = np.linalg.solve(A, rhs)
+                    worst = max(worst, float(np.max(np.abs(x - ref))
+                                             / max(1.0, np.max(np.abs(ref)))))
         ok = worst <= 1e-10
-        report(4, ok, f"tridiagonal vs dense elimination worst rel {worst:.2e} vs 1e-10")
+        report(4, ok, f"stepper's tridiagonal solve vs dense elimination worst rel {worst:.2e}"
+                      " vs 1e-10")
         assert ok
 
     def test_payoff_recurrence_vs_direct(self):

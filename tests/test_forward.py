@@ -10,13 +10,14 @@ from kdlab.forward import (
     CONSTANT_ALPHA,
     INTRINSIC,
     dt_max,
+    iter_forward,
     nonlocal_rate,
     solve_forward,
     solve_rank_local,
     step_forward,
 )
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
-from kdlab.model import ModelParams, intrinsic_J, q_integral
+from kdlab.model import ModelParams, discounted_tail, intrinsic_J, q_integral
 
 from conftest import monotone_pair, space_grid
 
@@ -120,6 +121,21 @@ class TestSolveForward:
         s_field = SpaceTimeField(g, np.ones((g.nt + 1, g.nx)))
         sol = solve_forward(F0, s_field, P, g)
         assert sol.values.shape == (51, 201)
+
+    @pytest.mark.parametrize("closure", [INTRINSIC, CONSTANT_ALPHA])
+    def test_iter_forward_yields_each_slice_payoff(self, closure):
+        g = Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
+        F0 = Profile(g, np.clip((2.0 - g.x) / 4.0, 0.0, 1.0))
+        js = []
+        for j, F, J in iter_forward(F0, closure, P, g):
+            assert np.array_equal(J, discounted_tail(F, g.dx, P.rho_minus_kappa))
+            js.append(j)
+        assert js == list(range(g.nt + 1))
+
+    def test_iter_forward_has_no_payoff_under_a_field(self):
+        g = Grid1D(-10.0, 10.0, 201, 0.0, 1.0, 50)
+        s_field = SpaceTimeField(g, np.full((g.nt + 1, g.nx), 0.5))
+        assert all(J is None for _, _, J in iter_forward(step_profile(g, 0.0), s_field, P, g))
 
     def test_kpp_dominates_intrinsic(self):
         # Constant full-rate search is a supersolution of the closure run.

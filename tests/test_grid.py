@@ -1,7 +1,8 @@
-"""Grids, profiles, interpolation, the tridiagonal solver, and the shared stepper."""
+"""Grids, profiles, and the shared stepper with its tridiagonal solve."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kdlab.backward import TerminalCondition, solve_backward
 from kdlab.errors import DomainError, GridMismatchError, OvershootError, SingularSystemError
@@ -10,10 +11,9 @@ from kdlab.grid import (
     Grid1D,
     Profile,
     SpaceTimeField,
+    _march,
     implicit_operator,
-    interp_linear,
     recommended_domain,
-    solve_tridiagonal,
 )
 from kdlab.mfg import intrinsic_strategy
 from kdlab.model import ModelParams, alpha, alpha_of_sm, discounted_tail, q_integral
@@ -56,33 +56,6 @@ class TestProfile:
         assert prof == Profile(g, np.linspace(1, 0, 16))
 
 
-class TestInterp:
-    def test_examples(self):
-        g = space_grid(0.0, 1.0, 11)
-        prof = Profile(g, 1.0 - g.x)
-        assert interp_linear(prof, 0.5) == pytest.approx(0.5)
-        assert interp_linear(prof, 0.3) == pytest.approx(0.7)
-        assert interp_linear(prof, g.x[4]) == pytest.approx(prof.values[4])
-        two = Profile(g, np.r_[0.0, np.ones(10)])
-        assert interp_linear(two, g.dx / 2) == pytest.approx(0.5)
-
-    def test_domain_error(self):
-        g = space_grid(0.0, 1.0, 11)
-        prof = Profile(g, g.x)
-        with pytest.raises(DomainError):
-            interp_linear(prof, -0.1)
-        with pytest.raises(DomainError):
-            interp_linear(prof, 1.1)
-
-    def test_monotone_preserving(self):
-        g = space_grid(0.0, 1.0, 33)
-        rng = np.random.default_rng(3)
-        prof = Profile(g, np.sort(rng.random(g.nx))[::-1])
-        q = np.sort(rng.random(200))
-        vals = interp_linear(prof, q)
-        assert np.all(np.diff(vals) <= 1e-15)
-
-
 def _dense_eliminate(lower, diag, upper, rhs):
     """Hand-rolled Gaussian elimination with partial pivoting (test oracle)."""
     n = len(diag)
@@ -111,32 +84,36 @@ def _dense_eliminate(lower, diag, upper, rhs):
     return x
 
 
+def _one_step(dx, dt, kappa, drift, b):
+    """u_1 of the shared stepper whose step solves the implicit system with right-hand side b."""
+    steps = _march(np.zeros(b.size), 1, dx, dt, kappa, lambda n, u: b.copy(), (b[0], b[-1]), drift)
+    return list(steps)[-1][1]
+
+
 class TestTridiagonal:
+    """The stepper's prefactored tridiagonal solve."""
+
     def test_identity(self):
-        rhs = np.array([3.0, -1.0, 2.0, 7.0])
-        out = solve_tridiagonal(np.zeros(4), np.ones(4), np.zeros(4), rhs)
-        assert np.allclose(out, rhs, atol=0)
+        # kappa = drift = 0 makes the implicit operator the identity.
+        rhs = np.array([0.3, 0.1, 0.9, 0.5, 0.0, 1.0, 0.25, 0.7])
+        assert np.array_equal(_one_step(0.1, 0.01, 0.0, 0.0, rhs), rhs)
 
     def test_discrete_laplacian(self):
-        out = solve_tridiagonal(
-            np.array([0.0, -1.0, -1.0]),
-            np.array([2.0, 2.0, 2.0]),
-            np.array([-1.0, -1.0, 0.0]),
-            np.array([1.0, 0.0, 1.0]),
-        )
-        assert out == pytest.approx([1.0, 1.0, 1.0])
+        # A linear profile lies in the kernel of the centered second difference,
+        # so a strongly diffusive implicit step leaves it in place.
+        rhs = np.linspace(1.0, 0.0, 9)
+        assert _one_step(0.1, 0.5, 1.0, 0.0, rhs) == pytest.approx(rhs, abs=1e-12)
 
     def test_against_dense_elimination(self):
         rng = np.random.default_rng(11)
         for n in range(3, 17):
             for _ in range(5):
-                lower = rng.uniform(-1, 1, n)
-                upper = rng.uniform(-1, 1, n)
-                diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.5, 2.0, n)
-                diag *= rng.choice([-1.0, 1.0], n)
-                rhs = rng.uniform(-5, 5, n)
-                lower[0] = upper[-1] = 0.0
-                x = solve_tridiagonal(lower, diag, upper, rhs)
+                dx, dt = rng.uniform(0.05, 1.0), rng.uniform(0.01, 1.0)
+                kappa = rng.uniform(0.1, 2.0)
+                drift = rng.choice([0.0, 2.0 * kappa])
+                rhs = rng.uniform(0.0, 1.0, n)
+                lower, diag, upper = implicit_operator(n, dx, dt, kappa, drift)
+                x = _one_step(dx, dt, kappa, drift, rhs)
                 ref = _dense_eliminate(lower, diag, upper, rhs)
                 assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
                 # residual contract
@@ -146,15 +123,10 @@ class TestTridiagonal:
                 assert np.max(np.abs(res - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
     def test_singular(self):
+        # kappa*dt/dx^2 = -1/2 zeroes the interior diagonal: rows 0 and 2 pin
+        # the ends, and row 1 is half their sum, so the matrix is singular.
         with pytest.raises(SingularSystemError):
-            solve_tridiagonal(
-                np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 0.0]),
-                np.array([1.0, 2.0]),
-            )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(GridMismatchError):
-            solve_tridiagonal(np.zeros(3), np.ones(4), np.zeros(4), np.ones(4))
+            _one_step(1.0, 1.0, -0.5, 0.0, np.array([1.0, 0.5, 0.0]))
 
 
 class TestImplicitOperator:
@@ -170,11 +142,12 @@ class TestImplicitOperator:
 def _replay(u, nt, dx, dt, kappa, rhs, ends, drift=0.0):
     """The implicit scheme rebuilt and re-solved step by step, for reference."""
     lower, diag, upper = implicit_operator(u.size, dx, dt, kappa, drift)
+    ab = np.array([np.r_[0.0, upper[:-1]], diag, np.r_[lower[1:], 0.0]])
     out = [u]
     for n in range(nt):
         b = rhs(n, out[-1])
         b[0], b[-1] = ends
-        out.append(np.clip(solve_tridiagonal(lower, diag, upper, b), 0.0, 1.0))
+        out.append(np.clip(scipy.linalg.solve_banded((1, 1), ab, b), 0.0, 1.0))
     return np.array(out)
 
 

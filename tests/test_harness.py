@@ -1,5 +1,6 @@
 """Harness: configs, presets, runs, checkpoints, resume, CLI."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from kdlab.cli import main
 from kdlab.errors import CheckpointError, ConfigError
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
+from kdlab import harness
 from kdlab.harness import (
+    PRESET_NAMES,
     ExperimentConfig,
     ParticleSpec,
     _write_diagnostics,
-    checkpoint_roundtrip,
     diagnose_run_dir,
     load_checkpoint,
     preset_config,
@@ -43,8 +45,9 @@ def assert_diagnostics_rebuilt(out):
 
 
 class TestConfig:
-    def test_json_roundtrip(self):
-        cfg = preset_config("lottery-nash")
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_json_roundtrip(self, name):
+        cfg = preset_config(name)
         again = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
         assert again.to_json() == cfg.to_json()
 
@@ -132,6 +135,25 @@ class TestRun:
         data = np.load(npz[0])
         assert "F" in data and "x" in data
 
+    def test_particle_fields_only_on_recorded_steps(self, tmp_path, monkeypatch):
+        cfg = dataclasses.replace(tiny_particle_config(), track_stride=4, snapshot_stride=8)
+        cdf_steps = []
+        real_cdf = harness.empirical_cdf
+
+        def counted_cdf(state, grid):
+            cdf_steps.append(state.step_index)
+            return real_cdf(state, grid)
+
+        monkeypatch.setattr(harness, "empirical_cdf", counted_cdf)
+        run(cfg, tmp_path / "strided")
+        monkeypatch.undo()
+        recorded = [*range(0, cfg.grid.nt, 4), cfg.grid.nt]  # snapshots 0, 8, ... among them
+        assert cdf_steps == recorded
+        run(dataclasses.replace(cfg, track_stride=1), tmp_path / "full")
+        full = (tmp_path / "full" / "tracks.csv").read_text().splitlines()
+        strided = (tmp_path / "strided" / "tracks.csv").read_text().splitlines()
+        assert strided == [full[0]] + [full[1 + j] for j in recorded]
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = tiny_particle_config()
         a = run(cfg, tmp_path / "a")
@@ -148,7 +170,8 @@ class TestCheckpoint:
     def test_particle_state_roundtrip(self, tmp_path):
         st = ParticleState(positions=np.random.default_rng(0).normal(size=64),
                            time=1.5, seed=9, step_index=15)
-        back = checkpoint_roundtrip(st, tmp_path / "st.npz")
+        save_checkpoint(st, tmp_path / "st.npz")
+        back, _ = load_checkpoint(tmp_path / "st.npz")
         assert np.array_equal(back.positions, st.positions)
         assert (back.time, back.seed, back.step_index) == (1.5, 9, 15)
         assert np.array_equal(back.stream_ids, st.stream_ids)
@@ -156,13 +179,14 @@ class TestCheckpoint:
     def test_field_roundtrip(self, tmp_path):
         g = Grid1D(-2.0, 2.0, 17, 0.0, 1.0, 4)
         field = SpaceTimeField(g, np.random.default_rng(1).random((5, 17)))
-        back = checkpoint_roundtrip(field, tmp_path / "f.npz")
-        assert back == field
+        save_checkpoint(field, tmp_path / "f.npz")
+        assert load_checkpoint(tmp_path / "f.npz") == (field, None)
 
     def test_profile_roundtrip(self, tmp_path):
         g = Grid1D(-2.0, 2.0, 17, 0.0, 0.0, 0)
         prof = Profile(g, np.linspace(1, 0, 17))
-        assert checkpoint_roundtrip(prof, tmp_path / "p.npz") == prof
+        save_checkpoint(prof, tmp_path / "p.npz")
+        assert load_checkpoint(tmp_path / "p.npz") == (prof, None)
 
     def test_version_mismatch(self, tmp_path):
         st = ParticleState(positions=np.zeros(4), time=0.0, seed=1)
@@ -298,9 +322,14 @@ class TestCli:
         lambda d: d["particles"].update(n=400.5),
         lambda d: d["particles"].update(seed=-1),
         lambda d: d["particles"].update(seed=11.5),
+        lambda d: d["output"].update(snapshot_stride=1.5),
+        lambda d: d["output"].update(track_stride=1.5),
+        lambda d: d["output"].update(binary_fields="false"),
+        lambda d: d.update(mfg={"theta": 1.0, "burn_in_frac": 0.1}),
     ], ids=["not-object", "float-nx", "float-nt", "window-length", "window-order",
             "window-string", "unknown-rule", "smoothed-no-width", "smoothed-negative-width",
-            "float-n", "negative-seed", "float-seed"])
+            "float-n", "negative-seed", "float-seed", "float-snapshot-stride",
+            "float-track-stride", "string-binary-fields", "removed-mfg-key"])
     def test_invalid_config_exit_code(self, tmp_path, break_config):
         d = tiny_particle_config().to_dict()
         d = break_config(d) or d

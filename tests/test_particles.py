@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kdlab.errors import DomainError
-from kdlab.grid import Grid1D, Profile
+from kdlab.grid import Grid1D
 from kdlab.model import ModelParams, intrinsic_J
 from kdlab.particles import (
     ParticleState,
@@ -69,33 +69,11 @@ class TestEvalStrategy:
         assert s[2] == pytest.approx(0.0)
         assert np.all((0.0 <= s) & (s <= 1.0))
 
-    def test_pde_lookup(self):
-        g = space_grid(-2.0, 2.0, 65)
-        prof = Profile(g, np.clip(0.5 - g.x, 0.0, 1.0))
-        rule = StrategyRule(kind="pde-lookup", field=prof)
-        s = eval_strategy(state_at([-3.0, 0.0, 3.0]), rule)
-        assert s[0] == pytest.approx(1.0)   # clamped to the left edge value
-        assert s[1] == pytest.approx(0.5)
-        assert s[2] == pytest.approx(0.0)
-
-    def test_pde_lookup_selects_nearest_time_slice(self):
-        from kdlab.grid import SpaceTimeField
-
-        g = Grid1D(-2.0, 2.0, 9, 0.0, 1.0, 4)  # slices at t = 0, 0.25, ..., 1
-        field = SpaceTimeField(g, np.outer(np.linspace(0, 1, 5), np.ones(9)))
-        rule = StrategyRule(kind="pde-lookup", field=field)
-        st = ParticleState(positions=np.zeros(3), time=0.55, seed=1)
-        assert eval_strategy(st, rule) == pytest.approx([0.5, 0.5, 0.5])
-        late = ParticleState(positions=np.zeros(3), time=9.0, seed=1)
-        assert eval_strategy(late, rule) == pytest.approx([1.0, 1.0, 1.0])
-
     def test_rule_validation(self):
         with pytest.raises(DomainError):
             StrategyRule(kind="mystery")
         with pytest.raises(DomainError):
             StrategyRule(kind="smoothed-rank")
-        with pytest.raises(DomainError):
-            StrategyRule(kind="pde-lookup")
 
 
 class TestStepParticles:
