@@ -17,7 +17,7 @@ from .analysis import (
     locate_level,
     run_diagnostics,
 )
-from .backward import TerminalCondition, solve_backward, step_backward
+from .backward import TerminalCondition, solve_backward
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -33,13 +33,7 @@ from .errors import (
     OvershootError,
     SingularSystemError,
 )
-from .forward import (
-    dt_max,
-    nonlocal_rate,
-    solve_forward,
-    solve_rank_local,
-    step_forward,
-)
+from .forward import dt_max, nonlocal_rate, solve_forward
 from .grid import (
     Grid1D,
     Profile,

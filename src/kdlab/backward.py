@@ -13,7 +13,7 @@ right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -63,59 +63,22 @@ def dt_max_backward(p: model.ModelParams) -> float:
     return 1.0 / (p.rho_minus_kappa + p.alpha1)
 
 
-def _upwind_steps(
-    w_vals: np.ndarray, slices: Callable[[int], tuple[np.ndarray, np.ndarray]],
-    p: model.ModelParams, dx: float, dt: float, nt: int, slope: int = 1,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Steps of the backward scheme on the shared stepper, w pinned to 0 left and 1 right.
-
-    Diffusion and the upwinded drift are implicit, the source is explicit;
-    slices(n) gives the (F, s) values that step n reads.
-    """
-
-    def rhs(n: int, w: np.ndarray) -> np.ndarray:
-        F_vals, s_vals = slices(n)
-        source = p.rho_minus_kappa * (1.0 - s_vals - w) - model.alpha(s_vals, p) * w * F_vals
-        return w + dt * source
-
-    return _march(
-        w_vals, nt, dx, dt, p.kappa, rhs, ends=(0.0, 1.0), drift=2.0 * p.kappa,
-        slope=slope, name="w",
-    )
-
-
-def step_backward(
-    w: Profile, F: Profile, payoff: Profile, p: model.ModelParams, dt: float
-) -> Profile:
-    """Integrate w one step backward, from time t to t - dt.
-
-    The allocation is recomputed from the pay-off profile; the coupled-loop
-    driver below instead receives allocations directly so the two halves of
-    the fixed-point iteration see the same strategy.
-    """
-    if not (w.grid == F.grid == payoff.grid):
-        raise GridMismatchError("w, F, and pay-off must share one grid")
-    if dt > dt_max_backward(p) * (1.0 + 1e-12):
-        raise DomainError(f"dt={dt} exceeds the backward source bound {dt_max_backward(p)}")
-    s_vals = model.s_m(payoff.values, p)
-    steps = _upwind_steps(w.values, lambda n: (F.values, s_vals), p, w.grid.dx, dt, 1, slope=0)
-    _, out = list(steps)[-1]
-    return Profile(w.grid, out)
-
-
-def solve_backward(
+def iter_backward(
     wT: TerminalCondition | Profile,
     F_field: SpaceTimeField,
     strategy_field: SpaceTimeField,
     p: model.ModelParams,
     grid: Grid1D,
-) -> SpaceTimeField:
-    """Fill the w trajectory from the terminal slice down to t0.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (slice index, w values) for j = nt .. 0, stepping lazily backward.
 
+    One step treats diffusion and the upwinded drift implicitly and the source
+    explicitly, on the shared stepper with w pinned to 0 left and 1 right.
     strategy_field holds the allocation values s of the current outer
-    iterate; they are consumed as given, not recomputed here.  Every slice
-    stays in [0, 1] and, like the terminal condition, non-decreasing in x
-    within the slope tolerance.
+    iterate; they are consumed as given, not recomputed here, and slice j is
+    read only when the step that needs it is taken.  Every slice stays in
+    [0, 1] and, like the terminal condition, non-decreasing in x within the
+    slope tolerance.  Consumers that keep slices should copy them.
     """
     if F_field.grid != grid or strategy_field.grid != grid:
         raise GridMismatchError("fields do not live on the run grid")
@@ -125,11 +88,29 @@ def solve_backward(
         )
     if isinstance(wT, Profile):
         wT = TerminalCondition(kind="custom", profile=wT)
-    nt = grid.nt
+    nt, dt = grid.nt, grid.dt
     F, s = F_field.values, strategy_field.values
-    steps = _upwind_steps(wT.build(grid), lambda n: (F[nt - n], np.clip(s[nt - n], 0.0, 1.0)),
-                          p, grid.dx, grid.dt, nt)
-    out = np.empty((nt + 1, grid.nx))
-    for n, vals in steps:
-        out[nt - n] = vals
+
+    def rhs(n: int, w: np.ndarray) -> np.ndarray:
+        s_vals = np.clip(s[nt - n], 0.0, 1.0)
+        source = p.rho_minus_kappa * (1.0 - s_vals - w) - model.alpha(s_vals, p) * w * F[nt - n]
+        return w + dt * source
+
+    steps = _march(wT.build(grid), nt, grid.dx, dt, p.kappa, rhs, ends=(0.0, 1.0),
+                   drift=2.0 * p.kappa, slope=1, name="w")
+    for n, w in steps:
+        yield nt - n, w
+
+
+def solve_backward(
+    wT: TerminalCondition | Profile,
+    F_field: SpaceTimeField,
+    strategy_field: SpaceTimeField,
+    p: model.ModelParams,
+    grid: Grid1D,
+) -> SpaceTimeField:
+    """Fill the w trajectory from the terminal slice down to t0 (see iter_backward)."""
+    out = np.empty((grid.nt + 1, grid.nx))
+    for j, vals in iter_backward(wT, F_field, strategy_field, p, grid):
+        out[j] = vals
     return SpaceTimeField(grid, out)

@@ -5,10 +5,10 @@ c(t,x) = integral over y <= x of alpha(s(t,y)) (-F_y) dy.  One step is IMEX:
 diffusion implicit (backward Euler, tridiagonal), the bounded reaction c*F
 explicit, boundary nodes pinned to F = 1 on the left and F = 0 on the right.
 
-Three couplings are supported: a prescribed strategy field, the forward-only
-closure that recomputes the intrinsic pay-off each step, and a constant
-search rate (which reduces the equation to classical Fisher-KPP).  The local
-rank-strategy reduction is exposed separately as solve_rank_local.
+Four couplings are supported: a prescribed strategy field, the forward-only
+closure that recomputes the intrinsic pay-off each step, a constant search
+rate (which reduces the equation to classical Fisher-KPP), and the rank
+strategy s = F, where the equation is local.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .grid import SLOPE_TOL, Grid1D, Profile, SpaceTimeField, _march
 
 INTRINSIC = "intrinsic-J"
 CONSTANT_ALPHA = "constant-alpha"
+RANK_LOCAL = "rank-local"
 
 StrategyInput = Union[SpaceTimeField, str]
 
@@ -60,40 +61,25 @@ def nonlocal_rate(F: Profile, s_star: Profile, p: model.ModelParams) -> Profile:
     return Profile(F.grid, _rate_from_alpha(F.values, model.alpha(s, p)))
 
 
-def _imex_steps(
-    F_vals: np.ndarray, rate: RateFn, p: model.ModelParams,
-    dx: float, dt: float, nt: int, slope: int = -1,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Steps of the IMEX scheme on the shared stepper, F pinned to 1 left and 0 right.
-
-    Diffusion is implicit, the reaction F (1 + dt c) with c = rate(n, F) explicit.
-    """
-    return _march(
-        F_vals, nt, dx, dt, p.kappa, lambda n, F: F * (1.0 + dt * rate(n, F)),
-        ends=(1.0, 0.0), slope=slope, name="F",
-    )
-
-
 def _run_steps(
     F0: Profile, rate: RateFn, p: model.ModelParams, grid: Grid1D
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Check a whole-grid forward run's inputs, then return its steps."""
+    """Check a whole-grid forward run's inputs, then return its IMEX steps.
+
+    The steps run on the shared stepper with F pinned to 1 left and 0 right:
+    diffusion is implicit, the reaction F (1 + dt c) with c = rate(n, F) explicit.
+    """
     if F0.grid != grid:
         raise GridMismatchError("F0 does not live on the run grid")
     if grid.nt > 0 and grid.dt > dt_max(p) * (1.0 + 1e-12):
         raise DomainError(f"grid dt={grid.dt} exceeds dt_max={dt_max(p)}")
     if np.max(np.diff(F0.values), initial=-np.inf) > SLOPE_TOL:
         raise DomainError("F0 must be non-increasing")
-    return _imex_steps(F0.values.copy(), rate, p, grid.dx, grid.dt, grid.nt)
-
-
-def step_forward(F: Profile, s_star: Profile, p: model.ModelParams, dt: float) -> Profile:
-    """Advance F by one IMEX step under the given strategy slice."""
-    if dt > dt_max(p):
-        raise DomainError(f"dt={dt} exceeds dt_max={dt_max(p)}")
-    c = nonlocal_rate(F, s_star, p).values
-    _, out = list(_imex_steps(F.values, lambda n, u: c, p, F.grid.dx, dt, 1, slope=0))[-1]
-    return Profile(F.grid, out)
+    dt = grid.dt
+    return _march(
+        F0.values.copy(), grid.nt, grid.dx, dt, p.kappa,
+        lambda n, F: F * (1.0 + dt * rate(n, F)), ends=(1.0, 0.0), slope=-1, name="F",
+    )
 
 
 def _alpha_slice(
@@ -116,24 +102,30 @@ def iter_forward(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
     """Yield (slice index, F values, intrinsic pay-off J) for j = 0 .. nt, stepping lazily.
 
-    Under a closure J is discounted_tail of the slice, computed once: the
-    intrinsic closure steps from that same J.  Under a prescribed strategy
-    field J is None.  Consumers that keep slices should copy them; the
-    buffers are not part of the contract.  Used by solve_forward and by the
-    streaming experiment runner, which avoids holding a long trajectory in
-    memory.
+    Under the intrinsic and constant-rate closures J is discounted_tail of the
+    slice, computed once: the intrinsic closure steps from that same J.  Under
+    a prescribed strategy field and under RANK_LOCAL J is None.  RANK_LOCAL is
+    the rank strategy s = F, whose growth rate collapses to Q(1) - Q(F) with Q
+    the antiderivative of alpha, in closed form: the mean-field counterpart of
+    rank-proportional search and the cross-check target for the particle
+    simulator.  Consumers that keep slices should copy them; the buffers are
+    not part of the contract.  Used by solve_forward and by the streaming
+    runners, which avoid holding a long trajectory in memory.
     """
     if isinstance(strategy, SpaceTimeField):
         if strategy.grid != grid:
             raise GridMismatchError("strategy field does not live on the run grid")
-    elif strategy not in (INTRINSIC, CONSTANT_ALPHA):
+    elif strategy not in (INTRINSIC, CONSTANT_ALPHA, RANK_LOCAL):
         raise DomainError(f"unknown strategy input {strategy!r}")
+    closure = strategy in (INTRINSIC, CONSTANT_ALPHA)
     J = None  # the pay-off of the slice last yielded, which the next step reads
-    steps = _run_steps(
-        F0, lambda j, F: _rate_from_alpha(F, _alpha_slice(F, J, strategy, j, p)), p, grid
-    )
-    for j, F in steps:
-        if not isinstance(strategy, SpaceTimeField):
+    if strategy == RANK_LOCAL:
+        q1 = model.q_integral(1.0, p)
+        rate = lambda j, F: q1 - model.q_integral(F, p)
+    else:
+        rate = lambda j, F: _rate_from_alpha(F, _alpha_slice(F, J, strategy, j, p))
+    for j, F in _run_steps(F0, rate, p, grid):
+        if closure:
             J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
         yield j, F, J
 
@@ -148,24 +140,9 @@ def solve_forward(
 
     strategy is either a SpaceTimeField of time fractions (sampled
     piecewise-constant over each step), or one of the mode names
-    "intrinsic-J" / "constant-alpha".
+    "intrinsic-J" / "constant-alpha" / "rank-local".
     """
     out = np.empty((grid.nt + 1, grid.nx))
     for j, vals, _ in iter_forward(F0, strategy, p, grid):
-        out[j] = vals
-    return SpaceTimeField(grid, out)
-
-
-def solve_rank_local(F0: Profile, p: model.ModelParams, grid: Grid1D) -> SpaceTimeField:
-    """Forward run with the rank strategy s = F, where the equation is local.
-
-    The growth rate collapses to Q(1) - Q(F) with Q the antiderivative of
-    alpha, evaluated in closed form; this is the mean-field counterpart of
-    rank-proportional search and the cross-check target for the particle
-    simulator.
-    """
-    q1 = model.q_integral(1.0, p)
-    out = np.empty((grid.nt + 1, grid.nx))
-    for j, vals in _run_steps(F0, lambda j, F: q1 - model.q_integral(F, p), p, grid):
         out[j] = vals
     return SpaceTimeField(grid, out)

@@ -32,8 +32,8 @@ from .analysis import (
 )
 from .backward import TerminalCondition
 from .errors import CheckpointError, ConfigError, KdlabError
-from .forward import CONSTANT_ALPHA, INTRINSIC, iter_forward, solve_rank_local
-from .grid import Grid1D, Profile, SpaceTimeField, recommended_domain
+from .forward import CONSTANT_ALPHA, INTRINSIC, RANK_LOCAL, iter_forward
+from .grid import Grid1D, Profile, recommended_domain
 from .mfg import MfgConfig, solve_nash
 from .model import ModelParams, TheoryPredictions
 from .particles import (
@@ -427,35 +427,26 @@ def _speed_entry(rows: list[tuple], kind: str, window: tuple[float, float]) -> d
 
 
 def save_checkpoint(obj, path: str | Path, config: ExperimentConfig | None = None) -> None:
-    """Serialize a ParticleState, SpaceTimeField, or Profile losslessly.
+    """Serialize a ParticleState losslessly.
 
     The archive is written to a temporary file next to path and then renamed
     over it, so a crash mid-write leaves the previous checkpoint intact.
     """
+    if not isinstance(obj, ParticleState):
+        raise CheckpointError(f"cannot checkpoint objects of type {type(obj).__name__}")
     path = Path(path)
     meta = {"checkpoint_version": CHECKPOINT_VERSION, "code_version": __version__}
     if config is not None:
         meta["config"] = config.to_dict()
-    if isinstance(obj, ParticleState):
-        arrays = dict(
-            kind="particles", meta=json.dumps(meta, sort_keys=True),
-            positions=obj.positions, time=obj.time, seed=obj.seed,
-            step_index=obj.step_index, stream_ids=obj.stream_ids,
-        )
-    elif isinstance(obj, (SpaceTimeField, Profile)):
-        g = obj.grid
-        arrays = dict(
-            kind="field" if isinstance(obj, SpaceTimeField) else "profile",
-            meta=json.dumps(meta, sort_keys=True), values=obj.values,
-            grid=np.array([g.x_min, g.x_max, g.nx, g.t0, g.t_final, g.nt]),
-        )
-    else:
-        raise CheckpointError(f"cannot checkpoint objects of type {type(obj).__name__}")
     tmp = path.with_name(path.name + ".tmp")
     try:
         # A file object, not a name: np.savez would append ".npz" to a name.
         with open(tmp, "wb") as f:
-            np.savez(f, **arrays)
+            np.savez(
+                f, kind="particles", meta=json.dumps(meta, sort_keys=True),
+                positions=obj.positions, time=obj.time, seed=obj.seed,
+                step_index=obj.step_index, stream_ids=obj.stream_ids,
+            )
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -463,8 +454,8 @@ def save_checkpoint(obj, path: str | Path, config: ExperimentConfig | None = Non
         tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path: str | Path):
-    """Inverse of save_checkpoint; returns (object, config-or-None)."""
+def load_checkpoint(path: str | Path) -> tuple[ParticleState, ExperimentConfig | None]:
+    """Inverse of save_checkpoint; returns (state, config-or-None)."""
     path = Path(path)
     try:
         data = np.load(path, allow_pickle=False)
@@ -479,7 +470,7 @@ def load_checkpoint(path: str | Path):
             raise CheckpointError(f"checkpoint {path} has malformed meta: {exc}") from exc
 
 
-def _checkpoint_from_npz(data):
+def _checkpoint_from_npz(data) -> tuple[ParticleState, ExperimentConfig | None]:
     meta = json.loads(str(data["meta"]))
     if not isinstance(meta, dict):
         raise CheckpointError("checkpoint meta must be a JSON object")
@@ -489,20 +480,14 @@ def _checkpoint_from_npz(data):
         )
     config = ExperimentConfig.from_dict(meta["config"]) if "config" in meta else None
     kind = str(data["kind"])
-    if kind == "particles":
-        state = ParticleState(
-            positions=data["positions"], time=float(data["time"]),
-            seed=int(data["seed"]), step_index=int(data["step_index"]),
-            stream_ids=data["stream_ids"],
-        )
-        return state, config
-    g = data["grid"]
-    grid = Grid1D(float(g[0]), float(g[1]), int(g[2]), float(g[3]), float(g[4]), int(g[5]))
-    if kind == "field":
-        return SpaceTimeField(grid, data["values"]), config
-    if kind == "profile":
-        return Profile(grid, data["values"]), config
-    raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    if kind != "particles":
+        raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    state = ParticleState(
+        positions=data["positions"], time=float(data["time"]),
+        seed=int(data["seed"]), step_index=int(data["step_index"]),
+        stream_ids=data["stream_ids"],
+    )
+    return state, config
 
 
 # -- runners -----------------------------------------------------------------
@@ -581,13 +566,13 @@ def _run_pde(cfg: ExperimentConfig, out: Path) -> _Recorder:
 def _run_nash(cfg: ExperimentConfig, out: Path) -> tuple[_Recorder, dict]:
     p, grid = cfg.params, cfg.grid
     sol = solve_nash(ramp_initial(grid, cfg.initial_l0), cfg.terminal, p, grid, cfg.mfg)
-    F, w = sol.F_field.values, sol.w_field.values
-    payoff = model.discounted_tail(F * w, grid.dx, p.rho_minus_kappa)
-    intrinsic = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
     rec = _Recorder(cfg, out)
-    for j in range(grid.nt + 1):
-        rec.record(j, {"F": F[j], "w": w[j], "I": payoff[j], "J": intrinsic[j],
-                       "s": sol.strategy_field.values[j]})
+    fields = zip(sol.F_field.values, sol.w_field.values, sol.strategy_field.values)
+    for j, (F, w, s) in enumerate(fields):
+        if any(rec.sampled(j)):
+            payoff = model.discounted_tail(F * w, grid.dx, p.rho_minus_kappa)
+            intrinsic = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
+            rec.record(j, {"F": F, "w": w, "I": payoff, "J": intrinsic, "s": s})
     mfg_info = {
         "converged": sol.converged,
         "iterations": sol.iterations,
@@ -644,11 +629,11 @@ def _compare_pde_rows(cfg: ExperimentConfig) -> list[tuple]:
     # The tau-leap step is too coarse for the PDE side; refine in time only.
     refine = max(1, int(math.ceil(grid.dt / 0.02)))
     fine = Grid1D(grid.x_min, grid.x_max, grid.nx, grid.t0, grid.t_final, grid.nt * refine)
-    F = solve_rank_local(ramp_initial(fine, cfg.initial_l0), p, fine).values
+    steps = iter_forward(ramp_initial(fine, cfg.initial_l0), RANK_LOCAL, p, fine)
     return [
         _front_row(fine, p, fine.time_at(j),
-                   {"F": F[j], "J": model.discounted_tail(F[j], fine.dx, p.rho_minus_kappa)})
-        for j in range(0, fine.nt + 1, refine)
+                   {"F": F, "J": model.discounted_tail(F, fine.dx, p.rho_minus_kappa)})
+        for j, F, _ in steps if j % refine == 0
     ]
 
 
@@ -738,8 +723,8 @@ def resume(checkpoint_path: str | Path, out_dir: str | Path) -> RunResult:
     snapshots from the checkpoint step on; the manifest adds resumed_from_step.
     """
     state, config = load_checkpoint(checkpoint_path)
-    if config is None or not isinstance(state, ParticleState):
-        raise CheckpointError("resume needs a particle checkpoint with an embedded config")
+    if config is None:
+        raise CheckpointError("resume needs a checkpoint with an embedded config")
     if config.mode not in ("particles", "compare"):
         raise ConfigError(f"resume supports particle runs, not mode {config.mode!r}")
     return _execute(config, out_dir, state=state)

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import model
 from .analysis import locate_level
-from .backward import TerminalCondition, solve_backward
+from .backward import TerminalCondition, iter_backward, solve_backward
 from .errors import DomainError, GridMismatchError
-from .forward import INTRINSIC, solve_forward
+from .forward import INTRINSIC, iter_forward
 from .grid import Grid1D, Profile, SpaceTimeField
 
 
@@ -64,16 +64,15 @@ class MfgSolution:
         return (self.residuals[-1] / self.residuals[0]) ** (1.0 / (len(self.residuals) - 1))
 
 
-def best_response(
-    F_field: SpaceTimeField, w_field: SpaceTimeField, p: model.ModelParams
-) -> SpaceTimeField:
-    """Optimal allocation slice by slice: s_m of the pay-off of (F, w)."""
-    if F_field.grid != w_field.grid:
-        raise GridMismatchError("F and w fields live on different grids")
-    payoff = model.discounted_tail(
-        F_field.values * w_field.values, F_field.grid.dx, p.rho_minus_kappa
-    )
-    return SpaceTimeField(F_field.grid, model.s_m(payoff, p))
+def best_response(F, w, dx: float, p: model.ModelParams) -> np.ndarray:
+    """Optimal allocation s_m of the pay-off of (F, w), on the last axis.
+
+    F and w are one slice or a whole space-time field of values; row by row
+    equals the whole-field call bit for bit.
+    """
+    if np.shape(F) != np.shape(w):
+        raise GridMismatchError(f"shape mismatch {np.shape(F)} vs {np.shape(w)}")
+    return model.s_m(model.discounted_tail(F * w, dx, p.rho_minus_kappa), p)
 
 
 def residual(s_new, s_old) -> float:
@@ -85,12 +84,6 @@ def residual(s_new, s_old) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - b)))
-
-
-def intrinsic_strategy(F_field: SpaceTimeField, p: model.ModelParams) -> np.ndarray:
-    """Allocation field of the forward-only closure: s_m of the intrinsic pay-off."""
-    J = model.discounted_tail(F_field.values, F_field.grid.dx, p.rho_minus_kappa)
-    return model.s_m(J, p)
 
 
 def solve_nash(
@@ -116,41 +109,49 @@ def solve_nash(
     intrinsic front, which minimizes the terminal boundary layer.
 
     The residual is measured on the strategy field, the fixed-point variable.
-    On convergence the stored fields are the ones generated by the returned
-    strategy, so re-deriving the best response from them reproduces the
-    strategy within tol.
+    The damped step runs only when another iteration follows, so the returned
+    F and w are always the fields generated by the returned strategy, and
+    re-deriving the best response from them reproduces the strategy within
+    the last residual.
     """
     if cfg is None:
         cfg = MfgConfig()
-    F_warm = solve_forward(F0, INTRINSIC, p, grid)
-    s_vals = intrinsic_strategy(F_warm, p)
+    s = np.empty((grid.nt + 1, grid.nx))
+    for j, _, J in iter_forward(F0, INTRINSIC, p, grid):
+        s[j] = model.s_m(J, p)
+    s_field = SpaceTimeField(grid, s)
 
     if wT is None:
-        J_end = model.intrinsic_J(F_warm.profile_at(grid.nt), p)
-        center = locate_level(J_end, p.i_crit, "decreasing")
+        center = locate_level(Profile(grid, J), p.i_crit, "decreasing")
         wT = TerminalCondition(kind="logistic", center=center, slope=1.0)
 
     if grid.nt == 0:
         # Zero horizon: the fields cannot depend on the strategy, so the best
         # response of (F0, wT) is already the fixed point.
         F_field = SpaceTimeField(grid, F0.values[np.newaxis, :].copy())
-        w_field = solve_backward(wT, F_field, SpaceTimeField(grid, s_vals), p, grid)
-        s_field = best_response(F_field, w_field, p)
+        w_field = solve_backward(wT, F_field, s_field, p, grid)
+        s_field = SpaceTimeField(grid, best_response(F_field.values, w_field.values, grid.dx, p))
         return MfgSolution(F_field, w_field, s_field, residuals=[0.0], thetas=[cfg.theta],
                            converged=True, iterations=1)
 
+    # The loop holds four fields: s, F, w and the best response s_resp, filled
+    # slice by slice as the sweeps yield them.
+    F_field = SpaceTimeField(grid, np.zeros_like(s))
+    w_field = SpaceTimeField(grid, np.zeros_like(s))
+    F, w, s_resp = F_field.values, w_field.values, np.empty_like(s)
     theta = cfg.theta
     residuals: list[float] = []
     thetas: list[float] = []
-    F_field = w_field = s_field = None
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        s_field = SpaceTimeField(grid, s_vals)
-        F_field = solve_forward(F0, s_field, p, grid)
-        w_field = solve_backward(wT, F_field, s_field, p, grid)
-        s_resp = best_response(F_field, w_field, p)
-        res = residual(s_resp, s_field)
+        for j, F_j, _ in iter_forward(F0, s_field, p, grid):
+            F[j] = F_j
+        res = 0.0
+        for j, w_j in iter_backward(wT, F_field, s_field, p, grid):
+            w[j] = w_j
+            s_resp[j] = best_response(F[j], w_j, grid.dx, p)
+            res = max(res, residual(s_resp[j], s[j]))
         if residuals and res > residuals[-1]:
             theta *= 0.5
         residuals.append(res)
@@ -158,9 +159,11 @@ def solve_nash(
         if res <= cfg.tol:
             converged = True
             break
-        s_vals = (1.0 - theta) * s_vals + theta * s_resp.values
-    # The stored fields are always the ones generated by s_field, so the
-    # fixed-point defect of the returned triple equals the last residual.
+        if iterations < cfg.max_iter:
+            # (1 - theta) s + theta s_resp, in place and bit for bit.
+            s *= 1.0 - theta
+            s_resp *= theta
+            s += s_resp
     return MfgSolution(
         F_field=F_field,
         w_field=w_field,

@@ -113,16 +113,21 @@ class TestCriterion4OracleSuite:
         assert ok
 
     def test_backward_relaxation(self):
-        from kdlab.backward import step_backward
+        from kdlab.backward import solve_backward
+        from kdlab.grid import SpaceTimeField
+        from kdlab.model import s_m
 
+        # 1000 steps of 1e-3 with F = 0 and s = s_m(0); w starts at 0 with the
+        # end values 0 and 1 that every step pins.
         p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)
-        g = Grid1D(-20.0, 20.0, 801, 0.0, 0.0, 0)
-        zero = Profile(g, np.zeros(g.nx))
-        prof = Profile(g, np.zeros(g.nx))
-        for _ in range(1000):
-            prof = step_backward(prof, zero, zero, p, 1e-3)
+        g = Grid1D(-20.0, 20.0, 801, 0.0, 1.0, 1000)
+        zero = np.zeros((g.nt + 1, g.nx))
+        w0 = np.zeros(g.nx)
+        w0[-1] = 1.0
+        F, s = SpaceTimeField(g, zero), SpaceTimeField(g, s_m(zero, p))
+        w = solve_backward(Profile(g, w0), F, s, p, g).values[0]
         inner = (g.x > -10.0) & (g.x < 10.0)
-        err = np.max(np.abs(prof.values[inner] - (1.0 - math.exp(-1.0))))
+        err = np.max(np.abs(w[inner] - (1.0 - math.exp(-1.0))))
         ok = err <= 2e-3
         report(4, ok, f"backward relaxation error {err:.2e} vs 2e-3")
         assert ok

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from kdlab.backward import TerminalCondition, dt_max_backward, solve_backward, step_backward
+from kdlab.backward import TerminalCondition, dt_max_backward, iter_backward, solve_backward
 from kdlab.errors import DomainError
 from kdlab.forward import INTRINSIC, solve_forward
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
-from kdlab.mfg import intrinsic_strategy
-from kdlab.model import ModelParams
+from kdlab.model import ModelParams, alpha, discounted_tail, s_m
 
 from conftest import space_grid
 
@@ -47,67 +46,56 @@ class TestTerminalCondition:
             TerminalCondition(kind="custom")
 
 
+def backward_steps(w_start, F_val, payoff_val, t, nt, p=P):
+    """w after nt backward steps over a time span t, with constant F and s = s_m(payoff).
+
+    The stepper pins w to 0 on the left and 1 on the right before every solve,
+    so the start profile's end values are set to those: no step changes.
+    """
+    g = Grid1D(-20.0, 20.0, 801, 0.0, t, nt)
+    w0 = np.array(w_start, dtype=float)
+    w0[0], w0[-1] = 0.0, 1.0
+    F = SpaceTimeField(g, np.full((nt + 1, g.nx), F_val))
+    s = SpaceTimeField(g, s_m(np.full((nt + 1, g.nx), payoff_val), p))
+    return g, solve_backward(Profile(g, w0), F, s, p, g).values[0]
+
+
 class TestStepBackward:
     def test_steady_all_learning(self):
         # s_m = 0 and w = 1 kills the source; interior stays put.
-        g = space_grid(-20.0, 20.0, 801)
-        w = Profile(g, np.ones(g.nx))
-        F = Profile(g, np.zeros(g.nx))
-        payoff = Profile(g, np.zeros(g.nx))
-        out = step_backward(w, F, payoff, P, dt=0.02)
-        assert np.max(np.abs(out.values[interior(g)] - 1.0)) < 1e-12
+        g, out = backward_steps(np.ones(801), 0.0, 0.0, 0.02, 1)
+        assert np.max(np.abs(out[interior(g)] - 1.0)) < 1e-12
 
     def test_steady_all_producing(self):
         # s_m = 1 and w = 0: source vanishes again.
-        g = space_grid(-20.0, 20.0, 801)
-        w = Profile(g, np.zeros(g.nx))
-        F = Profile(g, np.zeros(g.nx))
-        payoff = Profile(g, np.full(g.nx, 10.0))  # beyond i_crit = 4
-        out = step_backward(w, F, payoff, P, dt=0.02)
-        assert np.max(np.abs(out.values[interior(g)])) < 1e-12
+        g, out = backward_steps(np.zeros(801), 0.0, 10.0, 0.02, 1)  # pay-off beyond i_crit = 4
+        assert np.max(np.abs(out[interior(g)])) < 1e-12
 
     def test_relaxation_oracle(self):
         # With s_m = 0, F = 0 the interior obeys w_t = -(rho-kappa)(1-w)
         # backward in time: after one unit, w = 1 - e^{-(rho-kappa)}.
-        g = space_grid(-20.0, 20.0, 801)
-        w = np.zeros(g.nx)
-        F = Profile(g, np.zeros(g.nx))
-        payoff = Profile(g, np.zeros(g.nx))
-        dt = 1e-3
-        prof = Profile(g, w)
-        for _ in range(1000):
-            prof = step_backward(prof, F, payoff, P, dt)
+        g, out = backward_steps(np.zeros(801), 0.0, 0.0, 1.0, 1000)
         target = 1.0 - math.exp(-P.rho_minus_kappa)
         inner = interior(g, margin=10.0)
-        assert np.max(np.abs(prof.values[inner] - target)) < 2e-3
+        assert np.max(np.abs(out[inner] - target)) < 2e-3
 
     def test_full_source_oracle(self):
         # Every source coefficient live: constant allocation s0 in (0, 1) and
         # constant F = f0 give the linear relaxation w_tau = a - b w with
         # a = (rho-kappa)(1-s0) and b = (rho-kappa) + alpha(s0) f0.
-        from kdlab.model import alpha, s_m
-
-        g = space_grid(-20.0, 20.0, 801)
         payoff_val = 2.0  # below i_crit = 4, so s0 = s_m(2) = 0.25
         s0 = s_m(payoff_val, P)
         f0 = 0.6
         a = P.rho_minus_kappa * (1.0 - s0)
         b = P.rho_minus_kappa + alpha(s0, P) * f0
-        F = Profile(g, np.full(g.nx, f0))
-        payoff = Profile(g, np.full(g.nx, payoff_val))
-        prof = Profile(g, np.zeros(g.nx))
-        dt = 1e-3
-        for _ in range(1000):
-            prof = step_backward(prof, F, payoff, P, dt)
+        g, out = backward_steps(np.zeros(801), f0, payoff_val, 1.0, 1000)
         target = (a / b) * (1.0 - math.exp(-b))
         inner = interior(g, margin=10.0)
-        assert np.max(np.abs(prof.values[inner] - target)) < 2e-3
+        assert np.max(np.abs(out[inner] - target)) < 2e-3
 
     def test_dt_cap(self):
-        g = space_grid(-20.0, 20.0, 801)
-        zero = Profile(g, np.zeros(g.nx))
         with pytest.raises(DomainError):
-            step_backward(zero, zero, zero, P, dt=dt_max_backward(P) * 1.5)
+            backward_steps(np.zeros(801), 0.0, 0.0, dt_max_backward(P) * 1.5, 1)
 
 
 def _lottery_fields(t_final=20.0, dt=0.02, dx=0.05):
@@ -118,7 +106,7 @@ def _lottery_fields(t_final=20.0, dt=0.02, dx=0.05):
     g = Grid1D(-20.0, x_max, nx, 0.0, t_final, nt)
     F0 = Profile(g, np.clip((5.0 - g.x) / 10.0, 0.0, 1.0))
     F_field = solve_forward(F0, INTRINSIC, p, g)
-    s_field = SpaceTimeField(g, intrinsic_strategy(F_field, p))
+    s_field = SpaceTimeField(g, s_m(discounted_tail(F_field.values, g.dx, p.rho_minus_kappa), p))
     return p, g, F_field, s_field
 
 
@@ -131,6 +119,16 @@ class TestSolveBackward:
         wT = TerminalCondition(kind="logistic", center=0.0, slope=1.0)
         out = solve_backward(wT, F_field, s_field, p, g)
         assert np.array_equal(out.values[0], wT.build(g))
+
+    def test_iter_backward_yields_slices_from_the_terminal_one(self):
+        p, g, F_field, s_field = _lottery_fields(t_final=2.0)
+        wT = TerminalCondition(kind="logistic", center=10.0, slope=1.0)
+        ref = solve_backward(wT, F_field, s_field, p, g).values
+        js = []
+        for j, w in iter_backward(wT, F_field, s_field, p, g):
+            assert np.array_equal(w, ref[j])
+            js.append(j)
+        assert js == list(range(g.nt, -1, -1))
 
     def test_range_and_monotonicity(self):
         p, g, F_field, s_field = _lottery_fields(t_final=6.0)

@@ -9,12 +9,11 @@ from kdlab.errors import DomainError
 from kdlab.forward import (
     CONSTANT_ALPHA,
     INTRINSIC,
+    RANK_LOCAL,
     dt_max,
     iter_forward,
     nonlocal_rate,
     solve_forward,
-    solve_rank_local,
-    step_forward,
 )
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
 from kdlab.model import ModelParams, discounted_tail, intrinsic_J, q_integral
@@ -67,19 +66,21 @@ class TestNonlocalRate:
 class TestStepForward:
     def test_fixed_point_all_ones(self):
         # Away from the pinned F=0 right edge, the saturated state is steady.
-        g = Grid1D(-25.0, 25.0, 501, 0.0, 1.0, 10)
-        F = Profile(g, np.ones(g.nx))
-        s = Profile(g, np.full(g.nx, 0.5))
-        out = step_forward(F, s, P, g.dt)
+        g = Grid1D(-25.0, 25.0, 501, 0.0, 0.1, 1)
+        F0 = np.ones(g.nx)
+        F0[-1] = 0.0  # the end value every step pins
+        s = SpaceTimeField(g, np.full((g.nt + 1, g.nx), 0.5))
+        out = solve_forward(Profile(g, F0), s, P, g).values[1]
         inner = g.x < g.x_max - 10.0
-        assert np.max(np.abs(out.values[inner] - 1.0)) < 1e-12
+        assert np.max(np.abs(out[inner] - 1.0)) < 1e-12
 
     def test_dt_cap(self):
-        g = space_grid(-5.0, 5.0, 64)
+        dt = 0.1 / P.alpha1 * 1.5
+        g = Grid1D(-5.0, 5.0, 64, 0.0, dt, 1)
         F = step_profile(g, 0.0)
-        s = Profile(g, np.ones(g.nx))
+        s = SpaceTimeField(g, np.ones((g.nt + 1, g.nx)))
         with pytest.raises(DomainError):
-            step_forward(F, s, P, dt=0.1 / P.alpha1 * 1.5)
+            solve_forward(F, s, P, g)
         assert dt_max(ModelParams(kappa=1.0, rho=2.0, alpha1=0.0)) == math.inf
 
 
@@ -136,6 +137,7 @@ class TestSolveForward:
         g = Grid1D(-10.0, 10.0, 201, 0.0, 1.0, 50)
         s_field = SpaceTimeField(g, np.full((g.nt + 1, g.nx), 0.5))
         assert all(J is None for _, _, J in iter_forward(step_profile(g, 0.0), s_field, P, g))
+        assert all(J is None for _, _, J in iter_forward(step_profile(g, 0.0), RANK_LOCAL, P, g))
 
     def test_kpp_dominates_intrinsic(self):
         # Constant full-rate search is a supersolution of the closure run.
@@ -176,7 +178,7 @@ class TestRankLocal:
         # quadrature route must agree with the closed form at O(dx^2).
         g = Grid1D(-10.0, 10.0, 2001, 0.0, 1.0, 100)
         F0 = Profile(g, np.clip((1.0 - g.x) / 2.0, 0.0, 1.0))
-        local = solve_rank_local(F0, P, g).values[1]
+        local = solve_forward(F0, RANK_LOCAL, P, g).values[1]
         s_field = SpaceTimeField(g, np.tile(F0.values, (g.nt + 1, 1)))
         nonlocal_route = solve_forward(F0, s_field, P, g).values[1]
         assert np.max(np.abs(local - nonlocal_route)) < 1e-5
@@ -185,7 +187,7 @@ class TestRankLocal:
         p = ModelParams(kappa=1.0, rho=2.0, alpha1=1.0)
         g = Grid1D(-15.0, 45.0, 601, 0.0, 10.0, 200)
         F0 = Profile(g, np.clip((1.0 - g.x) / 2.0, 0.0, 1.0))
-        sol = solve_rank_local(F0, p, g)
+        sol = solve_forward(F0, RANK_LOCAL, p, g)
         med0 = g.x[np.argmax(sol.values[0] < 0.5)]
         med1 = g.x[np.argmax(sol.values[-1] < 0.5)]
         # speed of the local reduction is below the constant-rate speed

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from kdlab.backward import TerminalCondition, solve_backward
 from kdlab.errors import DomainError, GridMismatchError, OvershootError, SingularSystemError
-from kdlab.forward import CONSTANT_ALPHA, INTRINSIC, solve_forward, solve_rank_local
+from kdlab.forward import CONSTANT_ALPHA, INTRINSIC, RANK_LOCAL, solve_forward
 from kdlab.grid import (
     Grid1D,
     Profile,
@@ -15,8 +15,7 @@ from kdlab.grid import (
     implicit_operator,
     recommended_domain,
 )
-from kdlab.mfg import intrinsic_strategy
-from kdlab.model import ModelParams, alpha, alpha_of_sm, discounted_tail, q_integral
+from kdlab.model import ModelParams, alpha, alpha_of_sm, discounted_tail, q_integral, s_m
 
 from conftest import space_grid
 
@@ -182,12 +181,12 @@ class TestSharedStepper:
             return F * (1.0 + g.dt * (q_integral(1.0, p) - q_integral(F, p)))
 
         ref = _replay(self.ramp(g).values, g.nt, g.dx, g.dt, p.kappa, rhs, (1.0, 0.0))
-        assert np.array_equal(solve_rank_local(self.ramp(g), p, g).values, ref)
+        assert np.array_equal(solve_forward(self.ramp(g), RANK_LOCAL, p, g).values, ref)
 
     def test_backward_matches_replay(self):
         p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
         F = solve_forward(self.ramp(g), INTRINSIC, p, g)
-        s = SpaceTimeField(g, intrinsic_strategy(F, p))
+        s = SpaceTimeField(g, s_m(discounted_tail(F.values, g.dx, p.rho_minus_kappa), p))
         wT = TerminalCondition(kind="logistic", center=5.0, slope=1.0)
 
         def rhs(n, w):

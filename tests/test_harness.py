@@ -8,7 +8,7 @@ import pytest
 
 from kdlab.cli import main
 from kdlab.errors import CheckpointError, ConfigError
-from kdlab.grid import Grid1D, Profile, SpaceTimeField
+from kdlab.grid import Grid1D, SpaceTimeField
 from kdlab import harness
 from kdlab.harness import (
     PRESET_NAMES,
@@ -166,6 +166,17 @@ class TestRun:
             assert fa.read_bytes() == fb.read_bytes()
 
 
+def write_field_archive(path, kind):
+    """An npz in the layout the removed field/profile checkpoint kinds had."""
+    if kind == "field":
+        g, values = Grid1D(-2.0, 2.0, 17, 0.0, 1.0, 4), np.zeros((5, 17))
+    else:
+        g, values = Grid1D(-2.0, 2.0, 17, 0.0, 0.0, 0), np.linspace(1, 0, 17)
+    meta = {"checkpoint_version": harness.CHECKPOINT_VERSION}
+    np.savez(path, kind=kind, meta=json.dumps(meta), values=values,
+             grid=np.array([g.x_min, g.x_max, g.nx, g.t0, g.t_final, g.nt]))
+
+
 class TestCheckpoint:
     def test_particle_state_roundtrip(self, tmp_path):
         st = ParticleState(positions=np.random.default_rng(0).normal(size=64),
@@ -176,17 +187,13 @@ class TestCheckpoint:
         assert (back.time, back.seed, back.step_index) == (1.5, 9, 15)
         assert np.array_equal(back.stream_ids, st.stream_ids)
 
-    def test_field_roundtrip(self, tmp_path):
-        g = Grid1D(-2.0, 2.0, 17, 0.0, 1.0, 4)
-        field = SpaceTimeField(g, np.random.default_rng(1).random((5, 17)))
-        save_checkpoint(field, tmp_path / "f.npz")
-        assert load_checkpoint(tmp_path / "f.npz") == (field, None)
-
-    def test_profile_roundtrip(self, tmp_path):
-        g = Grid1D(-2.0, 2.0, 17, 0.0, 0.0, 0)
-        prof = Profile(g, np.linspace(1, 0, 17))
-        save_checkpoint(prof, tmp_path / "p.npz")
-        assert load_checkpoint(tmp_path / "p.npz") == (prof, None)
+    @pytest.mark.parametrize("kind", ["field", "profile"])
+    def test_only_particle_states_load(self, tmp_path, kind):
+        # An archive in the layout of the removed field/profile kinds.
+        path = tmp_path / "f.npz"
+        write_field_archive(path, kind)
+        with pytest.raises(CheckpointError, match="kind"):
+            load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
         st = ParticleState(positions=np.zeros(4), time=0.0, seed=1)
@@ -203,10 +210,14 @@ class TestCheckpoint:
     def test_unsupported_object(self, tmp_path):
         with pytest.raises(CheckpointError):
             save_checkpoint({"a": 1}, tmp_path / "x.npz")
+        g = Grid1D(-2.0, 2.0, 17, 0.0, 1.0, 4)
+        with pytest.raises(CheckpointError):
+            save_checkpoint(SpaceTimeField(g, np.zeros((5, 17))), tmp_path / "f.npz")
+        assert not (tmp_path / "f.npz").exists()
 
     def test_crash_mid_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        g = Grid1D(-2.0, 2.0, 17, 0.0, 1.0, 4)
-        old = SpaceTimeField(g, np.random.default_rng(2).random((5, 17)))
+        old = ParticleState(positions=np.random.default_rng(2).normal(size=64),
+                            time=1.5, seed=9, step_index=15)
         path = tmp_path / "checkpoint.npz"
         save_checkpoint(old, path)
 
@@ -216,18 +227,18 @@ class TestCheckpoint:
 
         monkeypatch.setattr(np, "savez", torn_write)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(SpaceTimeField(g, np.zeros((5, 17))), path)
+            save_checkpoint(ParticleState(positions=np.zeros(64), time=2.0, seed=9), path)
         monkeypatch.undo()
         back, _ = load_checkpoint(path)
-        assert back == old
+        assert np.array_equal(back.positions, old.positions)
+        assert (back.time, back.seed, back.step_index) == (1.5, 9, 15)
         assert [f.name for f in tmp_path.iterdir()] == ["checkpoint.npz"]
 
-    @pytest.mark.parametrize("drop", ["meta", "kind", "positions", "stream_ids", "grid", "values"])
+    @pytest.mark.parametrize(
+        "drop", ["meta", "kind", "positions", "stream_ids", "time", "seed", "step_index"]
+    )
     def test_missing_key(self, tmp_path, drop):
-        if drop in ("grid", "values"):
-            obj = Profile(Grid1D(-2.0, 2.0, 17, 0.0, 0.0, 0), np.linspace(1, 0, 17))
-        else:
-            obj = ParticleState(positions=np.zeros(4), time=0.0, seed=1)
+        obj = ParticleState(positions=np.zeros(4), time=0.0, seed=1)
         path = tmp_path / "k.npz"
         save_checkpoint(obj, path)
         data = dict(np.load(path, allow_pickle=False))
@@ -277,10 +288,7 @@ class TestResume:
                 == (fresh.out_dir / "pde_tracks.csv").read_bytes())
 
     def test_resume_requires_particles(self, tmp_path):
-        p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)
-        g = Grid1D(-2.0, 2.0, 17, 0.0, 1.0, 4)
-        field = SpaceTimeField(g, np.zeros((5, 17)))
-        save_checkpoint(field, tmp_path / "f.npz")
+        write_field_archive(tmp_path / "f.npz", "field")
         with pytest.raises(CheckpointError):
             resume(tmp_path / "f.npz", tmp_path / "out")
 

@@ -1,14 +1,17 @@
 """Fixed-point loop: best response, residuals, convergence, equilibrium structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kdlab.analysis import locate_level
-from kdlab.backward import TerminalCondition
+from kdlab.backward import TerminalCondition, solve_backward
 from kdlab.errors import DomainError, GridMismatchError
-from kdlab.grid import Grid1D, Profile, SpaceTimeField
+from kdlab.forward import INTRINSIC, solve_forward
+from kdlab.grid import Grid1D, Profile
 from kdlab.mfg import MfgConfig, best_response, residual, solve_nash
-from kdlab.model import ModelParams, payoff_I, s_m
+from kdlab.model import ModelParams, intrinsic_J, payoff_I, s_m
 
 from conftest import space_grid
 
@@ -30,6 +33,28 @@ def small_nash():
     grid = _nash_grid(20.0)
     sol = solve_nash(_ramp(grid), None, P_LOTTERY, grid, MfgConfig())
     return grid, sol
+
+
+@pytest.fixture(scope="module")
+def two_step_nash():
+    """A run stopped after two iterations, with its traced peak in fields of the grid."""
+    grid = _nash_grid(20.0)
+    F0 = _ramp(grid)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sol = solve_nash(F0, None, P_LOTTERY, grid, MfgConfig(max_iter=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return grid, sol, (peak - base) / ((grid.nt + 1) * grid.nx * 8)
+
+
+def _default_terminal(F0, grid, p):
+    """The documented default wT: a unit-slope logistic at the final intrinsic front."""
+    F_end = solve_forward(F0, INTRINSIC, p, grid).profile_at(grid.nt)
+    center = locate_level(intrinsic_J(F_end, p), p.i_crit, "decreasing")
+    return TerminalCondition(kind="logistic", center=center, slope=1.0)
 
 
 class TestResidual:
@@ -54,24 +79,30 @@ class TestResidual:
 class TestBestResponse:
     def test_zero_propensity_means_no_search(self):
         g = space_grid(-5.0, 5.0, 64)
-        F = SpaceTimeField(g, np.tile(np.clip(-g.x / 5.0 + 0.5, 0, 1), (1, 1)))
-        w = SpaceTimeField(g, np.zeros((1, g.nx)))
-        assert np.all(best_response(F, w, P_LOTTERY).values == 0.0)
+        F = np.clip(-g.x / 5.0 + 0.5, 0, 1)
+        assert np.all(best_response(F, np.zeros(g.nx), g.dx, P_LOTTERY) == 0.0)
 
     def test_empty_economy_means_no_search(self):
         g = space_grid(-5.0, 5.0, 64)
-        F = SpaceTimeField(g, np.zeros((1, g.nx)))
-        w = SpaceTimeField(g, np.ones((1, g.nx)))
-        assert np.all(best_response(F, w, P_LOTTERY).values == 0.0)
+        assert np.all(best_response(np.zeros(g.nx), np.ones(g.nx), g.dx, P_LOTTERY) == 0.0)
 
     def test_exponential_slice_value(self):
         # pay-off at the left edge is 1, so s = (alpha1 * 1 / 2)^2 = 0.0625
         p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5, k=0.5)
         g = space_grid(0.0, 40.0, 4001)
-        F = SpaceTimeField(g, np.exp(-2.0 * g.x)[np.newaxis, :])
-        w = SpaceTimeField(g, np.ones((1, g.nx)))
-        s = best_response(F, w, p)
-        assert s.values[0, 0] == pytest.approx(0.0625, abs=1e-4)
+        s = best_response(np.exp(-2.0 * g.x), np.ones(g.nx), g.dx, p)
+        assert s[0] == pytest.approx(0.0625, abs=1e-4)
+
+    def test_rows_equal_the_whole_field(self, small_nash):
+        grid, sol = small_nash
+        F, w = sol.F_field.values, sol.w_field.values
+        whole = best_response(F, w, grid.dx, P_LOTTERY)
+        rows = np.array([best_response(F[j], w[j], grid.dx, P_LOTTERY) for j in range(grid.nt + 1)])
+        assert np.array_equal(rows, whole)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(GridMismatchError):
+            best_response(np.zeros((2, 3)), np.zeros((3, 2)), 0.1, P_LOTTERY)
 
 
 class TestSolveNash:
@@ -81,7 +112,7 @@ class TestSolveNash:
         wT = TerminalCondition(kind="logistic", center=0.0, slope=1.0)
         sol = solve_nash(F0, wT, P_LOTTERY, g, MfgConfig())
         assert sol.converged and sol.iterations == 1
-        bres = best_response(sol.F_field, sol.w_field, P_LOTTERY)
+        bres = best_response(sol.F_field.values, sol.w_field.values, g.dx, P_LOTTERY)
         assert residual(bres, sol.strategy_field) == 0.0
 
     def test_converges_on_small_lottery_run(self, small_nash):
@@ -92,9 +123,27 @@ class TestSolveNash:
         assert all(b < a for a, b in zip(sol.residuals, sol.residuals[1:]))
 
     def test_fixed_point_consistency(self, small_nash):
-        _, sol = small_nash
-        bres = best_response(sol.F_field, sol.w_field, P_LOTTERY)
+        grid, sol = small_nash
+        bres = best_response(sol.F_field.values, sol.w_field.values, grid.dx, P_LOTTERY)
         assert residual(bres, sol.strategy_field) <= 1e-6
+
+    @pytest.mark.parametrize("run", ["converged", "max_iter=2"])
+    def test_returned_fields_are_generated_by_the_strategy(self, run, small_nash, two_step_nash):
+        grid, sol = small_nash if run == "converged" else two_step_nash[:2]
+        assert sol.converged == (run == "converged")
+        F0 = _ramp(grid)
+        F = solve_forward(F0, sol.strategy_field, P_LOTTERY, grid)
+        assert np.array_equal(sol.F_field.values, F.values)
+        wT = _default_terminal(F0, grid, P_LOTTERY)
+        w = solve_backward(wT, sol.F_field, sol.strategy_field, P_LOTTERY, grid)
+        assert np.array_equal(sol.w_field.values, w.values)
+        bres = best_response(F.values, w.values, grid.dx, P_LOTTERY)
+        assert residual(bres, sol.strategy_field) == sol.residuals[-1]
+
+    def test_peak_memory_is_four_fields(self, two_step_nash):
+        # s, F, w and the best response, plus slice-sized temporaries.
+        _, _, peak_fields = two_step_nash
+        assert peak_fields <= 5.0
 
     def test_strategy_monotone_slices(self, small_nash):
         _, sol = small_nash
@@ -218,7 +267,7 @@ class TestSolveNash:
         grid = _nash_grid(10.0, dx=0.1, dt=0.05)
         sol = solve_nash(_ramp(grid), None, p, grid, MfgConfig())
         assert sol.converged
-        bres = best_response(sol.F_field, sol.w_field, p)
+        bres = best_response(sol.F_field.values, sol.w_field.values, grid.dx, p)
         assert residual(bres, sol.strategy_field) <= 1e-6
         assert np.max(np.diff(sol.strategy_field.values, axis=1)) <= 1e-9
         payoff = payoff_I(
