@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model
 from .errors import DomainError, GridMismatchError
-from .grid import SLOPE_TOL, Grid1D, Profile, SpaceTimeField, _march
+from .grid import SLOPE_TOL, Grid1D, Profile, SpaceTimeField, _march, check_numbers
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class TerminalCondition:
     profile: Profile | None = None
 
     def __post_init__(self) -> None:
+        check_numbers(self, "center slope")
         if self.kind not in ("logistic", "custom"):
             raise DomainError(f"unknown terminal kind {self.kind!r}")
         if self.kind == "logistic" and not self.slope > 0:

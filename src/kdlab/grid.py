@@ -8,6 +8,7 @@ owns their range and monotonicity guards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -32,6 +33,27 @@ OVERSHOOT_TOL = 1e-9
 SLOPE_TOL = 1e-9
 
 
+def is_int(v) -> bool:
+    """Whether v is an integer, Python or NumPy; a bool is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """Whether v is a finite real number; a bool or a string is not."""
+    return is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
+
+
+def check_numbers(obj, numbers: str, integers: str = "") -> None:
+    """Raise DomainError unless obj's fields named in numbers are finite
+    numbers and those named in integers are integers (space-separated names)."""
+    for names, test, what in ((numbers, is_number, "a finite number"),
+                              (integers, is_int, "an integer")):
+        for name in names.split():
+            v = getattr(obj, name)
+            if not test(v):
+                raise DomainError(f"{name} must be {what}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform space-time grid.
@@ -50,6 +72,7 @@ class Grid1D:
     nt: int
 
     def __post_init__(self) -> None:
+        check_numbers(self, "x_min x_max t0 t_final", integers="nx nt")
         if self.nx < 8:
             raise DomainError(f"nx must be at least 8, got {self.nx}")
         if not self.x_max > self.x_min:

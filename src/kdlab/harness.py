@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -33,13 +33,12 @@ from .analysis import (
 from .backward import TerminalCondition
 from .errors import CheckpointError, ConfigError, KdlabError
 from .forward import CONSTANT_ALPHA, INTRINSIC, RANK_LOCAL, iter_forward
-from .grid import Grid1D, Profile, recommended_domain
+from .grid import Grid1D, Profile, is_int, is_number, recommended_domain
 from .mfg import MfgConfig, solve_nash
 from .model import ModelParams, TheoryPredictions
 from .particles import (
     RANK,
     RATIO,
-    SMOOTHED_RANK,
     ParticleState,
     StrategyRule,
     empirical_cdf,
@@ -52,37 +51,50 @@ MODES = ("kpp", "intrinsic", "nash", "particles", "compare")
 OUTPUT_ROOT_ENV = "KDLAB_OUT"
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class ParticleSpec:
     n: int
     seed: int  # mandatory: particle runs are only reproducible with one
-    rule: str = "rank"
+    rule: str = RANK
     kernel_width: float | None = None
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.n) and self.n >= 2):
+        if not (is_int(self.n) and self.n >= 2):
             raise ConfigError(f"particles.n must be an integer of at least 2, got {self.n!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed < 2**63):
+        if not (is_int(self.seed) and 0 <= self.seed < 2**63):
             raise ConfigError(f"particles.seed must be an integer in [0, 2^63), got {self.seed!r}")
-        if self.rule not in (RANK, RATIO, SMOOTHED_RANK):
-            raise ConfigError(
-                f"particles.rule must be one of {(RANK, RATIO, SMOOTHED_RANK)}, got {self.rule!r}"
-            )
-        if self.rule == SMOOTHED_RANK and not (
-            _is_number(self.kernel_width) and self.kernel_width > 0
-        ):
-            raise ConfigError("particles.rule 'smoothed-rank' needs a positive kernel_width")
+        self.make_rule()  # StrategyRule checks rule and kernel_width
 
     def make_rule(self) -> StrategyRule:
         return StrategyRule(kind=self.rule, kernel_width=self.kernel_width)
+
+
+def _keys(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+#: The JSON keys of the output section, each an ExperimentConfig field.
+_OUTPUT_KEYS = ("snapshot_stride", "track_stride", "binary_fields", "fit_window")
+#: Each config section built by a type: JSON key -> (ExperimentConfig field,
+#: type, the JSON keys it takes).  A custom terminal profile has no JSON form.
+_SECTIONS = {
+    "params": ("params", ModelParams, _keys(ModelParams)),
+    "grid": ("grid", Grid1D, _keys(Grid1D)),
+    "terminal_condition": ("terminal", TerminalCondition, ("kind", "center", "slope")),
+    "mfg": ("mfg", MfgConfig, _keys(MfgConfig)),
+    "particles": ("particles", ParticleSpec, _keys(ParticleSpec)),
+}
+_TOP_KEYS = ("schema_version", "name", "mode", "initial_condition", "output", *_SECTIONS)
+
+
+def _section(value, where: str, keys: tuple[str, ...]) -> dict:
+    """value as a JSON object holding only the given keys, else ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {unknown}; it takes {list(keys)}")
+    return value
 
 
 @dataclass
@@ -101,6 +113,10 @@ class ExperimentConfig:
     fit_window: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        # The run directory is <output root>/<name>, so a name is one plain path part.
+        if not (isinstance(self.name, str) and self.name not in ("", ".", "..")
+                and "/" not in self.name and "\0" not in self.name):
+            raise ConfigError(f"name must be a plain directory name, got {self.name!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "nash" and self.mfg is None:
@@ -108,25 +124,24 @@ class ExperimentConfig:
         if self.mode in ("particles", "compare"):
             if self.particles is None:
                 raise ConfigError(f"mode {self.mode!r} needs a particles section")
-        if not self.initial_l0 > 0:
-            raise ConfigError("initial_l0 must be positive")
+        if not (is_number(self.initial_l0) and self.initial_l0 > 0):
+            raise ConfigError(
+                f"initial_condition.l0 must be a positive number, got {self.initial_l0!r}"
+            )
         for key in ("snapshot_stride", "track_stride"):
             v = getattr(self, key)
-            if not (_is_int(v) and v >= 1):
+            if not (is_int(v) and v >= 1):
                 raise ConfigError(f"output.{key} must be a positive integer, got {v!r}")
         if not isinstance(self.binary_fields, bool):
             raise ConfigError(
                 f"output.binary_fields must be true or false, got {self.binary_fields!r}"
             )
-        for key in ("nx", "nt"):
-            v = getattr(self.grid, key)
-            if not _is_int(v):
-                raise ConfigError(f"grid.{key} must be an integer, got {v!r}")
         fw = self.fit_window
-        if fw is not None and not (
-            len(fw) == 2 and all(_is_number(v) for v in fw) and fw[0] < fw[1]
-        ):
-            raise ConfigError(f"output.fit_window must be two increasing numbers, got {fw!r}")
+        if fw is not None:
+            if not (isinstance(fw, (tuple, list)) and len(fw) == 2
+                    and all(is_number(v) for v in fw) and fw[0] < fw[1]):
+                raise ConfigError(f"output.fit_window must be two increasing numbers, got {fw!r}")
+            self.fit_window = tuple(fw)
 
     # -- JSON round trip ---------------------------------------------------
 
@@ -135,89 +150,34 @@ class ExperimentConfig:
             "schema_version": SCHEMA_VERSION,
             "name": self.name,
             "mode": self.mode,
-            "params": {
-                "kappa": self.params.kappa,
-                "rho": self.params.rho,
-                "alpha1": self.params.alpha1,
-                "k": self.params.k,
-            },
-            "grid": {
-                "x_min": self.grid.x_min,
-                "x_max": self.grid.x_max,
-                "nx": self.grid.nx,
-                "t0": self.grid.t0,
-                "t_final": self.grid.t_final,
-                "nt": self.grid.nt,
-            },
             "initial_condition": {"kind": "ramp", "l0": self.initial_l0},
-            "output": {
-                "snapshot_stride": self.snapshot_stride,
-                "track_stride": self.track_stride,
-                "binary_fields": self.binary_fields,
-                "fit_window": list(self.fit_window) if self.fit_window else None,
-            },
+            "output": {key: getattr(self, key) for key in _OUTPUT_KEYS},
         }
-        if self.terminal is not None:
-            d["terminal_condition"] = {
-                "kind": self.terminal.kind,
-                "center": self.terminal.center,
-                "slope": self.terminal.slope,
-            }
-        if self.mfg is not None:
-            d["mfg"] = {
-                "theta": self.mfg.theta,
-                "tol": self.mfg.tol,
-                "max_iter": self.mfg.max_iter,
-            }
-        if self.particles is not None:
-            d["particles"] = {
-                "n": self.particles.n,
-                "rule": self.particles.rule,
-                "seed": self.particles.seed,
-                "kernel_width": self.particles.kernel_width,
-            }
+        for key, (field, _, keys) in _SECTIONS.items():
+            section = getattr(self, field)
+            if section is not None:
+                d[key] = {k: getattr(section, k) for k in keys}
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"a config must be a JSON object, got {type(d).__name__}")
-        try:
-            if d.get("schema_version") != SCHEMA_VERSION:
-                raise ConfigError(
-                    f"schema_version must be {SCHEMA_VERSION}, got {d.get('schema_version')!r}"
-                )
-            params = ModelParams(**d["params"])
-            grid = Grid1D(**d["grid"])
-            ic = d.get("initial_condition", {"kind": "ramp", "l0": 5.0})
-            if ic.get("kind", "ramp") != "ramp":
-                raise ConfigError("initial_condition.kind must be 'ramp'")
-            terminal = None
-            if "terminal_condition" in d:
-                tc = d["terminal_condition"]
-                terminal = TerminalCondition(
-                    kind=tc.get("kind", "logistic"),
-                    center=tc.get("center", 0.0),
-                    slope=tc.get("slope", 1.0),
-                )
-            mfg = MfgConfig(**d["mfg"]) if "mfg" in d else None
-            particles = ParticleSpec(**d["particles"]) if "particles" in d else None
-            out = d.get("output", {})
-            fw = out.get("fit_window")
-            return cls(
-                name=d["name"],
-                mode=d["mode"],
-                params=params,
-                grid=grid,
-                initial_l0=float(ic.get("l0", 5.0)),
-                terminal=terminal,
-                mfg=mfg,
-                particles=particles,
-                snapshot_stride=out.get("snapshot_stride", 100),
-                track_stride=out.get("track_stride", 1),
-                binary_fields=out.get("binary_fields", False),
-                fit_window=tuple(fw) if fw else None,
+        """Inverse of to_dict.  Each section is a JSON object of its own keys,
+        and an absent key takes the default of the field it fills."""
+        _section(d, "the config", _TOP_KEYS)
+        if d.get("schema_version") != SCHEMA_VERSION:
+            raise ConfigError(
+                f"schema_version must be {SCHEMA_VERSION}, got {d.get('schema_version')!r}"
             )
+        ic = _section(d.get("initial_condition", {}), "initial_condition", ("kind", "l0"))
+        if "kind" in ic and ic["kind"] != "ramp":
+            raise ConfigError(f"initial_condition.kind must be 'ramp', got {ic['kind']!r}")
+        kwargs = {"initial_l0": ic["l0"]} if "l0" in ic else {}
+        kwargs.update(_section(d.get("output", {}), "output", _OUTPUT_KEYS))
+        try:
+            for key, (field, cls_, keys) in _SECTIONS.items():
+                if key in d:
+                    kwargs[field] = cls_(**_section(d[key], key, keys))
+            return cls(name=d["name"], mode=d["mode"], **kwargs)
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -233,6 +193,8 @@ class ExperimentConfig:
                 d = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+            raise ConfigError(f"{path}: not a readable JSON config: {exc}") from exc
         return cls.from_dict(d)
 
 
@@ -244,78 +206,35 @@ def ramp_initial(grid: Grid1D, l0: float) -> Profile:
 
 # -- presets -----------------------------------------------------------------
 
+_RANK_100K = ParticleSpec(n=100_000, rule=RANK, seed=20240801)
 
-def _grid_for(p: ModelParams, t_final: float, dx: float, dt: float) -> Grid1D:
-    x_min, x_max = recommended_domain(p.kappa, p.alpha1, t_final)
-    nx = int(round((x_max - x_min) / dx)) + 1
-    nt = int(round(t_final / dt))
-    return Grid1D(x_min, x_max, nx, 0.0, t_final, nt)
+#: Shipped, frozen presets: name -> (mode, alpha1, t_final, dt, other fields).
+#: Every preset has kappa = 1, rho = 2, dx = 0.05 and the recommended domain.
+_PRESETS = {
+    "kpp": ("kpp", 1.0, 60.0, 0.01, dict(snapshot_stride=400, fit_window=(30.0, 60.0))),
+    "lottery-intrinsic": ("intrinsic", 0.25, 120.0, 0.01, dict(snapshot_stride=800)),
+    "lottery-nash": ("nash", 0.25, 40.0, 0.02, dict(snapshot_stride=100)),
+    "bgp-probe": ("intrinsic", 4.0, 60.0, 0.02, dict(snapshot_stride=200)),
+    "particles-rank": ("particles", 1.0, 50.0, 0.1, dict(
+        particles=_RANK_100K, snapshot_stride=25, fit_window=(20.0, 50.0))),
+    "particles-ratio": ("particles", 0.5, 20.0, 0.1, dict(
+        particles=ParticleSpec(n=20_000, rule=RATIO, seed=42), snapshot_stride=20)),
+    "compare-particle-pde": ("compare", 1.0, 50.0, 0.1, dict(
+        particles=_RANK_100K, snapshot_stride=25, fit_window=(20.0, 50.0))),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(name: str) -> ExperimentConfig:
     """Shipped, frozen experiment configurations."""
-    if name == "kpp":
-        p = ModelParams(kappa=1.0, rho=2.0, alpha1=1.0)
-        grid = Grid1D(-20.0, 160.0, 3601, 0.0, 60.0, 6000)
-        return ExperimentConfig(
-            name=name, mode="kpp", params=p, grid=grid,
-            snapshot_stride=400, fit_window=(30.0, 60.0),
-        )
-    if name == "lottery-intrinsic":
-        p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.25)
-        return ExperimentConfig(
-            name=name, mode="intrinsic", params=p,
-            grid=_grid_for(p, 120.0, 0.05, 0.01), snapshot_stride=800,
-        )
-    if name == "lottery-nash":
-        p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.25)
-        return ExperimentConfig(
-            name=name, mode="nash", params=p,
-            grid=_grid_for(p, 40.0, 0.05, 0.02), mfg=MfgConfig(),
-            snapshot_stride=100,
-        )
-    if name == "bgp-probe":
-        p = ModelParams(kappa=1.0, rho=2.0, alpha1=4.0)
-        return ExperimentConfig(
-            name=name, mode="intrinsic", params=p,
-            grid=_grid_for(p, 60.0, 0.05, 0.02), snapshot_stride=200,
-        )
-    if name == "particles-rank":
-        p = ModelParams(kappa=1.0, rho=2.0, alpha1=1.0)
-        grid = _grid_for(p, 50.0, 0.05, 0.1)
-        return ExperimentConfig(
-            name=name, mode="particles", params=p, grid=grid,
-            particles=ParticleSpec(n=100_000, rule="rank", seed=20240801),
-            snapshot_stride=25, fit_window=(20.0, 50.0),
-        )
-    if name == "particles-ratio":
-        p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)
-        grid = _grid_for(p, 20.0, 0.05, 0.1)
-        return ExperimentConfig(
-            name=name, mode="particles", params=p, grid=grid,
-            particles=ParticleSpec(n=20_000, rule="ratio", seed=42),
-            snapshot_stride=20,
-        )
-    if name == "compare-particle-pde":
-        p = ModelParams(kappa=1.0, rho=2.0, alpha1=1.0)
-        grid = _grid_for(p, 50.0, 0.05, 0.1)
-        return ExperimentConfig(
-            name=name, mode="compare", params=p, grid=grid,
-            particles=ParticleSpec(n=100_000, rule="rank", seed=20240801),
-            snapshot_stride=25, fit_window=(20.0, 50.0),
-        )
-    raise ConfigError(f"unknown preset {name!r}; have {', '.join(PRESET_NAMES)}")
-
-
-PRESET_NAMES = (
-    "kpp",
-    "lottery-intrinsic",
-    "lottery-nash",
-    "bgp-probe",
-    "particles-rank",
-    "particles-ratio",
-    "compare-particle-pde",
-)
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; have {', '.join(PRESET_NAMES)}")
+    mode, alpha1, t_final, dt, kwargs = _PRESETS[name]
+    p = ModelParams(kappa=1.0, rho=2.0, alpha1=alpha1)
+    x_min, x_max = recommended_domain(p.kappa, p.alpha1, t_final)
+    nx = int(round((x_max - x_min) / 0.05)) + 1
+    grid = Grid1D(x_min, x_max, nx, 0.0, t_final, int(round(t_final / dt)))
+    return ExperimentConfig(name=name, mode=mode, params=p, grid=grid, **kwargs)
 
 
 # -- output writers ----------------------------------------------------------
@@ -478,7 +397,10 @@ def _checkpoint_from_npz(data) -> tuple[ParticleState, ExperimentConfig | None]:
         raise CheckpointError(
             f"checkpoint version {meta.get('checkpoint_version')!r} unsupported"
         )
-    config = ExperimentConfig.from_dict(meta["config"]) if "config" in meta else None
+    try:
+        config = ExperimentConfig.from_dict(meta["config"]) if "config" in meta else None
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint holds a malformed config: {exc}") from exc
     kind = str(data["kind"])
     if kind != "particles":
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")

@@ -20,7 +20,7 @@ from .analysis import locate_level
 from .backward import TerminalCondition, iter_backward, solve_backward
 from .errors import DomainError, GridMismatchError
 from .forward import INTRINSIC, iter_forward
-from .grid import Grid1D, Profile, SpaceTimeField
+from .grid import Grid1D, Profile, SpaceTimeField, check_numbers
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class MfgConfig:
     max_iter: int = 50
 
     def __post_init__(self) -> None:
+        check_numbers(self, "theta tol", integers="max_iter")
         if not 0.0 < self.theta <= 1.0:
             raise DomainError("theta must lie in (0, 1]")
         if not self.tol > 0:

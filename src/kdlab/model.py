@@ -16,7 +16,7 @@ import numpy as np
 import scipy.signal
 
 from .errors import DomainError, GridMismatchError, NonFiniteError
-from .grid import Profile
+from .grid import Profile, check_numbers
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class ModelParams:
     k: float = 0.5
 
     def __post_init__(self) -> None:
+        check_numbers(self, "kappa rho alpha1 k")
         if not self.kappa > 0:
             raise DomainError("kappa must be positive")
         if not self.rho > self.kappa:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import model
 from .errors import DomainError, NonFiniteError
-from .grid import Grid1D, Profile
+from .grid import Grid1D, Profile, is_number
 
 RANK = "rank"
 SMOOTHED_RANK = "smoothed-rank"
@@ -86,8 +86,12 @@ class StrategyRule:
 
     def __post_init__(self) -> None:
         if self.kind not in (RANK, SMOOTHED_RANK, RATIO):
-            raise DomainError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == SMOOTHED_RANK and not (self.kernel_width and self.kernel_width > 0):
+            raise DomainError(
+                f"strategy kind must be one of {(RANK, SMOOTHED_RANK, RATIO)}, got {self.kind!r}"
+            )
+        if self.kind == SMOOTHED_RANK and not (
+            is_number(self.kernel_width) and self.kernel_width > 0
+        ):
             raise DomainError("smoothed-rank needs a positive kernel width")
 
 

@@ -45,6 +45,11 @@ class TestTerminalCondition:
         with pytest.raises(DomainError):
             TerminalCondition(kind="custom")
 
+    @pytest.mark.parametrize("bad", [{"center": "3"}, {"slope": True}, {"center": math.inf}])
+    def test_center_and_slope_are_finite_numbers(self, bad):
+        with pytest.raises(DomainError):
+            TerminalCondition(kind="logistic", **bad)
+
 
 def backward_steps(w_start, F_val, payoff_val, t, nt, p=P):
     """w after nt backward steps over a time span t, with constant F and s = s_m(payoff).

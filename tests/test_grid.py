@@ -35,6 +35,10 @@ class TestGrid:
             Grid1D(1.0, 0.0, 16, 0.0, 1.0, 10)
         with pytest.raises(DomainError):
             Grid1D(0.0, 1.0, 16, 0.0, 1.0, 0)  # nt=0 needs t0 == t_final
+        for bad in ([0.0, 1.0, 16.0, 0.0, 1.0, 10], [0.0, 1.0, 16, 0.0, 1.0, True],
+                    ["0", "1", 16, 0.0, 1.0, 10], [0.0, float("inf"), 16, 0.0, 1.0, 10]):
+            with pytest.raises(DomainError):
+                Grid1D(*bad)  # integers nx, nt; finite numbers elsewhere
 
     def test_zero_duration(self):
         g = space_grid(0.0, 1.0, 16)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from kdlab.backward import TerminalCondition
 from kdlab.cli import main
 from kdlab.errors import CheckpointError, ConfigError
 from kdlab.grid import Grid1D, SpaceTimeField
@@ -44,10 +45,21 @@ def assert_diagnostics_rebuilt(out):
     assert rebuilt.read_bytes() == (out / "diagnostics.csv").read_bytes()
 
 
+#: Configs no preset covers: an explicit terminal condition, a smoothed-rank rule.
+EXTRA_CONFIGS = {
+    "nash-terminal": lambda: dataclasses.replace(
+        preset_config("lottery-nash"),
+        terminal=TerminalCondition(kind="logistic", center=3.5, slope=0.75)),
+    "smoothed-rank": lambda: dataclasses.replace(
+        tiny_particle_config(),
+        particles=ParticleSpec(n=400, seed=11, rule="smoothed-rank", kernel_width=0.5)),
+}
+
+
 class TestConfig:
-    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("name", [*PRESET_NAMES, *EXTRA_CONFIGS])
     def test_json_roundtrip(self, name):
-        cfg = preset_config(name)
+        cfg = EXTRA_CONFIGS[name]() if name in EXTRA_CONFIGS else preset_config(name)
         again = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
         assert again.to_json() == cfg.to_json()
 
@@ -312,10 +324,12 @@ class TestCli:
         assert "diagnostics:" in capsys.readouterr().out
         assert_diagnostics_rebuilt(run_dir)
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["run", str(bad)]) == 2
+        for text in (b"{not json", b"\xff\xfe{}", b"[" * 100_000):  # not UTF-8; too deep
+            bad.write_bytes(text)
+            assert main(["run", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("break_config", [
         lambda d: [d],
@@ -334,16 +348,34 @@ class TestCli:
         lambda d: d["output"].update(track_stride=1.5),
         lambda d: d["output"].update(binary_fields="false"),
         lambda d: d.update(mfg={"theta": 1.0, "burn_in_frac": 0.1}),
+        lambda d: d.update(output=[10]),
+        lambda d: d.update(initial_condition=2.0),
+        lambda d: d.update(terminal_condition="logistic"),
+        lambda d: d.update(terminal_condition={"center": "3"}),
+        lambda d: d.update(mfg={"max_iter": 2.5}),
+        lambda d: d.update(name=5),
+        lambda d: d.update(name="../x"),
+        lambda d: d["initial_condition"].update(l0="5"),
+        lambda d: d["initial_condition"].update(l0=True),
+        lambda d: d.update(out_dir="elsewhere"),
+        lambda d: d["output"].update(snapshot_every=5),
+        lambda d: d["initial_condition"].update(width=1.0),
     ], ids=["not-object", "float-nx", "float-nt", "window-length", "window-order",
             "window-string", "unknown-rule", "smoothed-no-width", "smoothed-negative-width",
             "float-n", "negative-seed", "float-seed", "float-snapshot-stride",
-            "float-track-stride", "string-binary-fields", "removed-mfg-key"])
-    def test_invalid_config_exit_code(self, tmp_path, break_config):
+            "float-track-stride", "string-binary-fields", "removed-mfg-key",
+            "output-not-object", "initial-not-object", "terminal-not-object",
+            "string-terminal-center", "float-max-iter", "int-name", "name-leaves-out-root",
+            "string-l0", "bool-l0", "unknown-top-key", "unknown-output-key",
+            "unknown-initial-key"])
+    def test_invalid_config_exit_code(self, tmp_path, break_config, capsys):
         d = tiny_particle_config().to_dict()
         d = break_config(d) or d
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(d))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert list(tmp_path.iterdir()) == [path]  # no run directory, in or out of --out
 
     def test_unmapped_kdlab_error_exit_code(self, tmp_path, capsys):
         d = tiny_particle_config().to_dict()
@@ -373,6 +405,18 @@ class TestCli:
     def test_unreadable_checkpoint_exit_code(self, tmp_path):
         bad = tmp_path / "checkpoint.npz"
         bad.write_bytes(b"garbage")
+        assert main(["resume", str(bad), "--out", str(tmp_path / "res")]) == 4
+        # A readable archive whose embedded config is malformed.
+        cfg = tiny_particle_config().to_dict()
+        cfg["grid"]["nx"] = 241.5
+        state = ParticleState(positions=np.zeros(4), time=0.0, seed=11)
+        save_checkpoint(state, bad)
+        data = dict(np.load(bad, allow_pickle=False))
+        meta = json.loads(str(data["meta"]))
+        data["meta"] = json.dumps({**meta, "config": cfg})
+        np.savez(bad, **data)
+        with pytest.raises(CheckpointError, match="malformed config"):
+            load_checkpoint(bad)
         assert main(["resume", str(bad), "--out", str(tmp_path / "res")]) == 4
 
     def test_diag_on_resumed_run(self, tmp_path, capsys):

@@ -259,6 +259,9 @@ class TestSolveNash:
             MfgConfig(tol=-1.0)
         with pytest.raises(DomainError):
             MfgConfig(max_iter=0)
+        for bad in ({"theta": True}, {"tol": True}, {"tol": "1e-6"}, {"max_iter": 2.5}):
+            with pytest.raises(DomainError):
+                MfgConfig(**bad)
 
     def test_general_exponent_equilibrium(self):
         # The power family extends beyond the square root; the equilibrium

@@ -45,6 +45,11 @@ class TestParams:
             ModelParams(kappa=1.0, rho=2.0, alpha1=1.0, k=0.3)
         with pytest.raises(DomainError):
             ModelParams(kappa=1.0, rho=2.0, alpha1=1.0, k=1.0)
+        for bad in (True, "1", float("nan")):  # booleans and strings are not numbers
+            with pytest.raises(DomainError):
+                ModelParams(kappa=bad, rho=2.0, alpha1=1.0)
+            with pytest.raises(DomainError):
+                ModelParams(kappa=1.0, rho=2.0, alpha1=bad)
 
     def test_degenerate_alpha1_allowed(self):
         # Pure-diffusion oracle runs need alpha1 = 0.

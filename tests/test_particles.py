@@ -74,6 +74,8 @@ class TestEvalStrategy:
             StrategyRule(kind="mystery")
         with pytest.raises(DomainError):
             StrategyRule(kind="smoothed-rank")
+        with pytest.raises(DomainError):
+            StrategyRule(kind="smoothed-rank", kernel_width=True)
 
 
 class TestStepParticles:
