@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -124,6 +124,9 @@ class ExperimentConfig:
         if self.mode in ("particles", "compare"):
             if self.particles is None:
                 raise ConfigError(f"mode {self.mode!r} needs a particles section")
+        if self.terminal is not None and self.terminal.kind == "custom":
+            raise ConfigError("a custom terminal condition has no JSON form; "
+                              "pass its profile to solve_nash instead")
         if not (is_number(self.initial_l0) and self.initial_l0 > 0):
             raise ConfigError(
                 f"initial_condition.l0 must be a positive number, got {self.initial_l0!r}"
@@ -508,8 +511,12 @@ def _run_nash(cfg: ExperimentConfig, out: Path) -> tuple[_Recorder, dict]:
 def _run_particles(
     cfg: ExperimentConfig, out: Path, max_steps: int | None = None,
     state: ParticleState | None = None,
-) -> tuple[_Recorder, ParticleState]:
-    """Particle run from state (fresh when None), checkpointed at every snapshot."""
+) -> tuple[_Recorder, ParticleState, dict]:
+    """Particle run from state (fresh when None), checkpointed at every snapshot.
+
+    Also returns the largest counts of agents below and above the grid over
+    the recorded steps.
+    """
     p, grid, spec = cfg.params, cfg.grid, cfg.particles
     rule = spec.make_rule()
     if state is None:
@@ -525,14 +532,18 @@ def _run_particles(
         RATIO: lambda c: np.minimum(1.0, p.rho_minus_kappa * c["J"]),
     }.get(spec.rule)
     rec = _Recorder(cfg, out, strategy, last_step)
+    stragglers = {"n_below_max": 0, "n_above_max": 0}
     while True:
         if any(rec.sampled(state.step_index)):
-            F = empirical_cdf(state, grid).profile.values
+            est = empirical_cdf(state, grid)
+            stragglers["n_below_max"] = max(stragglers["n_below_max"], est.n_below)
+            stragglers["n_above_max"] = max(stragglers["n_above_max"], est.n_above)
+            F = est.profile.values
             J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
             if rec.record(state.step_index, {"F": F, "J": J}):
                 save_checkpoint(state, out / "checkpoint.npz", config=cfg)
         if state.step_index >= last_step:
-            return rec, state
+            return rec, state, stragglers
         state = step_particles(state, rule, p, grid.dt)
 
 
@@ -568,6 +579,9 @@ def _execute(
     With a particle state the run continues from it, and the manifest records
     the step it resumed from.
     """
+    # Fields may have been set since construction: check the config again
+    # before anything is written.
+    config = replace(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(config.to_json() + "\n")
@@ -579,7 +593,7 @@ def _execute(
     elif config.mode == "nash":
         rec, manifest["mfg"] = _run_nash(config, out)
     else:
-        rec, final_state = _run_particles(config, out, max_steps, state)
+        rec, final_state, manifest["particles"] = _run_particles(config, out, max_steps, state)
         if config.mode == "compare":
             pde_rows = _compare_pde_rows(config)
 

@@ -100,10 +100,27 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u * u * (3.0 - 2.0 * u)
 
 
+def _sort_with_ties(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, sorted positions, first) from one argsort.
+
+    first[k] is the first sorted slot holding a value equal to the one in slot
+    k, i.e. the count of agents strictly below it.  Equality is numeric, so
+    -0.0 and 0.0 tie, as in searchsorted.
+    """
+    order = np.argsort(positions)
+    srt = positions[order]
+    first = np.arange(srt.size)
+    first[1:][srt[1:] == srt[:-1]] = 0
+    np.maximum.accumulate(first, out=first)
+    return order, srt, first
+
+
 def _rank_fractions(positions: np.ndarray) -> np.ndarray:
-    srt = np.sort(positions)
+    order, _, first = _sort_with_ties(positions)
     n = positions.size
-    return (n - np.searchsorted(srt, positions, side="left")) / n
+    out = np.empty(n)
+    out[order] = (n - first) / n
+    return out
 
 
 def _smoothed_rank_fractions(positions: np.ndarray, width: float) -> np.ndarray:
@@ -122,12 +139,10 @@ def _smoothed_rank_fractions(positions: np.ndarray, width: float) -> np.ndarray:
 
 
 def _ratio_fractions(positions: np.ndarray) -> np.ndarray:
-    order = np.argsort(positions)
-    srt = positions[order]
+    order, srt, first = _sort_with_ties(positions)
     n = positions.size
     shifted = np.exp(srt - srt[-1])
     suffix = np.cumsum(shifted[::-1])[::-1]
-    first = np.searchsorted(srt, srt, side="left")
     # Sum over agents at or above: exp(x_m - x_i) - 1, summing ties too (they
     # contribute zero).  Positions far enough below the maximum saturate.
     gap = srt[-1] - srt

@@ -9,7 +9,7 @@ import pytest
 from kdlab.backward import TerminalCondition
 from kdlab.cli import main
 from kdlab.errors import CheckpointError, ConfigError
-from kdlab.grid import Grid1D, SpaceTimeField
+from kdlab.grid import Grid1D, Profile, SpaceTimeField
 from kdlab import harness
 from kdlab.harness import (
     PRESET_NAMES,
@@ -81,6 +81,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(name="x", mode="particles", params=p, grid=grid)
 
+    def test_custom_terminal_rejected(self):
+        # A custom profile has no JSON form, so its config.json could not be read back.
+        cfg = preset_config("lottery-nash")
+        profile = ramp_initial(cfg.grid, 5.0)
+        custom = TerminalCondition(kind="custom", profile=Profile(cfg.grid, 1.0 - profile.values))
+        with pytest.raises(ConfigError, match="custom"):
+            dataclasses.replace(cfg, terminal=custom)
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config("not-a-preset")
@@ -105,6 +113,13 @@ class TestConfig:
 
 
 class TestRun:
+    def test_config_checked_again_before_writing(self, tmp_path):
+        cfg = tiny_particle_config()
+        cfg.snapshot_stride = 0
+        with pytest.raises(ConfigError, match="snapshot_stride"):
+            run(cfg, tmp_path / "bad")
+        assert not (tmp_path / "bad" / "config.json").exists()
+
     def test_zero_duration_run(self, tmp_path):
         p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)
         grid = Grid1D(-20.0, 40.0, 241, 0.0, 0.0, 0)
@@ -148,19 +163,27 @@ class TestRun:
         assert "F" in data and "x" in data
 
     def test_particle_fields_only_on_recorded_steps(self, tmp_path, monkeypatch):
-        cfg = dataclasses.replace(tiny_particle_config(), track_stride=4, snapshot_stride=8)
-        cdf_steps = []
+        # A grid narrower than the cloud, so agents stray off both ends.
+        cfg = dataclasses.replace(tiny_particle_config(), track_stride=4, snapshot_stride=8,
+                                  grid=Grid1D(-3.0, 3.0, 25, 0.0, 3.0, 30))
+        cdf_steps, below, above = [], [], []
         real_cdf = harness.empirical_cdf
 
         def counted_cdf(state, grid):
             cdf_steps.append(state.step_index)
-            return real_cdf(state, grid)
+            est = real_cdf(state, grid)
+            below.append(est.n_below)
+            above.append(est.n_above)
+            return est
 
         monkeypatch.setattr(harness, "empirical_cdf", counted_cdf)
-        run(cfg, tmp_path / "strided")
+        res = run(cfg, tmp_path / "strided")
         monkeypatch.undo()
         recorded = [*range(0, cfg.grid.nt, 4), cfg.grid.nt]  # snapshots 0, 8, ... among them
         assert cdf_steps == recorded
+        on_disk = json.loads((res.out_dir / "manifest.json").read_text())
+        assert on_disk["particles"] == {"n_below_max": max(below), "n_above_max": max(above)}
+        assert min(max(below), max(above)) > 0
         run(dataclasses.replace(cfg, track_stride=1), tmp_path / "full")
         full = (tmp_path / "full" / "tracks.csv").read_text().splitlines()
         strided = (tmp_path / "strided" / "tracks.csv").read_text().splitlines()

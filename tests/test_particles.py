@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kdlab.errors import DomainError
 from kdlab.grid import Grid1D
@@ -19,6 +21,38 @@ from kdlab.particles import (
 from conftest import space_grid
 
 P = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5, k=0.5)
+
+#: Agent positions: small integers, so ties are heavy, with -0.0 beside 0.0;
+#: or any finite floats.
+positions_st = st.one_of(
+    st.lists(st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-0.0, 0.0])),
+             min_size=2, max_size=300),
+    st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=300),
+)
+
+
+def rank_reference(x):
+    """The rank rule as one searchsorted of every agent into the sorted copy."""
+    n = x.size
+    return (n - np.searchsorted(np.sort(x), x, side="left")) / n
+
+
+def ratio_reference(x):
+    """The ratio rule with each tie's first sorted slot found by searchsorted."""
+    order = np.argsort(x)
+    srt = x[order]
+    n = x.size
+    suffix = np.cumsum(np.exp(srt - srt[-1])[::-1])[::-1]
+    first = np.searchsorted(srt, srt, side="left")
+    gap = srt[-1] - srt
+    s_sorted = np.ones(n)
+    safe = gap < math.log(n + 1.0) + 1.0
+    s_sorted[safe] = np.minimum(
+        1.0, (np.exp(gap[safe]) * suffix[first[safe]] - (n - first[safe])) / n
+    )
+    out = np.empty(n)
+    out[order] = s_sorted
+    return out
 
 
 def state_at(positions, seed=1, **kw):
@@ -37,6 +71,19 @@ class TestEvalStrategy:
     def test_rank_collocated(self):
         s = eval_strategy(state_at([2.0, 2.0, 2.0]), StrategyRule(kind="rank"))
         assert np.all(s == 1.0)
+
+    @pytest.mark.parametrize("kind, reference",
+                             [("rank", rank_reference), ("ratio", ratio_reference)],
+                             ids=["rank", "ratio"])
+    @given(positions=positions_st)
+    @example(positions=[0.0, 1.0])
+    @example(positions=[2.5, 2.5])
+    @example(positions=[1.0] * 50)
+    @example(positions=[-0.0, 0.0, -0.0, 1.0, 0.0, -1.0])
+    def test_sorted_rules_equal_searchsorted(self, kind, reference, positions):
+        x = np.array(positions)
+        s = eval_strategy(state_at(x), StrategyRule(kind=kind))
+        assert np.array_equal(s, reference(x))
 
     def test_ratio_two_agents(self):
         # productivities 1 and 3 (log 0 and log 3)
@@ -135,18 +182,19 @@ class TestStepParticles:
 
     def test_exchangeability(self):
         # Permuting agents together with their RNG sub-streams permutes the
-        # outcome exactly.
+        # outcome exactly, under either sorted rule.
         rng = np.random.default_rng(3)
         x = rng.normal(size=40)
         perm = rng.permutation(40)
-        rule = StrategyRule(kind="ratio")
-        base = step_particles(state_at(x, seed=9), rule, P, 0.05)
-        permuted = step_particles(
-            ParticleState(positions=x[perm], time=0.0, seed=9,
-                          stream_ids=np.arange(40)[perm]),
-            rule, P, 0.05,
-        )
-        assert np.array_equal(permuted.positions, base.positions[perm])
+        for kind in ("rank", "ratio"):
+            rule = StrategyRule(kind=kind)
+            base = step_particles(state_at(x, seed=9), rule, P, 0.05)
+            permuted = step_particles(
+                ParticleState(positions=x[perm], time=0.0, seed=9,
+                              stream_ids=np.arange(40)[perm]),
+                rule, P, 0.05,
+            )
+            assert np.array_equal(permuted.positions, base.positions[perm]), kind
 
     def test_jumps_never_lower_the_distribution(self):
         # Without innovation, a step can only move mass upward: the fraction
