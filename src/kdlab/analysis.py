@@ -63,8 +63,18 @@ def locate_level(
         raise FrontOffGridLeft(f"level {level} not bracketed: crossing left of the grid")
     if v[-1] >= lvl:
         raise FrontOffGridRight(f"level {level} not bracketed: crossing right of the grid")
+    return _front(v, prof.grid.x, lvl)
+
+
+def _front(v: np.ndarray, x: np.ndarray, lvl: float) -> float:
+    """Where decreasing values v on the nodes x cross lvl; NaN when off the grid.
+
+    locate_level unchecked, on arrays: the recorders call it on every sampled
+    slice of a sweep, whose values are finite.
+    """
+    if v[0] <= lvl or v[-1] >= lvl:
+        return math.nan
     i = int(np.argmax(v < lvl))  # first node strictly below the level
-    x = prof.grid.x
     frac = (v[i - 1] - lvl) / (v[i - 1] - v[i])
     return float(x[i - 1] + frac * (x[i] - x[i - 1]))
 

@@ -94,7 +94,7 @@ def iter_backward(
 
     def rhs(n: int, w: np.ndarray) -> np.ndarray:
         s_vals = np.clip(s[nt - n], 0.0, 1.0)
-        source = p.rho_minus_kappa * (1.0 - s_vals - w) - model.alpha(s_vals, p) * w * F[nt - n]
+        source = p.rho_minus_kappa * (1.0 - s_vals - w) - model._alpha(s_vals, p) * w * F[nt - n]
         return w + dt * source
 
     steps = _march(wT.build(grid), nt, grid.dx, dt, p.kappa, rhs, ends=(0.0, 1.0),

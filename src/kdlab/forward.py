@@ -86,12 +86,16 @@ def _alpha_slice(
     F_vals: np.ndarray, J_vals: np.ndarray | None, strategy: StrategyInput, j: int,
     p: model.ModelParams,
 ) -> np.ndarray:
-    """Search-rate values alpha(s(t_j, .)) for the step starting at slice j with pay-off J."""
+    """Search-rate values alpha(s(t_j, .)) for the step starting at slice j with pay-off J.
+
+    Unchecked: the strategy is clipped to [0, 1], and J is finite and
+    non-negative (see iter_forward).
+    """
     if isinstance(strategy, SpaceTimeField):
-        return model.alpha(np.clip(strategy.values[j], 0.0, 1.0), p)
+        return model._alpha(np.clip(strategy.values[j], 0.0, 1.0), p)
     if strategy == CONSTANT_ALPHA:
         return np.full_like(F_vals, p.alpha1)
-    return model.alpha_of_sm(J_vals, p)
+    return model._alpha_of_sm(J_vals, p)
 
 
 def iter_forward(
@@ -121,12 +125,20 @@ def iter_forward(
     J = None  # the pay-off of the slice last yielded, which the next step reads
     if strategy == RANK_LOCAL:
         q1 = model.q_integral(1.0, p)
-        rate = lambda j, F: q1 - model.q_integral(F, p)
+        rate = lambda j, F: q1 - model._q_integral(F, p)
     else:
         rate = lambda j, F: _rate_from_alpha(F, _alpha_slice(F, J, strategy, j, p))
     for j, F in _run_steps(F0, rate, p, grid):
         if closure:
             J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
+        if j == 0:
+            # The caller's slice gets the model's checks once.  Every later
+            # slice leaves the stepper finite and clamped to [0, 1], so its
+            # pay-off is finite and non-negative and the rates run unchecked.
+            if strategy == INTRINSIC:
+                model.alpha_of_sm(J, p)
+            elif strategy == RANK_LOCAL:
+                model.q_integral(F, p)
         yield j, F, J
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -94,9 +95,12 @@ class Grid1D:
             return 1.0
         return (self.t_final - self.t0) / self.nt
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
+        """The nx node positions, computed once per grid and read-only."""
+        x = np.linspace(self.x_min, self.x_max, self.nx)
+        x.flags.writeable = False
+        return x
 
     @property
     def times(self) -> np.ndarray:
@@ -227,12 +231,13 @@ def _march(
         b = rhs(n, u)
         b[0], b[-1] = ends
         u, _ = lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
-        if not np.all(np.isfinite(u)):
-            raise NonFiniteError(f"{name} became non-finite at step {n + 1}")
-        if u.min() < -OVERSHOOT_TOL or u.max() > 1.0 + OVERSHOOT_TOL:
-            raise OvershootError(
-                f"{name} left [0,1] by {max(-u.min(), u.max() - 1.0):.3e} in one step"
-            )
+        lo, hi = u.min(), u.max()
+        # A NaN makes both comparisons false, so the isfinite scan runs only
+        # on a slice that fails anyway, to name the failure.
+        if not (lo >= -OVERSHOOT_TOL and hi <= 1.0 + OVERSHOOT_TOL):
+            if not np.all(np.isfinite(u)):
+                raise NonFiniteError(f"{name} became non-finite at step {n + 1}")
+            raise OvershootError(f"{name} left [0,1] by {max(-lo, hi - 1.0):.3e} in one step")
         np.clip(u, 0.0, 1.0, out=u)
         if slope and np.max(-slope * np.diff(u)) > SLOPE_TOL:
             raise NumericalError(f"{name} lost monotonicity at step {n + 1}")

@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .analysis import (
     DiagnosticsReport,
     FrontTrack,
     Snapshot,
+    _front,
     default_window,
     estimate_speed,
-    front_or_nan,
     run_diagnostics,
 )
 from .backward import TerminalCondition
@@ -247,6 +247,12 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _csv_rows(rows: Iterable[tuple], width: int) -> list[str]:
+    """Each row of width floats as one CSV line, every value formatted as _fmt does."""
+    fmt = ",".join(["%.17g"] * width)
+    return [fmt % row for row in rows]
+
+
 def _write_snapshot(
     cfg: ExperimentConfig, out: Path, j: int, t: float, cols: dict[str, np.ndarray]
 ) -> None:
@@ -258,10 +264,9 @@ def _write_snapshot(
         np.savez_compressed(fields_dir / f"snap_{j:06d}.npz", t=t, x=x, **cols)
         return
     names = ["x", "F", "w", "I", "J", "s"]
-    arrays = [x] + [cols.get(n, np.full_like(x, math.nan)) for n in names[1:]]
-    lines = [f"# t={_fmt(t)}", ",".join(names)]
-    for row in zip(*arrays):
-        lines.append(",".join(_fmt(v) for v in row))
+    columns = [x.tolist()] + [cols[n].tolist() if n in cols else [math.nan] * x.size
+                              for n in names[1:]]
+    lines = [f"# t={_fmt(t)}", ",".join(names), *_csv_rows(zip(*columns), len(names))]
     (fields_dir / f"snap_{j:06d}.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -315,9 +320,7 @@ def diagnose_run_dir(run_dir: str | Path) -> DiagnosticsReport:
 
 
 def _write_tracks(path: Path, rows: list[tuple[float, float, float, float]]) -> None:
-    lines = ["t,x_median,x_learning,x_intrinsic"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = ["t,x_median,x_learning,x_intrinsic", *_csv_rows(rows, 4)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -431,9 +434,10 @@ def _front_row(grid: Grid1D, p: ModelParams, t: float, cols: dict[str, np.ndarra
     The learning front is the pay-off front where the slice has I, else the
     intrinsic front.
     """
-    e = front_or_nan(Profile(grid, cols["J"]), p.i_crit)
-    eta = front_or_nan(Profile(grid, cols["I"]), p.i_crit) if "I" in cols else e
-    return (t, front_or_nan(Profile(grid, cols["F"]), 0.5), eta, e)
+    x = grid.x
+    e = _front(cols["J"], x, p.i_crit)
+    eta = _front(cols["I"], x, p.i_crit) if "I" in cols else e
+    return (t, _front(cols["F"], x, 0.5), eta, e)
 
 
 class _Recorder:

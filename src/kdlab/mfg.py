@@ -76,6 +76,15 @@ def best_response(F, w, dx: float, p: model.ModelParams) -> np.ndarray:
     return model.s_m(model.discounted_tail(F * w, dx, p.rho_minus_kappa), p)
 
 
+def _best_response(F: np.ndarray, w: np.ndarray, dx: float, p: model.ModelParams) -> np.ndarray:
+    # best_response unchecked, for F and w slices of one shape in [0, 1].
+    return model._s_m(model.discounted_tail(F * w, dx, p.rho_minus_kappa), p)
+
+
+def _residual(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
 def residual(s_new, s_old) -> float:
     """Sup-norm distance between two strategy fields (or arrays)."""
     a = s_new.values if isinstance(s_new, SpaceTimeField) else np.asarray(s_new)
@@ -84,7 +93,7 @@ def residual(s_new, s_old) -> float:
         raise GridMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a - b)))
+    return _residual(a, b)
 
 
 def solve_nash(
@@ -117,9 +126,14 @@ def solve_nash(
     """
     if cfg is None:
         cfg = MfgConfig()
+    # With F0 >= 0 every pay-off the loops compute is finite and non-negative
+    # (the stepper keeps later slices of F and w in [0, 1]), so they call the
+    # unchecked kernels.
+    if np.min(F0.values) < 0.0:
+        raise DomainError("F0 must be non-negative")
     s = np.empty((grid.nt + 1, grid.nx))
     for j, _, J in iter_forward(F0, INTRINSIC, p, grid):
-        s[j] = model.s_m(J, p)
+        s[j] = model._s_m(J, p)
     s_field = SpaceTimeField(grid, s)
 
     if wT is None:
@@ -151,8 +165,8 @@ def solve_nash(
         res = 0.0
         for j, w_j in iter_backward(wT, F_field, s_field, p, grid):
             w[j] = w_j
-            s_resp[j] = best_response(F[j], w_j, grid.dx, p)
-            res = max(res, residual(s_resp[j], s[j]))
+            s_resp[j] = _best_response(F[j], w_j, grid.dx, p)
+            res = max(res, _residual(s_resp[j], s[j]))
         if residuals and res > residuals[-1]:
             theta *= 0.5
         residuals.append(res)

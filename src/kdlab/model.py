@@ -80,9 +80,18 @@ class TheoryPredictions:
         )
 
 
+# Each checked function below checks its input, then calls the private kernel
+# that holds its formula.  The time loops call the kernels on slices whose
+# domain the sweep's entry checks and the stepper's clamp already guarantee.
+
+
 def _check_unit_interval(v: np.ndarray, name: str) -> None:
     if np.any(v < 0.0) or np.any(v > 1.0):
         raise DomainError(f"{name} must lie in [0, 1]")
+
+
+def _alpha(s: np.ndarray, p: ModelParams) -> np.ndarray:
+    return p.alpha1 * s**p.k
 
 
 def alpha(s, p: ModelParams):
@@ -91,8 +100,20 @@ def alpha(s, p: ModelParams):
     if not np.all(np.isfinite(sv)):
         raise NonFiniteError("s must be finite")
     _check_unit_interval(sv, "s")
-    out = p.alpha1 * sv**p.k
+    out = _alpha(sv, p)
     return float(out) if np.isscalar(s) or sv.ndim == 0 else out
+
+
+def _check_payoff(iv: np.ndarray) -> None:
+    if not np.all(np.isfinite(iv)):
+        raise NonFiniteError("pay-off must be finite")
+    if np.any(iv < 0.0):
+        raise DomainError("pay-off must be non-negative")
+
+
+def _s_m(iv: np.ndarray, p: ModelParams) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.minimum(1.0, (p.k * p.alpha1 * iv) ** (1.0 / (1.0 - p.k)))
 
 
 def s_m(payoff, p: ModelParams):
@@ -103,13 +124,14 @@ def s_m(payoff, p: ModelParams):
     (k*alpha1*payoff)**(1/(1-k)) clamped to 1.  Continuous and non-decreasing.
     """
     iv = np.asarray(payoff, dtype=float)
-    if not np.all(np.isfinite(iv)):
-        raise NonFiniteError("pay-off must be finite")
-    if np.any(iv < 0.0):
-        raise DomainError("pay-off must be non-negative")
-    with np.errstate(over="ignore"):
-        out = np.minimum(1.0, (p.k * p.alpha1 * iv) ** (1.0 / (1.0 - p.k)))
+    _check_payoff(iv)
+    out = _s_m(iv, p)
     return float(out) if np.isscalar(payoff) or iv.ndim == 0 else out
+
+
+def _alpha_of_sm(iv: np.ndarray, p: ModelParams) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.minimum(p.alpha1, p.alpha1 * (p.k * p.alpha1 * iv) ** (p.k / (1.0 - p.k)))
 
 
 def alpha_of_sm(payoff, p: ModelParams):
@@ -119,13 +141,13 @@ def alpha_of_sm(payoff, p: ModelParams):
     alpha1, rather than by composing s_m and alpha.
     """
     iv = np.asarray(payoff, dtype=float)
-    if not np.all(np.isfinite(iv)):
-        raise NonFiniteError("pay-off must be finite")
-    if np.any(iv < 0.0):
-        raise DomainError("pay-off must be non-negative")
-    with np.errstate(over="ignore"):
-        out = np.minimum(p.alpha1, p.alpha1 * (p.k * p.alpha1 * iv) ** (p.k / (1.0 - p.k)))
+    _check_payoff(iv)
+    out = _alpha_of_sm(iv, p)
     return float(out) if np.isscalar(payoff) or iv.ndim == 0 else out
+
+
+def _q_integral(u: np.ndarray, p: ModelParams) -> np.ndarray:
+    return p.alpha1 * u ** (p.k + 1.0) / (p.k + 1.0)
 
 
 def q_integral(u, p: ModelParams):
@@ -134,7 +156,7 @@ def q_integral(u, p: ModelParams):
     if not np.all(np.isfinite(uv)):
         raise NonFiniteError("u must be finite")
     _check_unit_interval(uv, "u")
-    out = p.alpha1 * uv ** (p.k + 1.0) / (p.k + 1.0)
+    out = _q_integral(uv, p)
     return float(out) if np.isscalar(u) or uv.ndim == 0 else out
 
 

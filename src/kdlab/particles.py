@@ -16,7 +16,7 @@ agents together with their ids permutes the outcome exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,8 @@ class ParticleState:
 
     stream_ids assigns each array slot its random sub-stream; fresh states
     use 0..n-1.  (seed, step_index, stream_ids) fully determine all future
-    draws, which is what makes checkpoint/resume exact.
+    draws, which is what makes checkpoint/resume exact.  slot_of_id is the
+    inverse permutation, derived from stream_ids.
     """
 
     positions: np.ndarray
@@ -45,6 +46,7 @@ class ParticleState:
     seed: int
     step_index: int = 0
     stream_ids: np.ndarray | None = None
+    slot_of_id: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
@@ -65,6 +67,9 @@ class ParticleState:
             ):
                 raise DomainError("stream_ids must be a permutation of 0..n-1")
         object.__setattr__(self, "stream_ids", ids)
+        slot_of_id = np.empty(positions.size, dtype=np.int64)
+        slot_of_id[ids] = np.arange(positions.size, dtype=np.int64)
+        object.__setattr__(self, "slot_of_id", slot_of_id)
 
     @property
     def n(self) -> int:
@@ -148,9 +153,9 @@ def _ratio_fractions(positions: np.ndarray) -> np.ndarray:
     gap = srt[-1] - srt
     s_sorted = np.ones(n)
     safe = gap < math.log(n + 1.0) + 1.0
-    s_sorted[safe] = np.minimum(
-        1.0,
-        (np.exp(gap[safe]) * suffix[first[safe]] - (n - first[safe])) / n,
+    # Each summand is >= 0, so the clip at 0 only absorbs roundoff.
+    s_sorted[safe] = np.clip(
+        (np.exp(gap[safe]) * suffix[first[safe]] - (n - first[safe])) / n, 0.0, 1.0
     )
     out = np.empty(n)
     out[order] = s_sorted
@@ -178,26 +183,32 @@ def step_particles(
     if p.alpha1 > 0 and dt > 0.1 / p.alpha1 * (1.0 + 1e-12):
         raise DomainError(f"dt={dt} exceeds 0.1/alpha1={0.1 / p.alpha1}")
     n = state.n
-    ids = state.stream_ids
-    rates = model.alpha(eval_strategy(state, rule), p)
+    ids, x = state.stream_ids, state.positions
+    # Every rule's fractions lie in [0, 1] by construction, so the rate is unchecked.
+    rates = model._alpha(eval_strategy(state, rule), p)
 
     fire_u = _stream(state.seed, state.step_index, _FIRE).random(n)[ids]
-    fires = fire_u < -np.expm1(-rates * dt)
+    fired = np.flatnonzero(fire_u < -np.expm1(-rates * dt))
 
-    partner_draw = _stream(state.seed, state.step_index, _PARTNER).integers(0, n - 1, size=n)[ids]
-    partner_id = partner_draw + (partner_draw >= ids)
-    slot_of_id = np.empty(n, dtype=np.int64)
-    slot_of_id[ids] = np.arange(n, dtype=np.int64)
-    partner_pos = state.positions[slot_of_id[partner_id]]
+    # The partner stream is drawn in full, so its values do not depend on who fires.
+    fired_ids = ids[fired]
+    partner_draw = _stream(state.seed, state.step_index, _PARTNER).integers(0, n - 1, size=n)
+    partner_draw = partner_draw[fired_ids]
+    partner_pos = x[state.slot_of_id[partner_draw + (partner_draw >= fired_ids)]]
 
-    new = np.where(fires & (partner_pos > state.positions), partner_pos, state.positions)
+    own = x[fired]
+    new = x.copy()
+    new[fired] = np.where(partner_pos > own, partner_pos, own)
 
     noise = _stream(state.seed, state.step_index, _NOISE).standard_normal(n)[ids]
-    new = new + math.sqrt(2.0 * p.kappa * dt) * noise
+    new += math.sqrt(2.0 * p.kappa * dt) * noise
 
-    return replace(
-        state, positions=new, time=state.time + dt, step_index=state.step_index + 1
-    )
+    # The step keeps the positions finite and the seed and stream ids as they
+    # are, so the successor skips __post_init__'s O(n) checks.
+    successor = object.__new__(ParticleState)
+    vars(successor).update(vars(state), positions=new, time=state.time + dt,
+                           step_index=state.step_index + 1)
+    return successor
 
 
 @dataclass(frozen=True)

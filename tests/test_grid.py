@@ -5,9 +5,16 @@ import pytest
 import scipy.linalg
 
 from kdlab.backward import TerminalCondition, solve_backward
-from kdlab.errors import DomainError, GridMismatchError, OvershootError, SingularSystemError
+from kdlab.errors import (
+    DomainError,
+    GridMismatchError,
+    NonFiniteError,
+    OvershootError,
+    SingularSystemError,
+)
 from kdlab.forward import CONSTANT_ALPHA, INTRINSIC, RANK_LOCAL, solve_forward
 from kdlab.grid import (
+    OVERSHOOT_TOL,
     Grid1D,
     Profile,
     SpaceTimeField,
@@ -43,6 +50,15 @@ class TestGrid:
     def test_zero_duration(self):
         g = space_grid(0.0, 1.0, 16)
         assert g.nt == 0 and g.times.tolist() == [0.0]
+
+    def test_nodes_computed_once_and_read_only(self):
+        g = Grid1D(-20.0, 160.0, 3601, 0.0, 60.0, 6000)
+        x = g.x
+        assert x.tobytes() == np.linspace(g.x_min, g.x_max, g.nx).tobytes()
+        assert g.x is x
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
     def test_recommended_domain(self):
         x_min, x_max = recommended_domain(kappa=1.0, alpha1=0.25, horizon=120.0)
@@ -166,6 +182,25 @@ class TestSharedStepper:
         g = Grid1D(-10.0, 10.0, 101, 0.0, 0.5, 10)
         with pytest.raises(OvershootError):
             solve_forward(Profile(g, np.full(g.nx, 1.5)), CONSTANT_ALPHA, self.P, g)
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.nan, NonFiniteError), (np.inf, NonFiniteError), (-np.inf, NonFiniteError),
+        (1.0 + 2.0 * OVERSHOOT_TOL, OvershootError), (-2.0 * OVERSHOOT_TOL, OvershootError),
+    ])
+    def test_guard_names_the_failure(self, bad, error):
+        # kappa = 0 makes the implicit matrix the identity, so the slice is the rhs.
+        rhs = lambda n, u: np.where(np.arange(u.size) == 7, bad, u)
+        steps = _march(np.full(16, 0.5), 1, 0.1, 0.1, 0.0, rhs, ends=(0.5, 0.5))
+        next(steps)
+        with pytest.raises(error):
+            next(steps)
+
+    def test_guard_clamps_roundoff(self):
+        rhs = lambda n, u: np.where(np.arange(u.size) == 7, 1.0 + 0.5 * OVERSHOOT_TOL, u)
+        steps = _march(np.full(16, 0.5), 1, 0.1, 0.1, 0.0, rhs, ends=(0.5, 0.5))
+        next(steps)
+        _, u = next(steps)
+        assert u[7] == 1.0 and np.all(np.delete(u, 7) == 0.5)
 
     def test_forward_intrinsic_matches_replay(self):
         p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)

@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from kdlab.backward import TerminalCondition
 from kdlab.cli import main
-from kdlab.errors import CheckpointError, ConfigError
+from kdlab.errors import CheckpointError, ConfigError, DomainError, NonFiniteError
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
 from kdlab import harness
 from kdlab.harness import (
@@ -153,6 +154,23 @@ class TestRun:
         assert lines[0].startswith("# t=")
         assert lines[1] == "x,F,w,I,J,s"
 
+    def test_csv_rows_match_per_value_format(self, tmp_path):
+        # Each value as f"{v:.17g}" alone, the format the CSV files have always had.
+        vals = np.array([math.nan, -0.0, 5e-324, 1e308, 3.0, -2.0, 0.1, 1.0 / 3.0])
+        cfg = dataclasses.replace(tiny_particle_config(), grid=Grid1D(-1.0, 6.0, 8, 0.0, 1.0, 2))
+        cols = {"F": vals, "J": vals[::-1].copy()}
+        harness._write_snapshot(cfg, tmp_path, 3, 0.5, cols)
+        nan = np.full(8, math.nan)
+        rows = zip(cfg.grid.x, vals, nan, nan, vals[::-1], nan)
+        lines = ["# t=0.5", "x,F,w,I,J,s", *(",".join(f"{v:.17g}" for v in r) for r in rows)]
+        assert (tmp_path / "fields" / "snap_000003.csv").read_text() == "\n".join(lines) + "\n"
+
+        track_rows = [tuple(vals[i:i + 4]) for i in range(5)]
+        harness._write_tracks(tmp_path / "tracks.csv", track_rows)
+        lines = ["t,x_median,x_learning,x_intrinsic",
+                 *(",".join(f"{v:.17g}" for v in r) for r in track_rows)]
+        assert (tmp_path / "tracks.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_binary_snapshot_option(self, tmp_path):
         cfg = tiny_particle_config()
         cfg.binary_fields = True
@@ -280,6 +298,19 @@ class TestCheckpoint:
         del data[drop]
         np.savez(path, **data)
         with pytest.raises(CheckpointError, match=drop):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("stream_ids", np.array([0, 0, 1, 2]), DomainError),
+        ("positions", np.array([0.0, np.nan, 0.0, 0.0]), NonFiniteError),
+    ])
+    def test_loaded_state_is_checked(self, tmp_path, key, value, error):
+        path = tmp_path / "c.npz"
+        save_checkpoint(ParticleState(positions=np.zeros(4), time=0.0, seed=1), path)
+        data = dict(np.load(path, allow_pickle=False))
+        data[key] = value
+        np.savez(path, **data)
+        with pytest.raises(error):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("meta", ["{not json", "[1, 2]"])

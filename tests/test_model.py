@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdlab import model
 from kdlab.errors import DomainError, GridMismatchError, NonFiniteError
-from kdlab.grid import Profile
+from kdlab.forward import INTRINSIC, RANK_LOCAL, iter_forward
+from kdlab.grid import Grid1D, Profile, SpaceTimeField
+from kdlab.mfg import MfgConfig, solve_nash
 from kdlab.model import (
     ModelParams,
     TheoryPredictions,
@@ -19,6 +22,7 @@ from kdlab.model import (
     q_integral,
     s_m,
 )
+from kdlab.particles import ParticleState, StrategyRule, step_particles
 
 from conftest import monotone_pair, space_grid
 
@@ -245,3 +249,54 @@ class TestPayoff:
         bad[3] = np.nan
         with pytest.raises(NonFiniteError):
             Profile(g, bad)
+
+
+class TestCheckedOnce:
+    """The time loops run the checked functions a fixed number of times, not once per step."""
+
+    CHECKED = ("alpha", "s_m", "alpha_of_sm", "q_integral")
+
+    @staticmethod
+    def grid(nt):
+        return Grid1D(-20.0, 40.0, 301, 0.0, 2.0, nt)
+
+    @staticmethod
+    def ramp(g):
+        return Profile(g, np.clip((2.0 - g.x) / 4.0, 0.0, 1.0))
+
+    def sweep(self, kind, nt):
+        g = self.grid(nt)
+        if kind == "nash":
+            solve_nash(self.ramp(g), None, P_HALF, g, MfgConfig(tol=1e-300, max_iter=2))
+            return
+        if kind.startswith("particles"):
+            rule = StrategyRule(kind=kind.split("-", 1)[1], kernel_width=0.5)
+            st = ParticleState(positions=np.random.default_rng(0).normal(size=200),
+                               time=0.0, seed=3)
+            for _ in range(nt):
+                st = step_particles(st, rule, P_HALF, g.dt)
+            return
+        strategy = {"field": SpaceTimeField(g, np.full((nt + 1, g.nx), 0.5)),
+                    "intrinsic": INTRINSIC, "rank-local": RANK_LOCAL}[kind]
+        for _ in iter_forward(self.ramp(g), strategy, P_HALF, g):
+            pass
+
+    def counts(self, monkeypatch, kind, nt):
+        calls = dict.fromkeys(self.CHECKED, 0)
+        for name in self.CHECKED:
+            real = getattr(model, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(model, name, counted)
+        self.sweep(kind, nt)
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("kind", ["intrinsic", "rank-local", "field", "nash",
+                                      "particles-rank", "particles-ratio",
+                                      "particles-smoothed-rank"])
+    def test_counts_do_not_grow_with_steps(self, monkeypatch, kind):
+        assert self.counts(monkeypatch, kind, 10) == self.counts(monkeypatch, kind, 20)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kdlab.errors import DomainError
+from kdlab.errors import DomainError, NonFiniteError
 from kdlab.grid import Grid1D
 from kdlab.model import ModelParams, intrinsic_J
 from kdlab.particles import (
@@ -47,8 +47,8 @@ def ratio_reference(x):
     gap = srt[-1] - srt
     s_sorted = np.ones(n)
     safe = gap < math.log(n + 1.0) + 1.0
-    s_sorted[safe] = np.minimum(
-        1.0, (np.exp(gap[safe]) * suffix[first[safe]] - (n - first[safe])) / n
+    s_sorted[safe] = np.clip(
+        (np.exp(gap[safe]) * suffix[first[safe]] - (n - first[safe])) / n, 0.0, 1.0
     )
     out = np.empty(n)
     out[order] = s_sorted
@@ -107,6 +107,14 @@ class TestEvalStrategy:
         s = eval_strategy(state_at([0.0, 800.0]), StrategyRule(kind="ratio"))
         assert s[0] == 1.0 and s[1] == 0.0
 
+    def test_ratio_near_tie_stays_in_unit_interval(self):
+        # One agent a few ulps above 163 tied ones: the tied agents' sum of
+        # exponentials rounds below their count, by 1.7e-16 of n before the clip.
+        x = np.array([-4.094982039578388] + [-4.094982039578405] * 163)
+        s = eval_strategy(state_at(x), StrategyRule(kind="ratio"))
+        assert np.all((0.0 <= s) & (s <= 1.0))
+        assert step_particles(state_at(x), StrategyRule(kind="ratio"), P, 0.05).step_index == 1
+
     def test_smoothed_rank(self):
         x = np.array([0.0, 0.4, 5.0])
         s = eval_strategy(state_at(x), StrategyRule(kind="smoothed-rank", kernel_width=1.0))
@@ -123,6 +131,26 @@ class TestEvalStrategy:
             StrategyRule(kind="smoothed-rank")
         with pytest.raises(DomainError):
             StrategyRule(kind="smoothed-rank", kernel_width=True)
+
+
+class TestParticleState:
+    @pytest.mark.parametrize("ids", [[0, 0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2], [0, 1, 2]])
+    def test_stream_ids_must_be_a_permutation(self, ids):
+        with pytest.raises(DomainError):
+            state_at(np.zeros(4), stream_ids=np.array(ids))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_positions_must_be_finite(self, bad):
+        with pytest.raises(NonFiniteError):
+            state_at([0.0, bad, 1.0])
+
+    def test_step_carries_the_inverse_permutation(self):
+        ids = np.random.default_rng(5).permutation(30)
+        st = state_at(np.random.default_rng(6).normal(size=30), stream_ids=ids)
+        assert np.array_equal(st.slot_of_id[ids], np.arange(30))
+        out = step_particles(st, StrategyRule(kind="rank"), P, 0.05)
+        assert out.stream_ids is st.stream_ids and out.slot_of_id is st.slot_of_id
+        assert (out.time, out.seed, out.step_index) == (0.05, st.seed, 1)
 
 
 class TestStepParticles:
