@@ -239,6 +239,8 @@ def _march(
                 raise NonFiniteError(f"{name} became non-finite at step {n + 1}")
             raise OvershootError(f"{name} left [0,1] by {max(-lo, hi - 1.0):.3e} in one step")
         np.clip(u, 0.0, 1.0, out=u)
-        if slope and np.max(-slope * np.diff(u)) > SLOPE_TOL:
-            raise NumericalError(f"{name} lost monotonicity at step {n + 1}")
+        if slope:
+            diffs = u[1:] - u[:-1]
+            if (diffs.max() if slope < 0 else -diffs.min()) > SLOPE_TOL:
+                raise NumericalError(f"{name} lost monotonicity at step {n + 1}")
         yield n + 1, u

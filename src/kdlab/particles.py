@@ -11,11 +11,21 @@ Randomness is counter-based: every array of draws comes from a Philox stream
 keyed by (seed, step, purpose) and is indexed by persistent per-agent stream
 ids, so runs are reproducible regardless of execution order and permuting
 agents together with their ids permutes the outcome exactly.
+
+Nothing a step draws depends on the positions, so each step draws its three
+streams on a worker thread while the calling thread ranks the agents.  The
+Philox fills, the gathers and the argsort release the interpreter lock, so
+the two run at once on two cores.  The result does not depend on the
+overlap: each stream is a fresh Generator built from its own key, and the
+threads share no mutable state.  The worker is started and joined inside the
+step, so at most one extra thread exists, only while a step runs; nothing
+configures it.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,10 +131,15 @@ def _sort_with_ties(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _rank_fractions(positions: np.ndarray) -> np.ndarray:
-    order, _, first = _sort_with_ties(positions)
+    order, srt, first = _sort_with_ties(positions)
     n = positions.size
+    # (n - first) / n, computed in the sort's own buffers; first is dropped
+    # before out is allocated, so out can reuse its memory.
+    np.subtract(n, first, out=first)
+    np.divide(first, n, out=srt)
+    del first
     out = np.empty(n)
-    out[order] = (n - first) / n
+    out[order] = srt
     return out
 
 
@@ -176,31 +191,50 @@ def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _draws(seed: int, step: int, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step's three streams, each drawn in full: (fire uniforms by slot,
+    partner draws by stream id, innovation normals by slot).
+
+    The streams are independent, so the order of the draws is free; drawing
+    the ungathered partner stream last keeps at most three arrays of n alive
+    in the worker.
+    """
+    n = ids.size
+    noise = _stream(seed, step, _NOISE).standard_normal(n)[ids]
+    fire_u = _stream(seed, step, _FIRE).random(n)[ids]
+    partner_draw = _stream(seed, step, _PARTNER).integers(0, n - 1, size=n)
+    return fire_u, partner_draw, noise
+
+
 def step_particles(
     state: ParticleState, rule: StrategyRule, p: model.ModelParams, dt: float
 ) -> ParticleState:
-    """One tau-leap step; deterministic given (seed, step_index, stream_ids)."""
+    """One tau-leap step; deterministic given (seed, step_index, stream_ids).
+
+    The draws run on a worker thread started for this step while this thread
+    evaluates the strategy, and the worker is joined before the draws are
+    used, so the result is the same as drawing them in line.  An error the
+    worker raises is raised here.  The worker calls only private helpers, so
+    a tracer that wraps the public functions sees every call on this thread.
+    """
     if p.alpha1 > 0 and dt > 0.1 / p.alpha1 * (1.0 + 1e-12):
         raise DomainError(f"dt={dt} exceeds 0.1/alpha1={0.1 / p.alpha1}")
-    n = state.n
     ids, x = state.stream_ids, state.positions
-    # Every rule's fractions lie in [0, 1] by construction, so the rate is unchecked.
-    rates = model._alpha(eval_strategy(state, rule), p)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        drawing = worker.submit(_draws, state.seed, state.step_index, ids)
+        # Every rule's fractions lie in [0, 1] by construction, so the rate is unchecked.
+        rates = model._alpha(eval_strategy(state, rule), p)
+        fire_u, partner_draw, noise = drawing.result()
 
-    fire_u = _stream(state.seed, state.step_index, _FIRE).random(n)[ids]
     fired = np.flatnonzero(fire_u < -np.expm1(-rates * dt))
-
     # The partner stream is drawn in full, so its values do not depend on who fires.
     fired_ids = ids[fired]
-    partner_draw = _stream(state.seed, state.step_index, _PARTNER).integers(0, n - 1, size=n)
     partner_draw = partner_draw[fired_ids]
     partner_pos = x[state.slot_of_id[partner_draw + (partner_draw >= fired_ids)]]
 
     own = x[fired]
     new = x.copy()
     new[fired] = np.where(partner_pos > own, partner_pos, own)
-
-    noise = _stream(state.seed, state.step_index, _NOISE).standard_normal(n)[ids]
     new += math.sqrt(2.0 * p.kappa * dt) * noise
 
     # The step keeps the positions finite and the seed and stream ids as they

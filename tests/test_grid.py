@@ -9,12 +9,14 @@ from kdlab.errors import (
     DomainError,
     GridMismatchError,
     NonFiniteError,
+    NumericalError,
     OvershootError,
     SingularSystemError,
 )
 from kdlab.forward import CONSTANT_ALPHA, INTRINSIC, RANK_LOCAL, solve_forward
 from kdlab.grid import (
     OVERSHOOT_TOL,
+    SLOPE_TOL,
     Grid1D,
     Profile,
     SpaceTimeField,
@@ -201,6 +203,23 @@ class TestSharedStepper:
         next(steps)
         _, u = next(steps)
         assert u[7] == 1.0 and np.all(np.delete(u, 7) == 0.5)
+
+    @pytest.mark.parametrize("slope", [-1, 1])
+    @pytest.mark.parametrize("back, error", [(0.0, None), (0.5, None), (2.0, NumericalError)])
+    def test_guard_checks_the_slope_direction(self, slope, back, error):
+        # A ramp in the slope's direction with node 7 stepped back by `back`
+        # SLOPE_TOLs from node 6; the reversed ramp always fails.
+        ramp = np.linspace(0.1, 0.9, 16)[::slope]
+        ramp[7] = ramp[6] - slope * back * SLOPE_TOL
+        for sign, expected in ((slope, error), (-slope, NumericalError)):
+            steps = _march(ramp.copy(), 1, 0.1, 0.1, 0.0, lambda n, v: ramp.copy(),
+                           ends=(ramp[0], ramp[-1]), slope=sign)
+            next(steps)
+            if expected is None:
+                assert np.array_equal(next(steps)[1], ramp)
+            else:
+                with pytest.raises(expected):
+                    next(steps)
 
     def test_forward_intrinsic_matches_replay(self):
         p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)

@@ -1,12 +1,24 @@
 """Agent simulator: strategies, tau-leap stepping, RNG contracts, CDF."""
 
+import functools
+import hashlib
+import inspect
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import kdlab
+from kdlab import model, particles
 from kdlab.errors import DomainError, NonFiniteError
 from kdlab.grid import Grid1D
 from kdlab.model import ModelParams, intrinsic_J
@@ -236,6 +248,119 @@ class TestStepParticles:
             out = step_particles(st, StrategyRule(kind="rank"), p0, dt=0.05)
             after = empirical_cdf(out, g).profile.values
             assert np.all(after >= before - 1e-15)
+
+
+#: sha256 of the positions after 20 steps from the same start, recorded on the
+#: code that drew every stream in line after the ranking: (rule, n, fresh
+#: stream ids, permuted stream ids).
+TRAJECTORY_HASHES = [
+    ("rank", 5000,
+     "64b0729d46cfdff2afcdfbaf8a031616205fae42d189fc8bcbb3fb854ba5137c",
+     "a62b74e38267d90ceaa06b9eb9eef914cb582c9b8fe122cc8b74e5110f315e4d"),
+    ("smoothed-rank", 500,
+     "15f032a2fb6de88057dfbf18fcd116ae81fbf5c20f38eec1d0cb788c3e04d356",
+     "e73fecc72217cd1f3e747a38c2eef9c9f97efe87a491ac4cc96ca14a705d5f8c"),
+    ("ratio", 5000,
+     "3cfa7b9478fc2f2b35efa325f2125397084ca44490a238480cdd2feeda348b7e",
+     "f8468fbb131b75cf7d2ace23c291da31641c307ce04eb15124de72e5868698af"),
+]
+
+
+def make_rule(kind):
+    return StrategyRule(kind=kind, kernel_width=0.5 if kind == "smoothed-rank" else None)
+
+
+class TestTrajectoryHashes:
+    @pytest.mark.parametrize("kind, n, fresh, permuted", TRAJECTORY_HASHES,
+                             ids=[row[0] for row in TRAJECTORY_HASHES])
+    def test_twenty_steps_are_bit_identical(self, kind, n, fresh, permuted):
+        rule = make_rule(kind)
+        for ids, expected in ((False, fresh), (True, permuted)):
+            rng = np.random.default_rng(2024)
+            x = rng.normal(size=n)
+            st = state_at(x, seed=11, stream_ids=rng.permutation(n) if ids else None)
+            for _ in range(20):
+                st = step_particles(st, rule, P, 0.05)
+            assert hashlib.sha256(st.positions.tobytes()).hexdigest() == expected, ids
+
+
+class Boom(Exception):
+    pass
+
+
+class TestDrawWorker:
+    """The per-step worker thread that draws the Philox streams."""
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def fail(*args):
+            raise Boom("stream")
+
+        monkeypatch.setattr(particles, "_stream", fail)
+        before = threading.active_count()
+        with pytest.raises(Boom, match="stream"):
+            step_particles(state_at(np.linspace(-1, 1, 50)), StrategyRule(kind="rank"), P, 0.05)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_step(self):
+        before = threading.active_count()
+        st = state_at(np.random.default_rng(4).normal(size=1000), seed=2)
+        for _ in range(50):
+            st = step_particles(st, StrategyRule(kind="rank"), P, 0.05)
+        assert threading.active_count() == before
+
+    def test_import_starts_no_thread(self):
+        src = Path(kdlab.__file__).resolve().parents[1]
+        code = "import threading, kdlab; print(threading.active_count())"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+        assert out.stdout.strip() == "1"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_step_in_a_forked_child_finishes(self):
+        rule = StrategyRule(kind="rank")
+        st = step_particles(state_at(np.linspace(-1, 1, 500), seed=3), rule, P, 0.05)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if step_particles(st, rule, P, 0.05).step_index == 2 else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("a step in a forked child did not finish")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.parametrize("kind", ["rank", "smoothed-rank", "ratio"])
+    def test_public_calls_stay_on_the_calling_thread(self, monkeypatch, kind):
+        # A single-stack tracer wraps the public functions, so none of them
+        # may run on the worker.
+        calls = []
+
+        def recording(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append((fn.__name__, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (particles, model):
+            for name, fn in list(vars(mod).items()):
+                if (not name.startswith("_") and inspect.isfunction(fn)
+                        and fn.__module__ == mod.__name__):
+                    monkeypatch.setattr(mod, name, recording(fn))
+        st = state_at(np.random.default_rng(5).normal(size=200), seed=4)
+        for _ in range(5):
+            st = particles.step_particles(st, make_rule(kind), P, 0.05)
+        assert {"step_particles", "eval_strategy"} <= {name for name, _ in calls}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 class TestEmpiricalCdf:
