@@ -13,7 +13,6 @@ from .analysis import (
     SpeedFit,
     default_window,
     estimate_speed,
-    learning_front,
     locate_level,
     run_diagnostics,
 )
@@ -40,14 +39,12 @@ from .grid import (
     SpaceTimeField,
     recommended_domain,
 )
-from .mfg import MfgConfig, MfgSolution, best_response, residual, solve_nash
+from .mfg import MfgConfig, MfgSolution, best_response, solve_nash
 from .model import (
     ModelParams,
     TheoryPredictions,
     alpha,
     alpha_of_sm,
-    intrinsic_J,
-    payoff_I,
     q_integral,
     s_m,
 )

@@ -25,12 +25,11 @@ import numpy as np
 from . import model
 from .errors import (
     DomainError,
-    FrontBracketError,
     FrontOffGridLeft,
     FrontOffGridRight,
     NonMonotoneProfileError,
 )
-from .grid import SLOPE_TOL, Grid1D, Profile
+from .grid import SLOPE_TOL, Profile
 
 #: Multiplicative slack on the decay bounds, absorbing quadrature and
 #: interpolation error.
@@ -39,26 +38,18 @@ DECAY_SLACK = 1.05
 GROWTH_SLACK = 1e-6
 
 
-def locate_level(
-    prof: Profile, level: float, direction: str = "decreasing", check_monotone: bool = True
-) -> float:
-    """Position where a monotone profile crosses the level, by linear interpolation.
+def locate_level(prof: Profile, level: float) -> float:
+    """Position where a non-increasing profile crosses the level, by linear interpolation.
 
     Raises FrontOffGridLeft/Right when the level is not bracketed, and
-    NonMonotoneProfileError when the profile bends the wrong way by more than
-    the slope tolerance.
+    NonMonotoneProfileError when the profile rises by more than the slope
+    tolerance.
     """
-    if direction not in ("decreasing", "increasing"):
-        raise DomainError(f"direction must be decreasing or increasing, got {direction!r}")
     v = prof.values
     lvl = float(level)
-    if direction == "increasing":
-        v = -v
-        lvl = -lvl
-    if check_monotone:
-        scale = max(1.0, float(np.max(np.abs(v))))
-        if np.max(np.diff(v)) > SLOPE_TOL * scale:
-            raise NonMonotoneProfileError("profile is not monotone in the stated direction")
+    scale = max(1.0, float(np.max(np.abs(v))))
+    if np.max(np.diff(v)) > SLOPE_TOL * scale:
+        raise NonMonotoneProfileError("profile is not non-increasing")
     if v[0] <= lvl:
         raise FrontOffGridLeft(f"level {level} not bracketed: crossing left of the grid")
     if v[-1] >= lvl:
@@ -70,26 +61,13 @@ def _front(v: np.ndarray, x: np.ndarray, lvl: float) -> float:
     """Where decreasing values v on the nodes x cross lvl; NaN when off the grid.
 
     locate_level unchecked, on arrays: the recorders call it on every sampled
-    slice of a sweep, whose values are finite.
+    slice of a sweep and the diagnostics on every snapshot, all finite.
     """
     if v[0] <= lvl or v[-1] >= lvl:
         return math.nan
     i = int(np.argmax(v < lvl))  # first node strictly below the level
     frac = (v[i - 1] - lvl) / (v[i - 1] - v[i])
     return float(x[i - 1] + frac * (x[i] - x[i - 1]))
-
-
-def front_or_nan(prof: Profile, level: float) -> float:
-    """locate_level on a decreasing profile, unchecked; NaN when the crossing is off the grid."""
-    try:
-        return locate_level(prof, level, "decreasing", check_monotone=False)
-    except FrontBracketError:
-        return math.nan
-
-
-def learning_front(payoff_prof: Profile, p: model.ModelParams) -> float:
-    """Where the pay-off crosses the full-search threshold 1/alpha'(1)."""
-    return locate_level(payoff_prof, p.i_crit, "decreasing")
 
 
 @dataclass
@@ -103,12 +81,11 @@ class SpeedFit:
 
 @dataclass
 class FrontTrack:
-    """Time series of one front location, with an optional fitted speed."""
+    """Time series of one front location."""
 
     kind: str
     times: np.ndarray
     positions: np.ndarray
-    fit: SpeedFit | None = None
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -120,7 +97,7 @@ class FrontTrack:
 
 
 def estimate_speed(track: FrontTrack, window: tuple[float, float]) -> SpeedFit:
-    """Least-squares speed of a front over the window; stored on the track."""
+    """Least-squares speed of a front over the window."""
     a, b = window
     mask = (track.times >= a) & (track.times <= b) & np.isfinite(track.positions)
     t = track.times[mask]
@@ -131,9 +108,7 @@ def estimate_speed(track: FrontTrack, window: tuple[float, float]) -> SpeedFit:
     resid = x - (slope * t + intercept)
     ss_tot = float(np.sum((x - x.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    fit = SpeedFit(float(slope), float(intercept), r2, (float(a), float(b)), int(t.size))
-    track.fit = fit
-    return fit
+    return SpeedFit(float(slope), float(intercept), r2, (float(a), float(b)), int(t.size))
 
 
 def default_window(t0: float, t_final: float) -> tuple[float, float]:
@@ -152,23 +127,6 @@ class Snapshot:
     payoff: Profile | None = None
     intrinsic: Profile | None = None
     strategy: Profile | None = None
-
-    @classmethod
-    def from_fields(
-        cls,
-        grid: Grid1D,
-        t: float,
-        F_vals: np.ndarray,
-        p: model.ModelParams,
-        w_vals: np.ndarray | None = None,
-        s_vals: np.ndarray | None = None,
-    ) -> "Snapshot":
-        F = Profile(grid, F_vals)
-        w = Profile(grid, w_vals) if w_vals is not None else None
-        payoff = model.payoff_I(F, w, p) if w is not None else None
-        intrinsic = model.intrinsic_J(F, p)
-        strategy = Profile(grid, s_vals) if s_vals is not None else None
-        return cls(t=t, F=F, w=w, payoff=payoff, intrinsic=intrinsic, strategy=strategy)
 
 
 @dataclass
@@ -247,7 +205,7 @@ def check_snapshot(snap: Snapshot, p: model.ModelParams) -> list[CheckResult]:
     # Decay beyond the learning front, against the run's operative pay-off.
     prof = snap.payoff if snap.payoff is not None else snap.intrinsic
     if prof is not None and p.alpha1 > 0:
-        front = front_or_nan(prof, p.i_crit)
+        front = _front(prof.values, x, p.i_crit)
         if math.isfinite(front):
             ahead = x > front
             if np.any(ahead):
@@ -329,10 +287,11 @@ def run_diagnostics(
 
     dx = snapshots[0].F.grid.dx
     times = np.array([s.t for s in snapshots])
-    e_front = np.array([front_or_nan(s.intrinsic, p.i_crit) for s in snapshots])
+    e_front = np.array([_front(s.intrinsic.values, s.intrinsic.x, p.i_crit) for s in snapshots])
     have_w = all(s.payoff is not None for s in snapshots)
     l_front = (
-        np.array([front_or_nan(s.payoff, p.i_crit) for s in snapshots]) if have_w else None
+        np.array([_front(s.payoff.values, s.payoff.x, p.i_crit) for s in snapshots])
+        if have_w else None
     )
 
     # Learning front sandwiched by the intrinsic front: eta <= e and the
@@ -372,11 +331,12 @@ def run_diagnostics(
         )
 
     # Level-set tightness of the distribution: the 0.1-0.9 width stops growing.
-    widths = np.array([front_or_nan(s.F, 0.1) - front_or_nan(s.F, 0.9) for s in snapshots])
+    widths = np.array([_front(s.F.values, s.F.x, 0.1) - _front(s.F.values, s.F.x, 0.9)
+                       for s in snapshots])
     _stable_series("levelset_tightness", times, widths, report.results)
 
     # Median never outruns the learning front by a growing margin.
-    medians = np.array([front_or_nan(s.F, 0.5) for s in snapshots])
+    medians = np.array([_front(s.F.values, s.F.x, 0.5) for s in snapshots])
     ref = l_front if l_front is not None else e_front
     _stable_series("median_vs_learning", times, medians - ref, report.results)
     return report

@@ -102,10 +102,6 @@ class Grid1D:
         x.flags.writeable = False
         return x
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.nt + 1) if self.nt else np.array([self.t0])
-
     def time_at(self, j: int) -> float:
         return self.t0 + j * self.dt if self.nt else self.t0
 
@@ -165,13 +161,6 @@ class SpaceTimeField:
             raise NonFiniteError("field values must be finite")
         self.grid = grid
         self.values = values
-
-    def profile_at(self, j: int) -> Profile:
-        return Profile(self.grid, self.values[j])
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpaceTimeField):

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable
@@ -282,21 +283,33 @@ def _snapshot(grid: Grid1D, t: float, cols: dict[str, np.ndarray]) -> Snapshot:
 
 
 def _read_snapshot(path: Path) -> Snapshot:
-    """Inverse of _write_snapshot for one CSV or npz file."""
-    if path.suffix == ".npz":
-        with np.load(path, allow_pickle=False) as data:
-            cols = {name: np.atleast_1d(data[name]) for name in data.files if name != "t"}
-            t = float(data["t"])
-    else:
-        with open(path) as f:
-            header = f.readline().strip()
-        if not header.startswith("# t="):
-            raise ConfigError(f"{path}: missing '# t=' header")
-        t = float(header[4:])
-        data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
-        cols = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
-    x = cols["x"]
-    return _snapshot(Grid1D(float(x[0]), float(x[-1]), x.size, t, t, 0), t, cols)
+    """Inverse of _write_snapshot for one CSV or npz file.
+
+    A file that does not parse, or lacks the x column or a finite F column,
+    raises ConfigError naming it.
+    """
+    try:
+        if path.suffix == ".npz":
+            with np.load(path, allow_pickle=False) as data:
+                cols = {name: np.atleast_1d(data[name]) for name in data.files if name != "t"}
+                t = float(data["t"])
+        else:
+            with open(path) as f:
+                header = f.readline().strip()
+            if not header.startswith("# t="):
+                raise ConfigError(f"{path}: missing '# t=' header")
+            t = float(header[4:])
+            data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
+            cols = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
+        x = cols["x"]
+        snap = _snapshot(Grid1D(float(x[0]), float(x[-1]), x.size, t, t, 0), t, cols)
+    except KdlabError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: malformed snapshot: {exc!r}") from exc
+    if snap.F is None:
+        raise ConfigError(f"{path}: snapshot has no finite F column")
+    return snap
 
 
 def _diagnose(config: ExperimentConfig, snaps: list[Snapshot]) -> DiagnosticsReport:

@@ -85,17 +85,6 @@ def _residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def residual(s_new, s_old) -> float:
-    """Sup-norm distance between two strategy fields (or arrays)."""
-    a = s_new.values if isinstance(s_new, SpaceTimeField) else np.asarray(s_new)
-    b = s_old.values if isinstance(s_old, SpaceTimeField) else np.asarray(s_old)
-    if a.shape != b.shape:
-        raise GridMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return _residual(a, b)
-
-
 def solve_nash(
     F0: Profile,
     wT: TerminalCondition | Profile | None,
@@ -137,7 +126,7 @@ def solve_nash(
     s_field = SpaceTimeField(grid, s)
 
     if wT is None:
-        center = locate_level(Profile(grid, J), p.i_crit, "decreasing")
+        center = locate_level(Profile(grid, J), p.i_crit)
         wT = TerminalCondition(kind="logistic", center=center, slope=1.0)
 
     if grid.nt == 0:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .errors import DomainError, GridMismatchError, NonFiniteError
-from .grid import Profile, check_numbers
+from .errors import DomainError, NonFiniteError
+from .grid import check_numbers
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,8 @@ def _cell_weights(dx: float) -> tuple[float, float]:
 def discounted_tail(g: np.ndarray, dx: float, rho_minus_kappa: float) -> np.ndarray:
     """e^{-x} integral of e^y g(y) from each node to the right edge, over rho-kappa.
 
+    The one pay-off kernel: with g = F*w it is the learning pay-off I, with
+    g = F the intrinsic pay-off J, which dominates I wherever w <= 1.
     Works on the last axis, so whole space-time fields evaluate in one call.
     Computed right to left as I[i] = e^{dx} * I[i+1] + cell[i]: every step
     applies only weights e^{y - x_i} with y - x_i <= dx, so intermediate
@@ -190,34 +192,3 @@ def discounted_tail(g: np.ndarray, dx: float, rho_minus_kappa: float) -> np.ndar
     out = np.zeros(g.shape, dtype=float)
     out[..., :-1] = acc[..., ::-1]
     return out
-
-
-def _validate_pair(f: Profile, w: Profile) -> None:
-    if f.grid != w.grid:
-        raise GridMismatchError("profiles live on different grids")
-    _check_unit_interval(f.values, "F")
-    _check_unit_interval(w.values, "w")
-
-
-def payoff_I(F: Profile, w: Profile, p: ModelParams) -> Profile:
-    """Discounted expected gain from one successful search, at every node.
-
-    I(x) = (rho-kappa)^{-1} e^{-x} * integral over [x, inf) of e^y w F dy,
-    truncated at the right grid edge.  Non-negative, and non-increasing when
-    F is non-increasing and w is in [0, 1].
-    """
-    _validate_pair(F, w)
-    vals = discounted_tail(F.values * w.values, F.grid.dx, p.rho_minus_kappa)
-    return Profile(F.grid, vals)
-
-
-def intrinsic_J(F: Profile, p: ModelParams) -> Profile:
-    """Pay-off computable from the agent distribution alone (w replaced by 1).
-
-    Shares the kernel with payoff_I, so intrinsic_J(F) equals
-    payoff_I(F, ones) bit for bit, and dominates payoff_I for any w <= 1.
-    """
-    if np.any(F.values < 0.0) or np.any(F.values > 1.0):
-        raise DomainError("F must lie in [0, 1]")
-    vals = discounted_tail(F.values, F.grid.dx, p.rho_minus_kappa)
-    return Profile(F.grid, vals)

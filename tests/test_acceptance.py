@@ -13,7 +13,7 @@ import pytest
 from kdlab.analysis import FrontTrack, estimate_speed
 from kdlab.forward import CONSTANT_ALPHA, solve_forward
 from kdlab.grid import Grid1D, Profile
-from kdlab.model import ModelParams, intrinsic_J, payoff_I
+from kdlab.model import ModelParams, discounted_tail
 from kdlab.particles import ParticleState, empirical_cdf
 
 from conftest import bramson_delay, corrected_gap_track, gap_track, read_tracks
@@ -162,7 +162,7 @@ class TestCriterion4OracleSuite:
         rng = np.random.default_rng(31)
         f = np.sort(rng.random(g.nx))[::-1]
         w = np.sort(rng.random(g.nx))
-        I = payoff_I(Profile(g, f), Profile(g, w), p).values
+        I = discounted_tail(f * w, g.dx, p.rho_minus_kappa)
         h = g.dx
         em1 = math.expm1(h)
         wa, wb = em1 / h - 1.0, 1.0 + em1 * (h - 1.0) / h
@@ -226,7 +226,8 @@ class TestCriterion6ParticlePdeConsistency:
             nx = int(round((x.max() + dx - lo) / dx)) + 1
             g = Grid1D(lo, lo + (nx - 1) * dx, nx, 0.0, 0.0, 0)
             st = ParticleState(positions=x, time=0.0, seed=trial)
-            J = intrinsic_J(empirical_cdf(st, g).profile, p).values
+            F = empirical_cdf(st, g).profile.values
+            J = discounted_tail(F, g.dx, p.rho_minus_kappa)
             direct = np.array([np.sum(np.exp(x[x > xq] - xq) - 1.0) / 200 for xq in g.x])
             rel = np.abs(p.rho_minus_kappa * J - direct) / np.maximum(direct, 1e-3)
             worst = max(worst, float(np.max(rel)))

@@ -8,8 +8,8 @@ import pytest
 from kdlab.analysis import (
     FrontTrack,
     Snapshot,
+    _front,
     estimate_speed,
-    learning_front,
     locate_level,
     run_diagnostics,
 )
@@ -20,65 +20,78 @@ from kdlab.errors import (
     NonMonotoneProfileError,
 )
 from kdlab.grid import Profile
-from kdlab.model import ModelParams
+from kdlab.harness import _snapshot
+from kdlab.model import ModelParams, discounted_tail
 
 from conftest import corrected_gap_track, space_grid
 
 P = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5, k=0.5)  # i_crit = 4
 
 
+def _locate(prof, level):
+    """locate_level(prof, level), checking on the way that the unchecked _front
+    the diagnostics call agrees: bit for bit where locate_level returns, NaN
+    where it raises FrontOffGridLeft or FrontOffGridRight."""
+    front = _front(prof.values, prof.grid.x, level)
+    try:
+        pos = locate_level(prof, level)
+    except (FrontOffGridLeft, FrontOffGridRight):
+        assert math.isnan(front)
+        raise
+    assert front == pos
+    return pos
+
+
 class TestLocateLevel:
     def test_linear(self):
         g = space_grid(0.0, 1.0, 11)
-        assert locate_level(Profile(g, 1.0 - g.x), 0.5) == pytest.approx(0.5)
+        assert _locate(Profile(g, 1.0 - g.x), 0.5) == pytest.approx(0.5)
 
     def test_step_between_nodes(self):
         g = space_grid(0.0, 7.0, 8)  # nodes at integers
         prof = Profile(g, np.where(g.x <= 2.0, 1.0, 0.0))
-        assert locate_level(prof, 0.5) == pytest.approx(2.5)
+        assert _locate(prof, 0.5) == pytest.approx(2.5)
 
     def test_exponential(self):
         g = space_grid(0.0, 3.0, 301)
         prof = Profile(g, np.exp(-2.0 * g.x))
-        assert locate_level(prof, math.exp(-1.0)) == pytest.approx(0.5, abs=1e-4)
+        assert _locate(prof, math.exp(-1.0)) == pytest.approx(0.5, abs=1e-4)
 
     def test_increasing_direction(self):
+        # An increasing profile is located by negating it and the level.
         g = space_grid(0.0, 1.0, 11)
-        assert locate_level(Profile(g, g.x), 0.3, "increasing") == pytest.approx(0.3)
+        assert _locate(Profile(g, -g.x), -0.3) == pytest.approx(0.3)
 
     def test_errors(self):
         g = space_grid(0.0, 1.0, 11)
         wiggle = np.cos(7 * g.x)
         with pytest.raises(NonMonotoneProfileError):
-            locate_level(Profile(g, wiggle), 0.0)
+            _locate(Profile(g, wiggle), 0.0)
         with pytest.raises(FrontOffGridLeft):
-            locate_level(Profile(g, 0.2 * (1.0 - g.x)), 0.5)
+            _locate(Profile(g, 0.2 * (1.0 - g.x)), 0.5)
         with pytest.raises(FrontOffGridRight):
-            locate_level(Profile(g, 1.0 - 0.2 * g.x), 0.5)
-        with pytest.raises(DomainError):
-            locate_level(Profile(g, 1.0 - g.x), 0.5, direction="sideways")
+            _locate(Profile(g, 1.0 - 0.2 * g.x), 0.5)
 
     def test_constant_at_level_is_degenerate(self):
         g = space_grid(0.0, 1.0, 11)
         with pytest.raises(FrontOffGridLeft):
-            locate_level(Profile(g, np.full(g.nx, 4.0)), 4.0)
+            _locate(Profile(g, np.full(g.nx, 4.0)), 4.0)
 
-
-class TestLearningFront:
-    def test_closed_form(self):
-        g = space_grid(0.0, 5.0, 2001)
-        prof = Profile(g, 8.0 * np.exp(-g.x))
-        assert learning_front(prof, P) == pytest.approx(math.log(2.0), abs=1e-4)
-
-    def test_off_grid_left(self):
-        g = space_grid(0.0, 5.0, 101)
-        with pytest.raises(FrontOffGridLeft):
-            learning_front(Profile(g, np.exp(-2.0 * g.x)), P)  # max is 1 < 4
-
-    def test_off_grid_right(self):
-        g = space_grid(0.0, 5.0, 101)
-        with pytest.raises(FrontOffGridRight):
-            learning_front(Profile(g, 100.0 - g.x), P)
+    # The learning front: where the pay-off crosses the full-search threshold
+    # P.i_crit = 4.
+    @pytest.mark.parametrize("nx, payoff, expected", [
+        (2001, lambda x: 8.0 * np.exp(-x), math.log(2.0)),
+        (101, lambda x: np.exp(-2.0 * x), FrontOffGridLeft),  # max is 1 < 4
+        (101, lambda x: 100.0 - x, FrontOffGridRight),
+    ], ids=["closed-form", "off-grid-left", "off-grid-right"])
+    def test_learning_front(self, nx, payoff, expected):
+        g = space_grid(0.0, 5.0, nx)
+        prof = Profile(g, payoff(g.x))
+        if isinstance(expected, float):
+            assert _locate(prof, P.i_crit) == pytest.approx(expected, abs=1e-4)
+        else:
+            with pytest.raises(expected):
+                _locate(prof, P.i_crit)
 
 
 class TestEstimateSpeed:
@@ -108,11 +121,19 @@ class TestEstimateSpeed:
             FrontTrack("median", [1.0, 0.0], [0.0, 1.0])
 
 
+def _snap(g, t, F, w=None):
+    """The harness's snapshot of one slice: J, and I where w is given, by discounted_tail."""
+    cols = {"F": F, "J": discounted_tail(F, g.dx, P.rho_minus_kappa)}
+    if w is not None:
+        cols.update(w=w, I=discounted_tail(F * w, g.dx, P.rho_minus_kappa))
+    return _snapshot(g, t, cols)
+
+
 def _steady_snapshot(t=0.0):
     g = space_grid(-10.0, 30.0, 801)
     F = np.clip((5.0 - g.x) / 10.0, 0.0, 1.0)
     w = np.clip((g.x + 5.0) / 10.0, 0.0, 1.0)
-    return Snapshot.from_fields(g, t, F, P, w_vals=w, s_vals=None)
+    return _snap(g, t, F, w)
 
 
 class TestDiagnostics:
@@ -145,9 +166,7 @@ class TestDiagnostics:
     def test_temporal_checks_catch_shrinking_payoff(self):
         # A distribution pushed leftward violates the pay-off growth bound.
         g = space_grid(-10.0, 30.0, 801)
-        mk = lambda t, c: Snapshot.from_fields(
-            g, t, np.clip((c - g.x) / 10.0, 0.0, 1.0), P
-        )
+        mk = lambda t, c: _snap(g, t, np.clip((c - g.x) / 10.0, 0.0, 1.0))
         report = run_diagnostics([mk(0.0, 5.0), mk(1.0, 4.0)], P)
         assert "intrinsic_growth" in {r.check for r in report.failures()}
 
@@ -164,7 +183,7 @@ class TestDiagnostics:
         def snap(t, width):
             center = 1.2 * t
             F = np.clip(0.5 - (g.x - center) / width, 0.0, 1.0)
-            return Snapshot.from_fields(g, t, F, P)
+            return _snap(g, t, F)
 
         times = np.linspace(0.0, 40.0, 21)
         diverging = [snap(t, 4.0 + 0.5 * t) for t in times]

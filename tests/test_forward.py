@@ -16,7 +16,7 @@ from kdlab.forward import (
     solve_forward,
 )
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
-from kdlab.model import ModelParams, discounted_tail, intrinsic_J, q_integral
+from kdlab.model import ModelParams, discounted_tail, q_integral
 
 from conftest import monotone_pair, space_grid
 
@@ -219,12 +219,12 @@ class TestIntrinsicClosure:
         g = Grid1D(-20.0, 100.0, 1201, 0.0, 30.0, 1500)
         F0 = Profile(g, np.clip((5.0 - g.x) / 10.0, 0.0, 1.0))
         sol = solve_forward(F0, INTRINSIC, p, g)
-        from kdlab.analysis import locate_level
+        from kdlab.analysis import _front
 
         fronts = []
         for j in (500, 1000, 1500):
-            J = intrinsic_J(Profile(g, sol.values[j]), p)
-            fronts.append(locate_level(J, p.i_crit, check_monotone=False))
+            J = discounted_tail(sol.values[j], g.dx, p.rho_minus_kappa)
+            fronts.append(_front(J, g.x, p.i_crit))
         v1 = (fronts[1] - fronts[0]) / 10.0
         v2 = (fronts[2] - fronts[1]) / 10.0
         assert 1.1 < v1 < 1.4 and 1.1 < v2 < 1.4

@@ -501,6 +501,24 @@ class TestCli:
         assert "diagnostics: PASS" in out
         assert_diagnostics_rebuilt(res.out_dir)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda f: f.write_text(f.read_text().replace("x,F,", "y,F,", 1)),
+        lambda f: f.write_text(f.read_text() + "1,2\n"),
+        lambda f: f.write_text(f.read_text().replace("x,F,", "x,G,", 1)),
+        lambda f: f.rename(f.with_suffix(".npz")),
+    ], ids=["no-x-column", "ragged-row", "no-F-column", "csv-named-npz"])
+    def test_diag_malformed_snapshot_exit_code(self, tmp_path, corrupt, capsys):
+        p = ModelParams(kappa=1.0, rho=2.0, alpha1=1.0)
+        grid = Grid1D(-20.0, 40.0, 241, 0.0, 2.0, 40)
+        cfg = ExperimentConfig(name="mini-kpp", mode="kpp", params=p, grid=grid,
+                               snapshot_stride=20)
+        run_dir = run(cfg, tmp_path / "mini-kpp").out_dir
+        snap = sorted((run_dir / "fields").glob("snap_*.csv"))[1]
+        corrupt(snap)
+        assert main(["diag", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and snap.stem in err
+
     def test_diag_reads_binary_snapshots(self, tmp_path, capsys):
         p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)
         grid = Grid1D(-20.0, 40.0, 241, 0.0, 2.0, 40)

@@ -1,17 +1,18 @@
 """Fixed-point loop: best response, residuals, convergence, equilibrium structure."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kdlab.analysis import locate_level
+from kdlab.analysis import _front, locate_level
 from kdlab.backward import TerminalCondition, solve_backward
 from kdlab.errors import DomainError, GridMismatchError
 from kdlab.forward import INTRINSIC, solve_forward
 from kdlab.grid import Grid1D, Profile
-from kdlab.mfg import MfgConfig, best_response, residual, solve_nash
-from kdlab.model import ModelParams, intrinsic_J, payoff_I, s_m
+from kdlab.mfg import MfgConfig, _residual, best_response, solve_nash
+from kdlab.model import ModelParams, discounted_tail, s_m
 
 from conftest import space_grid
 
@@ -52,28 +53,33 @@ def two_step_nash():
 
 def _default_terminal(F0, grid, p):
     """The documented default wT: a unit-slope logistic at the final intrinsic front."""
-    F_end = solve_forward(F0, INTRINSIC, p, grid).profile_at(grid.nt)
-    center = locate_level(intrinsic_J(F_end, p), p.i_crit, "decreasing")
+    F_end = solve_forward(F0, INTRINSIC, p, grid).values[grid.nt]
+    J_end = discounted_tail(F_end, grid.dx, p.rho_minus_kappa)
+    center = locate_level(Profile(grid, J_end), p.i_crit)
     return TerminalCondition(kind="logistic", center=center, slope=1.0)
 
 
+def _payoff(sol, grid, j, p):
+    """The learning pay-off of slice j of a solution, as the harness records it."""
+    F, w = sol.F_field.values[j], sol.w_field.values[j]
+    return discounted_tail(F * w, grid.dx, p.rho_minus_kappa)
+
+
 class TestResidual:
+    """The sup-norm distance the Picard loop measures between strategies."""
+
     def test_examples(self):
         a = np.zeros((4, 5))
         b = a.copy()
-        assert residual(a, b) == 0.0
+        assert _residual(a, b) == 0.0
         b[2, 3] = 0.3
-        assert residual(a, b) == pytest.approx(0.3)
+        assert _residual(a, b) == pytest.approx(0.3)
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(0)
         a, b = rng.random((6, 7)), rng.random((6, 7))
         brute = max(abs(a[i, j] - b[i, j]) for i in range(6) for j in range(7))
-        assert residual(a, b) == pytest.approx(brute, abs=0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(GridMismatchError):
-            residual(np.zeros((2, 3)), np.zeros((3, 2)))
+        assert _residual(a, b) == pytest.approx(brute, abs=0)
 
 
 class TestBestResponse:
@@ -113,7 +119,7 @@ class TestSolveNash:
         sol = solve_nash(F0, wT, P_LOTTERY, g, MfgConfig())
         assert sol.converged and sol.iterations == 1
         bres = best_response(sol.F_field.values, sol.w_field.values, g.dx, P_LOTTERY)
-        assert residual(bres, sol.strategy_field) == 0.0
+        assert np.max(np.abs(bres - sol.strategy_field.values)) == 0.0
 
     def test_converges_on_small_lottery_run(self, small_nash):
         _, sol = small_nash
@@ -125,7 +131,7 @@ class TestSolveNash:
     def test_fixed_point_consistency(self, small_nash):
         grid, sol = small_nash
         bres = best_response(sol.F_field.values, sol.w_field.values, grid.dx, P_LOTTERY)
-        assert residual(bres, sol.strategy_field) <= 1e-6
+        assert np.max(np.abs(bres - sol.strategy_field.values)) <= 1e-6
 
     @pytest.mark.parametrize("run", ["converged", "max_iter=2"])
     def test_returned_fields_are_generated_by_the_strategy(self, run, small_nash, two_step_nash):
@@ -138,7 +144,7 @@ class TestSolveNash:
         w = solve_backward(wT, sol.F_field, sol.strategy_field, P_LOTTERY, grid)
         assert np.array_equal(sol.w_field.values, w.values)
         bres = best_response(F.values, w.values, grid.dx, P_LOTTERY)
-        assert residual(bres, sol.strategy_field) == sol.residuals[-1]
+        assert np.max(np.abs(bres - sol.strategy_field.values)) == sol.residuals[-1]
 
     def test_peak_memory_is_four_fields(self, two_step_nash):
         # s, F, w and the best response, plus slice-sized temporaries.
@@ -155,9 +161,7 @@ class TestSolveNash:
         grid, sol = small_nash
         p = P_LOTTERY
         for j in (grid.nt // 2, grid.nt):
-            payoff = payoff_I(
-                sol.F_field.profile_at(j), sol.w_field.profile_at(j), p
-            ).values
+            payoff = _payoff(sol, grid, j, p)
             s = s_m(payoff, p)
             assert np.all(s[payoff >= p.i_crit] == 1.0)
             assert np.all(s[payoff < p.i_crit] < 1.0)
@@ -170,16 +174,15 @@ class TestSolveNash:
         from kdlab.model import alpha_of_sm
 
         for j in (grid.nt // 2, int(grid.nt * 0.75)):
-            payoff = payoff_I(
-                sol.F_field.profile_at(j), sol.w_field.profile_at(j), p
-            )
-            front = locate_level(payoff, p.i_crit, check_monotone=False)
+            payoff = _payoff(sol, grid, j, p)
+            front = _front(payoff, grid.x, p.i_crit)
+            assert math.isfinite(front)
             ahead = grid.x > front
             decay = np.exp(-(grid.x[ahead] - front))
-            assert np.all(payoff.values[ahead] <= 1.05 * p.i_crit * decay)
-            assert np.all(alpha_of_sm(payoff.values[ahead], p) <= 1.05 * p.alpha1 * decay)
+            assert np.all(payoff[ahead] <= 1.05 * p.i_crit * decay)
+            assert np.all(alpha_of_sm(payoff[ahead], p) <= 1.05 * p.alpha1 * decay)
             s_bound = 1.05 * np.exp(-2.0 * (grid.x[ahead] - front))
-            assert np.all(s_m(payoff.values[ahead], p) <= s_bound)
+            assert np.all(s_m(payoff[ahead], p) <= s_bound)
 
     def test_propensity_front_tightness(self, small_nash):
         # w reaches 1/2 within a bounded, non-growing offset of the learning
@@ -192,10 +195,9 @@ class TestSolveNash:
             t = grid.time_at(j)
             if t > grid.t_final - 5.0:
                 break
-            payoff = payoff_I(sol.F_field.profile_at(j), sol.w_field.profile_at(j), p)
-            eta = locate_level(payoff, p.i_crit, check_monotone=False)
-            half = locate_level(sol.w_field.profile_at(j), 0.5, "increasing",
-                                check_monotone=False)
+            eta = _front(_payoff(sol, grid, j, p), grid.x, p.i_crit)
+            # w increases in x: locate its level 1/2 on -w.
+            half = _front(-sol.w_field.values[j], grid.x, -0.5)
             offsets.append(half - eta)
             times.append(t)
         offsets = np.array(offsets)
@@ -203,8 +205,7 @@ class TestSolveNash:
         l_fit = float(np.max(offsets))
         # with the offset fixed at its fitted value, w is at least 1/2 there
         for j, t in ((int(round(t / grid.dt)), t) for t in times):
-            payoff = payoff_I(sol.F_field.profile_at(j), sol.w_field.profile_at(j), p)
-            eta = locate_level(payoff, p.i_crit, check_monotone=False)
+            eta = _front(_payoff(sol, grid, j, p), grid.x, p.i_crit)
             xq = min(eta + l_fit, grid.x_max)
             w_at = np.interp(xq, grid.x, sol.w_field.values[j])
             assert w_at >= 0.5 - 1e-9
@@ -221,13 +222,14 @@ class TestSolveNash:
         sol_a = solve_nash(F0, wT, P_LOTTERY, grid, cfg_a)
         sol_b = solve_nash(F0, wT, P_LOTTERY, grid, cfg_b)
         assert sol_a.converged and sol_b.converged
-        assert residual(sol_a.strategy_field, sol_b.strategy_field) <= 1e-5
+        assert np.max(np.abs(sol_a.strategy_field.values - sol_b.strategy_field.values)) <= 1e-5
 
     def test_default_config_within_tol_of_tight_fixed_point(self, small_nash):
         grid, sol = small_nash
         ref = solve_nash(_ramp(grid), None, P_LOTTERY, grid, MfgConfig(tol=1e-11))
         assert ref.converged
-        assert residual(sol.strategy_field, ref.strategy_field) <= MfgConfig().tol
+        gap = np.max(np.abs(sol.strategy_field.values - ref.strategy_field.values))
+        assert gap <= MfgConfig().tol
 
     def test_damping_halves_exactly_when_residual_rises(self):
         # Balanced regime (alpha1 > kappa): the undamped first step overshoots,
@@ -271,11 +273,9 @@ class TestSolveNash:
         sol = solve_nash(_ramp(grid), None, p, grid, MfgConfig())
         assert sol.converged
         bres = best_response(sol.F_field.values, sol.w_field.values, grid.dx, p)
-        assert residual(bres, sol.strategy_field) <= 1e-6
+        assert np.max(np.abs(bres - sol.strategy_field.values)) <= 1e-6
         assert np.max(np.diff(sol.strategy_field.values, axis=1)) <= 1e-9
-        payoff = payoff_I(
-            sol.F_field.profile_at(grid.nt // 2), sol.w_field.profile_at(grid.nt // 2), p
-        ).values
+        payoff = _payoff(sol, grid, grid.nt // 2, p)
         s = s_m(payoff, p)
         assert np.all(s[payoff >= p.i_crit] == 1.0)
         assert np.all(s[payoff < p.i_crit] < 1.0)

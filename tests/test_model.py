@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdlab import model
-from kdlab.errors import DomainError, GridMismatchError, NonFiniteError
+from kdlab.errors import DomainError
 from kdlab.forward import INTRINSIC, RANK_LOCAL, iter_forward
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
 from kdlab.mfg import MfgConfig, solve_nash
@@ -17,8 +17,7 @@ from kdlab.model import (
     TheoryPredictions,
     alpha,
     alpha_of_sm,
-    intrinsic_J,
-    payoff_I,
+    discounted_tail,
     q_integral,
     s_m,
 )
@@ -160,60 +159,55 @@ class TestQIntegral:
         assert q_integral(u, p) == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
 
+def _tail(g, v):
+    """The pay-off of integrand v on g: F*w gives the learning pay-off I, F the intrinsic J."""
+    return discounted_tail(v, g.dx, P_HALF.rho_minus_kappa)
+
+
 class TestPayoff:
     def test_zero_inputs(self):
         g = space_grid(0.0, 5.0, 64)
-        zero = Profile(g, np.zeros(g.nx))
-        one = Profile(g, np.ones(g.nx))
-        assert np.all(payoff_I(zero, one, P_HALF).values == 0.0)
-        assert np.all(payoff_I(one, zero, P_HALF).values == 0.0)
-        assert np.all(intrinsic_J(zero, P_HALF).values == 0.0)
+        assert np.all(_tail(g, np.zeros(g.nx)) == 0.0)
 
     def test_exponential_closed_form(self):
         # integral of e^{y} e^{-2y} over [0, inf) is 1; tail beyond 40 is ~e^-40
         g = space_grid(0.0, 40.0, 4001)
-        F = Profile(g, np.exp(-2.0 * g.x))
-        w = Profile(g, np.ones(g.nx))
-        I = payoff_I(F, w, P_HALF)
-        assert I.values[0] == pytest.approx(1.0, abs=1e-3)
-        J = intrinsic_J(F, P_HALF)
-        assert J.values[0] == pytest.approx(1.0, abs=1e-3)
+        assert _tail(g, np.exp(-2.0 * g.x))[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_linear_integrand_is_exact(self):
         # The per-cell rule integrates e^y (a + b y) exactly.
         g = space_grid(0.0, 2.0, 101)
         a, b = 0.9, -0.4
-        J = intrinsic_J(Profile(g, a + b * g.x), P_HALF)
+        J = _tail(g, a + b * g.x)
         upper = g.x_max
         exact = np.exp(-g.x) * (
             np.exp(upper) * (a + b * upper)
             - np.exp(g.x) * (a + b * g.x)
             - b * (np.exp(upper) - np.exp(g.x))
         )
-        assert np.max(np.abs(J.values[:-1] - exact[:-1]) / np.abs(exact[:-1])) < 1e-12
+        assert np.max(np.abs(J[:-1] - exact[:-1]) / np.abs(exact[:-1])) < 1e-12
 
     def test_shared_kernel_bitwise(self):
+        # With w = 1 the learning pay-off is the intrinsic one, bit for bit.
         g = space_grid(-3.0, 6.0, 257)
         rng = np.random.default_rng(5)
         F, _ = monotone_pair(g, rng)
-        ones = Profile(g, np.ones(g.nx))
-        assert np.array_equal(payoff_I(F, ones, P_HALF).values,
-                              intrinsic_J(F, P_HALF).values)
+        assert np.array_equal(_tail(g, F.values * np.ones(g.nx)), _tail(g, F.values))
 
     def test_monotone_output(self):
         g = space_grid(-4.0, 8.0, 321)
         for seed in range(5):
             F, w = monotone_pair(g, np.random.default_rng(seed))
-            I = payoff_I(F, w, P_HALF)
-            assert np.all(I.values >= 0.0)
-            assert np.max(np.diff(I.values)) <= 1e-12 * max(1.0, I.values[0])
+            I = _tail(g, F.values * w.values)
+            assert np.all(I >= 0.0)
+            assert np.max(np.diff(I)) <= 1e-12 * max(1.0, I[0])
 
     def test_intrinsic_dominates(self):
         g = space_grid(-4.0, 8.0, 321)
         for seed in range(5):
             F, w = monotone_pair(g, np.random.default_rng(seed))
-            I = payoff_I(F, w, P_HALF).values
-            J = intrinsic_J(F, P_HALF).values
+            I = _tail(g, F.values * w.values)
+            J = _tail(g, F.values)
             assert np.all(I <= J * (1 + 1e-12) + 1e-15)
 
     def test_recurrence_vs_direct_sum(self):
@@ -222,7 +216,7 @@ class TestPayoff:
         g = space_grid(-1.0, 3.0, 50)
         rng = np.random.default_rng(7)
         F, w = monotone_pair(g, rng)
-        I = payoff_I(F, w, P_HALF).values
+        I = _tail(g, F.values * w.values)
         h = g.dx
         em1 = math.expm1(h)
         wa = em1 / h - 1.0
@@ -236,19 +230,6 @@ class TestPayoff:
             direct[i] = acc / P_HALF.rho_minus_kappa
         rel = np.abs(I - direct) / np.maximum(np.abs(direct), 1e-300)
         assert np.max(rel[:-1]) < 1e-10
-
-    def test_errors(self):
-        g = space_grid(0.0, 5.0, 64)
-        g2 = space_grid(0.0, 5.0, 65)
-        F = Profile(g, np.zeros(g.nx))
-        with pytest.raises(GridMismatchError):
-            payoff_I(F, Profile(g2, np.zeros(g2.nx)), P_HALF)
-        with pytest.raises(DomainError):
-            payoff_I(Profile(g, np.full(g.nx, 1.5)), F, P_HALF)
-        bad = np.zeros(g.nx)
-        bad[3] = np.nan
-        with pytest.raises(NonFiniteError):
-            Profile(g, bad)
 
 
 class TestCheckedOnce:

@@ -21,7 +21,7 @@ import kdlab
 from kdlab import model, particles
 from kdlab.errors import DomainError, NonFiniteError
 from kdlab.grid import Grid1D
-from kdlab.model import ModelParams, intrinsic_J
+from kdlab.model import ModelParams, discounted_tail
 from kdlab.particles import (
     ParticleState,
     StrategyRule,
@@ -395,7 +395,7 @@ class TestEmpiricalCdf:
             g = Grid1D(lo, lo + (nx - 1) * dx, nx, 0.0, 0.0, 0)
             st = state_at(x, seed=trial)
             est = empirical_cdf(st, g)
-            J = intrinsic_J(est.profile, P).values
+            J = discounted_tail(est.profile.values, g.dx, rho_minus_kappa)
             # direct double-sum oracle at every node
             direct = np.array([
                 np.sum(np.exp(x[x > xq] - xq) - 1.0) / n for xq in g.x
