@@ -40,14 +40,7 @@ from .grid import (
     recommended_domain,
 )
 from .mfg import MfgConfig, MfgSolution, best_response, solve_nash
-from .model import (
-    ModelParams,
-    TheoryPredictions,
-    alpha,
-    alpha_of_sm,
-    q_integral,
-    s_m,
-)
+from .model import ModelParams, TheoryPredictions
 from .particles import (
     CdfEstimate,
     ParticleState,

@@ -83,7 +83,6 @@ class SpeedFit:
 class FrontTrack:
     """Time series of one front location."""
 
-    kind: str
     times: np.ndarray
     positions: np.ndarray
 
@@ -216,7 +215,7 @@ def check_snapshot(snap: Snapshot, p: model.ModelParams) -> list[CheckResult]:
                     CheckResult("payoff_decay", t, worst <= 0.0, max(worst, 0.0),
                                 float(x[ahead][int(np.argmax(viol))]))
                 )
-                s_vals = model.s_m(prof.values[ahead], p)
+                s_vals = model._s_m(prof.values[ahead], p)
                 s_bound = DECAY_SLACK * np.exp(-2.0 * (x[ahead] - front))
                 s_viol = s_vals - s_bound
                 worst_s = float(np.max(s_viol / np.maximum(s_bound, 1e-300)))

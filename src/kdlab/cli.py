@@ -63,7 +63,10 @@ def _cmd_speeds(args) -> int:
         a, b = (float(v) for v in args.window.split(","))
     except ValueError as exc:
         raise ConfigError(f"--window must be 'a,b', got {args.window!r}") from exc
-    data = np.genfromtxt(args.track_file, delimiter=",", names=True)
+    try:
+        data = np.genfromtxt(args.track_file, delimiter=",", names=True)
+    except ValueError as exc:  # a ragged row, or bytes that are not UTF-8
+        raise ConfigError(f"{args.track_file}: malformed track file: {exc!r}") from exc
     if "t" not in (data.dtype.names or ()):
         raise ConfigError(f"{args.track_file}: no 't' column")
     t = np.atleast_1d(data["t"])
@@ -73,7 +76,7 @@ def _cmd_speeds(args) -> int:
         xs = np.atleast_1d(data[col])
         if not np.any(np.isfinite(xs)):
             continue
-        track = FrontTrack(kind, t, xs)
+        track = FrontTrack(t, xs)
         try:
             fit = estimate_speed(track, (a, b))
         except KdlabError as exc:

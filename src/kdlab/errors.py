@@ -32,19 +32,13 @@ class SingularSystemError(KdlabError, ValueError):
 class FrontBracketError(KdlabError, ValueError):
     """A level crossing is not bracketed by the profile values."""
 
-    side = "unknown"
-
 
 class FrontOffGridLeft(FrontBracketError):
     """The crossing lies left of the grid (all values at or below the level)."""
 
-    side = "left"
-
 
 class FrontOffGridRight(FrontBracketError):
     """The crossing lies right of the grid (all values at or above the level)."""
-
-    side = "right"
 
 
 class NonMonotoneProfileError(KdlabError, ValueError):

@@ -58,7 +58,7 @@ def nonlocal_rate(F: Profile, s_star: Profile, p: model.ModelParams) -> Profile:
     s = np.clip(s_star.values, 0.0, 1.0)
     if np.any(np.abs(s - s_star.values) > 1e-9):
         raise DomainError("strategy values must lie in [0, 1]")
-    return Profile(F.grid, _rate_from_alpha(F.values, model.alpha(s, p)))
+    return Profile(F.grid, _rate_from_alpha(F.values, model._alpha(s, p)))
 
 
 def _run_steps(
@@ -66,8 +66,10 @@ def _run_steps(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Check a whole-grid forward run's inputs, then return its IMEX steps.
 
-    The steps run on the shared stepper with F pinned to 1 left and 0 right:
-    diffusion is implicit, the reaction F (1 + dt c) with c = rate(n, F) explicit.
+    F0 must be non-increasing and lie in [0, 1], where the stepper keeps every
+    later slice, so the rates call the model's kernels unchecked.  The steps
+    run on the shared stepper with F pinned to 1 left and 0 right: diffusion
+    is implicit, the reaction F (1 + dt c) with c = rate(n, F) explicit.
     """
     if F0.grid != grid:
         raise GridMismatchError("F0 does not live on the run grid")
@@ -75,6 +77,8 @@ def _run_steps(
         raise DomainError(f"grid dt={grid.dt} exceeds dt_max={dt_max(p)}")
     if np.max(np.diff(F0.values), initial=-np.inf) > SLOPE_TOL:
         raise DomainError("F0 must be non-increasing")
+    if np.min(F0.values) < 0.0 or np.max(F0.values) > 1.0:
+        raise DomainError("F0 must lie in [0, 1]")
     dt = grid.dt
     return _march(
         F0.values.copy(), grid.nt, grid.dx, dt, p.kappa,
@@ -89,7 +93,7 @@ def _alpha_slice(
     """Search-rate values alpha(s(t_j, .)) for the step starting at slice j with pay-off J.
 
     Unchecked: the strategy is clipped to [0, 1], and J is finite and
-    non-negative (see iter_forward).
+    non-negative (see _run_steps).
     """
     if isinstance(strategy, SpaceTimeField):
         return model._alpha(np.clip(strategy.values[j], 0.0, 1.0), p)
@@ -124,21 +128,13 @@ def iter_forward(
     closure = strategy in (INTRINSIC, CONSTANT_ALPHA)
     J = None  # the pay-off of the slice last yielded, which the next step reads
     if strategy == RANK_LOCAL:
-        q1 = model.q_integral(1.0, p)
+        q1 = model._q_integral(1.0, p)
         rate = lambda j, F: q1 - model._q_integral(F, p)
     else:
         rate = lambda j, F: _rate_from_alpha(F, _alpha_slice(F, J, strategy, j, p))
     for j, F in _run_steps(F0, rate, p, grid):
         if closure:
             J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
-        if j == 0:
-            # The caller's slice gets the model's checks once.  Every later
-            # slice leaves the stepper finite and clamped to [0, 1], so its
-            # pay-off is finite and non-negative and the rates run unchecked.
-            if strategy == INTRINSIC:
-                model.alpha_of_sm(J, p)
-            elif strategy == RANK_LOCAL:
-                model.q_integral(F, p)
         yield j, F, J
 
 

@@ -282,11 +282,12 @@ def _snapshot(grid: Grid1D, t: float, cols: dict[str, np.ndarray]) -> Snapshot:
                     intrinsic=prof("J"), strategy=prof("s"))
 
 
-def _read_snapshot(path: Path) -> Snapshot:
-    """Inverse of _write_snapshot for one CSV or npz file.
+def _read_snapshot(path: Path, grid: Grid1D) -> Snapshot:
+    """Inverse of _write_snapshot for one CSV or npz file written on grid.
 
-    A file that does not parse, or lacks the x column or a finite F column,
-    raises ConfigError naming it.
+    A file that does not parse, whose x column is not grid.x, that lacks a
+    finite F or J column, or whose pay-off (I or J) is negative raises
+    ConfigError naming it.
     """
     try:
         if path.suffix == ".npz":
@@ -301,14 +302,17 @@ def _read_snapshot(path: Path) -> Snapshot:
             t = float(header[4:])
             data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
             cols = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
-        x = cols["x"]
-        snap = _snapshot(Grid1D(float(x[0]), float(x[-1]), x.size, t, t, 0), t, cols)
+        if not np.array_equal(cols["x"], grid.x):
+            raise ConfigError(f"{path}: x column is not the run grid's nodes")
+        snap = _snapshot(grid, t, cols)
     except KdlabError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path}: malformed snapshot: {exc!r}") from exc
-    if snap.F is None:
-        raise ConfigError(f"{path}: snapshot has no finite F column")
+    if snap.F is None or snap.intrinsic is None:
+        raise ConfigError(f"{path}: snapshot has no finite F or J column")
+    if any(np.any(v.values < 0.0) for v in (snap.payoff, snap.intrinsic) if v is not None):
+        raise ConfigError(f"{path}: snapshot has a negative pay-off (I or J) column")
     return snap
 
 
@@ -329,7 +333,7 @@ def diagnose_run_dir(run_dir: str | Path) -> DiagnosticsReport:
     paths = sorted([*fields.glob("snap_*.csv"), *fields.glob("snap_*.npz")])
     if not paths:
         raise ConfigError(f"no field snapshots under {run_dir}")
-    return _diagnose(config, [_read_snapshot(f) for f in paths])
+    return _diagnose(config, [_read_snapshot(f, config.grid) for f in paths])
 
 
 def _write_tracks(path: Path, rows: list[tuple[float, float, float, float]]) -> None:
@@ -349,7 +353,7 @@ def _speed_entry(rows: list[tuple], kind: str, window: tuple[float, float]) -> d
     arr = np.array(rows)
     col = {"median": 1, "learning": 2, "intrinsic": 3}[kind]
     try:
-        fit = estimate_speed(FrontTrack(kind, arr[:, 0], arr[:, col]), window)
+        fit = estimate_speed(FrontTrack(arr[:, 0], arr[:, col]), window)
     except KdlabError:
         return None
     return {
@@ -498,7 +502,7 @@ def _run_pde(cfg: ExperimentConfig, out: Path) -> _Recorder:
     if cfg.mode == "kpp":
         strategy, s_of = CONSTANT_ALPHA, lambda c: np.ones_like(c["F"])
     else:
-        strategy, s_of = INTRINSIC, lambda c: model.s_m(c["J"], p)
+        strategy, s_of = INTRINSIC, lambda c: model._s_m(c["J"], p)
     rec = _Recorder(cfg, out, s_of)
     for j, F, J in iter_forward(ramp_initial(grid, cfg.initial_l0), strategy, p, grid):
         rec.record(j, {"F": F, "J": J})

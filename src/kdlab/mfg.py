@@ -73,7 +73,9 @@ def best_response(F, w, dx: float, p: model.ModelParams) -> np.ndarray:
     """
     if np.shape(F) != np.shape(w):
         raise GridMismatchError(f"shape mismatch {np.shape(F)} vs {np.shape(w)}")
-    return model.s_m(model.discounted_tail(F * w, dx, p.rho_minus_kappa), p)
+    payoff = model.discounted_tail(F * w, dx, p.rho_minus_kappa)
+    model._check_payoff(payoff)
+    return model._s_m(payoff, p)
 
 
 def _best_response(F: np.ndarray, w: np.ndarray, dx: float, p: model.ModelParams) -> np.ndarray:
@@ -115,11 +117,8 @@ def solve_nash(
     """
     if cfg is None:
         cfg = MfgConfig()
-    # With F0 >= 0 every pay-off the loops compute is finite and non-negative
-    # (the stepper keeps later slices of F and w in [0, 1]), so they call the
-    # unchecked kernels.
-    if np.min(F0.values) < 0.0:
-        raise DomainError("F0 must be non-negative")
+    # iter_forward checks F0 lies in [0, 1] and the stepper keeps every later
+    # slice of F and w there, so every pay-off is finite and non-negative.
     s = np.empty((grid.nt + 1, grid.nx))
     for j, _, J in iter_forward(F0, INTRINSIC, p, grid):
         s[j] = model._s_m(J, p)

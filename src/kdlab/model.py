@@ -80,28 +80,15 @@ class TheoryPredictions:
         )
 
 
-# Each checked function below checks its input, then calls the private kernel
-# that holds its formula.  The time loops call the kernels on slices whose
-# domain the sweep's entry checks and the stepper's clamp already guarantee.
-
-
-def _check_unit_interval(v: np.ndarray, name: str) -> None:
-    if np.any(v < 0.0) or np.any(v > 1.0):
-        raise DomainError(f"{name} must lie in [0, 1]")
+# The formulas below are unchecked kernels: the caller guarantees the domain.
+# Every input is checked once where it enters (iter_forward's F0, the
+# strategy clip in nonlocal_rate, best_response's pay-off, the snapshot
+# reader), and the stepper keeps every later slice in [0, 1].
 
 
 def _alpha(s: np.ndarray, p: ModelParams) -> np.ndarray:
-    return p.alpha1 * s**p.k
-
-
-def alpha(s, p: ModelParams):
     """Search rate alpha1 * s**k for a time fraction s in [0, 1]."""
-    sv = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(sv)):
-        raise NonFiniteError("s must be finite")
-    _check_unit_interval(sv, "s")
-    out = _alpha(sv, p)
-    return float(out) if np.isscalar(s) or sv.ndim == 0 else out
+    return p.alpha1 * s**p.k
 
 
 def _check_payoff(iv: np.ndarray) -> None:
@@ -112,52 +99,29 @@ def _check_payoff(iv: np.ndarray) -> None:
 
 
 def _s_m(iv: np.ndarray, p: ModelParams) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.minimum(1.0, (p.k * p.alpha1 * iv) ** (1.0 / (1.0 - p.k)))
-
-
-def s_m(payoff, p: ModelParams):
-    """Optimal fraction of time spent searching, given pay-off value(s).
+    """Optimal fraction of time spent searching, given a finite pay-off iv >= 0.
 
     Solves alpha'(s) = 1/payoff below the threshold i_crit = 1/alpha'(1) and
     saturates at 1 above it; for the power family this is
     (k*alpha1*payoff)**(1/(1-k)) clamped to 1.  Continuous and non-decreasing.
     """
-    iv = np.asarray(payoff, dtype=float)
-    _check_payoff(iv)
-    out = _s_m(iv, p)
-    return float(out) if np.isscalar(payoff) or iv.ndim == 0 else out
+    with np.errstate(over="ignore"):
+        return np.minimum(1.0, (p.k * p.alpha1 * iv) ** (1.0 / (1.0 - p.k)))
 
 
 def _alpha_of_sm(iv: np.ndarray, p: ModelParams) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.minimum(p.alpha1, p.alpha1 * (p.k * p.alpha1 * iv) ** (p.k / (1.0 - p.k)))
-
-
-def alpha_of_sm(payoff, p: ModelParams):
-    """Search rate at the optimal allocation, alpha(s_m(payoff)).
+    """Search rate at the optimal allocation, alpha(s_m(payoff)), for a finite pay-off iv >= 0.
 
     Evaluated in one power, alpha1 * (k*alpha1*payoff)**(k/(1-k)) capped at
     alpha1, rather than by composing s_m and alpha.
     """
-    iv = np.asarray(payoff, dtype=float)
-    _check_payoff(iv)
-    out = _alpha_of_sm(iv, p)
-    return float(out) if np.isscalar(payoff) or iv.ndim == 0 else out
+    with np.errstate(over="ignore"):
+        return np.minimum(p.alpha1, p.alpha1 * (p.k * p.alpha1 * iv) ** (p.k / (1.0 - p.k)))
 
 
 def _q_integral(u: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Integral of the search rate from 0 to u in [0, 1]: alpha1 * u**(k+1) / (k+1)."""
     return p.alpha1 * u ** (p.k + 1.0) / (p.k + 1.0)
-
-
-def q_integral(u, p: ModelParams):
-    """Integral of the search rate from 0 to u: alpha1 * u**(k+1) / (k+1)."""
-    uv = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(uv)):
-        raise NonFiniteError("u must be finite")
-    _check_unit_interval(uv, "u")
-    out = _q_integral(uv, p)
-    return float(out) if np.isscalar(u) or uv.ndim == 0 else out
 
 
 def _cell_weights(dx: float) -> tuple[float, float]:

@@ -64,7 +64,7 @@ def bramson_delay(res, t: np.ndarray) -> np.ndarray:
 def gap_track(res) -> FrontTrack:
     """Raw separation x_learning - x_median of the learning and median fronts."""
     data = read_tracks(res)
-    return FrontTrack("gap", data["t"], data["x_learning"] - data["x_median"])
+    return FrontTrack(data["t"], data["x_learning"] - data["x_median"])
 
 
 def corrected_gap_track(res) -> FrontTrack:
@@ -75,4 +75,4 @@ def corrected_gap_track(res) -> FrontTrack:
     asymptotic separation rate as its slope.
     """
     gap = gap_track(res)
-    return FrontTrack("gap", gap.times, gap.positions - bramson_delay(res, gap.times))
+    return FrontTrack(gap.times, gap.positions - bramson_delay(res, gap.times))

@@ -51,9 +51,7 @@ class TestCriterion2LotteryFronts:
         raw_gap = estimate_speed(gap_track(res), window).speed
         gap = estimate_speed(corrected_gap_track(res), window).speed
         data = read_tracks(res)
-        med_track = FrontTrack(
-            "median", data["t"], data["x_median"] + bramson_delay(res, data["t"])
-        )
+        med_track = FrontTrack(data["t"], data["x_median"] + bramson_delay(res, data["t"]))
         med_corr = estimate_speed(med_track, window).speed
         med_theory = res.manifest["theory"]["median_speed"]
         ok_med = abs(med - 1.00) <= 0.10
@@ -115,7 +113,7 @@ class TestCriterion4OracleSuite:
     def test_backward_relaxation(self):
         from kdlab.backward import solve_backward
         from kdlab.grid import SpaceTimeField
-        from kdlab.model import s_m
+        from kdlab.model import _s_m
 
         # 1000 steps of 1e-3 with F = 0 and s = s_m(0); w starts at 0 with the
         # end values 0 and 1 that every step pins.
@@ -124,7 +122,7 @@ class TestCriterion4OracleSuite:
         zero = np.zeros((g.nt + 1, g.nx))
         w0 = np.zeros(g.nx)
         w0[-1] = 1.0
-        F, s = SpaceTimeField(g, zero), SpaceTimeField(g, s_m(zero, p))
+        F, s = SpaceTimeField(g, zero), SpaceTimeField(g, _s_m(zero, p))
         w = solve_backward(Profile(g, w0), F, s, p, g).values[0]
         inner = (g.x > -10.0) & (g.x < 10.0)
         err = np.max(np.abs(w[inner] - (1.0 - math.exp(-1.0))))

@@ -96,29 +96,29 @@ class TestLocateLevel:
 
 class TestEstimateSpeed:
     def test_exact_lines(self):
-        tr = FrontTrack("median", [0.0, 1.0, 2.0], [0.0, 2.0, 4.0])
+        tr = FrontTrack([0.0, 1.0, 2.0], [0.0, 2.0, 4.0])
         with pytest.raises(DomainError):
             estimate_speed(tr, (0.0, 2.0))  # too few samples
         t = np.linspace(0.0, 2.0, 21)
-        fit = estimate_speed(FrontTrack("median", t, 2.0 * t), (0.0, 2.0))
+        fit = estimate_speed(FrontTrack(t, 2.0 * t), (0.0, 2.0))
         assert fit.speed == pytest.approx(2.0) and fit.r_squared == pytest.approx(1.0)
-        fit = estimate_speed(FrontTrack("median", t, 3.0 * t + 1.0), (0.0, 2.0))
+        fit = estimate_speed(FrontTrack(t, 3.0 * t + 1.0), (0.0, 2.0))
         assert fit.speed == pytest.approx(3.0) and fit.intercept == pytest.approx(1.0)
 
     def test_sublinear_drift_bound(self):
         t = np.linspace(100.0, 200.0, 401)
-        fit = estimate_speed(FrontTrack("median", t, 2.0 * t + np.sqrt(t)), (100.0, 200.0))
+        fit = estimate_speed(FrontTrack(t, 2.0 * t + np.sqrt(t)), (100.0, 200.0))
         assert 2.0 <= fit.speed <= 2.08
 
     def test_window_filters(self):
         t = np.linspace(0.0, 10.0, 101)
         x = np.where(t < 5.0, 0.0, 7.0 * (t - 5.0))
-        fit = estimate_speed(FrontTrack("median", t, x), (5.0, 10.0))
+        fit = estimate_speed(FrontTrack(t, x), (5.0, 10.0))
         assert fit.speed == pytest.approx(7.0)
 
     def test_track_validation(self):
         with pytest.raises(DomainError):
-            FrontTrack("median", [1.0, 0.0], [0.0, 1.0])
+            FrontTrack([1.0, 0.0], [0.0, 1.0])
 
 
 def _snap(g, t, F, w=None):

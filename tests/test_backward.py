@@ -9,7 +9,7 @@ from kdlab.backward import TerminalCondition, dt_max_backward, iter_backward, so
 from kdlab.errors import DomainError
 from kdlab.forward import INTRINSIC, solve_forward
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
-from kdlab.model import ModelParams, alpha, discounted_tail, s_m
+from kdlab.model import ModelParams, _alpha, _s_m, discounted_tail
 
 from conftest import space_grid
 
@@ -61,7 +61,7 @@ def backward_steps(w_start, F_val, payoff_val, t, nt, p=P):
     w0 = np.array(w_start, dtype=float)
     w0[0], w0[-1] = 0.0, 1.0
     F = SpaceTimeField(g, np.full((nt + 1, g.nx), F_val))
-    s = SpaceTimeField(g, s_m(np.full((nt + 1, g.nx), payoff_val), p))
+    s = SpaceTimeField(g, _s_m(np.full((nt + 1, g.nx), payoff_val), p))
     return g, solve_backward(Profile(g, w0), F, s, p, g).values[0]
 
 
@@ -89,10 +89,10 @@ class TestStepBackward:
         # constant F = f0 give the linear relaxation w_tau = a - b w with
         # a = (rho-kappa)(1-s0) and b = (rho-kappa) + alpha(s0) f0.
         payoff_val = 2.0  # below i_crit = 4, so s0 = s_m(2) = 0.25
-        s0 = s_m(payoff_val, P)
+        s0 = _s_m(payoff_val, P)
         f0 = 0.6
         a = P.rho_minus_kappa * (1.0 - s0)
-        b = P.rho_minus_kappa + alpha(s0, P) * f0
+        b = P.rho_minus_kappa + _alpha(s0, P) * f0
         g, out = backward_steps(np.zeros(801), f0, payoff_val, 1.0, 1000)
         target = (a / b) * (1.0 - math.exp(-b))
         inner = interior(g, margin=10.0)
@@ -111,7 +111,7 @@ def _lottery_fields(t_final=20.0, dt=0.02, dx=0.05):
     g = Grid1D(-20.0, x_max, nx, 0.0, t_final, nt)
     F0 = Profile(g, np.clip((5.0 - g.x) / 10.0, 0.0, 1.0))
     F_field = solve_forward(F0, INTRINSIC, p, g)
-    s_field = SpaceTimeField(g, s_m(discounted_tail(F_field.values, g.dx, p.rho_minus_kappa), p))
+    s_field = SpaceTimeField(g, _s_m(discounted_tail(F_field.values, g.dx, p.rho_minus_kappa), p))
     return p, g, F_field, s_field
 
 

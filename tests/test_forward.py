@@ -16,7 +16,8 @@ from kdlab.forward import (
     solve_forward,
 )
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
-from kdlab.model import ModelParams, discounted_tail, q_integral
+from kdlab.mfg import MfgConfig, solve_nash
+from kdlab.model import ModelParams, _q_integral, discounted_tail
 
 from conftest import monotone_pair, space_grid
 
@@ -171,6 +172,19 @@ class TestSolveForward:
         with pytest.raises(DomainError):
             solve_forward(Profile(g, bad), CONSTANT_ALPHA, P, g)
 
+    @pytest.mark.parametrize("end", [0, -1], ids=["above-one", "below-zero"])
+    @pytest.mark.parametrize("coupling", [INTRINSIC, CONSTANT_ALPHA, RANK_LOCAL, "field", "nash"])
+    def test_initial_outside_unit_interval_fails_at_entry(self, coupling, end):
+        g = Grid1D(-10.0, 10.0, 101, 0.0, 0.5, 10)
+        vals = np.clip((2.0 - g.x) / 4.0, 0.0, 1.0)
+        vals[end] = 1.0 + 1e-3 if end == 0 else -1e-3
+        F0, field = Profile(g, vals), SpaceTimeField(g, np.full((g.nt + 1, g.nx), 0.5))
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            if coupling == "nash":
+                solve_nash(F0, None, P, g, MfgConfig(max_iter=1))
+            else:  # slice 0 is yielded before any step
+                next(iter_forward(F0, field if coupling == "field" else coupling, P, g))
+
 
 class TestRankLocal:
     def test_one_step_matches_nonlocal_route(self):
@@ -191,7 +205,7 @@ class TestRankLocal:
         med0 = g.x[np.argmax(sol.values[0] < 0.5)]
         med1 = g.x[np.argmax(sol.values[-1] < 0.5)]
         # speed of the local reduction is below the constant-rate speed
-        assert 2.0 * math.sqrt(q_integral(1.0, p)) * 10.0 * 0.5 < med1 - med0 < 2.0 * 10.0
+        assert 2.0 * math.sqrt(_q_integral(1.0, p)) * 10.0 * 0.5 < med1 - med0 < 2.0 * 10.0
 
 
 class TestIntrinsicClosure:

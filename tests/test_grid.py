@@ -24,7 +24,7 @@ from kdlab.grid import (
     implicit_operator,
     recommended_domain,
 )
-from kdlab.model import ModelParams, alpha, alpha_of_sm, discounted_tail, q_integral, s_m
+from kdlab.model import ModelParams, _alpha, _alpha_of_sm, _q_integral, _s_m, discounted_tail
 
 from conftest import space_grid
 
@@ -185,8 +185,9 @@ class TestSharedStepper:
         return Profile(g, np.clip((2.0 - g.x) / 4.0, 0.0, 1.0))
 
     def test_overshoot_raises(self):
+        # An F0 outside [0, 1] fails at entry, before the stepper could overshoot.
         g = Grid1D(-10.0, 10.0, 101, 0.0, 0.5, 10)
-        with pytest.raises(OvershootError):
+        with pytest.raises(DomainError):
             solve_forward(Profile(g, np.full(g.nx, 1.5)), CONSTANT_ALPHA, self.P, g)
 
     @pytest.mark.parametrize("bad, error", [
@@ -229,7 +230,7 @@ class TestSharedStepper:
         p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
 
         def rhs(n, F):
-            a = alpha_of_sm(discounted_tail(F, g.dx, p.rho_minus_kappa), p)
+            a = _alpha_of_sm(discounted_tail(F, g.dx, p.rho_minus_kappa), p)
             c = np.concatenate(([0.0], np.cumsum(0.5 * (a[:-1] + a[1:]) * (F[:-1] - F[1:]))))
             return F * (1.0 + g.dt * c)
 
@@ -240,7 +241,7 @@ class TestSharedStepper:
         p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
 
         def rhs(n, F):
-            return F * (1.0 + g.dt * (q_integral(1.0, p) - q_integral(F, p)))
+            return F * (1.0 + g.dt * (_q_integral(1.0, p) - _q_integral(F, p)))
 
         ref = _replay(self.ramp(g).values, g.nt, g.dx, g.dt, p.kappa, rhs, (1.0, 0.0))
         assert np.array_equal(solve_forward(self.ramp(g), RANK_LOCAL, p, g).values, ref)
@@ -248,13 +249,13 @@ class TestSharedStepper:
     def test_backward_matches_replay(self):
         p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
         F = solve_forward(self.ramp(g), INTRINSIC, p, g)
-        s = SpaceTimeField(g, s_m(discounted_tail(F.values, g.dx, p.rho_minus_kappa), p))
+        s = SpaceTimeField(g, _s_m(discounted_tail(F.values, g.dx, p.rho_minus_kappa), p))
         wT = TerminalCondition(kind="logistic", center=5.0, slope=1.0)
 
         def rhs(n, w):
             j = g.nt - n
             sj, Fj = s.values[j], F.values[j]
-            return w + g.dt * (p.rho_minus_kappa * (1.0 - sj - w) - alpha(sj, p) * w * Fj)
+            return w + g.dt * (p.rho_minus_kappa * (1.0 - sj - w) - _alpha(sj, p) * w * Fj)
 
         ref = _replay(wT.build(g), g.nt, g.dx, g.dt, p.kappa, rhs, (0.0, 1.0), 2.0 * p.kappa)
         assert np.array_equal(solve_backward(wT, F, s, p, g).values, ref[::-1])

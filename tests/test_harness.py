@@ -359,6 +359,16 @@ class TestResume:
             resume(tmp_path / "f.npz", tmp_path / "out")
 
 
+def _negate_csv_column(text, name):
+    """A CSV snapshot's text with the named column's values negated."""
+    lines = text.splitlines()
+    col = lines[1].split(",").index(name)
+    rows = [r.split(",") for r in lines[2:]]
+    for r in rows:
+        r[col] = repr(-float(r[col]))
+    return "\n".join(lines[:2] + [",".join(r) for r in rows]) + "\n"
+
+
 class TestCli:
     def test_preset_list(self, capsys):
         assert main(["preset", "--list"]) == 0
@@ -446,6 +456,15 @@ class TestCli:
         tracks.write_text("time,x_median\n0,1\n1,2\n")
         assert main(["speeds", str(tracks), "--window", "0,1"]) == 2
 
+    @pytest.mark.parametrize("content", [b"t,x_median\n0,1\n1,2,3\n", b"t,x_median\n0,\xff\xfe\n"],
+                             ids=["ragged-row", "not-utf8"])
+    def test_speeds_malformed_track_file(self, tmp_path, content, capsys):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_bytes(content)
+        assert main(["speeds", str(tracks), "--window", "0,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(tracks) in err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["speeds", str(tmp_path / "nope.csv"), "--window", "0,1"]) == 4
 
@@ -506,7 +525,11 @@ class TestCli:
         lambda f: f.write_text(f.read_text() + "1,2\n"),
         lambda f: f.write_text(f.read_text().replace("x,F,", "x,G,", 1)),
         lambda f: f.rename(f.with_suffix(".npz")),
-    ], ids=["no-x-column", "ragged-row", "no-F-column", "csv-named-npz"])
+        lambda f: f.write_text(f.read_text().replace(",J,", ",K,", 1)),
+        lambda f: f.write_text("".join(f.read_text().splitlines(keepends=True)[:-10])),
+        lambda f: f.write_text(_negate_csv_column(f.read_text(), "J")),
+    ], ids=["no-x-column", "ragged-row", "no-F-column", "csv-named-npz", "no-J-column",
+            "truncated", "negative-J"])
     def test_diag_malformed_snapshot_exit_code(self, tmp_path, corrupt, capsys):
         p = ModelParams(kappa=1.0, rho=2.0, alpha1=1.0)
         grid = Grid1D(-20.0, 40.0, 241, 0.0, 2.0, 40)

@@ -12,7 +12,7 @@ from kdlab.errors import DomainError, GridMismatchError
 from kdlab.forward import INTRINSIC, solve_forward
 from kdlab.grid import Grid1D, Profile
 from kdlab.mfg import MfgConfig, _residual, best_response, solve_nash
-from kdlab.model import ModelParams, discounted_tail, s_m
+from kdlab.model import ModelParams, _s_m, discounted_tail
 
 from conftest import space_grid
 
@@ -162,7 +162,7 @@ class TestSolveNash:
         p = P_LOTTERY
         for j in (grid.nt // 2, grid.nt):
             payoff = _payoff(sol, grid, j, p)
-            s = s_m(payoff, p)
+            s = _s_m(payoff, p)
             assert np.all(s[payoff >= p.i_crit] == 1.0)
             assert np.all(s[payoff < p.i_crit] < 1.0)
 
@@ -171,7 +171,7 @@ class TestSolveNash:
         # exponentially, with 5% slack for quadrature and interpolation.
         grid, sol = small_nash
         p = P_LOTTERY
-        from kdlab.model import alpha_of_sm
+        from kdlab.model import _alpha_of_sm
 
         for j in (grid.nt // 2, int(grid.nt * 0.75)):
             payoff = _payoff(sol, grid, j, p)
@@ -180,9 +180,9 @@ class TestSolveNash:
             ahead = grid.x > front
             decay = np.exp(-(grid.x[ahead] - front))
             assert np.all(payoff[ahead] <= 1.05 * p.i_crit * decay)
-            assert np.all(alpha_of_sm(payoff[ahead], p) <= 1.05 * p.alpha1 * decay)
+            assert np.all(_alpha_of_sm(payoff[ahead], p) <= 1.05 * p.alpha1 * decay)
             s_bound = 1.05 * np.exp(-2.0 * (grid.x[ahead] - front))
-            assert np.all(s_m(payoff[ahead], p) <= s_bound)
+            assert np.all(_s_m(payoff[ahead], p) <= s_bound)
 
     def test_propensity_front_tightness(self, small_nash):
         # w reaches 1/2 within a bounded, non-growing offset of the learning
@@ -276,6 +276,6 @@ class TestSolveNash:
         assert np.max(np.abs(bres - sol.strategy_field.values)) <= 1e-6
         assert np.max(np.diff(sol.strategy_field.values, axis=1)) <= 1e-9
         payoff = _payoff(sol, grid, grid.nt // 2, p)
-        s = s_m(payoff, p)
+        s = _s_m(payoff, p)
         assert np.all(s[payoff >= p.i_crit] == 1.0)
         assert np.all(s[payoff < p.i_crit] < 1.0)

@@ -15,11 +15,11 @@ from kdlab.mfg import MfgConfig, solve_nash
 from kdlab.model import (
     ModelParams,
     TheoryPredictions,
-    alpha,
-    alpha_of_sm,
+    _alpha,
+    _alpha_of_sm,
+    _q_integral,
+    _s_m,
     discounted_tail,
-    q_integral,
-    s_m,
 )
 from kdlab.particles import ParticleState, StrategyRule, step_particles
 
@@ -70,93 +70,83 @@ class TestParams:
 
 class TestAlpha:
     def test_examples(self):
-        assert alpha(0.0, P_HALF) == 0.0
-        assert alpha(1.0, P_HALF) == pytest.approx(0.5)
+        assert _alpha(0.0, P_HALF) == 0.0
+        assert _alpha(1.0, P_HALF) == pytest.approx(0.5)
         p2 = ModelParams(kappa=1.0, rho=2.0, alpha1=2.0, k=0.5)
-        assert alpha(0.25, p2) == pytest.approx(1.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            alpha(-0.01, P_HALF)
-        with pytest.raises(DomainError):
-            alpha(1.01, P_HALF)
+        assert _alpha(0.25, p2) == pytest.approx(1.0)
 
     @given(params_st, st.floats(1e-6, 1.0), st.floats(1e-6, 1.0))
     def test_increasing_and_concave(self, p, s1, s2):
         lo, hi = sorted((s1, s2))
-        assert alpha(lo, p) <= alpha(hi, p) * (1 + 1e-12)
+        assert _alpha(lo, p) <= _alpha(hi, p) * (1 + 1e-12)
         mid = 0.5 * (lo + hi)
-        chord = 0.5 * (alpha(lo, p) + alpha(hi, p))
-        assert alpha(mid, p) >= chord - 1e-12 * max(1.0, chord)
+        chord = 0.5 * (_alpha(lo, p) + _alpha(hi, p))
+        assert _alpha(mid, p) >= chord - 1e-12 * max(1.0, chord)
 
 
 class TestOptimalAllocation:
     def test_examples(self):
         # i_crit = 2/alpha1 = 4 for k = 1/2, alpha1 = 0.5
-        assert s_m(0.0, P_HALF) == 0.0
-        assert s_m(4.0, P_HALF) == 1.0
-        assert s_m(2.0, P_HALF) == pytest.approx(0.25)
-        assert s_m(8.0, P_HALF) == 1.0
-        with pytest.raises(DomainError):
-            s_m(-1.0, P_HALF)
+        assert _s_m(0.0, P_HALF) == 0.0
+        assert _s_m(4.0, P_HALF) == 1.0
+        assert _s_m(2.0, P_HALF) == pytest.approx(0.25)
+        assert _s_m(8.0, P_HALF) == 1.0
 
     def test_threshold_continuity(self):
         ic = P_HALF.i_crit
-        below = s_m(ic * (1 - 1e-12), P_HALF)
+        below = _s_m(ic * (1 - 1e-12), P_HALF)
         assert below == pytest.approx(1.0, abs=1e-11)
-        assert s_m(ic, P_HALF) == 1.0
+        assert _s_m(ic, P_HALF) == 1.0
 
     @given(params_st, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=200)
     def test_monotone_and_lipschitz(self, p, u1, u2):
         span = 2.0 * p.i_crit
         i1, i2 = sorted((u1 * span, u2 * span))
-        v1, v2 = s_m(i1, p), s_m(i2, p)
+        v1, v2 = _s_m(i1, p), _s_m(i2, p)
         assert v1 <= v2 + 1e-12
         lip = p.k * p.alpha1 / (1.0 - p.k)
         assert v2 - v1 <= lip * (i2 - i1) * (1 + 1e-9) + 1e-15
 
     @given(params_st, st.floats(1e-6, 20.0))
     def test_saturated_rate(self, p, payoff):
-        a = alpha_of_sm(payoff, p)
+        a = _alpha_of_sm(payoff, p)
         assert a <= p.alpha1 * (1 + 1e-12)
-        assert a == pytest.approx(alpha(s_m(payoff, p), p), rel=1e-12)
+        assert a == pytest.approx(_alpha(_s_m(payoff, p), p), rel=1e-12)
 
     def test_saturated_rate_avoids_underflow(self):
         # Composing alpha with s_m underflows for tiny pay-offs; the direct
         # single-power evaluation keeps full precision.
         tiny = 1e-220
-        assert alpha(s_m(tiny, P_HALF), P_HALF) == 0.0
-        assert alpha_of_sm(tiny, P_HALF) == pytest.approx(0.5 * 0.25 * tiny, rel=1e-12)
+        assert _alpha(_s_m(tiny, P_HALF), P_HALF) == 0.0
+        assert _alpha_of_sm(tiny, P_HALF) == pytest.approx(0.5 * 0.25 * tiny, rel=1e-12)
 
     def test_saturated_rate_examples(self):
-        assert alpha_of_sm(0.0, P_HALF) == 0.0
-        assert alpha_of_sm(2.0, P_HALF) == pytest.approx(0.25)
-        assert alpha_of_sm(6.0, P_HALF) == pytest.approx(0.5)
+        assert _alpha_of_sm(0.0, P_HALF) == 0.0
+        assert _alpha_of_sm(2.0, P_HALF) == pytest.approx(0.25)
+        assert _alpha_of_sm(6.0, P_HALF) == pytest.approx(0.5)
 
     @given(params_st, st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     def test_saturated_rate_monotone(self, p, i1, i2):
         lo, hi = sorted((i1, i2))
-        assert alpha_of_sm(lo, p) <= alpha_of_sm(hi, p) + 1e-12
+        assert _alpha_of_sm(lo, p) <= _alpha_of_sm(hi, p) + 1e-12
 
 
 class TestQIntegral:
     def test_examples(self):
         p1 = ModelParams(kappa=1.0, rho=2.0, alpha1=1.0, k=0.5)
         p3 = ModelParams(kappa=1.0, rho=2.0, alpha1=3.0, k=0.5)
-        assert q_integral(0.0, p1) == 0.0
-        assert q_integral(1.0, p1) == pytest.approx(2.0 / 3.0)
-        assert q_integral(1.0, p3) == pytest.approx(2.0)
-        with pytest.raises(DomainError):
-            q_integral(1.5, p1)
+        assert _q_integral(0.0, p1) == 0.0
+        assert _q_integral(1.0, p1) == pytest.approx(2.0 / 3.0)
+        assert _q_integral(1.0, p3) == pytest.approx(2.0)
 
     @given(params_st, st.floats(0.0, 1.0))
     @settings(max_examples=50)
     def test_against_quadrature(self, p, u):
         import scipy.integrate
 
-        ref, _ = scipy.integrate.quad(lambda s: alpha(s, p), 0.0, u)
-        assert q_integral(u, p) == pytest.approx(ref, rel=1e-8, abs=1e-10)
+        ref, _ = scipy.integrate.quad(lambda s: _alpha(s, p), 0.0, u)
+        assert _q_integral(u, p) == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
 
 def _tail(g, v):
@@ -233,9 +223,9 @@ class TestPayoff:
 
 
 class TestCheckedOnce:
-    """The time loops run the checked functions a fixed number of times, not once per step."""
+    """The time loops run the model's checks a fixed number of times, not once per step."""
 
-    CHECKED = ("alpha", "s_m", "alpha_of_sm", "q_integral")
+    CHECKED = ("_check_payoff",)
 
     @staticmethod
     def grid(nt):
