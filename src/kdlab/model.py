@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.signal
 
 from .errors import DomainError, NonFiniteError
 from .grid import check_numbers
@@ -136,23 +136,61 @@ def _cell_weights(dx: float) -> tuple[float, float]:
     return wa, wb
 
 
+#: Width in e-folds of one block of discounted_tail: e^{-SPAN} is still a
+#: normal double, so a block's scale factors neither overflow nor underflow.
+SPAN = 512.0
+
+
+@lru_cache(maxsize=8)
+def _block_scales(dx: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """up[k] = e^{k dx} and down[k] = e^{-k dx} for k = 0 .. m-1, read-only.
+
+    Built with math.exp, not np.exp, whose SIMD variants round differently
+    from one CPU to the next.
+    """
+    kdx = (np.arange(m) * dx).tolist()
+    up = np.array([math.exp(v) for v in kdx])
+    down = np.array([math.exp(-v) for v in kdx])
+    up.flags.writeable = down.flags.writeable = False
+    return up, down
+
+
 def discounted_tail(g: np.ndarray, dx: float, rho_minus_kappa: float) -> np.ndarray:
     """e^{-x} integral of e^y g(y) from each node to the right edge, over rho-kappa.
 
     The one pay-off kernel: with g = F*w it is the learning pay-off I, with
     g = F the intrinsic pay-off J, which dominates I wherever w <= 1.
     Works on the last axis, so whole space-time fields evaluate in one call.
-    Computed right to left as I[i] = e^{dx} * I[i+1] + cell[i]: every step
-    applies only weights e^{y - x_i} with y - x_i <= dx, so intermediate
-    quantities never exceed the scale of the true value at that node (a
-    literal evaluation of e^{-x} and the integral separately overflows on
-    long domains).  The tail beyond the right boundary is taken as zero.
+    The tail beyond the right boundary is taken as zero, so the last node is 0.
+
+    The n cells are taken in blocks of m = min(n, SPAN/dx) cells.  Block b's
+    own tail L_b is a scaled suffix sum: its cells times e^{k dx}, one
+    reversed cumsum, times e^{-k dx}.  The tails carry right to left,
+    T_b = (L_{b+1}[0] + T_{b+1}) e^{m dx}, added to block b as T_b e^{-k dx}.
+    For g >= 0 every scaled partial sum is at most the tail at its block's
+    start, so nothing overflows unless the exact tail does (a literal
+    evaluation of e^{-x} and the integral separately overflows on long
+    domains).  A domain of at most SPAN e-folds is one block.  Against a
+    long-double recurrence the relative error is at most 4e-14 on 2801 to
+    20001 nodes and up to 1000 e-folds.
     """
     g = np.asarray(g, dtype=float)
+    n = g.shape[-1] - 1
+    m = max(1, min(n, int(SPAN // dx)))
+    nb = -(-n // m)
     wa, wb = _cell_weights(dx)
-    cells = (wa * g[..., :-1] + wb * g[..., 1:]) / rho_minus_kappa
-    rev = cells[..., ::-1]
-    acc = scipy.signal.lfilter([1.0], [1.0, -math.exp(dx)], rev, axis=-1)
-    out = np.zeros(g.shape, dtype=float)
-    out[..., :-1] = acc[..., ::-1]
-    return out
+    buf = np.zeros(g.shape[:-1] + (nb * m + 1,))
+    cells = buf[..., :n]
+    np.multiply(g[..., :-1], wa, out=cells)
+    cells += wb * g[..., 1:]
+    cells /= rho_minus_kappa
+    blocks = buf[..., :nb * m].reshape(g.shape[:-1] + (nb, m))
+    up, down = _block_scales(dx, m)
+    blocks *= up
+    rev = blocks[..., ::-1]
+    np.cumsum(rev, axis=-1, out=rev)
+    blocks *= down
+    grow = math.exp(m * dx)
+    for b in range(nb - 2, -1, -1):
+        blocks[..., b, :] += (blocks[..., b + 1, :1] * grow) * down
+    return buf[..., :n + 1]

@@ -1,13 +1,19 @@
 """Model primitives: search function, optimal allocation, pay-off integrals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdlab import model
+import kdlab
+from kdlab import grid, model
 from kdlab.errors import DomainError
 from kdlab.forward import INTRINSIC, RANK_LOCAL, iter_forward
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
@@ -143,8 +149,6 @@ class TestQIntegral:
     @given(params_st, st.floats(0.0, 1.0))
     @settings(max_examples=50)
     def test_against_quadrature(self, p, u):
-        import scipy.integrate
-
         ref, _ = scipy.integrate.quad(lambda s: _alpha(s, p), 0.0, u)
         assert _q_integral(u, p) == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
@@ -222,10 +226,82 @@ class TestPayoff:
         assert np.max(rel[:-1]) < 1e-10
 
 
-class TestCheckedOnce:
-    """The time loops run the model's checks a fixed number of times, not once per step."""
+def _longdouble_tail(g, dx, rho_minus_kappa):
+    """Right-to-left recurrence I[i] = e^{dx} I[i+1] + cell[i], in long double."""
+    ld = np.longdouble
+    wa, wb = (ld(w) for w in model._cell_weights(dx))
+    cells = (wa * g[:-1].astype(ld) + wb * g[1:].astype(ld)) / ld(rho_minus_kappa)
+    grow = np.exp(ld(dx))
+    out = np.zeros(g.size, dtype=ld)
+    for i in range(g.size - 2, -1, -1):
+        out[i] = grow * out[i + 1] + cells[i]
+    return out
 
-    CHECKED = ("_check_payoff",)
+
+class TestBlockedTail:
+    """discounted_tail's blocked scaled suffix sums against a long-double recurrence."""
+
+    @staticmethod
+    def lottery_intrinsic():
+        # The lottery-intrinsic grid (nx 6001, dx 0.05) and a front-like F: one block.
+        g = space_grid(-20.0, 280.0, 6001)
+        return g, 1.0 / (1.0 + np.exp(1.3 * (g.x - 60.0)))
+
+    @staticmethod
+    def long_domain():
+        # 1000 e-folds: two blocks of at most SPAN e-folds, joined by the carry.
+        g = space_grid(0.0, 1000.0, 20001)
+        return g, np.exp(-0.7 * g.x)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="the reference needs a long double wider than double")
+    @pytest.mark.parametrize("case", ["lottery_intrinsic", "long_domain"])
+    def test_against_long_double_recurrence(self, case):
+        g, v = getattr(self, case)()
+        ref = _longdouble_tail(v, g.dx, P_HALF.rho_minus_kappa)
+        rel = np.abs(_tail(g, v)[:-1] - ref[:-1]) / ref[:-1]
+        assert float(np.max(rel)) <= 1e-13
+
+    def test_long_domain_takes_the_carry(self):
+        g, _ = self.long_domain()
+        assert (g.nx - 1) * g.dx > model.SPAN
+
+    @pytest.mark.parametrize("case", ["lottery_intrinsic", "long_domain"])
+    def test_rows_equal_single_calls_bitwise(self, case):
+        g, v = getattr(self, case)()
+        rows = np.stack([v, 0.5 * v, np.sqrt(v), np.zeros_like(v)])
+        field = _tail(g, rows)
+        for row, one in zip(field, rows):
+            assert np.array_equal(row, _tail(g, one))
+
+    @pytest.mark.parametrize("case", ["lottery_intrinsic", "long_domain"])
+    def test_last_node_is_zero(self, case):
+        g, v = getattr(self, case)()
+        assert _tail(g, v)[-1] == 0.0
+        assert np.all(_tail(g, np.stack([v, v]))[:, -1] == 0.0)
+
+    def test_smallest_grid(self):
+        g = space_grid(0.0, 0.7, 8)
+        v = np.linspace(1.0, 0.2, g.nx)
+        out = _tail(g, v)
+        ref = _longdouble_tail(v, g.dx, P_HALF.rho_minus_kappa)
+        assert out.shape == (8,) and out[-1] == 0.0
+        assert np.max(np.abs(out[:-1] - ref[:-1]) / ref[:-1]) <= 1e-13
+
+
+class TestImport:
+    def test_import_loads_no_heavy_scipy_module(self):
+        # Importing kdlab needs scipy.linalg only; the other subpackages cost
+        # about a second and 47 MB of set-up per process.
+        src = Path(kdlab.__file__).resolve().parents[1]
+        heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
+        code = f"import sys, kdlab; print([m for m in {heavy!r} if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
+
+class TestCheckedOnce:
+    """The sweeps run the input checks a fixed number of times, not once per step."""
 
     @staticmethod
     def grid(nt):
@@ -253,15 +329,27 @@ class TestCheckedOnce:
             pass
 
     def counts(self, monkeypatch, kind, nt):
-        calls = dict.fromkeys(self.CHECKED, 0)
-        for name in self.CHECKED:
-            real = getattr(model, name)
+        """Calls of each input check during one sweep of nt steps."""
+        calls = {}
 
-            def counted(*args, _name=name, _real=real):
-                calls[_name] += 1
-                return _real(*args)
+        def count(owner, name, key):
+            real = getattr(owner, name)
 
-            monkeypatch.setattr(model, name, counted)
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            calls[key] = 0
+            monkeypatch.setattr(owner, name, counted)
+
+        # check_numbers is called through the name each module imports.
+        for mod in [m for k, m in sys.modules.items() if k.startswith("kdlab")]:
+            if getattr(mod, "check_numbers", None) is grid.check_numbers:
+                count(mod, "check_numbers", "check_numbers")
+        count(model, "_check_payoff", "_check_payoff")
+        for cls in (Profile, SpaceTimeField):
+            count(cls, "__init__", cls.__name__)
+        count(ParticleState, "__post_init__", "ParticleState")
         self.sweep(kind, nt)
         monkeypatch.undo()
         return calls
@@ -270,4 +358,6 @@ class TestCheckedOnce:
                                       "particles-rank", "particles-ratio",
                                       "particles-smoothed-rank"])
     def test_counts_do_not_grow_with_steps(self, monkeypatch, kind):
-        assert self.counts(monkeypatch, kind, 10) == self.counts(monkeypatch, kind, 20)
+        short = self.counts(monkeypatch, kind, 10)
+        assert any(short.values())
+        assert short == self.counts(monkeypatch, kind, 20)
