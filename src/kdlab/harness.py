@@ -631,6 +631,11 @@ def _execute(
     _write_diagnostics(out / "diagnostics.csv", report.to_rows())
 
     th = TheoryPredictions.from_params(config.params)
+    median_speed = th.c_star
+    if config.particles is not None and config.particles.rule == RANK:
+        # The rank rule's mean field is the rank-local equation: a pulled
+        # front whose leading-edge growth rate is Q(1), not alpha1.
+        median_speed = 2.0 * math.sqrt(config.params.kappa * model._q_integral(1.0, config.params))
     manifest.update({
         "schema_version": SCHEMA_VERSION,
         "code_version": __version__,
@@ -640,7 +645,7 @@ def _execute(
         "seeds": {"particles": config.particles.seed} if config.particles else {},
         "speeds": speeds,
         "theory": {
-            "median_speed": th.c_star,
+            "median_speed": median_speed,
             "learning_speed": th.v_star,
             "decay_rate": th.lambda_star,
             "search_threshold": th.i_crit if math.isfinite(th.i_crit) else None,

@@ -137,11 +137,16 @@ def solve_nash(
         return MfgSolution(F_field, w_field, s_field, residuals=[0.0], thetas=[cfg.theta],
                            converged=True, iterations=1)
 
-    # The loop holds four fields: s, F, w and the best response s_resp, filled
-    # slice by slice as the sweeps yield them.
+    # The loop holds three fields: s, F and w.  Once a sweep's running
+    # residual exceeds tol before max_iter, another iteration is certain and
+    # this sweep's w is never returned, so from that slice down w's rows hold
+    # the best response instead.  The rows swept before the switch keep w, and
+    # the damped step recomputes their best response from the same F and w
+    # rows, which gives the same bits.  A converged sweep, or the one at
+    # max_iter, never switches and returns its w.
     F_field = SpaceTimeField(grid, np.zeros_like(s))
     w_field = SpaceTimeField(grid, np.zeros_like(s))
-    F, w, s_resp = F_field.values, w_field.values, np.empty_like(s)
+    F, w = F_field.values, w_field.values
     theta = cfg.theta
     residuals: list[float] = []
     thetas: list[float] = []
@@ -151,10 +156,13 @@ def solve_nash(
         for j, F_j, _ in iter_forward(F0, s_field, p, grid):
             F[j] = F_j
         res = 0.0
+        switch = None  # first slice whose row holds the best response
         for j, w_j in iter_backward(wT, F_field, s_field, p, grid):
-            w[j] = w_j
-            s_resp[j] = _best_response(F[j], w_j, grid.dx, p)
-            res = max(res, _residual(s_resp[j], s[j]))
+            resp = _best_response(F[j], w_j, grid.dx, p)
+            res = max(res, _residual(resp, s[j]))
+            if switch is None and res > cfg.tol and iterations < cfg.max_iter:
+                switch = j
+            w[j] = w_j if switch is None else resp
         if residuals and res > residuals[-1]:
             theta *= 0.5
         residuals.append(res)
@@ -163,10 +171,12 @@ def solve_nash(
             converged = True
             break
         if iterations < cfg.max_iter:
-            # (1 - theta) s + theta s_resp, in place and bit for bit.
+            for j in range(switch + 1, grid.nt + 1):
+                w[j] = _best_response(F[j], w[j], grid.dx, p)
+            # (1 - theta) s + theta BR(s), in place and bit for bit; w now holds BR(s).
             s *= 1.0 - theta
-            s_resp *= theta
-            s += s_resp
+            w *= theta
+            s += w
     return MfgSolution(
         F_field=F_field,
         w_field=w_field,

@@ -200,7 +200,9 @@ class TestCriterion5InvariantSuite:
 class TestCriterion6ParticlePdeConsistency:
     def test_rank_rule_front_speed(self, preset_runs):
         res = preset_runs("compare-particle-pde")
-        target = 2.0 * math.sqrt(2.0 / 3.0)
+        # The manifest's theory is the rank-local front's 2 sqrt(kappa Q(1)).
+        target = res.manifest["theory"]["median_speed"]
+        assert abs(target - 2.0 * math.sqrt(2.0 / 3.0)) <= 1e-12
         part = res.manifest["speeds"]["median"]["speed"]
         pde = res.manifest["speeds"]["pde_median"]["speed"]
         ok_part = abs(part - target) <= 0.10 * target

@@ -218,6 +218,18 @@ class TestRun:
         for fa, fb in zip(snaps_a, snaps_b):
             assert fa.read_bytes() == fb.read_bytes()
 
+    @pytest.mark.parametrize("rule", ["rank", "ratio"])
+    def test_theory_speed_follows_the_rule(self, tmp_path, rule):
+        # The rank rule's mean field is the rank-local equation, whose front
+        # speed is 2 sqrt(kappa Q(1)) with Q(1) = alpha1 / (k + 1); the other
+        # rules keep 2 sqrt(kappa alpha1).
+        cfg = tiny_particle_config(nt=2)
+        cfg = dataclasses.replace(cfg, particles=dataclasses.replace(cfg.particles, rule=rule))
+        p = cfg.params
+        q1 = p.alpha1 / (p.k + 1.0) if rule == "rank" else p.alpha1
+        theory = run(cfg, tmp_path / rule).manifest["theory"]
+        assert theory["median_speed"] == pytest.approx(2.0 * math.sqrt(p.kappa * q1), abs=1e-12)
+
 
 def write_field_archive(path, kind):
     """An npz in the layout the removed field/profile checkpoint kinds had."""

@@ -6,12 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kdlab.mfg
 from kdlab.analysis import _front, locate_level
-from kdlab.backward import TerminalCondition, solve_backward
+from kdlab.backward import TerminalCondition, iter_backward, solve_backward
 from kdlab.errors import DomainError, GridMismatchError
-from kdlab.forward import INTRINSIC, solve_forward
-from kdlab.grid import Grid1D, Profile
-from kdlab.mfg import MfgConfig, _residual, best_response, solve_nash
+from kdlab.forward import INTRINSIC, iter_forward, solve_forward
+from kdlab.grid import Grid1D, Profile, SpaceTimeField
+from kdlab.mfg import (MfgConfig, MfgSolution, _best_response, _residual, best_response,
+                       solve_nash)
 from kdlab.model import ModelParams, _s_m, discounted_tail
 
 from conftest import space_grid
@@ -57,6 +59,50 @@ def _default_terminal(F0, grid, p):
     J_end = discounted_tail(F_end, grid.dx, p.rho_minus_kappa)
     center = locate_level(Profile(grid, J_end), p.i_crit)
     return TerminalCondition(kind="logistic", center=center, slope=1.0)
+
+
+def _four_field_nash(F0, p, grid, cfg):
+    """Reference: the Picard loop with the best response in a fourth field.
+
+    Same warm start, default terminal condition, damping and stopping rule as
+    solve_nash.  Also returns, per iteration, the first slice at which the
+    running residual exceeds tol (None if it never does).
+    """
+    s = np.empty((grid.nt + 1, grid.nx))
+    for j, _, J in iter_forward(F0, INTRINSIC, p, grid):
+        s[j] = _s_m(J, p)
+    s_field = SpaceTimeField(grid, s)
+    wT = TerminalCondition(kind="logistic", center=locate_level(Profile(grid, J), p.i_crit),
+                           slope=1.0)
+    F_field = SpaceTimeField(grid, np.zeros_like(s))
+    w_field = SpaceTimeField(grid, np.zeros_like(s))
+    F, w, s_resp = F_field.values, w_field.values, np.empty_like(s)
+    theta, residuals, thetas, passes, converged = cfg.theta, [], [], [], False
+    for iterations in range(1, cfg.max_iter + 1):
+        for j, F_j, _ in iter_forward(F0, s_field, p, grid):
+            F[j] = F_j
+        res, passed = 0.0, None
+        for j, w_j in iter_backward(wT, F_field, s_field, p, grid):
+            w[j] = w_j
+            s_resp[j] = _best_response(F[j], w_j, grid.dx, p)
+            res = max(res, _residual(s_resp[j], s[j]))
+            if passed is None and res > cfg.tol:
+                passed = j
+        passes.append(passed)
+        if residuals and res > residuals[-1]:
+            theta *= 0.5
+        residuals.append(res)
+        thetas.append(theta)
+        if res <= cfg.tol:
+            converged = True
+            break
+        if iterations < cfg.max_iter:
+            s *= 1.0 - theta
+            s_resp *= theta
+            s += s_resp
+    sol = MfgSolution(F_field, w_field, s_field, residuals=residuals, thetas=thetas,
+                      converged=converged, iterations=iterations)
+    return sol, passes
 
 
 def _payoff(sol, grid, j, p):
@@ -146,10 +192,11 @@ class TestSolveNash:
         bres = best_response(F.values, w.values, grid.dx, P_LOTTERY)
         assert np.max(np.abs(bres - sol.strategy_field.values)) == sol.residuals[-1]
 
-    def test_peak_memory_is_four_fields(self, two_step_nash):
-        # s, F, w and the best response, plus slice-sized temporaries.
+    def test_peak_memory_is_three_fields(self, two_step_nash):
+        # s, F and w (whose rows hold the best response before a damped
+        # step), plus slice-sized temporaries.
         _, _, peak_fields = two_step_nash
-        assert peak_fields <= 5.0
+        assert peak_fields <= 3.5
 
     def test_strategy_monotone_slices(self, small_nash):
         _, sol = small_nash
@@ -279,3 +326,65 @@ class TestSolveNash:
         s = _s_m(payoff, p)
         assert np.all(s[payoff >= p.i_crit] == 1.0)
         assert np.all(s[payoff < p.i_crit] < 1.0)
+
+
+# (params, grid, config, where iteration 1's running residual first exceeds tol)
+_LOTTERY_5 = (P_LOTTERY, _nash_grid(5.0))
+_EQUIVALENCE_CASES = {
+    "first-slice-passes": (*_LOTTERY_5, MfgConfig(tol=1e-2), "terminal"),
+    "passes-partway": (*_LOTTERY_5, MfgConfig(tol=0.06), "partway"),
+    "converged": (*_LOTTERY_5, MfgConfig(tol=1e-9), None),
+    "max_iter=1": (*_LOTTERY_5, MfgConfig(tol=1e-14, max_iter=1), None),
+    "max_iter=2": (*_LOTTERY_5, MfgConfig(tol=1e-14, max_iter=2), None),
+    # test_damping_halves_exactly_when_residual_rises's setup
+    "theta-halved": (ModelParams(kappa=1.0, rho=2.0, alpha1=8.0, k=0.5),
+                     Grid1D(-20.0, 76.0, 385, 0.0, 4.0, 320), MfgConfig(), None),
+}
+
+
+class TestThreeFieldLoop:
+    """solve_nash keeps the best response in w's rows yet matches the four-field loop."""
+
+    @pytest.mark.parametrize("case", list(_EQUIVALENCE_CASES))
+    def test_equals_four_field_reference(self, case, monkeypatch):
+        p, grid, cfg, where = _EQUIVALENCE_CASES[case]
+        F0 = _ramp(grid)
+        ref, passes = _four_field_nash(F0, p, grid, cfg)
+        if where == "terminal":
+            assert passes[0] == grid.nt
+        elif where == "partway":
+            assert 0 < passes[0] < grid.nt
+        if case == "converged" or case == "theta-halved":
+            assert ref.converged
+        if case.startswith("max_iter"):
+            assert not ref.converged and ref.iterations == cfg.max_iter
+        if case == "theta-halved":
+            assert ref.thetas[-1] < ref.thetas[0]
+
+        calls = {"best_response": 0, "backward_slices": 0}
+
+        def counted_best_response(*args):
+            calls["best_response"] += 1
+            return _best_response(*args)
+
+        def counted_iter_backward(*args):
+            for item in iter_backward(*args):
+                calls["backward_slices"] += 1
+                yield item
+
+        monkeypatch.setattr(kdlab.mfg, "_best_response", counted_best_response)
+        monkeypatch.setattr(kdlab.mfg, "iter_backward", counted_iter_backward)
+        sol = solve_nash(F0, None, p, grid, cfg)
+
+        assert np.array_equal(sol.F_field.values, ref.F_field.values)
+        assert np.array_equal(sol.w_field.values, ref.w_field.values)
+        assert np.array_equal(sol.strategy_field.values, ref.strategy_field.values)
+        assert sol.residuals == ref.residuals
+        assert sol.thetas == ref.thetas
+        assert (sol.converged, sol.iterations) == (ref.converged, ref.iterations)
+        # No extra sweep, and the only extra best responses are those of the
+        # rows swept before the switch in each iteration a damped step follows.
+        damped = sol.iterations - (1 if sol.converged or sol.iterations == cfg.max_iter else 0)
+        assert calls["backward_slices"] == sol.iterations * (grid.nt + 1)
+        assert calls["best_response"] == sol.iterations * (grid.nt + 1) + sum(
+            grid.nt - passes[i] for i in range(damped))
