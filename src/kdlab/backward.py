@@ -24,39 +24,35 @@ from .grid import SLOPE_TOL, Grid1D, Profile, SpaceTimeField, _march, check_numb
 
 @dataclass(frozen=True)
 class TerminalCondition:
-    """Terminal data for w: a logistic ramp or an explicit profile.
+    """Terminal data for w: the logistic ramp 1 / (1 + exp(-slope (x - center))).
 
-    The built profile must be non-decreasing with values within 1e-6 of 0 at
-    the left edge and 1 at the right edge.
+    kind names the ramp and takes "logistic" only.  Any other terminal profile
+    is a Profile, which iter_backward and solve_nash take in its place.
     """
 
     kind: str = "logistic"
     center: float = 0.0
     slope: float = 1.0
-    profile: Profile | None = None
 
     def __post_init__(self) -> None:
         check_numbers(self, "center slope")
-        if self.kind not in ("logistic", "custom"):
+        if self.kind != "logistic":
             raise DomainError(f"unknown terminal kind {self.kind!r}")
-        if self.kind == "logistic" and not self.slope > 0:
+        if not self.slope > 0:
             raise DomainError("logistic slope must be positive")
-        if self.kind == "custom" and self.profile is None:
-            raise DomainError("custom terminal condition needs a profile")
 
     def build(self, grid: Grid1D) -> np.ndarray:
-        if self.kind == "logistic":
-            z = np.clip(self.slope * (grid.x - self.center), -700.0, 700.0)
-            vals = 1.0 / (1.0 + np.exp(-z))
-        else:
-            if self.profile.grid != grid:
-                raise GridMismatchError("terminal profile does not live on the run grid")
-            vals = self.profile.values.copy()
-        if np.min(np.diff(vals)) < -SLOPE_TOL:
-            raise DomainError("terminal condition must be non-decreasing")
-        if vals[0] > 1e-6 or vals[-1] < 1.0 - 1e-6:
-            raise DomainError("terminal condition must run from ~0 on the left to ~1 on the right")
-        return vals
+        z = np.clip(self.slope * (grid.x - self.center), -700.0, 700.0)
+        return _checked_terminal(1.0 / (1.0 + np.exp(-z)))
+
+
+def _checked_terminal(vals: np.ndarray) -> np.ndarray:
+    """vals, if they are non-decreasing and run from within 1e-6 of 0 to within 1e-6 of 1."""
+    if np.min(np.diff(vals)) < -SLOPE_TOL:
+        raise DomainError("terminal condition must be non-decreasing")
+    if vals[0] > 1e-6 or vals[-1] < 1.0 - 1e-6:
+        raise DomainError("terminal condition must run from ~0 on the left to ~1 on the right")
+    return vals
 
 
 def dt_max_backward(p: model.ModelParams) -> float:
@@ -73,8 +69,11 @@ def iter_backward(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (slice index, w values) for j = nt .. 0, stepping lazily backward.
 
-    One step treats diffusion and the upwinded drift implicitly and the source
-    explicitly, on the shared stepper with w pinned to 0 left and 1 right.
+    wT is a logistic TerminalCondition or a Profile on the run grid; either
+    way the terminal slice must be non-decreasing and within 1e-6 of 0 at the
+    left edge and of 1 at the right.  One step treats diffusion and the
+    upwinded drift implicitly and the source explicitly, on the shared
+    stepper with w pinned to 0 left and 1 right.
     strategy_field holds the allocation values s of the current outer
     iterate; they are consumed as given, not recomputed here, and slice j is
     read only when the step that needs it is taken.  Every slice stays in
@@ -88,7 +87,11 @@ def iter_backward(
             f"grid dt={grid.dt} exceeds the backward source bound {dt_max_backward(p)}"
         )
     if isinstance(wT, Profile):
-        wT = TerminalCondition(kind="custom", profile=wT)
+        if wT.grid != grid:
+            raise GridMismatchError("terminal profile does not live on the run grid")
+        w0 = _checked_terminal(wT.values.copy())
+    else:
+        w0 = wT.build(grid)
     nt, dt = grid.nt, grid.dt
     F, s = F_field.values, strategy_field.values
 
@@ -97,7 +100,7 @@ def iter_backward(
         source = p.rho_minus_kappa * (1.0 - s_vals - w) - model._alpha(s_vals, p) * w * F[nt - n]
         return w + dt * source
 
-    steps = _march(wT.build(grid), nt, grid.dx, dt, p.kappa, rhs, ends=(0.0, 1.0),
+    steps = _march(w0, nt, grid.dx, dt, p.kappa, rhs, ends=(0.0, 1.0),
                    drift=2.0 * p.kappa, slope=1, name="w")
     for n, w in steps:
         yield nt - n, w

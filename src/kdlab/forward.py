@@ -14,7 +14,7 @@ strategy s = F, where the equation is local.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -27,9 +27,6 @@ CONSTANT_ALPHA = "constant-alpha"
 RANK_LOCAL = "rank-local"
 
 StrategyInput = Union[SpaceTimeField, str]
-
-#: Growth rate c(t_n, .) of step n, given the slice F_n it starts from.
-RateFn = Callable[[int, np.ndarray], np.ndarray]
 
 
 def dt_max(p: model.ModelParams) -> float:
@@ -61,47 +58,6 @@ def nonlocal_rate(F: Profile, s_star: Profile, p: model.ModelParams) -> Profile:
     return Profile(F.grid, _rate_from_alpha(F.values, model._alpha(s, p)))
 
 
-def _run_steps(
-    F0: Profile, rate: RateFn, p: model.ModelParams, grid: Grid1D
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Check a whole-grid forward run's inputs, then return its IMEX steps.
-
-    F0 must be non-increasing and lie in [0, 1], where the stepper keeps every
-    later slice, so the rates call the model's kernels unchecked.  The steps
-    run on the shared stepper with F pinned to 1 left and 0 right: diffusion
-    is implicit, the reaction F (1 + dt c) with c = rate(n, F) explicit.
-    """
-    if F0.grid != grid:
-        raise GridMismatchError("F0 does not live on the run grid")
-    if grid.nt > 0 and grid.dt > dt_max(p) * (1.0 + 1e-12):
-        raise DomainError(f"grid dt={grid.dt} exceeds dt_max={dt_max(p)}")
-    if np.max(np.diff(F0.values), initial=-np.inf) > SLOPE_TOL:
-        raise DomainError("F0 must be non-increasing")
-    if np.min(F0.values) < 0.0 or np.max(F0.values) > 1.0:
-        raise DomainError("F0 must lie in [0, 1]")
-    dt = grid.dt
-    return _march(
-        F0.values.copy(), grid.nt, grid.dx, dt, p.kappa,
-        lambda n, F: F * (1.0 + dt * rate(n, F)), ends=(1.0, 0.0), slope=-1, name="F",
-    )
-
-
-def _alpha_slice(
-    F_vals: np.ndarray, J_vals: np.ndarray | None, strategy: StrategyInput, j: int,
-    p: model.ModelParams,
-) -> np.ndarray:
-    """Search-rate values alpha(s(t_j, .)) for the step starting at slice j with pay-off J.
-
-    Unchecked: the strategy is clipped to [0, 1], and J is finite and
-    non-negative (see _run_steps).
-    """
-    if isinstance(strategy, SpaceTimeField):
-        return model._alpha(np.clip(strategy.values[j], 0.0, 1.0), p)
-    if strategy == CONSTANT_ALPHA:
-        return np.full_like(F_vals, p.alpha1)
-    return model._alpha_of_sm(J_vals, p)
-
-
 def iter_forward(
     F0: Profile,
     strategy: StrategyInput,
@@ -109,6 +65,14 @@ def iter_forward(
     grid: Grid1D,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
     """Yield (slice index, F values, intrinsic pay-off J) for j = 0 .. nt, stepping lazily.
+
+    The inputs are checked once, at entry: F0 must be non-increasing and lie
+    in [0, 1], where the stepper keeps every later slice, so the growth rate
+    calls the model's kernels unchecked.  The coupling is read once too, into
+    one rate kernel c(t_j, .) per sweep; the steps run on the shared stepper
+    with F pinned to 1 left and 0 right, diffusion implicit and the reaction
+    F (1 + dt c) explicit.  A prescribed strategy field is clipped to [0, 1]
+    row by row, as each step reads it.
 
     Under the intrinsic and constant-rate closures J is discounted_tail of the
     slice, computed once: the intrinsic closure steps from that same J.  Under
@@ -125,14 +89,31 @@ def iter_forward(
             raise GridMismatchError("strategy field does not live on the run grid")
     elif strategy not in (INTRINSIC, CONSTANT_ALPHA, RANK_LOCAL):
         raise DomainError(f"unknown strategy input {strategy!r}")
-    closure = strategy in (INTRINSIC, CONSTANT_ALPHA)
+    if F0.grid != grid:
+        raise GridMismatchError("F0 does not live on the run grid")
+    if grid.nt > 0 and grid.dt > dt_max(p) * (1.0 + 1e-12):
+        raise DomainError(f"grid dt={grid.dt} exceeds dt_max={dt_max(p)}")
+    if np.max(np.diff(F0.values), initial=-np.inf) > SLOPE_TOL:
+        raise DomainError("F0 must be non-increasing")
+    if np.min(F0.values) < 0.0 or np.max(F0.values) > 1.0:
+        raise DomainError("F0 must lie in [0, 1]")
     J = None  # the pay-off of the slice last yielded, which the next step reads
-    if strategy == RANK_LOCAL:
+    if isinstance(strategy, SpaceTimeField):
+        s = strategy.values
+        rate = lambda j, F: _rate_from_alpha(F, model._alpha(np.clip(s[j], 0.0, 1.0), p))
+    elif strategy == INTRINSIC:
+        rate = lambda j, F: _rate_from_alpha(F, model._alpha_of_sm(J, p))
+    elif strategy == CONSTANT_ALPHA:
+        alpha = np.full(grid.nx, p.alpha1)
+        rate = lambda j, F: _rate_from_alpha(F, alpha)
+    else:
         q1 = model._q_integral(1.0, p)
         rate = lambda j, F: q1 - model._q_integral(F, p)
-    else:
-        rate = lambda j, F: _rate_from_alpha(F, _alpha_slice(F, J, strategy, j, p))
-    for j, F in _run_steps(F0, rate, p, grid):
+    closure = strategy in (INTRINSIC, CONSTANT_ALPHA)
+    dt = grid.dt
+    steps = _march(F0.values.copy(), grid.nt, grid.dx, dt, p.kappa,
+                   lambda j, F: F * (1.0 + dt * rate(j, F)), ends=(1.0, 0.0), slope=-1, name="F")
+    for j, F in steps:
         if closure:
             J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
         yield j, F, J

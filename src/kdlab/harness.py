@@ -77,11 +77,11 @@ def _keys(cls) -> tuple[str, ...]:
 #: The JSON keys of the output section, each an ExperimentConfig field.
 _OUTPUT_KEYS = ("snapshot_stride", "track_stride", "binary_fields", "fit_window")
 #: Each config section built by a type: JSON key -> (ExperimentConfig field,
-#: type, the JSON keys it takes).  A custom terminal profile has no JSON form.
+#: type, the JSON keys it takes).
 _SECTIONS = {
     "params": ("params", ModelParams, _keys(ModelParams)),
     "grid": ("grid", Grid1D, _keys(Grid1D)),
-    "terminal_condition": ("terminal", TerminalCondition, ("kind", "center", "slope")),
+    "terminal_condition": ("terminal", TerminalCondition, _keys(TerminalCondition)),
     "mfg": ("mfg", MfgConfig, _keys(MfgConfig)),
     "particles": ("particles", ParticleSpec, _keys(ParticleSpec)),
 }
@@ -125,9 +125,10 @@ class ExperimentConfig:
         if self.mode in ("particles", "compare"):
             if self.particles is None:
                 raise ConfigError(f"mode {self.mode!r} needs a particles section")
-        if self.terminal is not None and self.terminal.kind == "custom":
-            raise ConfigError("a custom terminal condition has no JSON form; "
-                              "pass its profile to solve_nash instead")
+        # compare's PDE side is the rank-local equation, the rank rule's mean field.
+        if self.mode == "compare" and self.particles.rule != RANK:
+            raise ConfigError(f"mode 'compare' needs particles.rule 'rank', "
+                              f"got {self.particles.rule!r}")
         if not (is_number(self.initial_l0) and self.initial_l0 > 0):
             raise ConfigError(
                 f"initial_condition.l0 must be a positive number, got {self.initial_l0!r}"
@@ -630,12 +631,13 @@ def _execute(
     report = _diagnose(config, rec.snaps)
     _write_diagnostics(out / "diagnostics.csv", report.to_rows())
 
-    th = TheoryPredictions.from_params(config.params)
-    median_speed = th.c_star
-    if config.particles is not None and config.particles.rule == RANK:
-        # The rank rule's mean field is the rank-local equation: a pulled
-        # front whose leading-edge growth rate is Q(1), not alpha1.
-        median_speed = 2.0 * math.sqrt(config.params.kappa * model._q_integral(1.0, config.params))
+    p = config.params
+    th = TheoryPredictions.from_params(p)
+    # The median front is pulled: its speed and decay rate follow from the
+    # leading-edge growth rate r.  The rank rule's mean field is the
+    # rank-local equation, whose r is Q(1); every other run's is alpha1.
+    rank = config.particles is not None and config.particles.rule == RANK
+    r = model._q_integral(1.0, p) if rank else p.alpha1
     manifest.update({
         "schema_version": SCHEMA_VERSION,
         "code_version": __version__,
@@ -645,9 +647,9 @@ def _execute(
         "seeds": {"particles": config.particles.seed} if config.particles else {},
         "speeds": speeds,
         "theory": {
-            "median_speed": median_speed,
+            "median_speed": 2.0 * math.sqrt(p.kappa * r),
             "learning_speed": th.v_star,
-            "decay_rate": th.lambda_star,
+            "decay_rate": math.sqrt(r / p.kappa),
             "search_threshold": th.i_crit if math.isfinite(th.i_crit) else None,
             "regime": th.regime,
         },

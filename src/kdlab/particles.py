@@ -32,6 +32,7 @@ import numpy as np
 
 from . import model
 from .errors import DomainError, NonFiniteError
+from .forward import dt_max
 from .grid import Grid1D, Profile, is_number
 
 RANK = "rank"
@@ -217,8 +218,8 @@ def step_particles(
     worker raises is raised here.  The worker calls only private helpers, so
     a tracer that wraps the public functions sees every call on this thread.
     """
-    if p.alpha1 > 0 and dt > 0.1 / p.alpha1 * (1.0 + 1e-12):
-        raise DomainError(f"dt={dt} exceeds 0.1/alpha1={0.1 / p.alpha1}")
+    if dt > dt_max(p) * (1.0 + 1e-12):
+        raise DomainError(f"dt={dt} exceeds dt_max={dt_max(p)}")
     ids, x = state.stream_ids, state.positions
     with ThreadPoolExecutor(max_workers=1) as worker:
         drawing = worker.submit(_draws, state.seed, state.step_index, ids)

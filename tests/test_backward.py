@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kdlab.backward import TerminalCondition, dt_max_backward, iter_backward, solve_backward
-from kdlab.errors import DomainError
+from kdlab.errors import DomainError, GridMismatchError
 from kdlab.forward import INTRINSIC, solve_forward
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
 from kdlab.model import ModelParams, _alpha, _s_m, discounted_tail
@@ -32,16 +32,21 @@ class TestTerminalCondition:
         with pytest.raises(DomainError):
             TerminalCondition(kind="logistic", center=0.0, slope=1.0).build(g)
 
-    def test_custom_profile(self):
-        g = space_grid(-20.0, 20.0, 401)
+    def test_profile_terminal(self):
+        # A terminal profile other than the logistic ramp is a Profile.
+        g = Grid1D(-20.0, 20.0, 401, 0.0, 0.5, 5)
+        zeros = SpaceTimeField(g, np.zeros((g.nt + 1, g.nx)))
         prof = Profile(g, np.clip(0.5 + g.x / 10.0, 0.0, 1.0))
-        vals = TerminalCondition(kind="custom", profile=prof).build(g)
-        assert np.array_equal(vals, prof.values)
+        w = solve_backward(prof, zeros, zeros, P, g)
+        assert np.array_equal(w.values[g.nt], prof.values)
         decreasing = Profile(g, np.clip(0.5 - g.x / 10.0, 0.0, 1.0))
         with pytest.raises(DomainError):
-            TerminalCondition(kind="custom", profile=decreasing).build(g)
+            solve_backward(decreasing, zeros, zeros, P, g)
+        with pytest.raises(GridMismatchError):
+            solve_backward(Profile(space_grid(-20.0, 20.0, 201), prof.values[::2]),
+                           zeros, zeros, P, g)
 
-    def test_needs_profile(self):
+    def test_only_logistic_kind(self):
         with pytest.raises(DomainError):
             TerminalCondition(kind="custom")
 

@@ -237,6 +237,26 @@ class TestSharedStepper:
         ref = _replay(self.ramp(g).values, g.nt, g.dx, g.dt, p.kappa, rhs, (1.0, 0.0))
         assert np.array_equal(solve_forward(self.ramp(g), INTRINSIC, p, g).values, ref)
 
+    @pytest.mark.parametrize("coupling", ["constant-alpha", "field"])
+    def test_forward_alpha_couplings_match_replay(self, coupling):
+        # The field varies from row to row and leaves [0, 1]: step n reads
+        # row n, clipped.
+        p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
+        t = g.t0 + g.dt * np.arange(g.nt + 1)
+        s = SpaceTimeField(g, 0.5 + 0.7 * np.sin(g.x / 3.0 + t[:, None]))
+        strategy = CONSTANT_ALPHA if coupling == "constant-alpha" else s
+
+        def rhs(n, F):
+            if coupling == "constant-alpha":
+                a = np.full(F.size, p.alpha1)
+            else:
+                a = _alpha(np.clip(s.values[n], 0.0, 1.0), p)
+            c = np.concatenate(([0.0], np.cumsum(0.5 * (a[:-1] + a[1:]) * (F[:-1] - F[1:]))))
+            return F * (1.0 + g.dt * c)
+
+        ref = _replay(self.ramp(g).values, g.nt, g.dx, g.dt, p.kappa, rhs, (1.0, 0.0))
+        assert np.array_equal(solve_forward(self.ramp(g), strategy, p, g).values, ref)
+
     def test_rank_local_matches_replay(self):
         p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
 

@@ -10,7 +10,7 @@ import pytest
 from kdlab.backward import TerminalCondition
 from kdlab.cli import main
 from kdlab.errors import CheckpointError, ConfigError, DomainError, NonFiniteError
-from kdlab.grid import Grid1D, Profile, SpaceTimeField
+from kdlab.grid import Grid1D, SpaceTimeField
 from kdlab import harness
 from kdlab.harness import (
     PRESET_NAMES,
@@ -81,14 +81,6 @@ class TestConfig:
         grid = Grid1D(-20.0, 40.0, 241, 0.0, 1.0, 10)
         with pytest.raises(ConfigError):
             ExperimentConfig(name="x", mode="particles", params=p, grid=grid)
-
-    def test_custom_terminal_rejected(self):
-        # A custom profile has no JSON form, so its config.json could not be read back.
-        cfg = preset_config("lottery-nash")
-        profile = ramp_initial(cfg.grid, 5.0)
-        custom = TerminalCondition(kind="custom", profile=Profile(cfg.grid, 1.0 - profile.values))
-        with pytest.raises(ConfigError, match="custom"):
-            dataclasses.replace(cfg, terminal=custom)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -221,14 +213,15 @@ class TestRun:
     @pytest.mark.parametrize("rule", ["rank", "ratio"])
     def test_theory_speed_follows_the_rule(self, tmp_path, rule):
         # The rank rule's mean field is the rank-local equation, whose front
-        # speed is 2 sqrt(kappa Q(1)) with Q(1) = alpha1 / (k + 1); the other
-        # rules keep 2 sqrt(kappa alpha1).
+        # has speed 2 sqrt(kappa Q(1)) and decay rate sqrt(Q(1) / kappa) with
+        # Q(1) = alpha1 / (k + 1); the other rules keep alpha1 for Q(1).
         cfg = tiny_particle_config(nt=2)
         cfg = dataclasses.replace(cfg, particles=dataclasses.replace(cfg.particles, rule=rule))
         p = cfg.params
         q1 = p.alpha1 / (p.k + 1.0) if rule == "rank" else p.alpha1
         theory = run(cfg, tmp_path / rule).manifest["theory"]
         assert theory["median_speed"] == pytest.approx(2.0 * math.sqrt(p.kappa * q1), abs=1e-12)
+        assert theory["decay_rate"] == pytest.approx(math.sqrt(q1 / p.kappa), abs=1e-12)
 
 
 def write_field_archive(path, kind):
@@ -436,6 +429,7 @@ class TestCli:
         lambda d: d.update(out_dir="elsewhere"),
         lambda d: d["output"].update(snapshot_every=5),
         lambda d: d["initial_condition"].update(width=1.0),
+        lambda d: d.update(mode="compare") or d["particles"].update(rule="ratio"),
     ], ids=["not-object", "float-nx", "float-nt", "window-length", "window-order",
             "window-string", "unknown-rule", "smoothed-no-width", "smoothed-negative-width",
             "float-n", "negative-seed", "float-seed", "float-snapshot-stride",
@@ -443,7 +437,7 @@ class TestCli:
             "output-not-object", "initial-not-object", "terminal-not-object",
             "string-terminal-center", "float-max-iter", "int-name", "name-leaves-out-root",
             "string-l0", "bool-l0", "unknown-top-key", "unknown-output-key",
-            "unknown-initial-key"])
+            "unknown-initial-key", "compare-non-rank-rule"])
     def test_invalid_config_exit_code(self, tmp_path, break_config, capsys):
         d = tiny_particle_config().to_dict()
         d = break_config(d) or d
