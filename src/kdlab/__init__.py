@@ -32,7 +32,7 @@ from .errors import (
     OvershootError,
     SingularSystemError,
 )
-from .forward import dt_max, nonlocal_rate, solve_forward
+from .forward import dt_max, solve_forward
 from .grid import (
     Grid1D,
     Profile,

@@ -22,14 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model
+from . import forward, model
 from .errors import (
     DomainError,
     FrontOffGridLeft,
     FrontOffGridRight,
+    GridMismatchError,
     NonMonotoneProfileError,
 )
-from .grid import SLOPE_TOL, Profile
+from .grid import SLOPE_TOL, Grid1D, Profile
 
 #: Multiplicative slack on the decay bounds, absorbing quadrature and
 #: interpolation error.
@@ -116,16 +117,33 @@ def default_window(t0: float, t_final: float) -> tuple[float, float]:
     return (t0 + 0.1 * span, t_final - 0.1 * span)
 
 
-@dataclass
+@dataclass(eq=False)
 class Snapshot:
-    """Fields at one time; missing fields stay None and their checks skip."""
+    """One slice's fields on the grid's nodes, named as the snapshot file's columns.
+
+    F and J are always there; w, I and s stay None where the run has none,
+    and their checks skip.
+    """
 
     t: float
-    F: Profile
-    w: Profile | None = None
-    payoff: Profile | None = None
-    intrinsic: Profile | None = None
-    strategy: Profile | None = None
+    grid: Grid1D
+    F: np.ndarray
+    J: np.ndarray
+    w: np.ndarray | None = None
+    I: np.ndarray | None = None
+    s: np.ndarray | None = None
+
+    @property
+    def payoff(self) -> np.ndarray:
+        """The pay-off the learning front is read from: I where the slice has it, else J."""
+        return self.J if self.I is None else self.I
+
+    def fronts(self, i_crit: float) -> tuple[float, float, float]:
+        """The (median, learning, intrinsic) fronts, NaN where one is off the grid."""
+        x = self.grid.x
+        e = _front(self.J, x, i_crit)
+        eta = e if self.payoff is self.J else _front(self.payoff, x, i_crit)
+        return _front(self.F, x, 0.5), eta, e
 
 
 @dataclass
@@ -179,57 +197,53 @@ def _range_check(name: str, t: float, vals: np.ndarray, x: np.ndarray, out: list
 def check_snapshot(snap: Snapshot, p: model.ModelParams) -> list[CheckResult]:
     """Static checks on one snapshot: monotonicity, ranges, domination, decay."""
     out: list[CheckResult] = []
-    x = snap.F.grid.x
+    x = snap.grid.x
     t = snap.t
-    _monotone_check("f_monotone", t, snap.F.values, x, +1, out)
-    _range_check("f_range", t, snap.F.values, x, out)
+    cols = (snap.F, snap.J, snap.w, snap.I, snap.s)
+    if any(v is not None and np.shape(v) != x.shape for v in cols):
+        raise GridMismatchError(f"snapshot at t={t} has a column off its grid's {x.size} nodes")
+    _monotone_check("f_monotone", t, snap.F, x, +1, out)
+    _range_check("f_range", t, snap.F, x, out)
     if snap.w is not None:
-        _monotone_check("w_monotone", t, snap.w.values, x, -1, out)
-        _range_check("w_range", t, snap.w.values, x, out)
-    if snap.strategy is not None:
-        _monotone_check("s_monotone", t, snap.strategy.values, x, +1, out)
-        _range_check("s_range", t, snap.strategy.values, x, out)
-    if snap.payoff is not None:
-        _monotone_check("payoff_monotone", t, snap.payoff.values, x, +1, out)
-    if snap.intrinsic is not None:
-        _monotone_check("intrinsic_monotone", t, snap.intrinsic.values, x, +1, out)
-    if snap.payoff is not None and snap.intrinsic is not None:
-        gap = snap.payoff.values - snap.intrinsic.values
-        scale = np.maximum(1.0, snap.intrinsic.values)
-        worst = float(np.max(gap / scale))
+        _monotone_check("w_monotone", t, snap.w, x, -1, out)
+        _range_check("w_range", t, snap.w, x, out)
+    if snap.s is not None:
+        _monotone_check("s_monotone", t, snap.s, x, +1, out)
+        _range_check("s_range", t, snap.s, x, out)
+    if snap.I is not None:
+        _monotone_check("payoff_monotone", t, snap.I, x, +1, out)
+    _monotone_check("intrinsic_monotone", t, snap.J, x, +1, out)
+    if snap.I is not None:
+        excess = (snap.I - snap.J) / np.maximum(1.0, snap.J)
+        worst = float(np.max(excess))
+        out.append(CheckResult("payoff_below_intrinsic", t, worst <= 1e-9, max(worst, 0.0),
+                               float(x[int(np.argmax(excess))])))
+    # Decay beyond the learning front, against the run's operative pay-off;
+    # no node is ahead of a front off the grid (NaN, as when alpha1 = 0).
+    _, front, _ = snap.fronts(p.i_crit)
+    ahead = x > front
+    if np.any(ahead):
+        bound = DECAY_SLACK * p.i_crit * np.exp(-(x[ahead] - front))
+        viol = snap.payoff[ahead] - bound
+        worst = float(np.max(viol / np.maximum(bound, 1e-300)))
         out.append(
-            CheckResult("payoff_below_intrinsic", t, worst <= 1e-9, max(worst, 0.0),
-                        float(x[int(np.argmax(gap / scale))]))
+            CheckResult("payoff_decay", t, worst <= 0.0, max(worst, 0.0),
+                        float(x[ahead][int(np.argmax(viol))]))
         )
-    # Decay beyond the learning front, against the run's operative pay-off.
-    prof = snap.payoff if snap.payoff is not None else snap.intrinsic
-    if prof is not None and p.alpha1 > 0:
-        front = _front(prof.values, x, p.i_crit)
-        if math.isfinite(front):
-            ahead = x > front
-            if np.any(ahead):
-                bound = DECAY_SLACK * p.i_crit * np.exp(-(x[ahead] - front))
-                viol = prof.values[ahead] - bound
-                worst = float(np.max(viol / np.maximum(bound, 1e-300)))
-                out.append(
-                    CheckResult("payoff_decay", t, worst <= 0.0, max(worst, 0.0),
-                                float(x[ahead][int(np.argmax(viol))]))
-                )
-                s_vals = model._s_m(prof.values[ahead], p)
-                s_bound = DECAY_SLACK * np.exp(-2.0 * (x[ahead] - front))
-                s_viol = s_vals - s_bound
-                worst_s = float(np.max(s_viol / np.maximum(s_bound, 1e-300)))
-                out.append(
-                    CheckResult("search_decay", t, worst_s <= 0.0, max(worst_s, 0.0),
-                                float(x[ahead][int(np.argmax(s_viol))]))
-                )
-    # Growth-rate bounds: c <= alpha1*(1 - F) and c <= alpha1.
-    if snap.strategy is not None and p.alpha1 > 0:
-        from .forward import nonlocal_rate  # local import avoids a module cycle
-
-        c = nonlocal_rate(snap.F, snap.strategy, p).values
+        s_vals = model._s_m(snap.payoff[ahead], p)
+        s_bound = DECAY_SLACK * np.exp(-2.0 * (x[ahead] - front))
+        s_viol = s_vals - s_bound
+        worst_s = float(np.max(s_viol / np.maximum(s_bound, 1e-300)))
+        out.append(
+            CheckResult("search_decay", t, worst_s <= 0.0, max(worst_s, 0.0),
+                        float(x[ahead][int(np.argmax(s_viol))]))
+        )
+    # Growth-rate bounds: c <= alpha1*(1 - F) and c <= alpha1, with s read
+    # clipped to [0, 1]; s_range above reports an s outside it.
+    if snap.s is not None and p.alpha1 > 0:
+        c = forward._rate_from_alpha(snap.F, model._alpha(np.clip(snap.s, 0.0, 1.0), p))
         slack = 1e-8 * max(1.0, p.alpha1)
-        viol = c - p.alpha1 * (1.0 - snap.F.values)
+        viol = c - p.alpha1 * (1.0 - snap.F)
         worst = float(np.max(viol))
         out.append(
             CheckResult("rate_bound", t, worst <= slack and float(c.max()) <= p.alpha1 + slack,
@@ -284,25 +298,20 @@ def run_diagnostics(
     if not temporal or len(snapshots) < 2 or p.alpha1 == 0.0:
         return report
 
-    dx = snapshots[0].F.grid.dx
     times = np.array([s.t for s in snapshots])
-    e_front = np.array([_front(s.intrinsic.values, s.intrinsic.x, p.i_crit) for s in snapshots])
-    have_w = all(s.payoff is not None for s in snapshots)
-    l_front = (
-        np.array([_front(s.payoff.values, s.payoff.x, p.i_crit) for s in snapshots])
-        if have_w else None
-    )
+    medians, learning, e_front = np.array([s.fronts(p.i_crit) for s in snapshots]).T
 
     # Learning front sandwiched by the intrinsic front: eta <= e and the
-    # fitted gap e - eta stops growing.
-    if l_front is not None and np.all(np.isfinite(l_front) & np.isfinite(e_front)):
-        over = l_front - e_front
+    # fitted gap e - eta stops growing.  Without I the two fronts coincide.
+    if all(s.I is not None for s in snapshots) and np.all(np.isfinite(learning)
+                                                          & np.isfinite(e_front)):
+        over = learning - e_front
         worst = float(np.max(over))
         report.results.append(
             CheckResult("front_sandwich", float(times[int(np.argmax(over))]),
-                        worst <= 2.0 * dx, max(worst, 0.0), None)
+                        worst <= 2.0 * snapshots[0].grid.dx, max(worst, 0.0), None)
         )
-        _stable_series("sandwich_gap_stable", times, e_front - l_front, report.results)
+        _stable_series("sandwich_gap_stable", times, e_front - learning, report.results)
 
     # The intrinsic front advances at least at rate kappa (5% slack).
     if np.all(np.isfinite(e_front)):
@@ -318,24 +327,21 @@ def run_diagnostics(
     # Pay-off growth factor between consecutive snapshots.
     for a, b in zip(snapshots[:-1], snapshots[1:]):
         factor = math.exp(p.kappa * (b.t - a.t)) * (1.0 - GROWTH_SLACK)
-        lhs = b.intrinsic.values
-        rhs = factor * a.intrinsic.values
-        viol = (rhs - lhs) / np.maximum(rhs, 1e-300)
+        rhs = factor * a.J
+        viol = (rhs - b.J) / np.maximum(rhs, 1e-300)
         viol[rhs <= 0.0] = 0.0
         worst = float(np.max(viol))
         report.results.append(
             CheckResult("intrinsic_growth", b.t, worst <= GROWTH_SLACK,
                         max(worst, 0.0),
-                        float(a.F.grid.x[int(np.argmax(viol))]))
+                        float(a.grid.x[int(np.argmax(viol))]))
         )
 
     # Level-set tightness of the distribution: the 0.1-0.9 width stops growing.
-    widths = np.array([_front(s.F.values, s.F.x, 0.1) - _front(s.F.values, s.F.x, 0.9)
+    widths = np.array([_front(s.F, s.grid.x, 0.1) - _front(s.F, s.grid.x, 0.9)
                        for s in snapshots])
     _stable_series("levelset_tightness", times, widths, report.results)
 
     # Median never outruns the learning front by a growing margin.
-    medians = np.array([_front(s.F.values, s.F.x, 0.5) for s in snapshots])
-    ref = l_front if l_front is not None else e_front
-    _stable_series("median_vs_learning", times, medians - ref, report.results)
+    _stable_series("median_vs_learning", times, medians - learning, report.results)
     return report

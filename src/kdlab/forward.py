@@ -44,20 +44,6 @@ def _rate_from_alpha(F_vals: np.ndarray, alpha_vals: np.ndarray) -> np.ndarray:
     return c
 
 
-def nonlocal_rate(F: Profile, s_star: Profile, p: model.ModelParams) -> Profile:
-    """Cumulative growth rate c(x) = integral over y <= x of alpha(s*) (-F_y) dy.
-
-    Non-negative and non-decreasing for non-increasing F; bounded by
-    alpha1 * (1 - F(x)) up to quadrature tolerance.
-    """
-    if F.grid != s_star.grid:
-        raise GridMismatchError("F and s* live on different grids")
-    s = np.clip(s_star.values, 0.0, 1.0)
-    if np.any(np.abs(s - s_star.values) > 1e-9):
-        raise DomainError("strategy values must lie in [0, 1]")
-    return Profile(F.grid, _rate_from_alpha(F.values, model._alpha(s, p)))
-
-
 def iter_forward(
     F0: Profile,
     strategy: StrategyInput,

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import zipfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -26,7 +26,6 @@ from .analysis import (
     DiagnosticsReport,
     FrontTrack,
     Snapshot,
-    _front,
     default_window,
     estimate_speed,
     run_diagnostics,
@@ -255,40 +254,33 @@ def _csv_rows(rows: Iterable[tuple], width: int) -> list[str]:
     return [fmt % row for row in rows]
 
 
-def _write_snapshot(
-    cfg: ExperimentConfig, out: Path, j: int, t: float, cols: dict[str, np.ndarray]
-) -> None:
+#: The columns of a snapshot file after x, each the Snapshot field of its name.
+_COLUMNS = ("F", "w", "I", "J", "s")
+
+
+def _write_snapshot(cfg: ExperimentConfig, out: Path, j: int, snap: Snapshot) -> None:
     """Write slice j's fields to out/fields as npz, or as CSV with NaN for absent columns."""
     fields_dir = out / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
     x = cfg.grid.x
+    cols = {name: getattr(snap, name) for name in _COLUMNS if getattr(snap, name) is not None}
     if cfg.binary_fields:
-        np.savez_compressed(fields_dir / f"snap_{j:06d}.npz", t=t, x=x, **cols)
+        np.savez_compressed(fields_dir / f"snap_{j:06d}.npz", t=snap.t, x=x, **cols)
         return
-    names = ["x", "F", "w", "I", "J", "s"]
     columns = [x.tolist()] + [cols[n].tolist() if n in cols else [math.nan] * x.size
-                              for n in names[1:]]
-    lines = [f"# t={_fmt(t)}", ",".join(names), *_csv_rows(zip(*columns), len(names))]
+                              for n in _COLUMNS]
+    lines = [f"# t={_fmt(snap.t)}", ",".join(("x", *_COLUMNS)),
+             *_csv_rows(zip(*columns), len(columns))]
     (fields_dir / f"snap_{j:06d}.csv").write_text("\n".join(lines) + "\n")
-
-
-def _snapshot(grid: Grid1D, t: float, cols: dict[str, np.ndarray]) -> Snapshot:
-    """Snapshot of one slice's columns; a column absent or not finite is left out."""
-
-    def prof(name: str) -> Profile | None:
-        v = cols.get(name)
-        return Profile(grid, v) if v is not None and np.all(np.isfinite(v)) else None
-
-    return Snapshot(t=t, F=prof("F"), w=prof("w"), payoff=prof("I"),
-                    intrinsic=prof("J"), strategy=prof("s"))
 
 
 def _read_snapshot(path: Path, grid: Grid1D) -> Snapshot:
     """Inverse of _write_snapshot for one CSV or npz file written on grid.
 
-    A file that does not parse, whose x column is not grid.x, that lacks a
-    finite F or J column, or whose pay-off (I or J) is negative raises
-    ConfigError naming it.
+    A column that is not finite everywhere is read as absent.  A file that
+    does not parse, whose x column is not grid.x, with a column not grid.nx
+    long, that lacks a finite F or J column, or whose pay-off (I or J) is
+    negative raises ConfigError naming it.
     """
     try:
         if path.suffix == ".npz":
@@ -305,16 +297,20 @@ def _read_snapshot(path: Path, grid: Grid1D) -> Snapshot:
             cols = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
         if not np.array_equal(cols["x"], grid.x):
             raise ConfigError(f"{path}: x column is not the run grid's nodes")
-        snap = _snapshot(grid, t, cols)
+        found = {name: np.asarray(cols[name], dtype=float) for name in _COLUMNS if name in cols}
+        for name, v in found.items():
+            if v.shape != (grid.nx,):
+                raise ConfigError(f"{path}: column {name} has shape {v.shape}, not ({grid.nx},)")
     except KdlabError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path}: malformed snapshot: {exc!r}") from exc
-    if snap.F is None or snap.intrinsic is None:
+    found = {name: v for name, v in found.items() if np.all(np.isfinite(v))}
+    if "F" not in found or "J" not in found:
         raise ConfigError(f"{path}: snapshot has no finite F or J column")
-    if any(np.any(v.values < 0.0) for v in (snap.payoff, snap.intrinsic) if v is not None):
+    if any(np.any(found[name] < 0.0) for name in ("I", "J") if name in found):
         raise ConfigError(f"{path}: snapshot has a negative pay-off (I or J) column")
-    return snap
+    return Snapshot(t, grid, **found)
 
 
 def _diagnose(config: ExperimentConfig, snaps: list[Snapshot]) -> DiagnosticsReport:
@@ -429,11 +425,22 @@ def _checkpoint_from_npz(data) -> tuple[ParticleState, ExperimentConfig | None]:
     if kind != "particles":
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
     state = ParticleState(
-        positions=data["positions"], time=float(data["time"]),
-        seed=int(data["seed"]), step_index=int(data["step_index"]),
+        positions=data["positions"], time=_checkpoint_scalar(data, "time", integer=False),
+        seed=_checkpoint_scalar(data, "seed", integer=True),
+        step_index=_checkpoint_scalar(data, "step_index", integer=True),
         stream_ids=data["stream_ids"],
     )
     return state, config
+
+
+def _checkpoint_scalar(data, key: str, integer: bool) -> int | float:
+    """data[key] as a non-negative int, or as a finite float; else CheckpointError."""
+    v = data[key]
+    kind = "a non-negative integer" if integer else "a finite real number"
+    if not (v.shape == () and v.dtype.kind in ("iu" if integer else "iuf") and np.isfinite(v)
+            and (not integer or v >= 0)):
+        raise CheckpointError(f"checkpoint {key} must be {kind}, got {v!r}")
+    return int(v) if integer else float(v)
 
 
 # -- runners -----------------------------------------------------------------
@@ -446,31 +453,19 @@ class RunResult:
     final_state: ParticleState | None = None
 
 
-def _front_row(grid: Grid1D, p: ModelParams, t: float, cols: dict[str, np.ndarray]) -> tuple:
-    """(t, median, learning, intrinsic) fronts of one slice.
-
-    The learning front is the pay-off front where the slice has I, else the
-    intrinsic front.
-    """
-    x = grid.x
-    e = _front(cols["J"], x, p.i_crit)
-    eta = _front(cols["I"], x, p.i_crit) if "I" in cols else e
-    return (t, _front(cols["F"], x, 0.5), eta, e)
-
-
 class _Recorder:
     """Samples one run's slices into front-track rows and field snapshots.
 
     A slice j gets a track row when j is a multiple of track_stride, and is
     written to fields/ and kept for the diagnostics when j is a multiple of
     snapshot_stride; the last step always gets both (see sampled).
-    strategy, when given, computes the s column from the slice's columns, at
-    snapshot steps only.
+    strategy, when given, computes the s column from the slice's snapshot,
+    at snapshot steps only.
     """
 
     def __init__(
         self, cfg: ExperimentConfig, out: Path,
-        strategy: Callable[[dict], np.ndarray] | None = None, last_step: int | None = None,
+        strategy: Callable[[Snapshot], np.ndarray] | None = None, last_step: int | None = None,
     ) -> None:
         self.cfg, self.out, self.strategy = cfg, out, strategy
         self.last_step = cfg.grid.nt if last_step is None else last_step
@@ -482,18 +477,19 @@ class _Recorder:
         last = j == self.last_step
         return j % self.cfg.track_stride == 0 or last, j % self.cfg.snapshot_stride == 0 or last
 
-    def record(self, j: int, cols: dict[str, np.ndarray]) -> bool:
+    def record(self, j: int, **cols: np.ndarray) -> bool:
         """Record slice j's columns (F and J, plus w, I, s where known); True at a snapshot."""
-        cfg, t = self.cfg, self.cfg.grid.time_at(j)
+        cfg = self.cfg
         track, snapshot = self.sampled(j)
+        snap = Snapshot(cfg.grid.time_at(j), cfg.grid, **cols)
         if track:
-            self.rows.append(_front_row(cfg.grid, cfg.params, t, cols))
+            self.rows.append((snap.t, *snap.fronts(cfg.params.i_crit)))
         if not snapshot:
             return False
         if self.strategy is not None:
-            cols = {**cols, "s": self.strategy(cols)}
-        _write_snapshot(cfg, self.out, j, t, cols)
-        self.snaps.append(_snapshot(cfg.grid, t, cols))
+            snap.s = self.strategy(snap)
+        _write_snapshot(cfg, self.out, j, snap)
+        self.snaps.append(snap)
         return True
 
 
@@ -501,12 +497,12 @@ def _run_pde(cfg: ExperimentConfig, out: Path) -> _Recorder:
     """Streaming forward run for the kpp / intrinsic modes."""
     p, grid = cfg.params, cfg.grid
     if cfg.mode == "kpp":
-        strategy, s_of = CONSTANT_ALPHA, lambda c: np.ones_like(c["F"])
+        strategy, s_of = CONSTANT_ALPHA, lambda snap: np.ones_like(snap.F)
     else:
-        strategy, s_of = INTRINSIC, lambda c: model._s_m(c["J"], p)
+        strategy, s_of = INTRINSIC, lambda snap: model._s_m(snap.J, p)
     rec = _Recorder(cfg, out, s_of)
     for j, F, J in iter_forward(ramp_initial(grid, cfg.initial_l0), strategy, p, grid):
-        rec.record(j, {"F": F, "J": J})
+        rec.record(j, F=F, J=J)
     return rec
 
 
@@ -517,9 +513,9 @@ def _run_nash(cfg: ExperimentConfig, out: Path) -> tuple[_Recorder, dict]:
     fields = zip(sol.F_field.values, sol.w_field.values, sol.strategy_field.values)
     for j, (F, w, s) in enumerate(fields):
         if any(rec.sampled(j)):
-            payoff = model.discounted_tail(F * w, grid.dx, p.rho_minus_kappa)
-            intrinsic = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
-            rec.record(j, {"F": F, "w": w, "I": payoff, "J": intrinsic, "s": s})
+            rec.record(j, F=F, w=w, s=s,
+                       I=model.discounted_tail(F * w, grid.dx, p.rho_minus_kappa),
+                       J=model.discounted_tail(F, grid.dx, p.rho_minus_kappa))
     mfg_info = {
         "converged": sol.converged,
         "iterations": sol.iterations,
@@ -550,8 +546,8 @@ def _run_particles(
     # The s column a snapshot records: the rule's strategy read off the field
     # estimate; smoothed-rank has no node-wise form, so its snapshots have none.
     strategy = {
-        RANK: lambda c: c["F"].copy(),
-        RATIO: lambda c: np.minimum(1.0, p.rho_minus_kappa * c["J"]),
+        RANK: lambda snap: snap.F.copy(),
+        RATIO: lambda snap: np.minimum(1.0, p.rho_minus_kappa * snap.J),
     }.get(spec.rule)
     rec = _Recorder(cfg, out, strategy, last_step)
     stragglers = {"n_below_max": 0, "n_above_max": 0}
@@ -562,7 +558,7 @@ def _run_particles(
             stragglers["n_above_max"] = max(stragglers["n_above_max"], est.n_above)
             F = est.profile.values
             J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
-            if rec.record(state.step_index, {"F": F, "J": J}):
+            if rec.record(state.step_index, F=F, J=J):
                 save_checkpoint(state, out / "checkpoint.npz", config=cfg)
         if state.step_index >= last_step:
             return rec, state, stragglers
@@ -585,11 +581,9 @@ def _compare_pde_rows(cfg: ExperimentConfig) -> list[tuple]:
     refine = max(1, int(math.ceil(grid.dt / 0.02)))
     fine = Grid1D(grid.x_min, grid.x_max, grid.nx, grid.t0, grid.t_final, grid.nt * refine)
     steps = iter_forward(ramp_initial(fine, cfg.initial_l0), RANK_LOCAL, p, fine)
-    return [
-        _front_row(fine, p, fine.time_at(j),
-                   {"F": F, "J": model.discounted_tail(F, fine.dx, p.rho_minus_kappa)})
-        for j, F, _ in steps if j % refine == 0
-    ]
+    snaps = (Snapshot(fine.time_at(j), fine, F, model.discounted_tail(F, fine.dx, p.rho_minus_kappa))
+             for j, F, _ in steps if j % refine == 0)
+    return [(snap.t, *snap.fronts(p.i_crit)) for snap in snaps]
 
 
 def _execute(
@@ -631,13 +625,11 @@ def _execute(
     report = _diagnose(config, rec.snaps)
     _write_diagnostics(out / "diagnostics.csv", report.to_rows())
 
+    # The rank rule's mean field is the rank-local equation, whose
+    # leading-edge rate is Q(1); every other run's is alpha1.
     p = config.params
-    th = TheoryPredictions.from_params(p)
-    # The median front is pulled: its speed and decay rate follow from the
-    # leading-edge growth rate r.  The rank rule's mean field is the
-    # rank-local equation, whose r is Q(1); every other run's is alpha1.
     rank = config.particles is not None and config.particles.rule == RANK
-    r = model._q_integral(1.0, p) if rank else p.alpha1
+    theory = TheoryPredictions.from_params(p, model._q_integral(1.0, p) if rank else None)
     manifest.update({
         "schema_version": SCHEMA_VERSION,
         "code_version": __version__,
@@ -646,13 +638,7 @@ def _execute(
         "config_sha256": hashlib.sha256(config.to_json().encode()).hexdigest(),
         "seeds": {"particles": config.particles.seed} if config.particles else {},
         "speeds": speeds,
-        "theory": {
-            "median_speed": 2.0 * math.sqrt(p.kappa * r),
-            "learning_speed": th.v_star,
-            "decay_rate": math.sqrt(r / p.kappa),
-            "search_threshold": th.i_crit if math.isfinite(th.i_crit) else None,
-            "regime": th.regime,
-        },
+        "theory": asdict(theory),
         "diagnostics_passed": report.passed,
         "diagnostics_failures": [r.check for r in report.failures()],
     })

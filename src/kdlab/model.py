@@ -60,30 +60,35 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TheoryPredictions:
-    """Front speeds and decay rates the long-time analysis predicts."""
+    """What the long-time analysis predicts for a run, under the manifest's keys.
 
-    c_star: float
-    lambda_star: float
-    v_star: float
-    i_crit: float
+    The median front is pulled: its speed and decay rate follow from the
+    leading-edge growth rate r.  search_threshold is None when infinite.
+    """
+
+    median_speed: float
+    decay_rate: float
+    learning_speed: float
+    search_threshold: float | None
     regime: str
 
     @classmethod
-    def from_params(cls, p: ModelParams) -> "TheoryPredictions":
-        c_star = 2.0 * math.sqrt(p.kappa * p.alpha1)
+    def from_params(cls, p: ModelParams, r: float | None = None) -> "TheoryPredictions":
+        """The predictions for p with leading-edge rate r, alpha1 when None."""
+        r = p.alpha1 if r is None else r
         return cls(
-            c_star=c_star,
-            lambda_star=math.sqrt(p.alpha1 / p.kappa),
-            v_star=p.kappa + p.alpha1,
-            i_crit=p.i_crit,
+            median_speed=2.0 * math.sqrt(p.kappa * r),
+            decay_rate=math.sqrt(r / p.kappa),
+            learning_speed=p.kappa + p.alpha1,
+            search_threshold=p.i_crit if math.isfinite(p.i_crit) else None,
             regime="lottery" if p.alpha1 < p.kappa else "balanced",
         )
 
 
 # The formulas below are unchecked kernels: the caller guarantees the domain.
-# Every input is checked once where it enters (iter_forward's F0, the
-# strategy clip in nonlocal_rate, best_response's pay-off, the snapshot
-# reader), and the stepper keeps every later slice in [0, 1].
+# Every input is checked once where it enters (iter_forward's F0 and strategy
+# clip, best_response's pay-off, the snapshot reader, the diagnostics' clip of
+# s), and the stepper keeps every later slice in [0, 1].
 
 
 def _alpha(s: np.ndarray, p: ModelParams) -> np.ndarray:

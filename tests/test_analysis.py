@@ -1,5 +1,6 @@
 """Front location, speed fits, and the diagnostics suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,10 +18,10 @@ from kdlab.errors import (
     DomainError,
     FrontOffGridLeft,
     FrontOffGridRight,
+    GridMismatchError,
     NonMonotoneProfileError,
 )
 from kdlab.grid import Profile
-from kdlab.harness import _snapshot
 from kdlab.model import ModelParams, discounted_tail
 
 from conftest import corrected_gap_track, space_grid
@@ -126,7 +127,7 @@ def _snap(g, t, F, w=None):
     cols = {"F": F, "J": discounted_tail(F, g.dx, P.rho_minus_kappa)}
     if w is not None:
         cols.update(w=w, I=discounted_tail(F * w, g.dx, P.rho_minus_kappa))
-    return _snapshot(g, t, cols)
+    return Snapshot(t, g, **cols)
 
 
 def _steady_snapshot(t=0.0):
@@ -145,23 +146,29 @@ class TestDiagnostics:
 
     def test_corrupted_monotonicity_fails(self):
         snap = _steady_snapshot()
-        vals = snap.F.values.copy()
+        vals = snap.F.copy()
         vals[200] = vals[199] + 0.2  # one increasing pair
-        bad = Snapshot(t=0.0, F=Profile(snap.F.grid, vals), w=snap.w,
-                       payoff=snap.payoff, intrinsic=snap.intrinsic)
+        bad = dataclasses.replace(snap, F=vals)
         report = run_diagnostics([bad], P, temporal=False)
         failed = {r.check for r in report.failures()}
         assert "f_monotone" in failed
         loc = [r for r in report.failures() if r.check == "f_monotone"][0].location
-        assert loc == pytest.approx(snap.F.grid.x[199])
+        assert loc == pytest.approx(snap.grid.x[199])
 
     def test_range_violation_detected(self):
         snap = _steady_snapshot()
-        vals = np.clip(snap.F.values - 1e-4, 0.0, 1.0)
+        vals = np.clip(snap.F - 1e-4, 0.0, 1.0)
         vals[0] = 1.0 + 1e-4
-        bad = Snapshot(t=0.0, F=Profile(snap.F.grid, vals))
+        bad = dataclasses.replace(snap, F=vals)
         report = run_diagnostics([bad], P, temporal=False)
         assert "f_range" in {r.check for r in report.failures()}
+
+    @pytest.mark.parametrize("name", ["F", "J", "w", "I"])
+    def test_column_off_the_grid_rejected(self, name):
+        snap = _steady_snapshot()
+        short = dataclasses.replace(snap, **{name: getattr(snap, name)[:-5]})
+        with pytest.raises(GridMismatchError):
+            run_diagnostics([short], P, temporal=False)
 
     def test_temporal_checks_catch_shrinking_payoff(self):
         # A distribution pushed leftward violates the pay-off growth bound.

@@ -10,14 +10,14 @@ from kdlab.forward import (
     CONSTANT_ALPHA,
     INTRINSIC,
     RANK_LOCAL,
+    _rate_from_alpha,
     dt_max,
     iter_forward,
-    nonlocal_rate,
     solve_forward,
 )
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
 from kdlab.mfg import MfgConfig, solve_nash
-from kdlab.model import ModelParams, _q_integral, discounted_tail
+from kdlab.model import ModelParams, _alpha, _q_integral, discounted_tail
 
 from conftest import monotone_pair, space_grid
 
@@ -33,21 +33,21 @@ class TestNonlocalRate:
         g = space_grid(-5.0, 5.0, 64)
         F = Profile(g, np.full(g.nx, 0.7))
         s = Profile(g, np.full(g.nx, 0.9))
-        assert np.all(nonlocal_rate(F, s, P).values == 0.0)
+        assert np.all(_rate_from_alpha(F.values, _alpha(s.values, P)) == 0.0)
 
     def test_full_search_telescopes(self):
         g = space_grid(-5.0, 5.0, 201)
         rng = np.random.default_rng(2)
         F, _ = monotone_pair(g, rng)
         s = Profile(g, np.ones(g.nx))
-        c = nonlocal_rate(F, s, P).values
+        c = _rate_from_alpha(F.values, _alpha(s.values, P))
         assert np.max(np.abs(c - P.alpha1 * (1.0 - F.values))) < 1e-8
 
     def test_step_profile(self):
         g = space_grid(-5.0, 5.0, 101)
         F = step_profile(g, 0.0)
         s = Profile(g, np.ones(g.nx))
-        c = nonlocal_rate(F, s, P).values
+        c = _rate_from_alpha(F.values, _alpha(s.values, P))
         assert np.all(c[g.x < 0.0] == 0.0)
         assert np.all(c[g.x > 0.0] == pytest.approx(P.alpha1))
 
@@ -57,7 +57,7 @@ class TestNonlocalRate:
             rng = np.random.default_rng(seed)
             F, _ = monotone_pair(g, rng)
             s = Profile(g, rng.random(g.nx))
-            c = nonlocal_rate(F, s, P).values
+            c = _rate_from_alpha(F.values, _alpha(s.values, P))
             assert np.all(c >= 0.0)
             assert np.all(np.diff(c) >= -1e-15)
             assert np.all(c <= P.alpha1 * (1.0 - F.values) + 1e-8)

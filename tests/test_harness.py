@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from kdlab.analysis import Snapshot
 from kdlab.backward import TerminalCondition
 from kdlab.cli import main
 from kdlab.errors import CheckpointError, ConfigError, DomainError, NonFiniteError
@@ -150,8 +151,8 @@ class TestRun:
         # Each value as f"{v:.17g}" alone, the format the CSV files have always had.
         vals = np.array([math.nan, -0.0, 5e-324, 1e308, 3.0, -2.0, 0.1, 1.0 / 3.0])
         cfg = dataclasses.replace(tiny_particle_config(), grid=Grid1D(-1.0, 6.0, 8, 0.0, 1.0, 2))
-        cols = {"F": vals, "J": vals[::-1].copy()}
-        harness._write_snapshot(cfg, tmp_path, 3, 0.5, cols)
+        snap = Snapshot(0.5, cfg.grid, F=vals, J=vals[::-1].copy())
+        harness._write_snapshot(cfg, tmp_path, 3, snap)
         nan = np.full(8, math.nan)
         rows = zip(cfg.grid.x, vals, nan, nan, vals[::-1], nan)
         lines = ["# t=0.5", "x,F,w,I,J,s", *(",".join(f"{v:.17g}" for v in r) for r in rows)]
@@ -235,6 +236,37 @@ def write_field_archive(path, kind):
              grid=np.array([g.x_min, g.x_max, g.nx, g.t0, g.t_final, g.nt]))
 
 
+class TestSnapshotRoundTrip:
+    """One snapshot layer: the reader returns what the recorder kept, in CSV and npz."""
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["csv", "npz"])
+    @pytest.mark.parametrize("mode", ["nash", "particles"])
+    def test_read_equals_recorded(self, tmp_path, mode, binary):
+        if mode == "nash":
+            p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.25)
+            grid = Grid1D(-20.0, 44.0, 321, 0.0, 2.0, 40)
+            cfg = ExperimentConfig(name="rt", mode="nash", params=p, grid=grid,
+                                   snapshot_stride=20, binary_fields=binary)
+            rec, _ = harness._run_nash(cfg, tmp_path)
+            present = {"F", "w", "I", "J", "s"}
+        else:
+            cfg = dataclasses.replace(tiny_particle_config(), binary_fields=binary)
+            rec, _, _ = harness._run_particles(cfg, tmp_path)
+            present = {"F", "J", "s"}
+        paths = sorted((tmp_path / "fields").iterdir())
+        assert {f.suffix for f in paths} == {".npz" if binary else ".csv"}
+        assert len(paths) == len(rec.snaps) >= 3
+        for snap, path in zip(rec.snaps, paths):
+            back = harness._read_snapshot(path, cfg.grid)
+            assert (back.t, back.grid) == (snap.t, snap.grid)
+            for name in ("F", "w", "I", "J", "s"):
+                kept, read = getattr(snap, name), getattr(back, name)
+                if name in present:
+                    assert np.array_equal(read, kept), name
+                else:
+                    assert kept is None and read is None, name
+
+
 class TestCheckpoint:
     def test_particle_state_roundtrip(self, tmp_path):
         st = ParticleState(positions=np.random.default_rng(0).normal(size=64),
@@ -305,6 +337,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=drop):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("time", "abc"),
+        ("time", np.array([1.0, 2.0])),
+        ("time", np.inf),
+        ("seed", 1.5),
+        ("seed", np.array([1])),
+        ("step_index", 1.5),
+        ("step_index", -1),
+        ("step_index", True),
+    ], ids=["string-time", "vector-time", "infinite-time", "float-seed", "vector-seed",
+            "float-step", "negative-step", "bool-step"])
+    def test_malformed_scalar(self, tmp_path, key, value):
+        path = tmp_path / "s.npz"
+        save_checkpoint(ParticleState(positions=np.zeros(4), time=0.0, seed=1), path)
+        data = dict(np.load(path, allow_pickle=False))
+        data[key] = value
+        np.savez(path, **data)
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+        assert main(["resume", str(path), "--out", str(tmp_path / "res")]) == 4
+
     @pytest.mark.parametrize("key, value, error", [
         ("stream_ids", np.array([0, 0, 1, 2]), DomainError),
         ("positions", np.array([0.0, np.nan, 0.0, 0.0]), NonFiniteError),
@@ -364,14 +417,33 @@ class TestResume:
             resume(tmp_path / "f.npz", tmp_path / "out")
 
 
-def _negate_csv_column(text, name):
-    """A CSV snapshot's text with the named column's values negated."""
-    lines = text.splitlines()
+def _map_csv_column(path, name, fn):
+    """Rewrite a CSV snapshot with fn applied to each value of the named column."""
+    lines = path.read_text().splitlines()
     col = lines[1].split(",").index(name)
     rows = [r.split(",") for r in lines[2:]]
     for r in rows:
-        r[col] = repr(-float(r[col]))
-    return "\n".join(lines[:2] + [",".join(r) for r in rows]) + "\n"
+        r[col] = repr(fn(float(r[col])))
+    path.write_text("\n".join(lines[:2] + [",".join(r) for r in rows]) + "\n")
+
+
+def _npz_with_short_F(path):
+    """Replace a CSV snapshot by an npz of its columns whose F lacks its last 5 values."""
+    t = float(path.read_text().splitlines()[0][len("# t="):])
+    data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
+    cols = {name: data[name] for name in data.dtype.names}
+    cols["F"] = cols["F"][:-5]
+    np.savez(path.with_suffix(".npz"), t=t, **cols)
+    path.unlink()
+
+
+def mini_kpp_run(tmp_path):
+    """The run directory of a short kpp run with three CSV snapshots."""
+    p = ModelParams(kappa=1.0, rho=2.0, alpha1=1.0)
+    grid = Grid1D(-20.0, 40.0, 241, 0.0, 2.0, 40)
+    cfg = ExperimentConfig(name="mini-kpp", mode="kpp", params=p, grid=grid,
+                           snapshot_stride=20)
+    return run(cfg, tmp_path / "mini-kpp").out_dir
 
 
 class TestCli:
@@ -533,20 +605,29 @@ class TestCli:
         lambda f: f.rename(f.with_suffix(".npz")),
         lambda f: f.write_text(f.read_text().replace(",J,", ",K,", 1)),
         lambda f: f.write_text("".join(f.read_text().splitlines(keepends=True)[:-10])),
-        lambda f: f.write_text(_negate_csv_column(f.read_text(), "J")),
+        lambda f: _map_csv_column(f, "J", lambda v: -v),
+        _npz_with_short_F,
     ], ids=["no-x-column", "ragged-row", "no-F-column", "csv-named-npz", "no-J-column",
-            "truncated", "negative-J"])
+            "truncated", "negative-J", "npz-short-F"])
     def test_diag_malformed_snapshot_exit_code(self, tmp_path, corrupt, capsys):
-        p = ModelParams(kappa=1.0, rho=2.0, alpha1=1.0)
-        grid = Grid1D(-20.0, 40.0, 241, 0.0, 2.0, 40)
-        cfg = ExperimentConfig(name="mini-kpp", mode="kpp", params=p, grid=grid,
-                               snapshot_stride=20)
-        run_dir = run(cfg, tmp_path / "mini-kpp").out_dir
+        run_dir = mini_kpp_run(tmp_path)
         snap = sorted((run_dir / "fields").glob("snap_*.csv"))[1]
         corrupt(snap)
         assert main(["diag", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and snap.stem in err
+
+    def test_diag_reports_strategy_out_of_range(self, tmp_path, capsys):
+        # The diagnostics read s clipped to [0, 1]: an s outside it is a
+        # failed s_range row, not an invalid input.
+        run_dir = mini_kpp_run(tmp_path)
+        snap = sorted((run_dir / "fields").glob("snap_*.csv"))[1]
+        _map_csv_column(snap, "s", lambda v: 1.5)
+        assert main(["diag", str(run_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        t = snap.read_text().splitlines()[0][len("# t="):]
+        assert any(line.startswith(f"FAIL s_range t={float(t):.6g} ") for line in lines)
+        assert lines[-1] == "diagnostics: FAIL"
 
     def test_diag_reads_binary_snapshots(self, tmp_path, capsys):
         p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)

@@ -68,10 +68,10 @@ class TestParams:
     @given(params_st)
     def test_predictions(self, p):
         th = TheoryPredictions.from_params(p)
-        assert th.c_star**2 == pytest.approx(4.0 * p.kappa * p.alpha1, rel=1e-12)
-        assert th.v_star == p.kappa + p.alpha1
-        assert th.i_crit == pytest.approx(1.0 / (p.k * p.alpha1))
-        assert (th.regime == "lottery") == (th.lambda_star < 1.0) == (p.alpha1 < p.kappa)
+        assert th.median_speed**2 == pytest.approx(4.0 * p.kappa * p.alpha1, rel=1e-12)
+        assert th.learning_speed == p.kappa + p.alpha1
+        assert th.search_threshold == pytest.approx(1.0 / (p.k * p.alpha1))
+        assert (th.regime == "lottery") == (th.decay_rate < 1.0) == (p.alpha1 < p.kappa)
 
 
 class TestAlpha:
