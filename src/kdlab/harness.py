@@ -15,6 +15,7 @@ import json
 import math
 import os
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable
@@ -41,6 +42,7 @@ from .particles import (
     RATIO,
     ParticleState,
     StrategyRule,
+    _Workspace,
     empirical_cdf,
     step_particles,
 )
@@ -551,18 +553,20 @@ def _run_particles(
     }.get(spec.rule)
     rec = _Recorder(cfg, out, strategy, last_step)
     stragglers = {"n_below_max": 0, "n_above_max": 0}
-    while True:
-        if any(rec.sampled(state.step_index)):
-            est = empirical_cdf(state, grid)
-            stragglers["n_below_max"] = max(stragglers["n_below_max"], est.n_below)
-            stragglers["n_above_max"] = max(stragglers["n_above_max"], est.n_above)
-            F = est.profile.values
-            J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
-            if rec.record(state.step_index, F=F, J=J):
-                save_checkpoint(state, out / "checkpoint.npz", config=cfg)
-        if state.step_index >= last_step:
-            return rec, state, stragglers
-        state = step_particles(state, rule, p, grid.dt)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        work = _Workspace(state.n, worker)
+        while True:
+            if any(rec.sampled(state.step_index)):
+                est = empirical_cdf(state, grid)
+                stragglers["n_below_max"] = max(stragglers["n_below_max"], est.n_below)
+                stragglers["n_above_max"] = max(stragglers["n_above_max"], est.n_above)
+                F = est.profile.values
+                J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
+                if rec.record(state.step_index, F=F, J=J):
+                    save_checkpoint(state, out / "checkpoint.npz", config=cfg)
+            if state.step_index >= last_step:
+                return rec, state, stragglers
+            state = step_particles(state, rule, p, grid.dt, _workspace=work)
 
 
 def _sample_from_cdf(init: Profile, n: int, seed: int) -> np.ndarray:

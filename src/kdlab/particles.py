@@ -12,20 +12,31 @@ keyed by (seed, step, purpose) and is indexed by persistent per-agent stream
 ids, so runs are reproducible regardless of execution order and permuting
 agents together with their ids permutes the outcome exactly.
 
-Nothing a step draws depends on the positions, so each step draws its three
-streams on a worker thread while the calling thread ranks the agents.  The
-Philox fills, the gathers and the argsort release the interpreter lock, so
-the two run at once on two cores.  The result does not depend on the
-overlap: each stream is a fresh Generator built from its own key, and the
-threads share no mutable state.  The worker is started and joined inside the
-step, so at most one extra thread exists, only while a step runs; nothing
-configures it.
+Nothing a step draws depends on the positions.  A run (harness.run) opens
+one worker thread for its whole length, and each step draws its three
+streams on it while the calling thread ranks the agents.  The Philox fills,
+the gathers and the argsort release the interpreter lock, so the two run at
+once on two cores.  The worker is joined when the run ends, normally or by
+an error.  A bare step_particles call draws in line on the calling thread,
+through the same function, and starts no thread.  The result does not
+depend on where the draws run: each stream is a fresh Generator built from
+its own key, and the step reads the draws only once they are complete.
+The draws of a step depend on nothing the step before computes, so in a
+run each step submits the next step's draws before it returns, and the
+worker draws them while the caller records the state and ranks it.
+
+A run also allocates, once, the n-sized buffers its steps write their draws
+and temporaries into: the rank pass, the rates, the fire threshold and the
+scaled noise.  At n = 100 000 each is 800 KB, and glibc returns freed
+arrays of that size to the system, so fresh ones made every step
+page-fault.  Only the successor's positions are a fresh array, since states
+are immutable.  Nothing configures the worker or the buffers.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +51,41 @@ SMOOTHED_RANK = "smoothed-rank"
 RATIO = "ratio"
 
 _FIRE, _PARTNER, _NOISE = 0, 1, 2
+
+
+class _Workspace:
+    """A particle run's draw worker and the n-sized arrays its steps write into.
+
+    raw holds a stream before it is gathered by slot into noise or fire; the
+    rank pass sorts into sorted and writes the fractions, then the rates and
+    the fire threshold, into rates; index holds 0, 1, ..., n-1.  The draws
+    and the rank pass run at once, so they share no array.  ahead holds
+    ((seed, step), stream ids, future) of the draws a step submitted for the
+    next one.
+    """
+
+    def __init__(self, n: int, worker: ThreadPoolExecutor | None = None) -> None:
+        self.worker = worker
+        self.raw, self.noise, self.fire = np.empty(n), np.empty(n), np.empty(n)
+        self.sorted, self.rates, self.index = np.empty(n), np.empty(n), np.arange(n)
+        self.ahead: tuple[tuple[int, int], np.ndarray, Future] | None = None
+
+    def draw(self, seed: int, step: int, ids: np.ndarray) -> Future:
+        """The draws for (seed, step, ids): in line without a worker, else on
+        the worker, reusing those submitted ahead if they are for these."""
+        if self.worker is None:
+            done = Future()
+            done.set_result(_draws(seed, step, ids, self))
+            return done
+        ahead, self.ahead = self.ahead, None
+        if ahead is not None and ahead[0] == (seed, step) and ahead[1] is ids:
+            return ahead[2]
+        return self.worker.submit(_draws, seed, step, ids, self)
+
+    def draw_ahead(self, seed: int, step: int, ids: np.ndarray) -> None:
+        """Submit the draws for (seed, step, ids) to the worker, if there is one."""
+        if self.worker is not None:
+            self.ahead = ((seed, step), ids, self.worker.submit(_draws, seed, step, ids, self))
 
 
 @dataclass(frozen=True)
@@ -116,30 +162,39 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u * u * (3.0 - 2.0 * u)
 
 
-def _sort_with_ties(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, sorted positions, first) from one argsort.
+def _sort_with_ties(positions: np.ndarray, srt: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Sort positions into srt and turn first from 0, 1, ..., n-1 into the
+    first sorted slot of each tie; return the order of one argsort.
 
-    first[k] is the first sorted slot holding a value equal to the one in slot
-    k, i.e. the count of agents strictly below it.  Equality is numeric, so
-    -0.0 and 0.0 tie, as in searchsorted.
+    first[k] is then the first sorted slot holding a value equal to the one
+    in slot k, i.e. the count of agents strictly below it.  Equality is
+    numeric, so -0.0 and 0.0 tie, as in searchsorted.
     """
     order = np.argsort(positions)
-    srt = positions[order]
-    first = np.arange(srt.size)
-    first[1:][srt[1:] == srt[:-1]] = 0
-    np.maximum.accumulate(first, out=first)
-    return order, srt, first
+    # The order is a permutation, so no index is out of range; mode="clip"
+    # spares the copy of srt that the bounds-checked take makes.
+    np.take(positions, order, out=srt, mode="clip")
+    ties = srt[1:] == srt[:-1]
+    # The innovation noise leaves a run's agents untied, and the running
+    # maximum is the pass's slowest part.
+    if ties.any():
+        first[1:][ties] = 0
+        np.maximum.accumulate(first, out=first)
+    return order
 
 
-def _rank_fractions(positions: np.ndarray) -> np.ndarray:
-    order, srt, first = _sort_with_ties(positions)
+def _rank_fractions(positions: np.ndarray, srt: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """(n - first) / n by slot, returned in first's memory as float64.
+
+    srt is n-float scratch; first is int64 and holds 0, 1, ..., n-1 on entry.
+    """
     n = positions.size
-    # (n - first) / n, computed in the sort's own buffers; first is dropped
-    # before out is allocated, so out can reuse its memory.
+    order = _sort_with_ties(positions, srt, first)
+    # (n - first) / n, computed in the sort's own buffers; first is consumed
+    # into srt before its memory takes the result.
     np.subtract(n, first, out=first)
     np.divide(first, n, out=srt)
-    del first
-    out = np.empty(n)
+    out = first.view(float)
     out[order] = srt
     return out
 
@@ -160,8 +215,9 @@ def _smoothed_rank_fractions(positions: np.ndarray, width: float) -> np.ndarray:
 
 
 def _ratio_fractions(positions: np.ndarray) -> np.ndarray:
-    order, srt, first = _sort_with_ties(positions)
     n = positions.size
+    srt, first = np.empty(n), np.arange(n)
+    order = _sort_with_ties(positions, srt, first)
     shifted = np.exp(srt - srt[-1])
     suffix = np.cumsum(shifted[::-1])[::-1]
     # Sum over agents at or above: exp(x_m - x_i) - 1, summing ties too (they
@@ -178,10 +234,20 @@ def _ratio_fractions(positions: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_strategy(state: ParticleState, rule: StrategyRule) -> np.ndarray:
-    """Per-agent search-time fractions in [0, 1] under the given rule."""
+def eval_strategy(
+    state: ParticleState, rule: StrategyRule, _workspace: _Workspace | None = None
+) -> np.ndarray:
+    """Per-agent search-time fractions in [0, 1] under the given rule.
+
+    Given a step's workspace (private), the rank rule sorts into its buffers
+    and returns its rates array, which the step overwrites.
+    """
     if rule.kind == RANK:
-        return _rank_fractions(state.positions)
+        if _workspace is None:
+            return _rank_fractions(state.positions, np.empty(state.n), np.arange(state.n))
+        first = _workspace.rates.view(np.int64)
+        np.copyto(first, _workspace.index)
+        return _rank_fractions(state.positions, _workspace.sorted, first)
     if rule.kind == SMOOTHED_RANK:
         return _smoothed_rank_fractions(state.positions, rule.kernel_width)
     return _ratio_fractions(state.positions)
@@ -192,42 +258,54 @@ def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draws(seed: int, step: int, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The step's three streams, each drawn in full: (fire uniforms by slot,
-    partner draws by stream id, innovation normals by slot).
-
-    The streams are independent, so the order of the draws is free; drawing
-    the ungathered partner stream last keeps at most three arrays of n alive
-    in the worker.
+def _draws(seed: int, step: int, ids: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Draw the step's three streams, each in full: the innovation normals and
+    the fire uniforms by slot into work.noise and work.fire; return the
+    partner draws by stream id.
     """
     n = ids.size
-    noise = _stream(seed, step, _NOISE).standard_normal(n)[ids]
-    fire_u = _stream(seed, step, _FIRE).random(n)[ids]
-    partner_draw = _stream(seed, step, _PARTNER).integers(0, n - 1, size=n)
-    return fire_u, partner_draw, noise
+    # ids is a permutation, so no index is out of range; mode="clip" spares
+    # the copy of out that the bounds-checked take makes.
+    _stream(seed, step, _NOISE).standard_normal(out=work.raw)
+    np.take(work.raw, ids, out=work.noise, mode="clip")
+    _stream(seed, step, _FIRE).random(out=work.raw)
+    np.take(work.raw, ids, out=work.fire, mode="clip")
+    return _stream(seed, step, _PARTNER).integers(0, n - 1, size=n)
 
 
 def step_particles(
-    state: ParticleState, rule: StrategyRule, p: model.ModelParams, dt: float
+    state: ParticleState, rule: StrategyRule, p: model.ModelParams, dt: float,
+    _workspace: _Workspace | None = None,
 ) -> ParticleState:
     """One tau-leap step; deterministic given (seed, step_index, stream_ids).
 
-    The draws run on a worker thread started for this step while this thread
-    evaluates the strategy, and the worker is joined before the draws are
-    used, so the result is the same as drawing them in line.  An error the
-    worker raises is raised here.  The worker calls only private helpers, so
-    a tracer that wraps the public functions sees every call on this thread.
+    A bare call draws in line on the calling thread and starts no thread.  A
+    run passes its workspace (private): the draws then run on the run's
+    worker, submitted by the step before or else by this one, while this
+    thread evaluates the strategy, and are read only after the worker has
+    finished them, so the result is the same either way.  An error the
+    worker raises is raised here.  Before it returns, the step submits the
+    next step's draws.  The temporaries go into the workspace's buffers; the
+    successor's positions are a fresh array.  The worker calls only private
+    helpers, so a tracer that wraps the public functions sees every call on
+    this thread.
     """
     if dt > dt_max(p) * (1.0 + 1e-12):
         raise DomainError(f"dt={dt} exceeds dt_max={dt_max(p)}")
+    work = _Workspace(state.n) if _workspace is None else _workspace
     ids, x = state.stream_ids, state.positions
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        drawing = worker.submit(_draws, state.seed, state.step_index, ids)
-        # Every rule's fractions lie in [0, 1] by construction, so the rate is unchecked.
-        rates = model._alpha(eval_strategy(state, rule), p)
-        fire_u, partner_draw, noise = drawing.result()
-
-    fired = np.flatnonzero(fire_u < -np.expm1(-rates * dt))
+    drawing = work.draw(state.seed, state.step_index, ids)
+    rates = eval_strategy(state, rule, work)
+    partner_draw = drawing.result()
+    # model._alpha, alpha1 * s**k, in place: every rule's fractions lie in
+    # [0, 1] by construction, so the rate is unchecked.  Then the fire
+    # threshold 1 - exp(-rate*dt), in place too.
+    rates **= p.k
+    rates *= p.alpha1
+    np.multiply(rates, -dt, out=rates)
+    np.expm1(rates, out=rates)
+    np.negative(rates, out=rates)
+    fired = np.flatnonzero(work.fire < rates)
     # The partner stream is drawn in full, so its values do not depend on who fires.
     fired_ids = ids[fired]
     partner_draw = partner_draw[fired_ids]
@@ -236,7 +314,9 @@ def step_particles(
     own = x[fired]
     new = x.copy()
     new[fired] = np.where(partner_pos > own, partner_pos, own)
-    new += math.sqrt(2.0 * p.kappa * dt) * noise
+    work.noise *= math.sqrt(2.0 * p.kappa * dt)
+    new += work.noise
+    work.draw_ahead(state.seed, state.step_index + 1, ids)
 
     # The step keeps the positions finite and the seed and stream ids as they
     # are, so the successor skips __post_init__'s O(n) checks.

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from kdlab.backward import TerminalCondition
 from kdlab.cli import main
 from kdlab.errors import CheckpointError, ConfigError, DomainError, NonFiniteError
 from kdlab.grid import Grid1D, SpaceTimeField
-from kdlab import harness
+from kdlab import harness, particles
 from kdlab.harness import (
     PRESET_NAMES,
     ExperimentConfig,
@@ -27,7 +28,7 @@ from kdlab.harness import (
     save_checkpoint,
 )
 from kdlab.model import ModelParams
-from kdlab.particles import ParticleState
+from kdlab.particles import ParticleState, step_particles
 
 
 def tiny_particle_config(name="tiny", n=400, nt=30, seed=11):
@@ -223,6 +224,60 @@ class TestRun:
         theory = run(cfg, tmp_path / rule).manifest["theory"]
         assert theory["median_speed"] == pytest.approx(2.0 * math.sqrt(p.kappa * q1), abs=1e-12)
         assert theory["decay_rate"] == pytest.approx(math.sqrt(q1 / p.kappa), abs=1e-12)
+
+
+class Boom(Exception):
+    pass
+
+
+def rule_config(rule):
+    cfg = tiny_particle_config(nt=25)
+    width = 0.5 if rule == "smoothed-rank" else None
+    return dataclasses.replace(cfg, particles=dataclasses.replace(
+        cfg.particles, rule=rule, kernel_width=width))
+
+
+class TestParticleRunWorker:
+    """A particle run's one draw worker and its reused step buffers."""
+
+    @pytest.mark.parametrize("rule", ["rank", "smoothed-rank", "ratio"])
+    def test_run_equals_bare_steps(self, tmp_path, rule):
+        # Bare steps draw in line into fresh buffers, so a run whose reused
+        # buffers carried anything from one step or run to the next would
+        # differ from them, or from its own second run.
+        cfg = rule_config(rule)
+        st = run(cfg, tmp_path / "start", max_steps=0).final_state
+        for _ in range(cfg.grid.nt):
+            st = step_particles(st, cfg.particles.make_rule(), cfg.params, cfg.grid.dt)
+        a = run(cfg, tmp_path / "a")
+        b = run(cfg, tmp_path / "b")
+        assert np.array_equal(a.final_state.positions, st.positions)
+        written = sorted(f.relative_to(a.out_dir) for f in a.out_dir.rglob("*")
+                         if f.suffix in (".csv", ".json"))
+        assert len(written) > 5
+        for rel in written:
+            assert (a.out_dir / rel).read_bytes() == (b.out_dir / rel).read_bytes(), rel
+
+    def test_run_joins_its_worker(self, tmp_path):
+        before = threading.active_count()
+        run(tiny_particle_config(), tmp_path / "run")
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        stream, calls = particles._stream, []
+
+        def fail_mid_run(*args):
+            calls.append(args)
+            if len(calls) > 30:  # past ten steps of three streams each
+                raise Boom("stream")
+            return stream(*args)
+
+        monkeypatch.setattr(particles, "_stream", fail_mid_run)
+        before = threading.active_count()
+        with pytest.raises(Boom, match="stream"):
+            run(tiny_particle_config(), tmp_path / "run")
+        assert len(calls) == 31
+        assert threading.active_count() == before
 
 
 def write_field_archive(path, kind):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -289,7 +290,39 @@ class Boom(Exception):
 
 
 class TestDrawWorker:
-    """The per-step worker thread that draws the Philox streams."""
+    """Where a step draws its Philox streams: in line for a bare step."""
+
+    def test_bare_step_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"a bare step started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        st = state_at(np.random.default_rng(6).normal(size=300), seed=5)
+        for kind in ("rank", "smoothed-rank", "ratio"):
+            assert step_particles(st, make_rule(kind), P, 0.05).step_index == 1
+
+    def test_draws_ahead_serve_only_the_next_state(self):
+        # A step with a run's workspace draws the next step's streams ahead;
+        # a state they are not for (another seed, step or stream ids) draws
+        # its own, so every step equals the bare step of its state.
+        rule = make_rule("rank")
+        x = np.random.default_rng(7).normal(size=300)
+        a, b = state_at(x, seed=3), state_at(x, seed=4)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            work = particles._Workspace(a.n, worker)
+
+            def step(st):
+                return step_particles(st, rule, P, 0.05, _workspace=work)
+
+            a1 = step(a)
+            a2 = step(a1)
+            b1 = step(b)
+            a3 = step(a2)
+            c = ParticleState(positions=a3.positions, time=a3.time, seed=3, step_index=3,
+                              stream_ids=np.random.default_rng(8).permutation(300))
+            c1 = step(c)
+        for got, st in ((a1, a), (a2, a1), (b1, b), (a3, a2), (c1, c)):
+            assert np.array_equal(got.positions, step_particles(st, rule, P, 0.05).positions)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         def fail(*args):
