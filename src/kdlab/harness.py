@@ -58,17 +58,16 @@ class ParticleSpec:
     n: int
     seed: int  # mandatory: particle runs are only reproducible with one
     rule: str = RANK
-    kernel_width: float | None = None
 
     def __post_init__(self) -> None:
         if not (is_int(self.n) and self.n >= 2):
             raise ConfigError(f"particles.n must be an integer of at least 2, got {self.n!r}")
         if not (is_int(self.seed) and 0 <= self.seed < 2**63):
             raise ConfigError(f"particles.seed must be an integer in [0, 2^63), got {self.seed!r}")
-        self.make_rule()  # StrategyRule checks rule and kernel_width
+        self.make_rule()  # StrategyRule checks rule
 
     def make_rule(self) -> StrategyRule:
-        return StrategyRule(kind=self.rule, kernel_width=self.kernel_width)
+        return StrategyRule(kind=self.rule)
 
 
 def _keys(cls) -> tuple[str, ...]:
@@ -545,12 +544,11 @@ def _run_particles(
             positions=_sample_from_cdf(init, spec.n, spec.seed), time=grid.t0, seed=spec.seed
         )
     last_step = grid.nt if max_steps is None else min(grid.nt, state.step_index + max_steps)
-    # The s column a snapshot records: the rule's strategy read off the field
-    # estimate; smoothed-rank has no node-wise form, so its snapshots have none.
+    # The s column a snapshot records: the rule's strategy read off the field estimate.
     strategy = {
         RANK: lambda snap: snap.F.copy(),
         RATIO: lambda snap: np.minimum(1.0, p.rho_minus_kappa * snap.J),
-    }.get(spec.rule)
+    }[spec.rule]
     rec = _Recorder(cfg, out, strategy, last_step)
     stragglers = {"n_below_max": 0, "n_above_max": 0}
     with ThreadPoolExecutor(max_workers=1) as worker:

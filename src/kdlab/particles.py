@@ -26,7 +26,7 @@ run each step submits the next step's draws before it returns, and the
 worker draws them while the caller records the state and ranks it.
 
 A run also allocates, once, the n-sized buffers its steps write their draws
-and temporaries into: the rank pass, the rates, the fire threshold and the
+and temporaries into: the sort, the rates, the fire threshold and the
 scaled noise.  At n = 100 000 each is 800 KB, and glibc returns freed
 arrays of that size to the system, so fresh ones made every step
 page-fault.  Only the successor's positions are a fresh array, since states
@@ -44,10 +44,9 @@ import numpy as np
 from . import model
 from .errors import DomainError, NonFiniteError
 from .forward import dt_max
-from .grid import Grid1D, Profile, is_number
+from .grid import Grid1D, Profile
 
 RANK = "rank"
-SMOOTHED_RANK = "smoothed-rank"
 RATIO = "ratio"
 
 _FIRE, _PARTNER, _NOISE = 0, 1, 2
@@ -57,11 +56,11 @@ class _Workspace:
     """A particle run's draw worker and the n-sized arrays its steps write into.
 
     raw holds a stream before it is gathered by slot into noise or fire; the
-    rank pass sorts into sorted and writes the fractions, then the rates and
-    the fire threshold, into rates; index holds 0, 1, ..., n-1.  The draws
-    and the rank pass run at once, so they share no array.  ahead holds
-    ((seed, step), stream ids, future) of the draws a step submitted for the
-    next one.
+    strategy pass sorts into sorted and rates and writes the fractions, then
+    the rates and the fire threshold, into rates; index holds 0, 1, ..., n-1.
+    The draws and the strategy pass run at once, so they share no array.
+    ahead holds ((seed, step), stream ids, future) of the draws a step
+    submitted for the next one.
     """
 
     def __init__(self, n: int, worker: ThreadPoolExecutor | None = None) -> None:
@@ -138,28 +137,14 @@ class StrategyRule:
     """How agents choose their search-time fraction.
 
     rank: fraction of agents at or above one's own position (self included).
-    smoothed-rank: rank with the sharp comparison replaced by a smooth ramp
-        of the given width in log-productivity.
     ratio: expected relative productivity gain over better agents, capped at 1.
     """
 
     kind: str = RANK
-    kernel_width: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (RANK, SMOOTHED_RANK, RATIO):
-            raise DomainError(
-                f"strategy kind must be one of {(RANK, SMOOTHED_RANK, RATIO)}, got {self.kind!r}"
-            )
-        if self.kind == SMOOTHED_RANK and not (
-            is_number(self.kernel_width) and self.kernel_width > 0
-        ):
-            raise DomainError("smoothed-rank needs a positive kernel width")
-
-
-def _smoothstep(u: np.ndarray) -> np.ndarray:
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * (3.0 - 2.0 * u)
+        if self.kind not in (RANK, RATIO):
+            raise DomainError(f"strategy kind must be one of {(RANK, RATIO)}, got {self.kind!r}")
 
 
 def _sort_with_ties(positions: np.ndarray, srt: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -183,13 +168,9 @@ def _sort_with_ties(positions: np.ndarray, srt: np.ndarray, first: np.ndarray) -
     return order
 
 
-def _rank_fractions(positions: np.ndarray, srt: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """(n - first) / n by slot, returned in first's memory as float64.
-
-    srt is n-float scratch; first is int64 and holds 0, 1, ..., n-1 on entry.
-    """
-    n = positions.size
-    order = _sort_with_ties(positions, srt, first)
+def _rank_fractions(order: np.ndarray, srt: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """(n - first) / n by slot, in first's memory as float64; srt is scratch."""
+    n = first.size
     # (n - first) / n, computed in the sort's own buffers; first is consumed
     # into srt before its memory takes the result.
     np.subtract(n, first, out=first)
@@ -199,25 +180,9 @@ def _rank_fractions(positions: np.ndarray, srt: np.ndarray, first: np.ndarray) -
     return out
 
 
-def _smoothed_rank_fractions(positions: np.ndarray, width: float) -> np.ndarray:
-    srt = np.sort(positions)
-    n = positions.size
-    # Everything at least `width` above contributes 1; the window below that
-    # contributes through the ramp.  Window members are summed explicitly.
-    hi = np.searchsorted(srt, positions + width, side="left")
-    out = (n - hi).astype(float)
-    lo = np.searchsorted(srt, positions, side="right")
-    for i in range(n):
-        w = srt[lo[i]:hi[i]] - positions[i]
-        if w.size:
-            out[i] += _smoothstep(w / width).sum()
-    return out / n
-
-
-def _ratio_fractions(positions: np.ndarray) -> np.ndarray:
-    n = positions.size
-    srt, first = np.empty(n), np.arange(n)
-    order = _sort_with_ties(positions, srt, first)
+def _ratio_fractions(order: np.ndarray, srt: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Capped relative gain over the agents at or above, by slot, in first's memory."""
+    n = first.size
     shifted = np.exp(srt - srt[-1])
     suffix = np.cumsum(shifted[::-1])[::-1]
     # Sum over agents at or above: exp(x_m - x_i) - 1, summing ties too (they
@@ -229,7 +194,7 @@ def _ratio_fractions(positions: np.ndarray) -> np.ndarray:
     s_sorted[safe] = np.clip(
         (np.exp(gap[safe]) * suffix[first[safe]] - (n - first[safe])) / n, 0.0, 1.0
     )
-    out = np.empty(n)
+    out = first.view(float)
     out[order] = s_sorted
     return out
 
@@ -239,18 +204,16 @@ def eval_strategy(
 ) -> np.ndarray:
     """Per-agent search-time fractions in [0, 1] under the given rule.
 
-    Given a step's workspace (private), the rank rule sorts into its buffers
-    and returns its rates array, which the step overwrites.
+    Both rules read one _sort_with_ties pass into the workspace's sorted and
+    rates buffers and return the rates array, which a step overwrites.  A step
+    passes its workspace (private); a bare call builds one without a worker.
     """
-    if rule.kind == RANK:
-        if _workspace is None:
-            return _rank_fractions(state.positions, np.empty(state.n), np.arange(state.n))
-        first = _workspace.rates.view(np.int64)
-        np.copyto(first, _workspace.index)
-        return _rank_fractions(state.positions, _workspace.sorted, first)
-    if rule.kind == SMOOTHED_RANK:
-        return _smoothed_rank_fractions(state.positions, rule.kernel_width)
-    return _ratio_fractions(state.positions)
+    work = _Workspace(state.n) if _workspace is None else _workspace
+    first = work.rates.view(np.int64)
+    np.copyto(first, work.index)
+    order = _sort_with_ties(state.positions, work.sorted, first)
+    fractions = _rank_fractions if rule.kind == RANK else _ratio_fractions
+    return fractions(order, work.sorted, first)
 
 
 def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:

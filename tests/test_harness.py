@@ -48,14 +48,11 @@ def assert_diagnostics_rebuilt(out):
     assert rebuilt.read_bytes() == (out / "diagnostics.csv").read_bytes()
 
 
-#: Configs no preset covers: an explicit terminal condition, a smoothed-rank rule.
+#: Configs no preset covers: an explicit terminal condition.
 EXTRA_CONFIGS = {
     "nash-terminal": lambda: dataclasses.replace(
         preset_config("lottery-nash"),
         terminal=TerminalCondition(kind="logistic", center=3.5, slope=0.75)),
-    "smoothed-rank": lambda: dataclasses.replace(
-        tiny_particle_config(),
-        particles=ParticleSpec(n=400, seed=11, rule="smoothed-rank", kernel_width=0.5)),
 }
 
 
@@ -232,15 +229,13 @@ class Boom(Exception):
 
 def rule_config(rule):
     cfg = tiny_particle_config(nt=25)
-    width = 0.5 if rule == "smoothed-rank" else None
-    return dataclasses.replace(cfg, particles=dataclasses.replace(
-        cfg.particles, rule=rule, kernel_width=width))
+    return dataclasses.replace(cfg, particles=dataclasses.replace(cfg.particles, rule=rule))
 
 
 class TestParticleRunWorker:
     """A particle run's one draw worker and its reused step buffers."""
 
-    @pytest.mark.parametrize("rule", ["rank", "smoothed-rank", "ratio"])
+    @pytest.mark.parametrize("rule", ["rank", "ratio"])
     def test_run_equals_bare_steps(self, tmp_path, rule):
         # Bare steps draw in line into fresh buffers, so a run whose reused
         # buffers carried anything from one step or run to the next would
@@ -536,7 +531,7 @@ class TestCli:
         lambda d: d["output"].update(fit_window="ab"),
         lambda d: d["particles"].update(rule="majority"),
         lambda d: d["particles"].update(rule="smoothed-rank"),
-        lambda d: d["particles"].update(rule="smoothed-rank", kernel_width=-0.5),
+        lambda d: d["particles"].update(kernel_width=None),
         lambda d: d["particles"].update(n=400.5),
         lambda d: d["particles"].update(seed=-1),
         lambda d: d["particles"].update(seed=11.5),
@@ -558,7 +553,7 @@ class TestCli:
         lambda d: d["initial_condition"].update(width=1.0),
         lambda d: d.update(mode="compare") or d["particles"].update(rule="ratio"),
     ], ids=["not-object", "float-nx", "float-nt", "window-length", "window-order",
-            "window-string", "unknown-rule", "smoothed-no-width", "smoothed-negative-width",
+            "window-string", "unknown-rule", "removed-rule", "removed-particles-key",
             "float-n", "negative-seed", "float-seed", "float-snapshot-stride",
             "float-track-stride", "string-binary-fields", "removed-mfg-key",
             "output-not-object", "initial-not-object", "terminal-not-object",
@@ -624,6 +619,21 @@ class TestCli:
         with pytest.raises(CheckpointError, match="malformed config"):
             load_checkpoint(bad)
         assert main(["resume", str(bad), "--out", str(tmp_path / "res")]) == 4
+
+    def test_checkpoint_with_removed_particles_key_exit_code(self, tmp_path, capsys):
+        # particles.kernel_width is no config key, so a checkpoint whose
+        # embedded config still holds it is read like one with any unknown key.
+        ck = run(tiny_particle_config(nt=5), tmp_path / "part").out_dir / "checkpoint.npz"
+        data = dict(np.load(ck, allow_pickle=False))
+        meta = json.loads(str(data["meta"]))
+        meta["config"]["particles"]["kernel_width"] = None
+        data["meta"] = json.dumps(meta, sort_keys=True)
+        np.savez(ck, **data)
+        with pytest.raises(CheckpointError, match="kernel_width"):
+            load_checkpoint(ck)
+        assert main(["resume", str(ck), "--out", str(tmp_path / "res")]) == 4
+        assert "kernel_width" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_diag_on_resumed_run(self, tmp_path, capsys):
         partial = run(tiny_particle_config(nt=20), tmp_path / "part", max_steps=7)

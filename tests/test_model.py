@@ -317,7 +317,7 @@ class TestCheckedOnce:
             solve_nash(self.ramp(g), None, P_HALF, g, MfgConfig(tol=1e-300, max_iter=2))
             return
         if kind.startswith("particles"):
-            rule = StrategyRule(kind=kind.split("-", 1)[1], kernel_width=0.5)
+            rule = StrategyRule(kind=kind.split("-", 1)[1])
             st = ParticleState(positions=np.random.default_rng(0).normal(size=200),
                                time=0.0, seed=3)
             for _ in range(nt):
@@ -355,8 +355,7 @@ class TestCheckedOnce:
         return calls
 
     @pytest.mark.parametrize("kind", ["intrinsic", "rank-local", "field", "nash",
-                                      "particles-rank", "particles-ratio",
-                                      "particles-smoothed-rank"])
+                                      "particles-rank", "particles-ratio"])
     def test_counts_do_not_grow_with_steps(self, monkeypatch, kind):
         short = self.counts(monkeypatch, kind, 10)
         assert any(short.values())

@@ -128,22 +128,11 @@ class TestEvalStrategy:
         assert np.all((0.0 <= s) & (s <= 1.0))
         assert step_particles(state_at(x), StrategyRule(kind="ratio"), P, 0.05).step_index == 1
 
-    def test_smoothed_rank(self):
-        x = np.array([0.0, 0.4, 5.0])
-        s = eval_strategy(state_at(x), StrategyRule(kind="smoothed-rank", kernel_width=1.0))
-        # agent 0 sees agent 2 fully (gap > width) and agent 1 partially
-        ramp = 0.4**2 * (3 - 2 * 0.4)
-        assert s[0] == pytest.approx((1.0 + ramp) / 3.0)
-        assert s[2] == pytest.approx(0.0)
-        assert np.all((0.0 <= s) & (s <= 1.0))
-
     def test_rule_validation(self):
         with pytest.raises(DomainError):
             StrategyRule(kind="mystery")
         with pytest.raises(DomainError):
             StrategyRule(kind="smoothed-rank")
-        with pytest.raises(DomainError):
-            StrategyRule(kind="smoothed-rank", kernel_width=True)
 
 
 class TestParticleState:
@@ -258,24 +247,17 @@ TRAJECTORY_HASHES = [
     ("rank", 5000,
      "64b0729d46cfdff2afcdfbaf8a031616205fae42d189fc8bcbb3fb854ba5137c",
      "a62b74e38267d90ceaa06b9eb9eef914cb582c9b8fe122cc8b74e5110f315e4d"),
-    ("smoothed-rank", 500,
-     "15f032a2fb6de88057dfbf18fcd116ae81fbf5c20f38eec1d0cb788c3e04d356",
-     "e73fecc72217cd1f3e747a38c2eef9c9f97efe87a491ac4cc96ca14a705d5f8c"),
     ("ratio", 5000,
      "3cfa7b9478fc2f2b35efa325f2125397084ca44490a238480cdd2feeda348b7e",
      "f8468fbb131b75cf7d2ace23c291da31641c307ce04eb15124de72e5868698af"),
 ]
 
 
-def make_rule(kind):
-    return StrategyRule(kind=kind, kernel_width=0.5 if kind == "smoothed-rank" else None)
-
-
 class TestTrajectoryHashes:
     @pytest.mark.parametrize("kind, n, fresh, permuted", TRAJECTORY_HASHES,
                              ids=[row[0] for row in TRAJECTORY_HASHES])
     def test_twenty_steps_are_bit_identical(self, kind, n, fresh, permuted):
-        rule = make_rule(kind)
+        rule = StrategyRule(kind=kind)
         for ids, expected in ((False, fresh), (True, permuted)):
             rng = np.random.default_rng(2024)
             x = rng.normal(size=n)
@@ -298,14 +280,14 @@ class TestDrawWorker:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         st = state_at(np.random.default_rng(6).normal(size=300), seed=5)
-        for kind in ("rank", "smoothed-rank", "ratio"):
-            assert step_particles(st, make_rule(kind), P, 0.05).step_index == 1
+        for kind in ("rank", "ratio"):
+            assert step_particles(st, StrategyRule(kind=kind), P, 0.05).step_index == 1
 
     def test_draws_ahead_serve_only_the_next_state(self):
         # A step with a run's workspace draws the next step's streams ahead;
         # a state they are not for (another seed, step or stream ids) draws
         # its own, so every step equals the bare step of its state.
-        rule = make_rule("rank")
+        rule = StrategyRule(kind="rank")
         x = np.random.default_rng(7).normal(size=300)
         a, b = state_at(x, seed=3), state_at(x, seed=4)
         with ThreadPoolExecutor(max_workers=1) as worker:
@@ -371,7 +353,7 @@ class TestDrawWorker:
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(status) == 0
 
-    @pytest.mark.parametrize("kind", ["rank", "smoothed-rank", "ratio"])
+    @pytest.mark.parametrize("kind", ["rank", "ratio"])
     def test_public_calls_stay_on_the_calling_thread(self, monkeypatch, kind):
         # A single-stack tracer wraps the public functions, so none of them
         # may run on the worker.
@@ -391,7 +373,7 @@ class TestDrawWorker:
                     monkeypatch.setattr(mod, name, recording(fn))
         st = state_at(np.random.default_rng(5).normal(size=200), seed=4)
         for _ in range(5):
-            st = particles.step_particles(st, make_rule(kind), P, 0.05)
+            st = particles.step_particles(st, StrategyRule(kind=kind), P, 0.05)
         assert {"step_particles", "eval_strategy"} <= {name for name, _ in calls}
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
