@@ -33,6 +33,10 @@ OVERSHOOT_TOL = 1e-9
 #: monotonicity is declared broken.
 SLOPE_TOL = 1e-9
 
+#: Smallest positive normal float64; the drift-free step keeps its solved
+#: rows free of the subnormal numbers below it.
+TINY = float(np.finfo(float).tiny)
+
 
 def is_int(v) -> bool:
     """Whether v is an integer, Python or NumPy; a bool is not."""
@@ -194,6 +198,79 @@ def implicit_operator(
     return lower, diag, upper
 
 
+def _drift_free_solver(
+    m: int, r: float, ends: tuple[float, float]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The step solve of the drift-free scheme on m interior nodes, r = kappa*dt/dx^2.
+
+    The interior matrix tridiag(-r, 1 + 2r, -r) is symmetric positive
+    definite, so it is LDL^T-factored once (LAPACK pttrf).  The returned
+    function takes a step's right-hand side b, adds r times each Dirichlet
+    end value to its neighbouring interior row, pins b's ends, solves the
+    interior in place (pttrs) and returns b.
+
+    With the right end pinned at 0 and the interior right-hand side exactly 0
+    from row K on, the solve stops at the reach.  With q = 2r/(1 + 2r +
+    sqrt(1 + 4r)), the decay per row of the inverse of the infinite matrix,
+    and S = sum over j < K of |b_j| q^(K-1-j), every interior solution value
+    obeys |x_i| <= S q^(i-K+1) / sqrt(1 + 4r) for i >= K.  Rows where that
+    bound is below TINY/2 are past the reach: they keep their right-hand side
+    0, and the leading rows are solved as the system cut there, whose LDL^T
+    factors are the leading factors of the full one.  On such a step every
+    solved value of magnitude below TINY is set to 0 as well, so no
+    subnormal number enters the next step.  Without the cut the elimination
+    runs on across the zero rows, where with q > 1/2 rounding holds the
+    smallest subnormal instead of letting it decay, and subnormal arithmetic
+    is many times slower.  The scan for the zero rows is skipped while the
+    last interior right-hand side is nonzero.
+    """
+    # The LAPACK wrappers want an off-diagonal of length 1 for one unknown;
+    # pttrf and pttrs read none of it then.
+    d, e, info = lapack.dpttrf(np.full(m, 1.0 + 2.0 * r), np.full(max(m - 1, 1), -r))
+    if info != 0:
+        raise SingularSystemError(f"implicit operator is singular (pttrf info={info})")
+    left, right = ends
+    cut = right == 0.0 and r > 0.0
+    if cut:
+        root = math.sqrt(1.0 + 4.0 * r)
+        q = 2.0 * r / (1.0 + 2.0 * r + root)
+        # q^(K-1-j) for j < K, with q^0 last; powers that underflow to 0 are
+        # left out.
+        powers = q ** np.arange(m, dtype=float)
+        powers = powers[powers > 0.0][::-1].copy()
+        log_scale, log_decay = math.log(2.0 / (root * TINY)), -math.log(q)
+
+    def reach(x: np.ndarray) -> int:
+        """The count of leading rows of x, which ends in a 0, that are solved."""
+        nonzero = x[::-1] != 0.0
+        k = int(nonzero.argmax())
+        if not nonzero[k]:
+            return 0
+        K = m - k
+        n = min(K, powers.size)
+        S = float(powers[-n:] @ np.abs(x[K - n:K]))
+        if not math.isfinite(S):
+            return m  # a NaN or inf in b: the full solve, and the guard names it
+        return min(m, K + max(0, math.floor((math.log(S) + log_scale) / log_decay)))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        b = np.ascontiguousarray(b, dtype=float)
+        x = b[1:-1]
+        x[0] += r * left
+        x[-1] += r * right
+        b[0], b[-1] = ends
+        floor = cut and x[-1] == 0.0
+        rows = reach(x) if floor else m
+        if rows:
+            lapack.dpttrs(d[:rows], e[:max(rows - 1, 1)], x[:rows], overwrite_b=1)
+        if floor:
+            solved = x[:rows]
+            solved[np.abs(solved) < TINY] = 0.0
+        return b
+
+    return solve
+
+
 def _march(
     u0: np.ndarray, nt: int, dx: float, dt: float, kappa: float,
     rhs: Callable[[int, np.ndarray], np.ndarray], ends: tuple[float, float],
@@ -202,24 +279,33 @@ def _march(
     """Yield (n, u_n) for n = 0 .. nt of the implicit diffusion scheme.
 
     Step n solves (I - dt*(kappa*D2 + drift*D+)) u_{n+1} = rhs(n, u_n), a
-    fresh array whose end values are first pinned to the Dirichlet data
-    ends.  The matrix never changes, so it is LU-factored once (LAPACK
-    gttrf) and every step is one gttrs solve.  Each new slice is guarded:
-    non-finite values raise NonFiniteError; drift outside [0, 1] beyond
-    OVERSHOOT_TOL raises OvershootError and smaller drift is clamped; with
-    slope -1 (+1) the slice must be non-increasing (non-decreasing) in x to
-    within SLOPE_TOL, else NumericalError.
+    fresh array, with u_{n+1}'s end values pinned to the Dirichlet data ends.
+    The matrix never changes, so it is factored once.  Without drift (the
+    forward and rank-local runs) the interior system is symmetric positive
+    definite: it is LDL^T-factored and solved only over the rows the solution
+    reaches (see _drift_free_solver).  With drift (the backward run) it is
+    not symmetric, and the full matrix is LU-factored (LAPACK gttrf) and
+    every step is one gttrs solve.  Each new slice is guarded: non-finite
+    values raise NonFiniteError; drift outside [0, 1] beyond OVERSHOOT_TOL
+    raises OvershootError and smaller drift is clamped; with slope -1 (+1)
+    the slice must be non-increasing (non-decreasing) in x to within
+    SLOPE_TOL, else NumericalError.
     """
-    lower, diag, upper = implicit_operator(u0.size, dx, dt, kappa, drift)
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
-    if info != 0:
-        raise SingularSystemError(f"implicit operator is singular (gttrf info={info})")
+    if drift:
+        lower, diag, upper = implicit_operator(u0.size, dx, dt, kappa, drift)
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
+        if info != 0:
+            raise SingularSystemError(f"implicit operator is singular (gttrf info={info})")
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            b[0], b[-1] = ends
+            return lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+    else:
+        solve = _drift_free_solver(u0.size - 2, kappa * dt / dx**2, ends)
     u = u0
     yield 0, u
     for n in range(nt):
-        b = rhs(n, u)
-        b[0], b[-1] = ends
-        u, _ = lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+        u = solve(rhs(n, u))
         lo, hi = u.min(), u.max()
         # A NaN makes both comparisons false, so the isfinite scan runs only
         # on a slice that fails anyway, to name the failure.
@@ -227,7 +313,8 @@ def _march(
             if not np.all(np.isfinite(u)):
                 raise NonFiniteError(f"{name} became non-finite at step {n + 1}")
             raise OvershootError(f"{name} left [0,1] by {max(-lo, hi - 1.0):.3e} in one step")
-        np.clip(u, 0.0, 1.0, out=u)
+        if lo < 0.0 or hi > 1.0:
+            np.clip(u, 0.0, 1.0, out=u)
         if slope:
             diffs = u[1:] - u[:-1]
             if (diffs.max() if slope < 0 else -diffs.min()) > SLOPE_TOL:

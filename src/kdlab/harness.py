@@ -555,7 +555,7 @@ def _run_particles(
         work = _Workspace(state.n, worker)
         while True:
             if any(rec.sampled(state.step_index)):
-                est = empirical_cdf(state, grid)
+                est = empirical_cdf(state, grid, _workspace=work)
                 stragglers["n_below_max"] = max(stragglers["n_below_max"], est.n_below)
                 stragglers["n_above_max"] = max(stragglers["n_above_max"], est.n_above)
                 F = est.profile.values

@@ -60,7 +60,10 @@ class _Workspace:
     the rates and the fire threshold, into rates; index holds 0, 1, ..., n-1.
     The draws and the strategy pass run at once, so they share no array.
     ahead holds ((seed, step), stream ids, future) of the draws a step
-    submitted for the next one.
+    submitted for the next one.  sorted_of is the positions array whose
+    argsort is order and whose sorted values are in sorted, so that the CDF
+    estimate of a recorded state and the strategy pass of its step share one
+    sort; the strategy pass then drops both, since it overwrites sorted.
     """
 
     def __init__(self, n: int, worker: ThreadPoolExecutor | None = None) -> None:
@@ -68,6 +71,20 @@ class _Workspace:
         self.raw, self.noise, self.fire = np.empty(n), np.empty(n), np.empty(n)
         self.sorted, self.rates, self.index = np.empty(n), np.empty(n), np.arange(n)
         self.ahead: tuple[tuple[int, int], np.ndarray, Future] | None = None
+        self.sorted_of: np.ndarray | None = None
+        self.order: np.ndarray | None = None
+
+    def sort(self, positions: np.ndarray) -> np.ndarray:
+        """Argsort positions, and sort them into sorted, unless that is done
+        for this very array; return the order."""
+        if self.sorted_of is not positions:
+            self.order = np.argsort(positions)
+            # The order is a permutation, so no index is out of range;
+            # mode="clip" spares the copy of sorted that the bounds-checked
+            # take makes.
+            np.take(positions, self.order, out=self.sorted, mode="clip")
+            self.sorted_of = positions
+        return self.order
 
     def draw(self, seed: int, step: int, ids: np.ndarray) -> Future:
         """The draws for (seed, step, ids): in line without a worker, else on
@@ -147,25 +164,19 @@ class StrategyRule:
             raise DomainError(f"strategy kind must be one of {(RANK, RATIO)}, got {self.kind!r}")
 
 
-def _sort_with_ties(positions: np.ndarray, srt: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Sort positions into srt and turn first from 0, 1, ..., n-1 into the
-    first sorted slot of each tie; return the order of one argsort.
+def _tie_starts(srt: np.ndarray, first: np.ndarray) -> None:
+    """Turn first from 0, 1, ..., n-1 into the first sorted slot of each tie of srt.
 
     first[k] is then the first sorted slot holding a value equal to the one
     in slot k, i.e. the count of agents strictly below it.  Equality is
     numeric, so -0.0 and 0.0 tie, as in searchsorted.
     """
-    order = np.argsort(positions)
-    # The order is a permutation, so no index is out of range; mode="clip"
-    # spares the copy of srt that the bounds-checked take makes.
-    np.take(positions, order, out=srt, mode="clip")
     ties = srt[1:] == srt[:-1]
     # The innovation noise leaves a run's agents untied, and the running
     # maximum is the pass's slowest part.
     if ties.any():
         first[1:][ties] = 0
         np.maximum.accumulate(first, out=first)
-    return order
 
 
 def _rank_fractions(order: np.ndarray, srt: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -204,14 +215,18 @@ def eval_strategy(
 ) -> np.ndarray:
     """Per-agent search-time fractions in [0, 1] under the given rule.
 
-    Both rules read one _sort_with_ties pass into the workspace's sorted and
-    rates buffers and return the rates array, which a step overwrites.  A step
-    passes its workspace (private); a bare call builds one without a worker.
+    Both rules read one sort of the positions in the workspace, reused if
+    empirical_cdf made it, and one tie pass into its rates buffer, and return
+    the rates array, which a step overwrites.  A step passes its workspace
+    (private); a bare call builds one without a worker.
     """
     work = _Workspace(state.n) if _workspace is None else _workspace
+    order = work.sort(state.positions)
+    # The fractions overwrite sorted; the order is not kept past the step.
+    work.sorted_of = work.order = None
     first = work.rates.view(np.int64)
     np.copyto(first, work.index)
-    order = _sort_with_ties(state.positions, work.sorted, first)
+    _tie_starts(work.sorted, first)
     fractions = _rank_fractions if rule.kind == RANK else _ratio_fractions
     return fractions(order, work.sorted, first)
 
@@ -298,13 +313,21 @@ class CdfEstimate:
     n_above: int
 
 
-def empirical_cdf(state: ParticleState, grid: Grid1D) -> CdfEstimate:
+def empirical_cdf(
+    state: ParticleState, grid: Grid1D, _workspace: _Workspace | None = None
+) -> CdfEstimate:
     """Fraction of agents strictly above each node: non-increasing, in [0, 1].
 
     Agents outside [x_min, x_max] are flagged by count in the result rather
     than raised, since a diffusing cloud routinely sheds a few stragglers.
+    A run passes its workspace (private): the state is then sorted in it, and
+    the strategy pass of the state's step reuses that sort.
     """
-    srt = np.sort(state.positions)
+    if _workspace is None:
+        srt = np.sort(state.positions)
+    else:
+        _workspace.sort(state.positions)
+        srt = _workspace.sorted
     n = state.n
     above = n - np.searchsorted(srt, grid.x, side="right")
     prof = Profile(grid, above / n)

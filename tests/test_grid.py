@@ -28,6 +28,8 @@ from kdlab.model import ModelParams, _alpha, _alpha_of_sm, _q_integral, _s_m, di
 
 from conftest import space_grid
 
+TINY = np.finfo(float).tiny
+
 
 class TestGrid:
     def test_spacing_invariants(self):
@@ -115,6 +117,31 @@ def _one_step(dx, dt, kappa, drift, b):
     return list(steps)[-1][1]
 
 
+def _full_solve(b, dx, dt, kappa, drift=0.0):
+    """The full implicit system, Dirichlet rows included, solved by solve_banded."""
+    lower, diag, upper = implicit_operator(b.size, dx, dt, kappa, drift)
+    ab = np.array([np.r_[0.0, upper[:-1]], diag, np.r_[lower[1:], 0.0]])
+    return scipy.linalg.solve_banded((1, 1), ab, b)
+
+
+def _reach(b, r):
+    """Rows of the interior system with right-hand side b, right end pinned at 0,
+    that are solved: those up to the first row i >= K, where b is 0 from K on,
+    whose bound S q^(i-K+1) / sqrt(1 + 4r) falls below TINY/2."""
+    m = b.size
+    nonzero = np.flatnonzero(b)
+    if nonzero.size == 0:
+        return 0
+    K = nonzero[-1] + 1
+    root = np.sqrt(1.0 + 4.0 * r)
+    q = 2.0 * r / (1.0 + 2.0 * r + root)
+    S = np.sum(np.abs(b[:K]) * q ** np.arange(K - 1, -1, -1.0))
+    for i in range(K, m):
+        if np.log(S) + (i - K + 1) * np.log(q) - np.log(root) < np.log(TINY / 2.0):
+            return i
+    return m
+
+
 class TestTridiagonal:
     """The stepper's prefactored tridiagonal solve."""
 
@@ -150,8 +177,76 @@ class TestTridiagonal:
     def test_singular(self):
         # kappa*dt/dx^2 = -1/2 zeroes the interior diagonal: rows 0 and 2 pin
         # the ends, and row 1 is half their sum, so the matrix is singular.
-        with pytest.raises(SingularSystemError):
+        # The drift-free factorization meets the zero pivot.
+        with pytest.raises(SingularSystemError, match="pttrf"):
             _one_step(1.0, 1.0, -0.5, 0.0, np.array([1.0, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("n, kappa", [(3, 0.7), (16, 0.0)])
+    def test_drift_free_path_without_lu(self, monkeypatch, n, kappa):
+        # A single interior node and a zero diffusion both take the LDL^T path.
+        def refuse(*args, **kwargs):
+            raise AssertionError("drift-free step reached the LU solve")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", refuse)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", refuse)
+        rhs = np.linspace(0.9, 0.1, n)
+        x = _one_step(0.1, 0.01, kappa, 0.0, rhs)
+        ref = _dense_eliminate(*implicit_operator(n, 0.1, 0.01, kappa, 0.0), rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-14
+        if kappa == 0.0:
+            assert np.array_equal(x, rhs)
+
+
+class TestDriftFreeSolve:
+    """The interior LDL^T solve, cut at the reach, against the full system."""
+
+    @pytest.mark.parametrize("nx, x_max, dt", [(6001, 280.0, 0.01), (2801, 120.0, 0.02)])
+    @pytest.mark.parametrize("tail", ["zero", "exponential"])
+    def test_matches_full_solve(self, nx, x_max, dt, tail):
+        # dx = 0.05 and kappa = 1: r = 4 on the first grid, 8 on the second.
+        x = np.linspace(-20.0, x_max, nx)
+        dx, kappa = x[1] - x[0], 1.0
+        if tail == "zero":
+            u0 = np.clip((5.0 - x) / 10.0, 0.0, 1.0)
+        else:
+            u0 = 1.0 / (1.0 + np.exp(np.clip(x - 5.0, -700.0, 700.0)))
+            u0[-1] = 0.0
+        rhs = lambda n, u: u * (1.0 + 0.5 * dt * (1.0 - u))
+        ref = u0
+        for n, u in _march(u0.copy(), 5, dx, dt, kappa, rhs, (1.0, 0.0), slope=-1):
+            if n:
+                b = rhs(n - 1, ref)
+                b[0], b[-1] = 1.0, 0.0
+                ref = _full_solve(b, dx, dt, kappa)
+            big = np.abs(ref) >= 1e-290
+            assert np.all(np.abs(u[big] - ref[big]) <= 1e-12 * np.abs(ref[big]))
+            assert np.all(np.abs(u[~big]) < 1e-289)
+            if tail == "exponential":
+                assert np.all(u[1:-1] > 0.0)
+
+    def test_zero_tail_past_the_reach(self):
+        # r = 4 and a zero tail of over 2 000 rows, longer than the reach
+        # (about 1 450 rows from a right-hand side of order 1).
+        x = np.linspace(-10.0, 110.0, 2401)
+        dx, dt, kappa = x[1] - x[0], 0.01, 1.0
+        u0 = np.clip((2.0 - x) / 4.0, 0.0, 1.0)
+        rhs = lambda n, u: u * (1.0 + dt * 0.5 * (1.0 - u))
+        r = kappa * dt / dx**2
+        prev = u0
+        for n, u in _march(u0.copy(), 20, dx, dt, kappa, rhs, (1.0, 0.0), slope=-1):
+            assert not np.any((u > 0.0) & (u < TINY))
+            if n:
+                b = rhs(n - 1, prev)
+                b[0], b[-1] = 1.0, 0.0
+                inner = b[1:-1].copy()
+                inner[0] += r
+                rows = _reach(inner, r)
+                assert rows < inner.size
+                assert np.all(u[1 + rows:] == 0.0)
+                # The full system's values there are below TINY/2.
+                assert np.all(_full_solve(b, dx, dt, kappa)[1 + rows:] < TINY / 2)
+            prev = u.copy()
+        assert np.count_nonzero(prev) < x.size - 500
 
 
 class TestImplicitOperator:
@@ -165,14 +260,34 @@ class TestImplicitOperator:
 
 
 def _replay(u, nt, dx, dt, kappa, rhs, ends, drift=0.0):
-    """The implicit scheme rebuilt and re-solved step by step, for reference."""
-    lower, diag, upper = implicit_operator(u.size, dx, dt, kappa, drift)
-    ab = np.array([np.r_[0.0, upper[:-1]], diag, np.r_[lower[1:], 0.0]])
+    """The implicit scheme rebuilt and re-solved step by step, for reference.
+
+    With drift the full system goes to solve_banded.  Without it the interior
+    system, with r = kappa*dt/dx^2 times each end value added to its
+    neighbouring right-hand side, goes to LAPACK ptsv, cut at the reach when
+    the right end is pinned at 0 and the right-hand side ends in zeros; on
+    such a step values below TINY in magnitude are set to 0.
+    """
+    r = kappa * dt / dx**2
     out = [u]
     for n in range(nt):
         b = rhs(n, out[-1])
         b[0], b[-1] = ends
-        out.append(np.clip(scipy.linalg.solve_banded((1, 1), ab, b), 0.0, 1.0))
+        if drift:
+            x = _full_solve(b, dx, dt, kappa, drift)
+        else:
+            x = b.copy()
+            inner = x[1:-1]
+            inner[0] += r * ends[0]
+            inner[-1] += r * ends[1]
+            cut = ends[1] == 0.0 and r > 0.0 and inner[-1] == 0.0
+            rows = _reach(inner, r) if cut else inner.size
+            if rows:
+                d, e = np.full(rows, 1.0 + 2.0 * r), np.full(max(rows - 1, 1), -r)
+                inner[:rows] = scipy.linalg.lapack.dptsv(d, e, inner[:rows].copy())[2]
+            if cut:
+                inner[np.abs(inner) < TINY] = 0.0
+        out.append(np.clip(x, 0.0, 1.0))
     return np.array(out)
 
 
@@ -264,6 +379,17 @@ class TestSharedStepper:
             return F * (1.0 + g.dt * (_q_integral(1.0, p) - _q_integral(F, p)))
 
         ref = _replay(self.ramp(g).values, g.nt, g.dx, g.dt, p.kappa, rhs, (1.0, 0.0))
+        assert np.array_equal(solve_forward(self.ramp(g), RANK_LOCAL, p, g).values, ref)
+
+    def test_cut_at_the_reach_matches_replay(self):
+        # r = 4 and a zero tail longer than the reach: every step is cut.
+        p, g = self.P, Grid1D(-10.0, 110.0, 2401, 0.0, 0.2, 20)
+
+        def rhs(n, F):
+            return F * (1.0 + g.dt * (_q_integral(1.0, p) - _q_integral(F, p)))
+
+        ref = _replay(self.ramp(g).values, g.nt, g.dx, g.dt, p.kappa, rhs, (1.0, 0.0))
+        assert np.all(ref[:, -500:] == 0.0)
         assert np.array_equal(solve_forward(self.ramp(g), RANK_LOCAL, p, g).values, ref)
 
     def test_backward_matches_replay(self):

@@ -178,9 +178,9 @@ class TestRun:
         cdf_steps, below, above = [], [], []
         real_cdf = harness.empirical_cdf
 
-        def counted_cdf(state, grid):
+        def counted_cdf(state, grid, _workspace=None):
             cdf_steps.append(state.step_index)
-            est = real_cdf(state, grid)
+            est = real_cdf(state, grid, _workspace=_workspace)
             below.append(est.n_below)
             above.append(est.n_above)
             return est

@@ -396,6 +396,28 @@ class TestEmpiricalCdf:
         est = empirical_cdf(st, g)
         assert est.n_below == 1 and est.n_above == 2
 
+    @pytest.mark.parametrize("kind", ["rank", "ratio"])
+    def test_one_sort_per_state_in_a_workspace(self, monkeypatch, kind):
+        # The CDF sorts the state in the run's workspace and the strategy pass
+        # of its step reuses that sort, then drops it; another state sorts anew.
+        g = Grid1D(-4.0, 4.0, 33, 0.0, 0.0, 0)
+        x = np.random.default_rng(9).normal(size=300)
+        x[:40] = x[40:80]  # ties
+        a, b = state_at(x), state_at(x[::-1].copy())
+        rule = StrategyRule(kind=kind)
+        bare = [empirical_cdf(a, g).profile.values, eval_strategy(a, rule).copy(),
+                eval_strategy(b, rule).copy()]
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda v: sorts.append(v) or argsort(v))
+        work = particles._Workspace(a.n)
+        est = empirical_cdf(a, g, _workspace=work)
+        assert np.array_equal(est.profile.values, bare[0])
+        assert np.array_equal(eval_strategy(a, rule, work), bare[1])
+        assert len(sorts) == 1 and sorts[0] is a.positions and work.sorted_of is None
+        assert np.array_equal(eval_strategy(b, rule, work), bare[2])
+        assert len(sorts) == 2
+
     def test_ratio_strategy_matches_intrinsic_payoff(self):
         # The ratio sums equal the distribution-only pay-off of the empirical
         # CDF, up to quadrature error on the grid.
