@@ -48,7 +48,7 @@ from .particles import (
 )
 
 SCHEMA_VERSION = 1
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 MODES = ("kpp", "intrinsic", "nash", "particles", "compare")
 OUTPUT_ROOT_ENV = "KDLAB_OUT"
 
@@ -367,7 +367,7 @@ def _speed_entry(rows: list[tuple], kind: str, window: tuple[float, float]) -> d
 
 
 def save_checkpoint(obj, path: str | Path, config: ExperimentConfig | None = None) -> None:
-    """Serialize a ParticleState losslessly.
+    """Serialize a ParticleState losslessly: its positions, seed and step index.
 
     The archive is written to a temporary file next to path and then renamed
     over it, so a crash mid-write leaves the previous checkpoint intact.
@@ -384,8 +384,7 @@ def save_checkpoint(obj, path: str | Path, config: ExperimentConfig | None = Non
         with open(tmp, "wb") as f:
             np.savez(
                 f, kind="particles", meta=json.dumps(meta, sort_keys=True),
-                positions=obj.positions, time=obj.time, seed=obj.seed,
-                step_index=obj.step_index, stream_ids=obj.stream_ids,
+                positions=obj.positions, seed=obj.seed, step_index=obj.step_index,
             )
             f.flush()
             os.fsync(f.fileno())
@@ -395,19 +394,27 @@ def save_checkpoint(obj, path: str | Path, config: ExperimentConfig | None = Non
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParticleState, ExperimentConfig | None]:
-    """Inverse of save_checkpoint; returns (state, config-or-None)."""
+    """Inverse of save_checkpoint; returns (state, config-or-None).
+
+    A file that holds no readable checkpoint of this version is a
+    CheckpointError naming it.
+    """
     path = Path(path)
     try:
         data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    with data:
-        try:
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"checkpoint {path} is a bare array, not an npz archive")
+        with data:
             return _checkpoint_from_npz(data)
-        except KeyError as exc:
-            raise CheckpointError(f"checkpoint {path} lacks key {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"checkpoint {path} has malformed meta: {exc}") from exc
+    except CheckpointError:
+        raise
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {path} lacks key {exc}") from exc
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        # No archive numpy reads, a damaged member, malformed meta, an array
+        # that needs pickle to load, or positions the state rejects (its
+        # DomainError or NonFiniteError).
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
 
 
 def _checkpoint_from_npz(data) -> tuple[ParticleState, ExperimentConfig | None]:
@@ -425,23 +432,25 @@ def _checkpoint_from_npz(data) -> tuple[ParticleState, ExperimentConfig | None]:
     kind = str(data["kind"])
     if kind != "particles":
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    positions = data["positions"]
+    if positions.ndim != 1 or positions.dtype.kind not in "iuf":
+        raise CheckpointError(
+            f"checkpoint positions must be a 1-D real array, got {positions.dtype}"
+            f" of shape {positions.shape}"
+        )
     state = ParticleState(
-        positions=data["positions"], time=_checkpoint_scalar(data, "time", integer=False),
-        seed=_checkpoint_scalar(data, "seed", integer=True),
-        step_index=_checkpoint_scalar(data, "step_index", integer=True),
-        stream_ids=data["stream_ids"],
+        positions=positions, seed=_checkpoint_scalar(data, "seed"),
+        step_index=_checkpoint_scalar(data, "step_index"),
     )
     return state, config
 
 
-def _checkpoint_scalar(data, key: str, integer: bool) -> int | float:
-    """data[key] as a non-negative int, or as a finite float; else CheckpointError."""
+def _checkpoint_scalar(data, key: str) -> int:
+    """data[key] as a non-negative int; else CheckpointError."""
     v = data[key]
-    kind = "a non-negative integer" if integer else "a finite real number"
-    if not (v.shape == () and v.dtype.kind in ("iu" if integer else "iuf") and np.isfinite(v)
-            and (not integer or v >= 0)):
-        raise CheckpointError(f"checkpoint {key} must be {kind}, got {v!r}")
-    return int(v) if integer else float(v)
+    if not (v.shape == () and v.dtype.kind in "iu" and v >= 0):
+        raise CheckpointError(f"checkpoint {key} must be a non-negative integer, got {v!r}")
+    return int(v)
 
 
 # -- runners -----------------------------------------------------------------
@@ -540,9 +549,7 @@ def _run_particles(
     rule = spec.make_rule()
     if state is None:
         init = ramp_initial(grid, cfg.initial_l0)
-        state = ParticleState(
-            positions=_sample_from_cdf(init, spec.n, spec.seed), time=grid.t0, seed=spec.seed
-        )
+        state = ParticleState(positions=_sample_from_cdf(init, spec.n, spec.seed), seed=spec.seed)
     last_step = grid.nt if max_steps is None else min(grid.nt, state.step_index + max_steps)
     # The s column a snapshot records: the rule's strategy read off the field estimate.
     strategy = {

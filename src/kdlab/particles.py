@@ -8,17 +8,18 @@ Gaussian innovation increment of variance 2*kappa*dt.  Snapshot semantics
 remove within-step order dependence.
 
 Randomness is counter-based: every array of draws comes from a Philox stream
-keyed by (seed, step, purpose) and is indexed by persistent per-agent stream
-ids, so runs are reproducible regardless of execution order and permuting
-agents together with their ids permutes the outcome exactly.
+keyed by (seed, step, purpose) and is indexed by array slot, so an agent's
+slot is its random stream and runs are reproducible regardless of execution
+order.  A state is its positions, seed and step index; nothing else
+determines the steps that follow it.
 
 Nothing a step draws depends on the positions.  A run (harness.run) opens
 one worker thread for its whole length, and each step draws its three
-streams on it while the calling thread ranks the agents.  The Philox fills,
-the gathers and the argsort release the interpreter lock, so the two run at
-once on two cores.  The worker is joined when the run ends, normally or by
-an error.  A bare step_particles call draws in line on the calling thread,
-through the same function, and starts no thread.  The result does not
+streams on it while the calling thread ranks the agents.  The Philox fills
+and the argsort release the interpreter lock, so the two run at once on two
+cores.  The worker is joined when the run ends, normally or by an error.
+A bare step_particles call draws in line on the calling thread, through
+the same function, and starts no thread.  The result does not
 depend on where the draws run: each stream is a fresh Generator built from
 its own key, and the step reads the draws only once they are complete.
 The draws of a step depend on nothing the step before computes, so in a
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,22 +56,22 @@ _FIRE, _PARTNER, _NOISE = 0, 1, 2
 class _Workspace:
     """A particle run's draw worker and the n-sized arrays its steps write into.
 
-    raw holds a stream before it is gathered by slot into noise or fire; the
-    strategy pass sorts into sorted and rates and writes the fractions, then
-    the rates and the fire threshold, into rates; index holds 0, 1, ..., n-1.
-    The draws and the strategy pass run at once, so they share no array.
-    ahead holds ((seed, step), stream ids, future) of the draws a step
-    submitted for the next one.  sorted_of is the positions array whose
-    argsort is order and whose sorted values are in sorted, so that the CDF
-    estimate of a recorded state and the strategy pass of its step share one
-    sort; the strategy pass then drops both, since it overwrites sorted.
+    The draws fill noise and fire; the strategy pass sorts into sorted and
+    rates and writes the fractions, then the rates and the fire threshold,
+    into rates; index holds 0, 1, ..., n-1.  The draws and the strategy pass
+    run at once, so they share no array.  ahead holds ((seed, step), future)
+    of the draws a step submitted for the next one.  sorted_of is the
+    positions array whose argsort is order and whose sorted values are in
+    sorted, so that the CDF estimate of a recorded state and the strategy
+    pass of its step share one sort; the strategy pass then drops both,
+    since it overwrites sorted.
     """
 
     def __init__(self, n: int, worker: ThreadPoolExecutor | None = None) -> None:
         self.worker = worker
-        self.raw, self.noise, self.fire = np.empty(n), np.empty(n), np.empty(n)
+        self.noise, self.fire = np.empty(n), np.empty(n)
         self.sorted, self.rates, self.index = np.empty(n), np.empty(n), np.arange(n)
-        self.ahead: tuple[tuple[int, int], np.ndarray, Future] | None = None
+        self.ahead: tuple[tuple[int, int], Future] | None = None
         self.sorted_of: np.ndarray | None = None
         self.order: np.ndarray | None = None
 
@@ -86,40 +87,37 @@ class _Workspace:
             self.sorted_of = positions
         return self.order
 
-    def draw(self, seed: int, step: int, ids: np.ndarray) -> Future:
-        """The draws for (seed, step, ids): in line without a worker, else on
-        the worker, reusing those submitted ahead if they are for these."""
+    def draw(self, seed: int, step: int) -> Future:
+        """The draws for (seed, step): in line without a worker, else on the
+        worker, reusing those submitted ahead if they are for these."""
         if self.worker is None:
             done = Future()
-            done.set_result(_draws(seed, step, ids, self))
+            done.set_result(_draws(seed, step, self.index.size, self))
             return done
         ahead, self.ahead = self.ahead, None
-        if ahead is not None and ahead[0] == (seed, step) and ahead[1] is ids:
-            return ahead[2]
-        return self.worker.submit(_draws, seed, step, ids, self)
+        if ahead is not None and ahead[0] == (seed, step):
+            return ahead[1]
+        return self.worker.submit(_draws, seed, step, self.index.size, self)
 
-    def draw_ahead(self, seed: int, step: int, ids: np.ndarray) -> None:
-        """Submit the draws for (seed, step, ids) to the worker, if there is one."""
+    def draw_ahead(self, seed: int, step: int) -> None:
+        """Submit the draws for (seed, step) to the worker, if there is one."""
         if self.worker is not None:
-            self.ahead = ((seed, step), ids, self.worker.submit(_draws, seed, step, ids, self))
+            n = self.index.size
+            self.ahead = ((seed, step), self.worker.submit(_draws, seed, step, n, self))
 
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Agent log-productivities plus the RNG bookkeeping that replays them.
+    """Agent log-productivities plus the seed and step that key their draws.
 
-    stream_ids assigns each array slot its random sub-stream; fresh states
-    use 0..n-1.  (seed, step_index, stream_ids) fully determine all future
-    draws, which is what makes checkpoint/resume exact.  slot_of_id is the
-    inverse permutation, derived from stream_ids.
+    Each array slot draws from its own sub-stream, so (seed, step_index)
+    fully determine all future draws, which is what makes checkpoint/resume
+    exact.  The time of a step is the grid's, grid.time_at(step_index).
     """
 
     positions: np.ndarray
-    time: float
     seed: int
     step_index: int = 0
-    stream_ids: np.ndarray | None = None
-    slot_of_id: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
@@ -130,19 +128,6 @@ class ParticleState:
             raise NonFiniteError("agent positions must be finite")
         if not 0 <= self.seed < 2**63:
             raise DomainError("seed must fit in a non-negative 63-bit integer")
-        ids = self.stream_ids
-        if ids is None:
-            ids = np.arange(positions.size, dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != positions.shape or ids.min(initial=0) < 0 or not np.all(
-                np.bincount(ids, minlength=positions.size) == 1
-            ):
-                raise DomainError("stream_ids must be a permutation of 0..n-1")
-        object.__setattr__(self, "stream_ids", ids)
-        slot_of_id = np.empty(positions.size, dtype=np.int64)
-        slot_of_id[ids] = np.arange(positions.size, dtype=np.int64)
-        object.__setattr__(self, "slot_of_id", slot_of_id)
 
     @property
     def n(self) -> int:
@@ -236,18 +221,13 @@ def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draws(seed: int, step: int, ids: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Draw the step's three streams, each in full: the innovation normals and
-    the fire uniforms by slot into work.noise and work.fire; return the
-    partner draws by stream id.
+def _draws(seed: int, step: int, n: int, work: _Workspace) -> np.ndarray:
+    """Draw the step's three streams for n agents, each in full and by slot:
+    the innovation normals into work.noise, the fire uniforms into work.fire;
+    return the partner draws.
     """
-    n = ids.size
-    # ids is a permutation, so no index is out of range; mode="clip" spares
-    # the copy of out that the bounds-checked take makes.
-    _stream(seed, step, _NOISE).standard_normal(out=work.raw)
-    np.take(work.raw, ids, out=work.noise, mode="clip")
-    _stream(seed, step, _FIRE).random(out=work.raw)
-    np.take(work.raw, ids, out=work.fire, mode="clip")
+    _stream(seed, step, _NOISE).standard_normal(out=work.noise)
+    _stream(seed, step, _FIRE).random(out=work.fire)
     return _stream(seed, step, _PARTNER).integers(0, n - 1, size=n)
 
 
@@ -255,7 +235,7 @@ def step_particles(
     state: ParticleState, rule: StrategyRule, p: model.ModelParams, dt: float,
     _workspace: _Workspace | None = None,
 ) -> ParticleState:
-    """One tau-leap step; deterministic given (seed, step_index, stream_ids).
+    """One tau-leap step; deterministic given (positions, seed, step_index).
 
     A bare call draws in line on the calling thread and starts no thread.  A
     run passes its workspace (private): the draws then run on the run's
@@ -271,8 +251,8 @@ def step_particles(
     if dt > dt_max(p) * (1.0 + 1e-12):
         raise DomainError(f"dt={dt} exceeds dt_max={dt_max(p)}")
     work = _Workspace(state.n) if _workspace is None else _workspace
-    ids, x = state.stream_ids, state.positions
-    drawing = work.draw(state.seed, state.step_index, ids)
+    x = state.positions
+    drawing = work.draw(state.seed, state.step_index)
     rates = eval_strategy(state, rule, work)
     partner_draw = drawing.result()
     # model._alpha, alpha1 * s**k, in place: every rule's fractions lie in
@@ -284,23 +264,22 @@ def step_particles(
     np.expm1(rates, out=rates)
     np.negative(rates, out=rates)
     fired = np.flatnonzero(work.fire < rates)
-    # The partner stream is drawn in full, so its values do not depend on who fires.
-    fired_ids = ids[fired]
-    partner_draw = partner_draw[fired_ids]
-    partner_pos = x[state.slot_of_id[partner_draw + (partner_draw >= fired_ids)]]
+    # The partner stream is drawn in full, so its values do not depend on who
+    # fires.  A draw in 0..n-2 skips the agent's own slot.
+    partner = partner_draw[fired]
+    partner_pos = x[partner + (partner >= fired)]
 
     own = x[fired]
     new = x.copy()
     new[fired] = np.where(partner_pos > own, partner_pos, own)
     work.noise *= math.sqrt(2.0 * p.kappa * dt)
     new += work.noise
-    work.draw_ahead(state.seed, state.step_index + 1, ids)
+    work.draw_ahead(state.seed, state.step_index + 1)
 
-    # The step keeps the positions finite and the seed and stream ids as they
-    # are, so the successor skips __post_init__'s O(n) checks.
+    # The step keeps the positions finite and the seed as it is, so the
+    # successor skips __post_init__'s O(n) check.
     successor = object.__new__(ParticleState)
-    vars(successor).update(vars(state), positions=new, time=state.time + dt,
-                           step_index=state.step_index + 1)
+    vars(successor).update(positions=new, seed=state.seed, step_index=state.step_index + 1)
     return successor
 
 

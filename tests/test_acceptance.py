@@ -225,7 +225,7 @@ class TestCriterion6ParticlePdeConsistency:
             lo = x.min() - 0.5
             nx = int(round((x.max() + dx - lo) / dx)) + 1
             g = Grid1D(lo, lo + (nx - 1) * dx, nx, 0.0, 0.0, 0)
-            st = ParticleState(positions=x, time=0.0, seed=trial)
+            st = ParticleState(positions=x, seed=trial)
             F = empirical_cdf(st, g).profile.values
             J = discounted_tail(F, g.dx, p.rho_minus_kappa)
             direct = np.array([np.sum(np.exp(x[x > xq] - xq) - 1.0) / 200 for xq in g.x])

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -320,12 +321,13 @@ class TestSnapshotRoundTrip:
 class TestCheckpoint:
     def test_particle_state_roundtrip(self, tmp_path):
         st = ParticleState(positions=np.random.default_rng(0).normal(size=64),
-                           time=1.5, seed=9, step_index=15)
+                           seed=9, step_index=15)
         save_checkpoint(st, tmp_path / "st.npz")
         back, _ = load_checkpoint(tmp_path / "st.npz")
         assert np.array_equal(back.positions, st.positions)
-        assert (back.time, back.seed, back.step_index) == (1.5, 9, 15)
-        assert np.array_equal(back.stream_ids, st.stream_ids)
+        assert (back.seed, back.step_index) == (9, 15)
+        with np.load(tmp_path / "st.npz") as data:
+            assert sorted(data.files) == ["kind", "meta", "positions", "seed", "step_index"]
 
     @pytest.mark.parametrize("kind", ["field", "profile"])
     def test_only_particle_states_load(self, tmp_path, kind):
@@ -336,7 +338,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
-        st = ParticleState(positions=np.zeros(4), time=0.0, seed=1)
+        st = ParticleState(positions=np.zeros(4), seed=1)
         path = tmp_path / "v.npz"
         save_checkpoint(st, path)
         data = dict(np.load(path, allow_pickle=False))
@@ -357,7 +359,7 @@ class TestCheckpoint:
 
     def test_crash_mid_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         old = ParticleState(positions=np.random.default_rng(2).normal(size=64),
-                            time=1.5, seed=9, step_index=15)
+                            seed=9, step_index=15)
         path = tmp_path / "checkpoint.npz"
         save_checkpoint(old, path)
 
@@ -367,18 +369,16 @@ class TestCheckpoint:
 
         monkeypatch.setattr(np, "savez", torn_write)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(ParticleState(positions=np.zeros(64), time=2.0, seed=9), path)
+            save_checkpoint(ParticleState(positions=np.zeros(64), seed=9), path)
         monkeypatch.undo()
         back, _ = load_checkpoint(path)
         assert np.array_equal(back.positions, old.positions)
-        assert (back.time, back.seed, back.step_index) == (1.5, 9, 15)
+        assert (back.seed, back.step_index) == (9, 15)
         assert [f.name for f in tmp_path.iterdir()] == ["checkpoint.npz"]
 
-    @pytest.mark.parametrize(
-        "drop", ["meta", "kind", "positions", "stream_ids", "time", "seed", "step_index"]
-    )
+    @pytest.mark.parametrize("drop", ["meta", "kind", "positions", "seed", "step_index"])
     def test_missing_key(self, tmp_path, drop):
-        obj = ParticleState(positions=np.zeros(4), time=0.0, seed=1)
+        obj = ParticleState(positions=np.zeros(4), seed=1)
         path = tmp_path / "k.npz"
         save_checkpoint(obj, path)
         data = dict(np.load(path, allow_pickle=False))
@@ -388,19 +388,15 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value", [
-        ("time", "abc"),
-        ("time", np.array([1.0, 2.0])),
-        ("time", np.inf),
         ("seed", 1.5),
         ("seed", np.array([1])),
         ("step_index", 1.5),
         ("step_index", -1),
         ("step_index", True),
-    ], ids=["string-time", "vector-time", "infinite-time", "float-seed", "vector-seed",
-            "float-step", "negative-step", "bool-step"])
+    ], ids=["float-seed", "vector-seed", "float-step", "negative-step", "bool-step"])
     def test_malformed_scalar(self, tmp_path, key, value):
         path = tmp_path / "s.npz"
-        save_checkpoint(ParticleState(positions=np.zeros(4), time=0.0, seed=1), path)
+        save_checkpoint(ParticleState(positions=np.zeros(4), seed=1), path)
         data = dict(np.load(path, allow_pickle=False))
         data[key] = value
         np.savez(path, **data)
@@ -408,23 +404,48 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert main(["resume", str(path), "--out", str(tmp_path / "res")]) == 4
 
-    @pytest.mark.parametrize("key, value, error", [
-        ("stream_ids", np.array([0, 0, 1, 2]), DomainError),
-        ("positions", np.array([0.0, np.nan, 0.0, 0.0]), NonFiniteError),
-    ])
-    def test_loaded_state_is_checked(self, tmp_path, key, value, error):
+    @pytest.mark.parametrize("positions, cause", [
+        (np.array([0.0, np.nan, 0.0, 0.0]), NonFiniteError),
+        (np.array([0.0]), DomainError),
+        (np.array(["0.5", "1.5"]), None),
+        (np.array([0.0, 1.0], dtype=object), ValueError),
+        (np.array([0.0, 1.0 + 2.0j]), None),
+        (np.zeros((2, 2)), None),
+    ], ids=["non-finite", "one-agent", "string", "object", "complex", "2-d"])
+    def test_loaded_state_is_checked(self, tmp_path, positions, cause):
+        # Every malformed positions array is a CheckpointError (exit 4): the
+        # loader's own, or one naming the file whose cause is numpy's error or
+        # the state's.  A complex array raises no ComplexWarning on the way.
         path = tmp_path / "c.npz"
-        save_checkpoint(ParticleState(positions=np.zeros(4), time=0.0, seed=1), path)
+        save_checkpoint(ParticleState(positions=np.zeros(4), seed=1), path)
         data = dict(np.load(path, allow_pickle=False))
-        data[key] = value
+        data["positions"] = positions
         np.savez(path, **data)
-        with pytest.raises(error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointError) as exc:
+                load_checkpoint(path)
+            assert main(["resume", str(path), "--out", str(tmp_path / "res")]) == 4
+        if cause is None:
+            assert "positions" in str(exc.value)
+        else:
+            assert str(path) in str(exc.value) and isinstance(exc.value.__cause__, cause)
+        assert not (tmp_path / "res").exists()
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        # The version-1 layout also held the agents' stream ids and a clock.
+        path = tmp_path / "v1.npz"
+        meta = {"checkpoint_version": 1, "config": tiny_particle_config().to_dict()}
+        np.savez(path, kind="particles", meta=json.dumps(meta), positions=np.zeros(4),
+                 time=0.0, seed=1, step_index=0, stream_ids=np.arange(4))
+        with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+        assert main(["resume", str(path), "--out", str(tmp_path / "res")]) == 4
 
     @pytest.mark.parametrize("meta", ["{not json", "[1, 2]"])
     def test_malformed_meta(self, tmp_path, meta):
         path = tmp_path / "m.npz"
-        save_checkpoint(ParticleState(positions=np.zeros(4), time=0.0, seed=1), path)
+        save_checkpoint(ParticleState(positions=np.zeros(4), seed=1), path)
         data = dict(np.load(path, allow_pickle=False))
         data["meta"] = meta
         np.savez(path, **data)
@@ -610,7 +631,7 @@ class TestCli:
         # A readable archive whose embedded config is malformed.
         cfg = tiny_particle_config().to_dict()
         cfg["grid"]["nx"] = 241.5
-        state = ParticleState(positions=np.zeros(4), time=0.0, seed=11)
+        state = ParticleState(positions=np.zeros(4), seed=11)
         save_checkpoint(state, bad)
         data = dict(np.load(bad, allow_pickle=False))
         meta = json.loads(str(data["meta"]))
@@ -619,6 +640,25 @@ class TestCli:
         with pytest.raises(CheckpointError, match="malformed config"):
             load_checkpoint(bad)
         assert main(["resume", str(bad), "--out", str(tmp_path / "res")]) == 4
+
+    @pytest.mark.parametrize("damage", ["truncated", "bad-crc", "bare-array"])
+    def test_damaged_checkpoint_exit_code(self, tmp_path, damage):
+        # A checkpoint cut short, with a flipped byte, or replaced by a bare
+        # .npy array is unreadable (exit 4), not a traceback.
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(ParticleState(positions=np.zeros(64), seed=11), path)
+        raw = bytearray(path.read_bytes())
+        if damage == "truncated":
+            path.write_bytes(raw[: len(raw) // 2])
+        elif damage == "bad-crc":
+            raw[raw.index(b"positions.npy") + 200] ^= 0xFF
+            path.write_bytes(raw)
+        else:
+            with open(path, "wb") as f:
+                np.save(f, np.zeros(64))
+        with pytest.raises(CheckpointError, match="checkpoint.npz"):
+            load_checkpoint(path)
+        assert main(["resume", str(path), "--out", str(tmp_path / "res")]) == 4
 
     def test_checkpoint_with_removed_particles_key_exit_code(self, tmp_path, capsys):
         # particles.kernel_width is no config key, so a checkpoint whose

@@ -318,8 +318,7 @@ class TestCheckedOnce:
             return
         if kind.startswith("particles"):
             rule = StrategyRule(kind=kind.split("-", 1)[1])
-            st = ParticleState(positions=np.random.default_rng(0).normal(size=200),
-                               time=0.0, seed=3)
+            st = ParticleState(positions=np.random.default_rng(0).normal(size=200), seed=3)
             for _ in range(nt):
                 st = step_particles(st, rule, P_HALF, g.dt)
             return

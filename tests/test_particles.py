@@ -1,5 +1,6 @@
 """Agent simulator: strategies, tau-leap stepping, RNG contracts, CDF."""
 
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -69,8 +70,7 @@ def ratio_reference(x):
 
 
 def state_at(positions, seed=1, **kw):
-    return ParticleState(positions=np.asarray(positions, dtype=float), time=0.0,
-                         seed=seed, **kw)
+    return ParticleState(positions=np.asarray(positions, dtype=float), seed=seed, **kw)
 
 
 class TestEvalStrategy:
@@ -136,23 +136,21 @@ class TestEvalStrategy:
 
 
 class TestParticleState:
-    @pytest.mark.parametrize("ids", [[0, 0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2], [0, 1, 2]])
-    def test_stream_ids_must_be_a_permutation(self, ids):
-        with pytest.raises(DomainError):
-            state_at(np.zeros(4), stream_ids=np.array(ids))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_positions_must_be_finite(self, bad):
         with pytest.raises(NonFiniteError):
             state_at([0.0, bad, 1.0])
 
-    def test_step_carries_the_inverse_permutation(self):
-        ids = np.random.default_rng(5).permutation(30)
-        st = state_at(np.random.default_rng(6).normal(size=30), stream_ids=ids)
-        assert np.array_equal(st.slot_of_id[ids], np.arange(30))
+    def test_state_is_positions_seed_and_step(self):
+        # An agent's slot is its random stream, and the time of a step is the
+        # grid's: the successor carries only new positions, the seed and the
+        # next step index.
+        assert [f.name for f in dataclasses.fields(ParticleState)] == [
+            "positions", "seed", "step_index"]
+        st = state_at(np.random.default_rng(6).normal(size=30), seed=4)
         out = step_particles(st, StrategyRule(kind="rank"), P, 0.05)
-        assert out.stream_ids is st.stream_ids and out.slot_of_id is st.slot_of_id
-        assert (out.time, out.seed, out.step_index) == (0.05, st.seed, 1)
+        assert vars(out).keys() == vars(st).keys()
+        assert (out.seed, out.step_index) == (st.seed, 1)
 
 
 class TestStepParticles:
@@ -210,22 +208,6 @@ class TestStepParticles:
         assert not np.array_equal(c.positions,
                                   step_particles(st, rule, P, 0.05).positions)
 
-    def test_exchangeability(self):
-        # Permuting agents together with their RNG sub-streams permutes the
-        # outcome exactly, under either sorted rule.
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=40)
-        perm = rng.permutation(40)
-        for kind in ("rank", "ratio"):
-            rule = StrategyRule(kind=kind)
-            base = step_particles(state_at(x, seed=9), rule, P, 0.05)
-            permuted = step_particles(
-                ParticleState(positions=x[perm], time=0.0, seed=9,
-                              stream_ids=np.arange(40)[perm]),
-                rule, P, 0.05,
-            )
-            assert np.array_equal(permuted.positions, base.positions[perm]), kind
-
     def test_jumps_never_lower_the_distribution(self):
         # Without innovation, a step can only move mass upward: the fraction
         # above any level is pathwise non-decreasing.
@@ -241,30 +223,22 @@ class TestStepParticles:
 
 
 #: sha256 of the positions after 20 steps from the same start, recorded on the
-#: code that drew every stream in line after the ranking: (rule, n, fresh
-#: stream ids, permuted stream ids).
+#: code that drew every stream in line after the ranking: (rule, n, fresh).
 TRAJECTORY_HASHES = [
-    ("rank", 5000,
-     "64b0729d46cfdff2afcdfbaf8a031616205fae42d189fc8bcbb3fb854ba5137c",
-     "a62b74e38267d90ceaa06b9eb9eef914cb582c9b8fe122cc8b74e5110f315e4d"),
-    ("ratio", 5000,
-     "3cfa7b9478fc2f2b35efa325f2125397084ca44490a238480cdd2feeda348b7e",
-     "f8468fbb131b75cf7d2ace23c291da31641c307ce04eb15124de72e5868698af"),
+    ("rank", 5000, "64b0729d46cfdff2afcdfbaf8a031616205fae42d189fc8bcbb3fb854ba5137c"),
+    ("ratio", 5000, "3cfa7b9478fc2f2b35efa325f2125397084ca44490a238480cdd2feeda348b7e"),
 ]
 
 
 class TestTrajectoryHashes:
-    @pytest.mark.parametrize("kind, n, fresh, permuted", TRAJECTORY_HASHES,
+    @pytest.mark.parametrize("kind, n, fresh", TRAJECTORY_HASHES,
                              ids=[row[0] for row in TRAJECTORY_HASHES])
-    def test_twenty_steps_are_bit_identical(self, kind, n, fresh, permuted):
+    def test_twenty_steps_are_bit_identical(self, kind, n, fresh):
         rule = StrategyRule(kind=kind)
-        for ids, expected in ((False, fresh), (True, permuted)):
-            rng = np.random.default_rng(2024)
-            x = rng.normal(size=n)
-            st = state_at(x, seed=11, stream_ids=rng.permutation(n) if ids else None)
-            for _ in range(20):
-                st = step_particles(st, rule, P, 0.05)
-            assert hashlib.sha256(st.positions.tobytes()).hexdigest() == expected, ids
+        st = state_at(np.random.default_rng(2024).normal(size=n), seed=11)
+        for _ in range(20):
+            st = step_particles(st, rule, P, 0.05)
+        assert hashlib.sha256(st.positions.tobytes()).hexdigest() == fresh
 
 
 class Boom(Exception):
@@ -285,8 +259,10 @@ class TestDrawWorker:
 
     def test_draws_ahead_serve_only_the_next_state(self):
         # A step with a run's workspace draws the next step's streams ahead;
-        # a state they are not for (another seed, step or stream ids) draws
-        # its own, so every step equals the bare step of its state.
+        # a state they are not for (another seed or step) draws its own, and
+        # one at that seed and step but other positions may use them, since
+        # no draw reads a position.  Every step equals the bare step of its
+        # state.
         rule = StrategyRule(kind="rank")
         x = np.random.default_rng(7).normal(size=300)
         a, b = state_at(x, seed=3), state_at(x, seed=4)
@@ -300,10 +276,11 @@ class TestDrawWorker:
             a2 = step(a1)
             b1 = step(b)
             a3 = step(a2)
-            c = ParticleState(positions=a3.positions, time=a3.time, seed=3, step_index=3,
-                              stream_ids=np.random.default_rng(8).permutation(300))
+            c = ParticleState(positions=a3.positions, seed=3, step_index=7)
             c1 = step(c)
-        for got, st in ((a1, a), (a2, a1), (b1, b), (a3, a2), (c1, c)):
+            d = ParticleState(positions=x[::-1], seed=3, step_index=8)
+            d1 = step(d)
+        for got, st in ((a1, a), (a2, a1), (b1, b), (a3, a2), (c1, c), (d1, d)):
             assert np.array_equal(got.positions, step_particles(st, rule, P, 0.05).positions)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
