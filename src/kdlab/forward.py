@@ -49,26 +49,28 @@ def iter_forward(
     strategy: StrategyInput,
     p: model.ModelParams,
     grid: Grid1D,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
-    """Yield (slice index, F values, intrinsic pay-off J) for j = 0 .. nt, stepping lazily.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, np.ndarray]]:
+    """Yield (slice index, F values, intrinsic pay-off J, strategy s) for j = 0 .. nt, stepping lazily.
 
     The inputs are checked once, at entry: F0 must be non-increasing and lie
     in [0, 1], where the stepper keeps every later slice, so the growth rate
-    calls the model's kernels unchecked.  The coupling is read once too, into
-    one rate kernel c(t_j, .) per sweep; the steps run on the shared stepper
+    calls the model's kernels unchecked.  The steps run on the shared stepper
     with F pinned to 1 left and 0 right, diffusion implicit and the reaction
-    F (1 + dt c) explicit.  A prescribed strategy field is clipped to [0, 1]
-    row by row, as each step reads it.
+    F (1 + dt c) explicit.
+
+    s is the strategy slice j plays, computed once, and the step from slice
+    j reads that same s: its growth rate is the trapezoid of alpha(s) against
+    -dF.  s is a prescribed field's row j clipped to [0, 1], s_m(J) under the
+    intrinsic closure, ones under the constant rate, and F itself under
+    RANK_LOCAL, the rank strategy, whose growth rate collapses to Q(1) - Q(F)
+    with Q the antiderivative of alpha: the mean-field counterpart of
+    rank-proportional search and the cross-check target for the particles.
 
     Under the intrinsic and constant-rate closures J is discounted_tail of the
-    slice, computed once: the intrinsic closure steps from that same J.  Under
-    a prescribed strategy field and under RANK_LOCAL J is None.  RANK_LOCAL is
-    the rank strategy s = F, whose growth rate collapses to Q(1) - Q(F) with Q
-    the antiderivative of alpha, in closed form: the mean-field counterpart of
-    rank-proportional search and the cross-check target for the particle
-    simulator.  Consumers that keep slices should copy them; the buffers are
-    not part of the contract.  Used by solve_forward and by the streaming
-    runners, which avoid holding a long trajectory in memory.
+    slice, computed once; under a prescribed strategy field and under
+    RANK_LOCAL it is None.  Consumers that keep slices should copy them; the
+    buffers are not part of the contract.  Used by solve_forward, solve_nash
+    and the streaming runners, which avoid holding a long trajectory in memory.
     """
     if isinstance(strategy, SpaceTimeField):
         if strategy.grid != grid:
@@ -83,26 +85,26 @@ def iter_forward(
         raise DomainError("F0 must be non-increasing")
     if np.min(F0.values) < 0.0 or np.max(F0.values) > 1.0:
         raise DomainError("F0 must lie in [0, 1]")
-    J = None  # the pay-off of the slice last yielded, which the next step reads
+    rate = lambda F: _rate_from_alpha(F, model._alpha(s, p))
     if isinstance(strategy, SpaceTimeField):
-        s = strategy.values
-        rate = lambda j, F: _rate_from_alpha(F, model._alpha(np.clip(s[j], 0.0, 1.0), p))
+        strategy_of = lambda j, F, J: np.clip(strategy.values[j], 0.0, 1.0)
     elif strategy == INTRINSIC:
-        rate = lambda j, F: _rate_from_alpha(F, model._alpha_of_sm(J, p))
+        strategy_of = lambda j, F, J: model._s_m(J, p)
     elif strategy == CONSTANT_ALPHA:
-        alpha = np.full(grid.nx, p.alpha1)
-        rate = lambda j, F: _rate_from_alpha(F, alpha)
+        ones = np.ones(grid.nx)
+        strategy_of = lambda j, F, J: ones
     else:
         q1 = model._q_integral(1.0, p)
-        rate = lambda j, F: q1 - model._q_integral(F, p)
+        strategy_of = lambda j, F, J: F
+        rate = lambda F: q1 - model._q_integral(F, p)
     closure = strategy in (INTRINSIC, CONSTANT_ALPHA)
     dt = grid.dt
     steps = _march(F0.values.copy(), grid.nt, grid.dx, dt, p.kappa,
-                   lambda j, F: F * (1.0 + dt * rate(j, F)), ends=(1.0, 0.0), slope=-1, name="F")
+                   lambda j, F: F * (1.0 + dt * rate(F)), ends=(1.0, 0.0), slope=-1, name="F")
     for j, F in steps:
-        if closure:
-            J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
-        yield j, F, J
+        J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa) if closure else None
+        s = strategy_of(j, F, J)  # the strategy of the slice last yielded, which the next step reads
+        yield j, F, J, s
 
 
 def solve_forward(
@@ -118,6 +120,6 @@ def solve_forward(
     "intrinsic-J" / "constant-alpha" / "rank-local".
     """
     out = np.empty((grid.nt + 1, grid.nx))
-    for j, vals, _ in iter_forward(F0, strategy, p, grid):
+    for j, vals, _, _ in iter_forward(F0, strategy, p, grid):
         out[j] = vals
     return SpaceTimeField(grid, out)

@@ -18,7 +18,7 @@ import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -77,13 +77,13 @@ def _keys(cls) -> tuple[str, ...]:
 #: The JSON keys of the output section, each an ExperimentConfig field.
 _OUTPUT_KEYS = ("snapshot_stride", "track_stride", "binary_fields", "fit_window")
 #: Each config section built by a type: JSON key -> (ExperimentConfig field,
-#: type, the JSON keys it takes).
+#: type, the JSON keys it takes, the modes that read it).
 _SECTIONS = {
-    "params": ("params", ModelParams, _keys(ModelParams)),
-    "grid": ("grid", Grid1D, _keys(Grid1D)),
-    "terminal_condition": ("terminal", TerminalCondition, _keys(TerminalCondition)),
-    "mfg": ("mfg", MfgConfig, _keys(MfgConfig)),
-    "particles": ("particles", ParticleSpec, _keys(ParticleSpec)),
+    "params": ("params", ModelParams, _keys(ModelParams), MODES),
+    "grid": ("grid", Grid1D, _keys(Grid1D), MODES),
+    "terminal_condition": ("terminal", TerminalCondition, _keys(TerminalCondition), ("nash",)),
+    "mfg": ("mfg", MfgConfig, _keys(MfgConfig), ("nash",)),
+    "particles": ("particles", ParticleSpec, _keys(ParticleSpec), ("particles", "compare")),
 }
 _TOP_KEYS = ("schema_version", "name", "mode", "initial_condition", "output", *_SECTIONS)
 
@@ -120,6 +120,10 @@ class ExperimentConfig:
             raise ConfigError(f"name must be a plain directory name, got {self.name!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # A section the mode never reads is refused rather than ignored.
+        for key, (field, _, _, modes) in _SECTIONS.items():
+            if getattr(self, field) is not None and self.mode not in modes:
+                raise ConfigError(f"mode {self.mode!r} reads no {key} section")
         if self.mode == "nash" and self.mfg is None:
             self.mfg = MfgConfig()
         if self.mode in ("particles", "compare"):
@@ -158,7 +162,7 @@ class ExperimentConfig:
             "initial_condition": {"kind": "ramp", "l0": self.initial_l0},
             "output": {key: getattr(self, key) for key in _OUTPUT_KEYS},
         }
-        for key, (field, _, keys) in _SECTIONS.items():
+        for key, (field, _, keys, _) in _SECTIONS.items():
             section = getattr(self, field)
             if section is not None:
                 d[key] = {k: getattr(section, k) for k in keys}
@@ -179,7 +183,7 @@ class ExperimentConfig:
         kwargs = {"initial_l0": ic["l0"]} if "l0" in ic else {}
         kwargs.update(_section(d.get("output", {}), "output", _OUTPUT_KEYS))
         try:
-            for key, (field, cls_, keys) in _SECTIONS.items():
+            for key, (field, cls_, keys, _) in _SECTIONS.items():
                 if key in d:
                     kwargs[field] = cls_(**_section(d[key], key, keys))
             return cls(name=d["name"], mode=d["mode"], **kwargs)
@@ -468,16 +472,13 @@ class _Recorder:
 
     A slice j gets a track row when j is a multiple of track_stride, and is
     written to fields/ and kept for the diagnostics when j is a multiple of
-    snapshot_stride; the last step always gets both (see sampled).
-    strategy, when given, computes the s column from the slice's snapshot,
-    at snapshot steps only.
+    snapshot_stride; the last step always gets both (see sampled).  Every
+    column comes from the caller, s included: a caller that computes s only
+    for the recorder asks sampled first.
     """
 
-    def __init__(
-        self, cfg: ExperimentConfig, out: Path,
-        strategy: Callable[[Snapshot], np.ndarray] | None = None, last_step: int | None = None,
-    ) -> None:
-        self.cfg, self.out, self.strategy = cfg, out, strategy
+    def __init__(self, cfg: ExperimentConfig, out: Path, last_step: int | None = None) -> None:
+        self.cfg, self.out = cfg, out
         self.last_step = cfg.grid.nt if last_step is None else last_step
         self.rows: list[tuple] = []
         self.snaps: list[Snapshot] = []
@@ -496,8 +497,6 @@ class _Recorder:
             self.rows.append((snap.t, *snap.fronts(cfg.params.i_crit)))
         if not snapshot:
             return False
-        if self.strategy is not None:
-            snap.s = self.strategy(snap)
         _write_snapshot(cfg, self.out, j, snap)
         self.snaps.append(snap)
         return True
@@ -505,14 +504,11 @@ class _Recorder:
 
 def _run_pde(cfg: ExperimentConfig, out: Path) -> _Recorder:
     """Streaming forward run for the kpp / intrinsic modes."""
-    p, grid = cfg.params, cfg.grid
-    if cfg.mode == "kpp":
-        strategy, s_of = CONSTANT_ALPHA, lambda snap: np.ones_like(snap.F)
-    else:
-        strategy, s_of = INTRINSIC, lambda snap: model._s_m(snap.J, p)
-    rec = _Recorder(cfg, out, s_of)
-    for j, F, J in iter_forward(ramp_initial(grid, cfg.initial_l0), strategy, p, grid):
-        rec.record(j, F=F, J=J)
+    grid = cfg.grid
+    strategy = CONSTANT_ALPHA if cfg.mode == "kpp" else INTRINSIC
+    rec = _Recorder(cfg, out)
+    for j, F, J, s in iter_forward(ramp_initial(grid, cfg.initial_l0), strategy, cfg.params, grid):
+        rec.record(j, F=F, J=J, s=s)
     return rec
 
 
@@ -553,21 +549,23 @@ def _run_particles(
     last_step = grid.nt if max_steps is None else min(grid.nt, state.step_index + max_steps)
     # The s column a snapshot records: the rule's strategy read off the field estimate.
     strategy = {
-        RANK: lambda snap: snap.F.copy(),
-        RATIO: lambda snap: np.minimum(1.0, p.rho_minus_kappa * snap.J),
+        RANK: lambda F, J: F.copy(),
+        RATIO: lambda F, J: np.minimum(1.0, p.rho_minus_kappa * J),
     }[spec.rule]
-    rec = _Recorder(cfg, out, strategy, last_step)
+    rec = _Recorder(cfg, out, last_step)
     stragglers = {"n_below_max": 0, "n_above_max": 0}
     with ThreadPoolExecutor(max_workers=1) as worker:
         work = _Workspace(state.n, worker)
         while True:
-            if any(rec.sampled(state.step_index)):
+            track, snapshot = rec.sampled(state.step_index)
+            if track or snapshot:
                 est = empirical_cdf(state, grid, _workspace=work)
                 stragglers["n_below_max"] = max(stragglers["n_below_max"], est.n_below)
                 stragglers["n_above_max"] = max(stragglers["n_above_max"], est.n_above)
                 F = est.profile.values
                 J = model.discounted_tail(F, grid.dx, p.rho_minus_kappa)
-                if rec.record(state.step_index, F=F, J=J):
+                s = strategy(F, J) if snapshot else None
+                if rec.record(state.step_index, F=F, J=J, s=s):
                     save_checkpoint(state, out / "checkpoint.npz", config=cfg)
             if state.step_index >= last_step:
                 return rec, state, stragglers
@@ -591,7 +589,7 @@ def _compare_pde_rows(cfg: ExperimentConfig) -> list[tuple]:
     fine = Grid1D(grid.x_min, grid.x_max, grid.nx, grid.t0, grid.t_final, grid.nt * refine)
     steps = iter_forward(ramp_initial(fine, cfg.initial_l0), RANK_LOCAL, p, fine)
     snaps = (Snapshot(fine.time_at(j), fine, F, model.discounted_tail(F, fine.dx, p.rho_minus_kappa))
-             for j, F, _ in steps if j % refine == 0)
+             for j, F, _, _ in steps if j % refine == 0)
     return [(snap.t, *snap.fronts(p.i_crit)) for snap in snaps]
 
 

@@ -105,7 +105,9 @@ def solve_nash(
 
     Warm start: one forward run under the intrinsic closure, whose allocation
     (full time left of the intrinsic front, s_m of the intrinsic pay-off to
-    its right) is near-equilibrium.  When wT is None, the terminal condition
+    its right) is near-equilibrium.  It is iteration 1's forward sweep: the
+    run yields each slice's strategy and the F it generates, so iteration 1
+    starts at the backward sweep.  When wT is None, the terminal condition
     defaults to a unit-slope logistic centered at the warm start's final
     intrinsic front, which minimizes the terminal boundary layer.
 
@@ -117,12 +119,16 @@ def solve_nash(
     """
     if cfg is None:
         cfg = MfgConfig()
+    # The loop holds three fields: s, F and w.  The warm start is iteration
+    # 1's forward sweep: it fills s with the intrinsic closure's strategy and
+    # F with the slices it generates, which a sweep under s would give again,
+    # since s_m is in [0, 1] and each step reads the slice's s.
     # iter_forward checks F0 lies in [0, 1] and the stepper keeps every later
     # slice of F and w there, so every pay-off is finite and non-negative.
-    s = np.empty((grid.nt + 1, grid.nx))
-    for j, _, J in iter_forward(F0, INTRINSIC, p, grid):
-        s[j] = model._s_m(J, p)
-    s_field = SpaceTimeField(grid, s)
+    F, s = np.empty((grid.nt + 1, grid.nx)), np.empty((grid.nt + 1, grid.nx))
+    for j, F_j, J, s_j in iter_forward(F0, INTRINSIC, p, grid):
+        F[j], s[j] = F_j, s_j
+    F_field, s_field = SpaceTimeField(grid, F), SpaceTimeField(grid, s)
 
     if wT is None:
         center = locate_level(Profile(grid, J), p.i_crit)
@@ -131,30 +137,26 @@ def solve_nash(
     if grid.nt == 0:
         # Zero horizon: the fields cannot depend on the strategy, so the best
         # response of (F0, wT) is already the fixed point.
-        F_field = SpaceTimeField(grid, F0.values[np.newaxis, :].copy())
         w_field = solve_backward(wT, F_field, s_field, p, grid)
-        s_field = SpaceTimeField(grid, best_response(F_field.values, w_field.values, grid.dx, p))
+        s_field = SpaceTimeField(grid, best_response(F, w_field.values, grid.dx, p))
         return MfgSolution(F_field, w_field, s_field, residuals=[0.0], thetas=[cfg.theta],
                            converged=True, iterations=1)
 
-    # The loop holds three fields: s, F and w.  Once a sweep's running
-    # residual exceeds tol before max_iter, another iteration is certain and
-    # this sweep's w is never returned, so from that slice down w's rows hold
-    # the best response instead.  The rows swept before the switch keep w, and
-    # the damped step recomputes their best response from the same F and w
-    # rows, which gives the same bits.  A converged sweep, or the one at
-    # max_iter, never switches and returns its w.
-    F_field = SpaceTimeField(grid, np.zeros_like(s))
+    # Once a sweep's running residual exceeds tol before max_iter, another
+    # iteration is certain and this sweep's w is never returned, so from that
+    # slice down w's rows hold the best response instead.  The rows swept
+    # before the switch keep w, and the damped step recomputes their best
+    # response from the same F and w rows, which gives the same bits.  A
+    # converged sweep, or the one at max_iter, never switches and returns its
+    # w.  The damped step is followed by the next iteration's forward sweep.
     w_field = SpaceTimeField(grid, np.zeros_like(s))
-    F, w = F_field.values, w_field.values
+    w = w_field.values
     theta = cfg.theta
     residuals: list[float] = []
     thetas: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        for j, F_j, _ in iter_forward(F0, s_field, p, grid):
-            F[j] = F_j
         res = 0.0
         switch = None  # first slice whose row holds the best response
         for j, w_j in iter_backward(wT, F_field, s_field, p, grid):
@@ -177,6 +179,8 @@ def solve_nash(
             s *= 1.0 - theta
             w *= theta
             s += w
+            for j, F_j, _, _ in iter_forward(F0, s_field, p, grid):
+                F[j] = F_j
     return MfgSolution(
         F_field=F_field,
         w_field=w_field,

@@ -109,19 +109,10 @@ def _s_m(iv: np.ndarray, p: ModelParams) -> np.ndarray:
     Solves alpha'(s) = 1/payoff below the threshold i_crit = 1/alpha'(1) and
     saturates at 1 above it; for the power family this is
     (k*alpha1*payoff)**(1/(1-k)) clamped to 1.  Continuous and non-decreasing.
+    Clamping the base to 1 before the power gives the same bits, and the
+    power cannot overflow.
     """
-    with np.errstate(over="ignore"):
-        return np.minimum(1.0, (p.k * p.alpha1 * iv) ** (1.0 / (1.0 - p.k)))
-
-
-def _alpha_of_sm(iv: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Search rate at the optimal allocation, alpha(s_m(payoff)), for a finite pay-off iv >= 0.
-
-    Evaluated in one power, alpha1 * (k*alpha1*payoff)**(k/(1-k)) capped at
-    alpha1, rather than by composing s_m and alpha.
-    """
-    with np.errstate(over="ignore"):
-        return np.minimum(p.alpha1, p.alpha1 * (p.k * p.alpha1 * iv) ** (p.k / (1.0 - p.k)))
+    return np.minimum(p.k * p.alpha1 * iv, 1.0) ** (1.0 / (1.0 - p.k))
 
 
 def _q_integral(u: np.ndarray, p: ModelParams) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 from . import model
 from .errors import DomainError, NonFiniteError
 from .forward import dt_max
-from .grid import Grid1D, Profile
+from .grid import Grid1D, Profile, check_numbers, is_number
 
 RANK = "rank"
 RATIO = "ratio"
@@ -126,8 +126,10 @@ class ParticleState:
             raise DomainError("need a 1-D array of at least two agents")
         if not np.all(np.isfinite(positions)):
             raise NonFiniteError("agent positions must be finite")
-        if not 0 <= self.seed < 2**63:
-            raise DomainError("seed must fit in a non-negative 63-bit integer")
+        check_numbers(self, "", integers="seed step_index")
+        if not (0 <= self.seed < 2**63 and self.step_index >= 0):
+            raise DomainError(f"need seed in [0, 2^63) and step_index >= 0, got {self.seed}, "
+                              f"{self.step_index}")
 
     @property
     def n(self) -> int:
@@ -248,8 +250,8 @@ def step_particles(
     helpers, so a tracer that wraps the public functions sees every call on
     this thread.
     """
-    if dt > dt_max(p) * (1.0 + 1e-12):
-        raise DomainError(f"dt={dt} exceeds dt_max={dt_max(p)}")
+    if not (is_number(dt) and 0.0 <= dt <= dt_max(p) * (1.0 + 1e-12)):
+        raise DomainError(f"dt must be a number in [0, dt_max={dt_max(p)}], got {dt!r}")
     work = _Workspace(state.n) if _workspace is None else _workspace
     x = state.positions
     drawing = work.draw(state.seed, state.step_index)

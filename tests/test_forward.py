@@ -15,9 +15,9 @@ from kdlab.forward import (
     iter_forward,
     solve_forward,
 )
-from kdlab.grid import Grid1D, Profile, SpaceTimeField
+from kdlab.grid import Grid1D, Profile, SpaceTimeField, _march
 from kdlab.mfg import MfgConfig, solve_nash
-from kdlab.model import ModelParams, _alpha, _q_integral, discounted_tail
+from kdlab.model import ModelParams, _alpha, _q_integral, _s_m, discounted_tail
 
 from conftest import monotone_pair, space_grid
 
@@ -129,7 +129,7 @@ class TestSolveForward:
         g = Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
         F0 = Profile(g, np.clip((2.0 - g.x) / 4.0, 0.0, 1.0))
         js = []
-        for j, F, J in iter_forward(F0, closure, P, g):
+        for j, F, J, _ in iter_forward(F0, closure, P, g):
             assert np.array_equal(J, discounted_tail(F, g.dx, P.rho_minus_kappa))
             js.append(j)
         assert js == list(range(g.nt + 1))
@@ -137,8 +137,35 @@ class TestSolveForward:
     def test_iter_forward_has_no_payoff_under_a_field(self):
         g = Grid1D(-10.0, 10.0, 201, 0.0, 1.0, 50)
         s_field = SpaceTimeField(g, np.full((g.nt + 1, g.nx), 0.5))
-        assert all(J is None for _, _, J in iter_forward(step_profile(g, 0.0), s_field, P, g))
-        assert all(J is None for _, _, J in iter_forward(step_profile(g, 0.0), RANK_LOCAL, P, g))
+        assert all(J is None for _, _, J, _ in iter_forward(step_profile(g, 0.0), s_field, P, g))
+        assert all(J is None for _, _, J, _ in iter_forward(step_profile(g, 0.0), RANK_LOCAL, P, g))
+
+    @pytest.mark.parametrize("coupling", ["field", INTRINSIC, CONSTANT_ALPHA, RANK_LOCAL])
+    def test_iter_forward_steps_on_the_yielded_strategy(self, coupling):
+        # Each slice's s is the coupling's strategy, and one step of the
+        # stepper on that s gives the next slice bit for bit.  The field
+        # leaves [0, 1] and varies from row to row: slice j plays row j, clipped.
+        p = ModelParams(kappa=1.0, rho=2.0, alpha1=2.0, k=0.6)
+        g = Grid1D(-20.0, 40.0, 301, 0.0, 0.5, 10)
+        F0 = Profile(g, np.clip((2.0 - g.x) / 4.0, 0.0, 1.0))
+        rows = 1.2 * np.sin(np.add.outer(np.arange(g.nt + 1), 0.3 * g.x)) + 0.4
+        field = SpaceTimeField(g, rows)
+        slices = [(F.copy(), J, s.copy())
+                  for _, F, J, s in iter_forward(F0, field if coupling == "field" else coupling, p, g)]
+        for j, (F, J, s) in enumerate(slices):
+            expected = {"field": lambda: np.clip(rows[j], 0.0, 1.0), INTRINSIC: lambda: _s_m(J, p),
+                        CONSTANT_ALPHA: lambda: np.ones(g.nx), RANK_LOCAL: lambda: F}[coupling]()
+            assert np.array_equal(s, expected)
+            if j == g.nt:
+                break
+            if coupling == RANK_LOCAL:
+                c = _q_integral(1.0, p) - _q_integral(s, p)
+            else:
+                c = _rate_from_alpha(F, _alpha(s, p))
+            step = _march(F.copy(), 1, g.dx, g.dt, p.kappa, lambda n, u: u * (1.0 + g.dt * c),
+                          ends=(1.0, 0.0), slope=-1)
+            next(step)
+            assert np.array_equal(next(step)[1], slices[j + 1][0])
 
     def test_kpp_dominates_intrinsic(self):
         # Constant full-rate search is a supersolution of the closure run.

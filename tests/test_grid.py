@@ -24,7 +24,7 @@ from kdlab.grid import (
     implicit_operator,
     recommended_domain,
 )
-from kdlab.model import ModelParams, _alpha, _alpha_of_sm, _q_integral, _s_m, discounted_tail
+from kdlab.model import ModelParams, _alpha, _q_integral, _s_m, discounted_tail
 
 from conftest import space_grid
 
@@ -345,7 +345,7 @@ class TestSharedStepper:
         p, g = self.P, Grid1D(-20.0, 40.0, 301, 0.0, 2.0, 20)
 
         def rhs(n, F):
-            a = _alpha_of_sm(discounted_tail(F, g.dx, p.rho_minus_kappa), p)
+            a = _alpha(_s_m(discounted_tail(F, g.dx, p.rho_minus_kappa), p), p)
             c = np.concatenate(([0.0], np.cumsum(0.5 * (a[:-1] + a[1:]) * (F[:-1] - F[1:]))))
             return F * (1.0 + g.dt * c)
 

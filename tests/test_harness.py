@@ -42,6 +42,12 @@ def tiny_particle_config(name="tiny", n=400, nt=30, seed=11):
     )
 
 
+def _as_nash(d):
+    """Turn tiny_particle_config's dict into a valid nash config, in place."""
+    del d["particles"]
+    d["mode"] = "nash"
+
+
 def assert_diagnostics_rebuilt(out):
     """The diagnostics rebuilt from out/fields equal out/diagnostics.csv byte for byte."""
     rebuilt = out.parent / f"{out.name}-rebuilt.csv"
@@ -563,8 +569,8 @@ class TestCli:
         lambda d: d.update(output=[10]),
         lambda d: d.update(initial_condition=2.0),
         lambda d: d.update(terminal_condition="logistic"),
-        lambda d: d.update(terminal_condition={"center": "3"}),
-        lambda d: d.update(mfg={"max_iter": 2.5}),
+        lambda d: _as_nash(d) or d.update(terminal_condition={"center": "3"}),
+        lambda d: _as_nash(d) or d.update(mfg={"max_iter": 2.5}),
         lambda d: d.update(name=5),
         lambda d: d.update(name="../x"),
         lambda d: d["initial_condition"].update(l0="5"),
@@ -573,6 +579,9 @@ class TestCli:
         lambda d: d["output"].update(snapshot_every=5),
         lambda d: d["initial_condition"].update(width=1.0),
         lambda d: d.update(mode="compare") or d["particles"].update(rule="ratio"),
+        lambda d: d.update(mode="kpp"),
+        lambda d: d.update(mfg={}),
+        lambda d: d.update(terminal_condition={"center": 3.0}),
     ], ids=["not-object", "float-nx", "float-nt", "window-length", "window-order",
             "window-string", "unknown-rule", "removed-rule", "removed-particles-key",
             "float-n", "negative-seed", "float-seed", "float-snapshot-stride",
@@ -580,7 +589,8 @@ class TestCli:
             "output-not-object", "initial-not-object", "terminal-not-object",
             "string-terminal-center", "float-max-iter", "int-name", "name-leaves-out-root",
             "string-l0", "bool-l0", "unknown-top-key", "unknown-output-key",
-            "unknown-initial-key", "compare-non-rank-rule"])
+            "unknown-initial-key", "compare-non-rank-rule", "kpp-with-particles",
+            "particles-with-mfg", "particles-with-terminal"])
     def test_invalid_config_exit_code(self, tmp_path, break_config, capsys):
         d = tiny_particle_config().to_dict()
         d = break_config(d) or d

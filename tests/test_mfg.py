@@ -14,7 +14,7 @@ from kdlab.forward import INTRINSIC, iter_forward, solve_forward
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
 from kdlab.mfg import (MfgConfig, MfgSolution, _best_response, _residual, best_response,
                        solve_nash)
-from kdlab.model import ModelParams, _s_m, discounted_tail
+from kdlab.model import ModelParams, _alpha, _s_m, discounted_tail
 
 from conftest import space_grid
 
@@ -69,7 +69,7 @@ def _four_field_nash(F0, p, grid, cfg):
     running residual exceeds tol (None if it never does).
     """
     s = np.empty((grid.nt + 1, grid.nx))
-    for j, _, J in iter_forward(F0, INTRINSIC, p, grid):
+    for j, _, J, _ in iter_forward(F0, INTRINSIC, p, grid):
         s[j] = _s_m(J, p)
     s_field = SpaceTimeField(grid, s)
     wT = TerminalCondition(kind="logistic", center=locate_level(Profile(grid, J), p.i_crit),
@@ -79,7 +79,7 @@ def _four_field_nash(F0, p, grid, cfg):
     F, w, s_resp = F_field.values, w_field.values, np.empty_like(s)
     theta, residuals, thetas, passes, converged = cfg.theta, [], [], [], False
     for iterations in range(1, cfg.max_iter + 1):
-        for j, F_j, _ in iter_forward(F0, s_field, p, grid):
+        for j, F_j, _, _ in iter_forward(F0, s_field, p, grid):
             F[j] = F_j
         res, passed = 0.0, None
         for j, w_j in iter_backward(wT, F_field, s_field, p, grid):
@@ -167,6 +167,15 @@ class TestSolveNash:
         bres = best_response(sol.F_field.values, sol.w_field.values, g.dx, P_LOTTERY)
         assert np.max(np.abs(bres - sol.strategy_field.values)) == 0.0
 
+    def test_warm_start_is_iteration_one_sweep(self):
+        # Iteration 1 runs no forward sweep of its own: its F is the intrinsic
+        # closure's, bit for bit, also at k != 1/2.
+        p = ModelParams(kappa=1.0, rho=2.0, alpha1=2.0, k=0.6)
+        grid = _nash_grid(5.0)
+        F0 = _ramp(grid)
+        sol = solve_nash(F0, None, p, grid, MfgConfig(max_iter=1))
+        assert np.array_equal(sol.F_field.values, solve_forward(F0, INTRINSIC, p, grid).values)
+
     def test_converges_on_small_lottery_run(self, small_nash):
         _, sol = small_nash
         assert sol.converged
@@ -218,8 +227,6 @@ class TestSolveNash:
         # exponentially, with 5% slack for quadrature and interpolation.
         grid, sol = small_nash
         p = P_LOTTERY
-        from kdlab.model import _alpha_of_sm
-
         for j in (grid.nt // 2, int(grid.nt * 0.75)):
             payoff = _payoff(sol, grid, j, p)
             front = _front(payoff, grid.x, p.i_crit)
@@ -227,7 +234,7 @@ class TestSolveNash:
             ahead = grid.x > front
             decay = np.exp(-(grid.x[ahead] - front))
             assert np.all(payoff[ahead] <= 1.05 * p.i_crit * decay)
-            assert np.all(_alpha_of_sm(payoff[ahead], p) <= 1.05 * p.alpha1 * decay)
+            assert np.all(_alpha(_s_m(payoff[ahead], p), p) <= 1.05 * p.alpha1 * decay)
             s_bound = 1.05 * np.exp(-2.0 * (grid.x[ahead] - front))
             assert np.all(_s_m(payoff[ahead], p) <= s_bound)
 
@@ -361,7 +368,7 @@ class TestThreeFieldLoop:
         if case == "theta-halved":
             assert ref.thetas[-1] < ref.thetas[0]
 
-        calls = {"best_response": 0, "backward_slices": 0}
+        calls = {"best_response": 0, "backward_slices": 0, "forward_sweeps": 0}
 
         def counted_best_response(*args):
             calls["best_response"] += 1
@@ -372,7 +379,12 @@ class TestThreeFieldLoop:
                 calls["backward_slices"] += 1
                 yield item
 
+        def counted_iter_forward(*args):
+            calls["forward_sweeps"] += 1
+            return iter_forward(*args)
+
         monkeypatch.setattr(kdlab.mfg, "_best_response", counted_best_response)
+        monkeypatch.setattr(kdlab.mfg, "iter_forward", counted_iter_forward)
         monkeypatch.setattr(kdlab.mfg, "iter_backward", counted_iter_backward)
         sol = solve_nash(F0, None, p, grid, cfg)
 
@@ -382,9 +394,11 @@ class TestThreeFieldLoop:
         assert sol.residuals == ref.residuals
         assert sol.thetas == ref.thetas
         assert (sol.converged, sol.iterations) == (ref.converged, ref.iterations)
-        # No extra sweep, and the only extra best responses are those of the
-        # rows swept before the switch in each iteration a damped step follows.
+        # No extra sweep: the warm start is iteration 1's forward sweep.  The
+        # only extra best responses are those of the rows swept before the
+        # switch in each iteration a damped step follows.
         damped = sol.iterations - (1 if sol.converged or sol.iterations == cfg.max_iter else 0)
+        assert calls["forward_sweeps"] == 1 + damped
         assert calls["backward_slices"] == sol.iterations * (grid.nt + 1)
         assert calls["best_response"] == sol.iterations * (grid.nt + 1) + sum(
             grid.nt - passes[i] for i in range(damped))

@@ -22,7 +22,6 @@ from kdlab.model import (
     ModelParams,
     TheoryPredictions,
     _alpha,
-    _alpha_of_sm,
     _q_integral,
     _s_m,
     discounted_tail,
@@ -116,26 +115,25 @@ class TestOptimalAllocation:
 
     @given(params_st, st.floats(1e-6, 20.0))
     def test_saturated_rate(self, p, payoff):
-        a = _alpha_of_sm(payoff, p)
+        # The search rate at the optimal allocation is capped at alpha1 and
+        # has the closed form alpha1 * (k*alpha1*payoff)**(k/(1-k)) below it.
+        a = _alpha(_s_m(payoff, p), p)
         assert a <= p.alpha1 * (1 + 1e-12)
-        assert a == pytest.approx(_alpha(_s_m(payoff, p), p), rel=1e-12)
-
-    def test_saturated_rate_avoids_underflow(self):
-        # Composing alpha with s_m underflows for tiny pay-offs; the direct
-        # single-power evaluation keeps full precision.
-        tiny = 1e-220
-        assert _alpha(_s_m(tiny, P_HALF), P_HALF) == 0.0
-        assert _alpha_of_sm(tiny, P_HALF) == pytest.approx(0.5 * 0.25 * tiny, rel=1e-12)
+        closed = min(p.alpha1, p.alpha1 * (p.k * p.alpha1 * payoff) ** (p.k / (1.0 - p.k)))
+        assert a == pytest.approx(closed, rel=1e-12)
 
     def test_saturated_rate_examples(self):
-        assert _alpha_of_sm(0.0, P_HALF) == 0.0
-        assert _alpha_of_sm(2.0, P_HALF) == pytest.approx(0.25)
-        assert _alpha_of_sm(6.0, P_HALF) == pytest.approx(0.5)
+        def rate(payoff):
+            return _alpha(_s_m(payoff, P_HALF), P_HALF)
+
+        assert rate(0.0) == 0.0
+        assert rate(2.0) == pytest.approx(0.25)
+        assert rate(6.0) == pytest.approx(0.5)
 
     @given(params_st, st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     def test_saturated_rate_monotone(self, p, i1, i2):
         lo, hi = sorted((i1, i2))
-        assert _alpha_of_sm(lo, p) <= _alpha_of_sm(hi, p) + 1e-12
+        assert _alpha(_s_m(lo, p), p) <= _alpha(_s_m(hi, p), p) + 1e-12
 
 
 class TestQIntegral:

@@ -141,6 +141,18 @@ class TestParticleState:
         with pytest.raises(NonFiniteError):
             state_at([0.0, bad, 1.0])
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", -1, 2**63],
+                             ids=["fraction", "float", "bool", "string", "negative", "too-big"])
+    def test_seed_must_be_an_integer_in_range(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            ParticleState(positions=[0.0, 1.0], seed=seed)
+
+    @pytest.mark.parametrize("step_index", [-1, 1.5, 2.0, None],
+                             ids=["negative", "fraction", "float", "none"])
+    def test_step_index_must_be_a_non_negative_integer(self, step_index):
+        with pytest.raises(DomainError, match="step_index"):
+            ParticleState(positions=[0.0, 1.0], seed=1, step_index=step_index)
+
     def test_state_is_positions_seed_and_step(self):
         # An agent's slot is its random stream, and the time of a step is the
         # grid's: the successor carries only new positions, the seed and the
@@ -167,6 +179,11 @@ class TestStepParticles:
         st = state_at([0.0, 1.0])
         with pytest.raises(DomainError):
             step_particles(st, StrategyRule(kind="rank"), P, dt=0.3)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -0.1, -np.inf, "0.1", None])
+    def test_dt_must_be_a_finite_non_negative_number(self, dt):
+        with pytest.raises(DomainError, match="dt"):
+            step_particles(state_at([0.0, 1.0]), StrategyRule(kind="rank"), P, dt=dt)
 
     def test_innovation_variance(self):
         # alpha1 = 0: increments are pure innovation, variance 2*kappa*dt.
