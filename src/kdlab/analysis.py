@@ -104,6 +104,11 @@ def estimate_speed(track: FrontTrack, window: tuple[float, float]) -> SpeedFit:
     x = track.positions[mask]
     if t.size < 10:
         raise DomainError(f"need at least 10 samples in the window, got {t.size}")
+    # np.polyfit divides the t column by its norm, which must be positive and
+    # finite, and a line needs two distinct times; else LAPACK fails.
+    if not (np.ptp(t) > 0.0 and 0.0 < float(np.dot(t, t)) < math.inf):
+        raise DomainError(f"the window's times {float(t[0])!r} to {float(t[-1])!r} "
+                          "have no spread to fit")
     slope, intercept = np.polyfit(t, x, 1)
     resid = x - (slope * t + intercept)
     ss_tot = float(np.sum((x - x.mean()) ** 2))
@@ -328,7 +333,8 @@ def run_diagnostics(
     for a, b in zip(snapshots[:-1], snapshots[1:]):
         factor = math.exp(p.kappa * (b.t - a.t)) * (1.0 - GROWTH_SLACK)
         rhs = factor * a.J
-        viol = (rhs - b.J) / np.maximum(rhs, 1e-300)
+        with np.errstate(over="ignore"):  # J grown from below 1e-300 reads -inf: no violation
+            viol = (rhs - b.J) / np.maximum(rhs, 1e-300)
         viol[rhs <= 0.0] = 0.0
         worst = float(np.max(viol))
         report.results.append(

@@ -37,10 +37,16 @@ SLOPE_TOL = 1e-9
 #: rows free of the subnormal numbers below it.
 TINY = float(np.finfo(float).tiny)
 
+#: Width in e-folds of one block of model.discounted_tail, and so the widest
+#: cell: e^{-SPAN} is still a normal double, so a block's scale factors
+#: neither overflow nor underflow, and a wider cell's would.
+SPAN = 512.0
+
 
 def is_int(v) -> bool:
-    """Whether v is an integer, Python or NumPy; a bool is not."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    """Whether v is an integer, Python or NumPy, that fits an int64; a bool is not."""
+    return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            and -2**63 <= v < 2**63)
 
 
 def is_number(v) -> bool:
@@ -63,10 +69,10 @@ def check_numbers(obj, numbers: str, integers: str = "") -> None:
 class Grid1D:
     """Uniform space-time grid.
 
-    dx and dt are derived: dx = (x_max - x_min)/(nx - 1) and
-    dt = (t_final - t0)/nt.  A zero-duration grid (nt = 0) is allowed for
-    single-slice computations; its dt is a 1.0 placeholder never used by a
-    time stepper.
+    dx and dt are derived: dx = (x_max - x_min)/(nx - 1), at most SPAN, and
+    dt = (t_final - t0)/nt, positive and finite.  A zero-duration grid
+    (nt = 0) is allowed for single-slice computations; its dt is a 1.0
+    placeholder never used by a time stepper.
     """
 
     x_min: float
@@ -82,12 +88,17 @@ class Grid1D:
             raise DomainError(f"nx must be at least 8, got {self.nx}")
         if not self.x_max > self.x_min:
             raise DomainError("x_max must exceed x_min")
+        if not self.dx <= SPAN:
+            raise DomainError(f"dx = {self.dx!r} exceeds the widest cell, {SPAN} e-folds")
         if self.nt < 0:
             raise DomainError("nt must be non-negative")
         if self.t_final < self.t0:
             raise DomainError("t_final must not precede t0")
         if self.nt == 0 and self.t_final != self.t0:
             raise DomainError("nt = 0 requires t_final == t0")
+        if self.nt and not 0.0 < self.dt < math.inf:
+            raise DomainError(f"dt = (t_final - t0)/nt must be positive and finite, "
+                              f"got {self.dt!r}")
 
     @property
     def dx(self) -> float:

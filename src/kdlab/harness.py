@@ -49,7 +49,7 @@ from .particles import (
 
 SCHEMA_VERSION = 1
 CHECKPOINT_VERSION = 2
-MODES = ("kpp", "intrinsic", "nash", "particles", "compare")
+MODES = ("kpp", "intrinsic", "nash", "particles")
 OUTPUT_ROOT_ENV = "KDLAB_OUT"
 
 
@@ -83,7 +83,7 @@ _SECTIONS = {
     "grid": ("grid", Grid1D, _keys(Grid1D), MODES),
     "terminal_condition": ("terminal", TerminalCondition, _keys(TerminalCondition), ("nash",)),
     "mfg": ("mfg", MfgConfig, _keys(MfgConfig), ("nash",)),
-    "particles": ("particles", ParticleSpec, _keys(ParticleSpec), ("particles", "compare")),
+    "particles": ("particles", ParticleSpec, _keys(ParticleSpec), ("particles",)),
 }
 _TOP_KEYS = ("schema_version", "name", "mode", "initial_condition", "output", *_SECTIONS)
 
@@ -126,13 +126,8 @@ class ExperimentConfig:
                 raise ConfigError(f"mode {self.mode!r} reads no {key} section")
         if self.mode == "nash" and self.mfg is None:
             self.mfg = MfgConfig()
-        if self.mode in ("particles", "compare"):
-            if self.particles is None:
-                raise ConfigError(f"mode {self.mode!r} needs a particles section")
-        # compare's PDE side is the rank-local equation, the rank rule's mean field.
-        if self.mode == "compare" and self.particles.rule != RANK:
-            raise ConfigError(f"mode 'compare' needs particles.rule 'rank', "
-                              f"got {self.particles.rule!r}")
+        if self.mode == "particles" and self.particles is None:
+            raise ConfigError("mode 'particles' needs a particles section")
         if not (is_number(self.initial_l0) and self.initial_l0 > 0):
             raise ConfigError(
                 f"initial_condition.l0 must be a positive number, got {self.initial_l0!r}"
@@ -209,13 +204,12 @@ class ExperimentConfig:
 
 def ramp_initial(grid: Grid1D, l0: float) -> Profile:
     """Initial distribution: 1 below -l0, 0 above l0, linear in between."""
-    vals = np.clip((l0 - grid.x) / (2.0 * l0), 0.0, 1.0)
+    with np.errstate(over="ignore"):  # a subnormal l0 is a step, clipped from +-inf
+        vals = np.clip((l0 - grid.x) / (2.0 * l0), 0.0, 1.0)
     return Profile(grid, vals)
 
 
 # -- presets -----------------------------------------------------------------
-
-_RANK_100K = ParticleSpec(n=100_000, rule=RANK, seed=20240801)
 
 #: Shipped, frozen presets: name -> (mode, alpha1, t_final, dt, other fields).
 #: Every preset has kappa = 1, rho = 2, dx = 0.05 and the recommended domain.
@@ -224,12 +218,11 @@ _PRESETS = {
     "lottery-intrinsic": ("intrinsic", 0.25, 120.0, 0.01, dict(snapshot_stride=800)),
     "lottery-nash": ("nash", 0.25, 40.0, 0.02, dict(snapshot_stride=100)),
     "bgp-probe": ("intrinsic", 4.0, 60.0, 0.02, dict(snapshot_stride=200)),
-    "particles-rank": ("particles", 1.0, 50.0, 0.1, dict(
-        particles=_RANK_100K, snapshot_stride=25, fit_window=(20.0, 50.0))),
     "particles-ratio": ("particles", 0.5, 20.0, 0.1, dict(
         particles=ParticleSpec(n=20_000, rule=RATIO, seed=42), snapshot_stride=20)),
-    "compare-particle-pde": ("compare", 1.0, 50.0, 0.1, dict(
-        particles=_RANK_100K, snapshot_stride=25, fit_window=(20.0, 50.0))),
+    "compare-particle-pde": ("particles", 1.0, 50.0, 0.1, dict(
+        particles=ParticleSpec(n=100_000, rule=RANK, seed=20240801), snapshot_stride=25,
+        fit_window=(20.0, 50.0))),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -405,20 +398,26 @@ def load_checkpoint(path: str | Path) -> tuple[ParticleState, ExperimentConfig |
     """
     path = Path(path)
     try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise CheckpointError(f"checkpoint {path} is a bare array, not an npz archive")
-        with data:
-            return _checkpoint_from_npz(data)
+        # An open file, not a name: np.load leaks the file it opens when the
+        # zip directory does not parse.
+        with open(path, "rb") as f:
+            data = np.load(f, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise CheckpointError(f"checkpoint {path} is a bare array, not an npz archive")
+            with data:
+                return _checkpoint_from_npz(data)
     except CheckpointError:
         raise
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path} lacks key {exc}") from exc
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
         # No archive numpy reads, a damaged member, malformed meta, an array
         # that needs pickle to load, or positions the state rejects (its
-        # DomainError or NonFiniteError).
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+        # DomainError or NonFiniteError).  zipfile raises EOFError for a
+        # member cut short, NotImplementedError (a RuntimeError) for an
+        # unknown compression method or zip version, and RuntimeError for an
+        # encrypted member.
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc!r}") from exc
 
 
 def _checkpoint_from_npz(data) -> tuple[ParticleState, ExperimentConfig | None]:
@@ -581,8 +580,9 @@ def _sample_from_cdf(init: Profile, n: int, seed: int) -> np.ndarray:
     return np.interp(u, 1.0 - init.values, init.grid.x)
 
 
-def _compare_pde_rows(cfg: ExperimentConfig) -> list[tuple]:
-    """Front rows, at every particle step, of the local rank-strategy PDE run."""
+def _rank_local_rows(cfg: ExperimentConfig) -> list[tuple]:
+    """Front rows, at every particle step, of the rank rule's mean field: the
+    rank-local PDE run."""
     p, grid = cfg.params, cfg.grid
     # The tau-leap step is too coarse for the PDE side; refine in time only.
     refine = max(1, int(math.ceil(grid.dt / 0.02)))
@@ -600,7 +600,8 @@ def _execute(
     """Run config into out_dir and write every artifact of its run directory.
 
     With a particle state the run continues from it, and the manifest records
-    the step it resumed from.
+    the step it resumed from.  A rank-rule particle run also writes its mean
+    field's front track, pde_tracks.csv, and its speed, speeds["pde_median"].
     """
     # Fields may have been set since construction: check the config again
     # before anything is written.
@@ -610,21 +611,23 @@ def _execute(
     (out / "config.json").write_text(config.to_json() + "\n")
     manifest: dict = {}
     final_state = None
-    pde_rows = None
+    # The rank rule's mean field is the rank-local equation: a rank-rule run
+    # writes that equation's fronts beside its own, and its leading-edge rate
+    # is Q(1) where every other run's is alpha1.
+    rank = config.particles is not None and config.particles.rule == RANK
     if config.mode in ("kpp", "intrinsic"):
         rec = _run_pde(config, out)
     elif config.mode == "nash":
         rec, manifest["mfg"] = _run_nash(config, out)
     else:
         rec, final_state, manifest["particles"] = _run_particles(config, out, max_steps, state)
-        if config.mode == "compare":
-            pde_rows = _compare_pde_rows(config)
 
     _write_tracks(out / "tracks.csv", rec.rows)
     window = config.fit_window or default_window(config.grid.t0, config.grid.t_final)
     speeds = {kind: _speed_entry(rec.rows, kind, window)
               for kind in ("median", "learning", "intrinsic")}
-    if pde_rows is not None:
+    if rank:
+        pde_rows = _rank_local_rows(config)
         _write_tracks(out / "pde_tracks.csv", pde_rows)
         speeds["pde_median"] = _speed_entry(pde_rows, "median", window)
     (out / "speeds.json").write_text(json.dumps(speeds, indent=2, sort_keys=True) + "\n")
@@ -632,10 +635,7 @@ def _execute(
     report = _diagnose(config, rec.snaps)
     _write_diagnostics(out / "diagnostics.csv", report.to_rows())
 
-    # The rank rule's mean field is the rank-local equation, whose
-    # leading-edge rate is Q(1); every other run's is alpha1.
     p = config.params
-    rank = config.particles is not None and config.particles.rule == RANK
     theory = TheoryPredictions.from_params(p, model._q_integral(1.0, p) if rank else None)
     manifest.update({
         "schema_version": SCHEMA_VERSION,
@@ -678,10 +678,12 @@ def resume(checkpoint_path: str | Path, out_dir: str | Path) -> RunResult:
 
     The run directory holds the same files as a fresh run's, with tracks and
     snapshots from the checkpoint step on; the manifest adds resumed_from_step.
+    A rank-rule run's pde_tracks.csv is its whole mean-field run, as in the
+    fresh run.
     """
     state, config = load_checkpoint(checkpoint_path)
     if config is None:
         raise CheckpointError("resume needs a checkpoint with an embedded config")
-    if config.mode not in ("particles", "compare"):
+    if config.mode != "particles":
         raise ConfigError(f"resume supports particle runs, not mode {config.mode!r}")
     return _execute(config, out_dir, state=state)

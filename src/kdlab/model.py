@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError
-from .grid import check_numbers
+from .errors import DomainError, NonFiniteError, NumericalError
+from .grid import SPAN, check_numbers
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,8 @@ class ModelParams:
     @property
     def i_crit(self) -> float:
         """Pay-off threshold above which all time goes to searching: 1/alpha'(1)."""
-        if self.alpha1 == 0.0:
-            return math.inf
-        return 1.0 / (self.k * self.alpha1)
+        slope = self.k * self.alpha1  # 0 also when a subnormal alpha1 underflows
+        return math.inf if slope == 0.0 else 1.0 / slope
 
 
 @dataclass(frozen=True)
@@ -132,11 +131,6 @@ def _cell_weights(dx: float) -> tuple[float, float]:
     return wa, wb
 
 
-#: Width in e-folds of one block of discounted_tail: e^{-SPAN} is still a
-#: normal double, so a block's scale factors neither overflow nor underflow.
-SPAN = 512.0
-
-
 @lru_cache(maxsize=8)
 def _block_scales(dx: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """up[k] = e^{k dx} and down[k] = e^{-k dx} for k = 0 .. m-1, read-only.
@@ -166,9 +160,10 @@ def discounted_tail(g: np.ndarray, dx: float, rho_minus_kappa: float) -> np.ndar
     For g >= 0 every scaled partial sum is at most the tail at its block's
     start, so nothing overflows unless the exact tail does (a literal
     evaluation of e^{-x} and the integral separately overflows on long
-    domains).  A domain of at most SPAN e-folds is one block.  Against a
-    long-double recurrence the relative error is at most 4e-14 on 2801 to
-    20001 nodes and up to 1000 e-folds.
+    domains).  An exact tail beyond the float range (on a grid too coarse or
+    long for g's decay) raises NumericalError.  A domain of at most SPAN
+    e-folds is one block.  Against a long-double recurrence the relative
+    error is at most 4e-14 on 2801 to 20001 nodes and up to 1000 e-folds.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[-1] - 1
@@ -177,16 +172,20 @@ def discounted_tail(g: np.ndarray, dx: float, rho_minus_kappa: float) -> np.ndar
     wa, wb = _cell_weights(dx)
     buf = np.zeros(g.shape[:-1] + (nb * m + 1,))
     cells = buf[..., :n]
-    np.multiply(g[..., :-1], wa, out=cells)
-    cells += wb * g[..., 1:]
-    cells /= rho_minus_kappa
     blocks = buf[..., :nb * m].reshape(g.shape[:-1] + (nb, m))
     up, down = _block_scales(dx, m)
-    blocks *= up
-    rev = blocks[..., ::-1]
-    np.cumsum(rev, axis=-1, out=rev)
-    blocks *= down
     grow = math.exp(m * dx)
-    for b in range(nb - 2, -1, -1):
-        blocks[..., b, :] += (blocks[..., b + 1, :1] * grow) * down
+    try:
+        with np.errstate(over="raise"):
+            np.multiply(g[..., :-1], wa, out=cells)
+            cells += wb * g[..., 1:]
+            cells /= rho_minus_kappa
+            blocks *= up
+            rev = blocks[..., ::-1]
+            np.cumsum(rev, axis=-1, out=rev)
+            blocks *= down
+            for b in range(nb - 2, -1, -1):
+                blocks[..., b, :] += (blocks[..., b + 1, :1] * grow) * down
+    except FloatingPointError as exc:
+        raise NumericalError("the discounted pay-off tail exceeds the float range") from exc
     return buf[..., :n + 1]

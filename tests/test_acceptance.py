@@ -23,7 +23,6 @@ ALL_PRESETS = (
     "lottery-intrinsic",
     "lottery-nash",
     "bgp-probe",
-    "particles-rank",
     "particles-ratio",
     "compare-particle-pde",
 )

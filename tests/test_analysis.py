@@ -121,6 +121,15 @@ class TestEstimateSpeed:
         with pytest.raises(DomainError):
             FrontTrack([1.0, 0.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("t", [np.zeros(12), np.full(12, 5.0), np.linspace(0.0, 1e-320, 12)],
+                             ids=["all-at-zero", "all-at-five", "subnormal-spread"])
+    def test_window_without_spread_in_t(self, t, capfd):
+        # A line needs two distinct times; LAPACK used to fail on these with
+        # a LinAlgError and DLASCL lines on stderr.
+        with pytest.raises(DomainError, match="no spread"):
+            estimate_speed(FrontTrack(t, np.arange(12.0)), (float(t[0]), float(t[-1])))
+        assert capfd.readouterr().err == ""
+
 
 def _snap(g, t, F, w=None):
     """The harness's snapshot of one slice: J, and I where w is given, by discounted_tail."""

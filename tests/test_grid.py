@@ -17,6 +17,7 @@ from kdlab.forward import CONSTANT_ALPHA, INTRINSIC, RANK_LOCAL, solve_forward
 from kdlab.grid import (
     OVERSHOOT_TOL,
     SLOPE_TOL,
+    SPAN,
     Grid1D,
     Profile,
     SpaceTimeField,
@@ -50,6 +51,27 @@ class TestGrid:
                     ["0", "1", 16, 0.0, 1.0, 10], [0.0, float("inf"), 16, 0.0, 1.0, 10]):
             with pytest.raises(DomainError):
                 Grid1D(*bad)  # integers nx, nt; finite numbers elsewhere
+
+    @pytest.mark.parametrize("bad", [
+        (0.0, 1.0, 8, 0.0, 0.0, 5),
+        (0.0, 1.0, 8, -1e308, 1e308, 5),
+        (-2**70, 1.0, 8, 0.0, 1.0, 5),
+        (0.0, 1.0, 2**64, 0.0, 1.0, 5),
+        (-20.0, 1e5, 61, 0.0, 1.0, 5),
+    ], ids=["zero-dt", "infinite-dt", "int-beyond-int64", "nx-beyond-int64",
+            "cell-wider-than-span"])
+    def test_refuses_grids_the_numerics_cannot_step(self, bad):
+        # Each used to pass and then crash a run: a zero dt in the speed fit,
+        # an integer beyond int64 as an object array in Grid1D.x, a cell
+        # wider than SPAN e-folds as an overflow in the pay-off kernel.
+        with pytest.raises(DomainError):
+            Grid1D(*bad)
+
+    def test_widest_cell_is_accepted(self):
+        g = Grid1D(0.0, 7 * SPAN, 8, 0.0, 1.0, 5)
+        assert g.dx == SPAN
+        tail = discounted_tail(np.eye(8)[0], g.dx, 1.0)
+        assert np.isfinite(tail[0]) and tail[0] > 0 and not np.any(tail[1:])
 
     def test_zero_duration(self):
         g = space_grid(0.0, 1.0, 16)

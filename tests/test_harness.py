@@ -1,18 +1,24 @@
 """Harness: configs, presets, runs, checkpoints, resume, CLI."""
 
 import dataclasses
+import functools
+import gc
 import json
 import math
+import tempfile
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdlab.analysis import Snapshot
 from kdlab.backward import TerminalCondition
 from kdlab.cli import main
-from kdlab.errors import CheckpointError, ConfigError, DomainError, NonFiniteError
+from kdlab.errors import CheckpointError, ConfigError, DomainError, KdlabError, NonFiniteError
 from kdlab.grid import Grid1D, SpaceTimeField
 from kdlab import harness, particles
 from kdlab.harness import (
@@ -28,6 +34,7 @@ from kdlab.harness import (
     run,
     save_checkpoint,
 )
+from kdlab.mfg import MfgConfig
 from kdlab.model import ModelParams
 from kdlab.particles import ParticleState, step_particles
 
@@ -228,6 +235,22 @@ class TestRun:
         theory = run(cfg, tmp_path / rule).manifest["theory"]
         assert theory["median_speed"] == pytest.approx(2.0 * math.sqrt(p.kappa * q1), abs=1e-12)
         assert theory["decay_rate"] == pytest.approx(math.sqrt(q1 / p.kappa), abs=1e-12)
+
+    @pytest.mark.parametrize("rule", ["rank", "ratio"])
+    def test_only_the_rank_rule_writes_a_mean_field_track(self, tmp_path, rule):
+        # The rank-local equation is the rank rule's mean field; no PDE
+        # matches the ratio rule.
+        cfg = tiny_particle_config(nt=20)
+        cfg = dataclasses.replace(cfg, particles=dataclasses.replace(cfg.particles, rule=rule))
+        res = run(cfg, tmp_path / rule)
+        speeds = json.loads((res.out_dir / "speeds.json").read_text())
+        written = (res.out_dir / "pde_tracks.csv").exists()
+        assert written == ("pde_median" in speeds) == (rule == "rank")
+        if written:
+            rows = (res.out_dir / "pde_tracks.csv").read_text().splitlines()
+            assert rows[0] == "t,x_median,x_learning,x_intrinsic"
+            assert len(rows) == 1 + cfg.grid.nt + 1  # one row per particle step
+            assert speeds["pde_median"]["n_samples"] > 0
 
 
 class Boom(Exception):
@@ -448,6 +471,18 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert main(["resume", str(path), "--out", str(tmp_path / "res")]) == 4
 
+    def test_unreadable_archive_closes_its_file(self, tmp_path):
+        # A zip whose directory does not parse: np.load given the name would
+        # leave the file open.
+        path = tmp_path / "checkpoint.npz"
+        path.write_bytes(b"PK\x03\x04" + bytes(60))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     @pytest.mark.parametrize("meta", ["{not json", "[1, 2]"])
     def test_malformed_meta(self, tmp_path, meta):
         path = tmp_path / "m.npz"
@@ -471,8 +506,8 @@ class TestResume:
         assert resumed.final_state.step_index == full.final_state.step_index
 
     def test_resumed_compare_run_has_fresh_run_files(self, tmp_path):
+        # A rank-rule run compares itself with its mean field, resumed or not.
         cfg = tiny_particle_config(nt=20)
-        cfg.mode = "compare"
         fresh = run(cfg, tmp_path / "fresh")
         partial = run(cfg, tmp_path / "partial", max_steps=7)
         resumed = resume(partial.out_dir / "checkpoint.npz", tmp_path / "resumed")
@@ -578,10 +613,13 @@ class TestCli:
         lambda d: d.update(out_dir="elsewhere"),
         lambda d: d["output"].update(snapshot_every=5),
         lambda d: d["initial_condition"].update(width=1.0),
-        lambda d: d.update(mode="compare") or d["particles"].update(rule="ratio"),
+        lambda d: d.update(mode="compare"),
         lambda d: d.update(mode="kpp"),
         lambda d: d.update(mfg={}),
         lambda d: d.update(terminal_condition={"center": 3.0}),
+        lambda d: d["grid"].update(t_final=0.0),
+        lambda d: d["grid"].update(x_min=-2**70),
+        lambda d: d["grid"].update(x_max=1e5, nx=61),
     ], ids=["not-object", "float-nx", "float-nt", "window-length", "window-order",
             "window-string", "unknown-rule", "removed-rule", "removed-particles-key",
             "float-n", "negative-seed", "float-seed", "float-snapshot-stride",
@@ -589,8 +627,9 @@ class TestCli:
             "output-not-object", "initial-not-object", "terminal-not-object",
             "string-terminal-center", "float-max-iter", "int-name", "name-leaves-out-root",
             "string-l0", "bool-l0", "unknown-top-key", "unknown-output-key",
-            "unknown-initial-key", "compare-non-rank-rule", "kpp-with-particles",
-            "particles-with-mfg", "particles-with-terminal"])
+            "unknown-initial-key", "removed-compare-mode", "kpp-with-particles",
+            "particles-with-mfg", "particles-with-terminal", "zero-dt", "int-beyond-int64",
+            "cell-wider-than-span"])
     def test_invalid_config_exit_code(self, tmp_path, break_config, capsys):
         d = tiny_particle_config().to_dict()
         d = break_config(d) or d
@@ -609,6 +648,29 @@ class TestCli:
         path.write_text(json.dumps(d))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "dt_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, section, key, value, code", [
+        ("intrinsic", "params", "alpha1", 5e-324, 0),
+        ("intrinsic", "initial_condition", "l0", 5e-324, 0),
+        ("intrinsic", "grid", "x_max", 800.0, 0),
+        ("particles", "grid", "x_max", 20000.0, 3),
+    ], ids=["subnormal-alpha1", "subnormal-l0", "payoff-grown-from-below-1e-300",
+            "tail-beyond-float-range"])
+    def test_extreme_valid_values(self, tmp_path, mode, section, key, value, code, capsys):
+        # Valid values that once raised ZeroDivisionError (i_crit of an
+        # alpha1 whose k * alpha1 underflows) or overflow warnings (the ramp
+        # of a subnormal l0, the growth check of a pay-off grown from almost
+        # 0).  A pay-off tail past the float range is a numerical failure,
+        # not an inf written to the snapshots.
+        d = next(c for c in _small_configs() if c.mode == mode).to_dict()
+        d[section][key] = value
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(d))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+        if code == 0:
+            assert main(["diag", str(tmp_path / "out" / "prop")]) == 0
+        else:
+            assert "float range" in capsys.readouterr().err
 
     def test_speeds_needs_t_column(self, tmp_path):
         tracks = tmp_path / "tracks.csv"
@@ -651,17 +713,31 @@ class TestCli:
             load_checkpoint(bad)
         assert main(["resume", str(bad), "--out", str(tmp_path / "res")]) == 4
 
-    @pytest.mark.parametrize("damage", ["truncated", "bad-crc", "bare-array"])
+    @pytest.mark.parametrize("damage", ["truncated", "bad-crc", "bare-array",
+                                        "unknown-compression", "zip-version",
+                                        "encrypted-member", "member-past-end"])
     def test_damaged_checkpoint_exit_code(self, tmp_path, damage):
         # A checkpoint cut short, with a flipped byte, or replaced by a bare
-        # .npy array is unreadable (exit 4), not a traceback.
+        # .npy array is unreadable (exit 4), not a traceback.  So is one
+        # whose zip headers zipfile refuses with other exceptions:
+        # NotImplementedError for the compression method or zip version,
+        # RuntimeError for an encrypted member, EOFError for a member whose
+        # data would start past the end of the file.
         path = tmp_path / "checkpoint.npz"
         save_checkpoint(ParticleState(positions=np.zeros(64), seed=11), path)
         raw = bytearray(path.read_bytes())
+        central = raw.index(b"PK\x01\x02")  # the first member's central directory entry
+        patch = {"unknown-compression": (central + 10, 99), "zip-version": (central + 6, 0xFF),
+                 "encrypted-member": (central + 8, raw[central + 8] | 1),
+                 "member-past-end": (29, 0xFF)}  # high byte of its local extra-field length
         if damage == "truncated":
             path.write_bytes(raw[: len(raw) // 2])
         elif damage == "bad-crc":
             raw[raw.index(b"positions.npy") + 200] ^= 0xFF
+            path.write_bytes(raw)
+        elif damage in patch:
+            offset, value = patch[damage]
+            raw[offset] = value
             path.write_bytes(raw)
         else:
             with open(path, "wb") as f:
@@ -670,19 +746,36 @@ class TestCli:
             load_checkpoint(path)
         assert main(["resume", str(path), "--out", str(tmp_path / "res")]) == 4
 
-    def test_checkpoint_with_removed_particles_key_exit_code(self, tmp_path, capsys):
-        # particles.kernel_width is no config key, so a checkpoint whose
-        # embedded config still holds it is read like one with any unknown key.
+    @staticmethod
+    def checkpoint_with_config(tmp_path, edit):
+        """A tiny run's checkpoint whose embedded config dict went through edit."""
         ck = run(tiny_particle_config(nt=5), tmp_path / "part").out_dir / "checkpoint.npz"
         data = dict(np.load(ck, allow_pickle=False))
         meta = json.loads(str(data["meta"]))
-        meta["config"]["particles"]["kernel_width"] = None
+        edit(meta["config"])
         data["meta"] = json.dumps(meta, sort_keys=True)
         np.savez(ck, **data)
+        return ck
+
+    def test_checkpoint_with_removed_particles_key_exit_code(self, tmp_path, capsys):
+        # particles.kernel_width is no config key, so a checkpoint whose
+        # embedded config still holds it is read like one with any unknown key.
+        ck = self.checkpoint_with_config(
+            tmp_path, lambda d: d["particles"].update(kernel_width=None))
         with pytest.raises(CheckpointError, match="kernel_width"):
             load_checkpoint(ck)
         assert main(["resume", str(ck), "--out", str(tmp_path / "res")]) == 4
         assert "kernel_width" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    def test_checkpoint_with_removed_compare_mode_exit_code(self, tmp_path, capsys):
+        # mode 'compare' is gone: a rank-rule particles run writes its mean
+        # field itself, and an older checkpoint that names it is unreadable.
+        ck = self.checkpoint_with_config(tmp_path, lambda d: d.update(mode="compare"))
+        with pytest.raises(CheckpointError, match="mode"):
+            load_checkpoint(ck)
+        assert main(["resume", str(ck), "--out", str(tmp_path / "res")]) == 4
+        assert "compare" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
     def test_diag_on_resumed_run(self, tmp_path, capsys):
@@ -757,3 +850,112 @@ class TestCli:
             assert_diagnostics_rebuilt(res.out_dir)
         assert "diagnostics: PASS" in reports[1]
         assert reports[1] == reports[0]
+
+
+# -- malformed input properties ------------------------------------------------
+
+def _small_configs() -> list[ExperimentConfig]:
+    """One config per runner, each a run of a few milliseconds."""
+    base = dict(name="prop", params=ModelParams(kappa=1.0, rho=2.0, alpha1=0.5),
+                grid=Grid1D(-10.0, 20.0, 61, 0.0, 1.0, 10), snapshot_stride=5, initial_l0=2.0)
+    return [ExperimentConfig(mode="particles", particles=ParticleSpec(n=50, seed=1), **base),
+            ExperimentConfig(mode="intrinsic", **base),
+            ExperimentConfig(mode="nash", mfg=MfgConfig(max_iter=2), **base)]
+
+
+def _leaf_paths(d: dict, head: tuple = ()) -> list[tuple]:
+    """The key path of every value in d that is not itself a JSON object."""
+    paths = []
+    for key, v in d.items():
+        paths += _leaf_paths(v, head + (key,)) if isinstance(v, dict) else [head + (key,)]
+    return paths
+
+
+#: Odd values for a config leaf: wrong types, words the config knows in the
+#: wrong place, numbers out of range, non-finite or beyond int64.
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.sampled_from(["kpp", "nash", "particles", "compare", "rank", "ratio", "ramp"]),
+    st.integers(min_value=-2**70, max_value=2**70), st.integers(min_value=-3, max_value=300),
+    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 1e300]),
+    st.lists(st.floats(min_value=-5.0, max_value=5.0), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _near(v) -> st.SearchStrategy:
+    """Numbers of v's own type near v, at its scale, or far from it."""
+    scales = [0, -1, 0.5, 2, 1e3] if isinstance(v, float) else [0, -1, 2, 10]
+    return st.sampled_from([type(v)(v * c) for c in scales] + [v + 1, v - 1])
+
+
+@st.composite
+def odd_configs(draw):
+    """A small config dict with one or two leaves set to odd values."""
+    d = draw(st.sampled_from(_small_configs())).to_dict()
+    for *head, last in draw(st.lists(st.sampled_from(_leaf_paths(d)), min_size=1,
+                                     max_size=2, unique=True)):
+        node = d
+        for key in head:
+            node = node[key]
+        v = node[last]
+        numeric = isinstance(v, (int, float)) and not isinstance(v, bool)
+        node[last] = draw(_near(v) if numeric and draw(st.booleans()) else ODD_VALUES)
+    return d
+
+
+def _capped(cfg: ExperimentConfig) -> bool:
+    """Whether a valid config is small enough to run: few nodes, steps, agents
+    and Picard iterations, and a step the rank-local reference refines little."""
+    g = cfg.grid
+    return (g.nx <= 256 and g.nt <= 40 and g.dt <= 0.2
+            and (cfg.particles is None or cfg.particles.n <= 2000)
+            and (cfg.mfg is None or cfg.mfg.max_iter <= 5))
+
+
+@functools.cache
+def _small_checkpoint() -> bytes:
+    """The checkpoint a 50-agent rank-rule run leaves, with its config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = run(_small_configs()[0], Path(tmp) / "ck").out_dir
+        return (out / "checkpoint.npz").read_bytes()
+
+
+class TestMalformedInputProperties:
+    """Whatever the input, nothing but a KdlabError leaves the harness."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(d=odd_configs())
+    def test_odd_config_values(self, d):
+        try:
+            cfg = ExperimentConfig.from_dict(d)
+        except KdlabError:
+            return
+        if _capped(cfg):
+            with tempfile.TemporaryDirectory() as tmp:
+                try:
+                    run(cfg, Path(tmp) / "run")
+                except KdlabError:
+                    pass
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(edits=st.lists(st.tuples(st.booleans(), st.integers(min_value=0), st.integers(1, 255)),
+                          min_size=1, max_size=3),
+           cut=st.none() | st.integers(min_value=0))
+    def test_damaged_checkpoint_bytes(self, edits, cut):
+        raw = bytearray(_small_checkpoint())
+        # Half the edits land in the zip headers, which a uniform offset rarely hits.
+        headers = [i for i in range(len(raw) - 3) if raw[i:i + 2] == b"PK"]
+        for in_header, offset, mask in edits:
+            i = headers[offset % len(headers)] + offset % 46 if in_header else offset
+            raw[i % len(raw)] ^= mask
+        if cut is not None:
+            raw = raw[:cut % len(raw)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "checkpoint.npz"
+            path.write_bytes(raw)
+            try:
+                load_checkpoint(path)
+                resume(path, Path(tmp) / "resumed")
+            except KdlabError:
+                pass
