@@ -4,14 +4,15 @@ w solves w_t + kappa w_xx + 2 kappa w_x + (rho-kappa)(1 - s - w)
 - alpha(s) w F = 0 from a terminal condition at t_final down to t0, where
 s is the optimal allocation field of the current outer iterate.  In the
 backward time variable this is a well-posed advection-diffusion-reaction
-equation; one step treats kappa w_xx + 2 kappa w_x implicitly (first-order
-term upwinded toward the side information comes from) and the source terms
-explicitly.  Boundaries are pinned to w = 0 on the left and w = 1 on the
-right.
+equation; one step treats kappa w_xx + 2 kappa w_x = kappa e^{-2x}(e^{2x} w_x)_x
+implicitly, exponentially fitted and second order in dx, and the source
+terms explicitly.  Boundaries are pinned to w = 0 on the left and w = 1 on
+the right.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import model
 from .errors import DomainError, GridMismatchError
-from .grid import SLOPE_TOL, Grid1D, Profile, SpaceTimeField, _march, check_numbers
+from .grid import SLOPE_TOL, TINY, Grid1D, Profile, SpaceTimeField, _march, check_numbers
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,14 @@ def dt_max_backward(p: model.ModelParams) -> float:
     return 1.0 / (p.rho_minus_kappa + p.alpha1)
 
 
+def _check_scalable(p: model.ModelParams, grid: Grid1D) -> None:
+    """Raise DomainError unless the backward step's scaled solve, whose values reach
+    2 (1 + 2r cosh dx) e^{(x_max - x_min)/2} with r = kappa*dt/dx^2, stays a normal double."""
+    r, h = p.kappa * grid.dt / grid.dx**2, (grid.x_max - grid.x_min) / 2.0
+    if h + math.log(2.0 + 4.0 * r * math.cosh(grid.dx)) > -math.log(TINY):
+        raise DomainError(f"the domain's {2.0 * h:g} e-folds exceed the backward step's float range")
+
+
 def iter_backward(
     wT: TerminalCondition | Profile,
     F_field: SpaceTimeField,
@@ -72,13 +81,13 @@ def iter_backward(
     wT is a logistic TerminalCondition or a Profile on the run grid; either
     way the terminal slice must be non-decreasing and within 1e-6 of 0 at the
     left edge and of 1 at the right.  One step treats diffusion and the
-    upwinded drift implicitly and the source explicitly, on the shared
-    stepper with w pinned to 0 left and 1 right.
-    strategy_field holds the allocation values s of the current outer
-    iterate; they are consumed as given, not recomputed here, and slice j is
-    read only when the step that needs it is taken.  Every slice stays in
-    [0, 1] and, like the terminal condition, non-decreasing in x within the
-    slope tolerance.  Consumers that keep slices should copy them.
+    fitted drift implicitly and the source explicitly, on the shared stepper
+    with w pinned to 0 left and 1 right; a domain past about 1 400 e-folds
+    is a DomainError.  strategy_field holds the allocation values s of the
+    current outer iterate; they are consumed as given, not recomputed here,
+    and slice j is read only when the step that needs it is taken.  Every
+    slice stays in [0, 1] and, like the terminal condition, non-decreasing in
+    x within the slope tolerance.  Consumers that keep slices should copy them.
     """
     if F_field.grid != grid or strategy_field.grid != grid:
         raise GridMismatchError("fields do not live on the run grid")
@@ -86,6 +95,7 @@ def iter_backward(
         raise DomainError(
             f"grid dt={grid.dt} exceeds the backward source bound {dt_max_backward(p)}"
         )
+    _check_scalable(p, grid)
     if isinstance(wT, Profile):
         if wT.grid != grid:
             raise GridMismatchError("terminal profile does not live on the run grid")

@@ -189,19 +189,19 @@ class SpaceTimeField:
 def implicit_operator(
     nx: int, dx: float, dt: float, kappa: float, drift: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bands of (I - dt*(kappa*D2 + drift*D+)) with identity boundary rows.
+    """Bands of I - dt*(kappa*D2 + drift*D1) with identity boundary rows: the dense reference.
 
-    D2 is the centered second difference; D+ the one-sided first difference
-    (u[i+1]-u[i])/dx, the upwind choice for transport carrying information
-    from the right.  drift must be >= 0 so the matrix stays an M-matrix.
+    kappa u_xx + drift u_x = kappa e^{-bx}(e^{bx} u_x)_x with b = drift/kappa, and
+    the fluxes are weighted by e^{bx} at the cell midpoints (exponential
+    fitting): the interior bands are (-r e^{-a}, 1 + 2r cosh a, -r e^a) with
+    r = kappa*dt/dx^2 and a = drift*dx/(2*kappa), an M-matrix for drift of
+    either sign, second order in dx, and tridiag(-r, 1 + 2r, -r) for no drift.
     """
-    if drift < 0:
-        raise DomainError("drift must be non-negative for the upwind stencil")
     r = kappa * dt / dx**2
-    a = drift * dt / dx
-    lower = np.full(nx, -r)
-    diag = np.full(nx, 1.0 + 2.0 * r + a)
-    upper = np.full(nx, -r - a)
+    a = drift * dx / (2.0 * kappa) if drift else 0.0
+    lower = np.full(nx, -r * math.exp(-a))
+    diag = np.full(nx, 1.0 + 2.0 * r * math.cosh(a))
+    upper = np.full(nx, -r * math.exp(a))
     # Dirichlet rows: value pinned by the rhs.
     diag[0] = diag[-1] = 1.0
     upper[0] = 0.0
@@ -209,39 +209,46 @@ def implicit_operator(
     return lower, diag, upper
 
 
-def _drift_free_solver(
-    m: int, r: float, ends: tuple[float, float]
+def _symmetric_solver(
+    m: int, r: float, a: float, ends: tuple[float, float]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The step solve of the drift-free scheme on m interior nodes, r = kappa*dt/dx^2.
+    """The step solve of the implicit scheme on m interior nodes, r = kappa*dt/dx^2.
 
-    The interior matrix tridiag(-r, 1 + 2r, -r) is symmetric positive
-    definite, so it is LDL^T-factored once (LAPACK pttrf).  The returned
-    function takes a step's right-hand side b, adds r times each Dirichlet
-    end value to its neighbouring interior row, pins b's ends, solves the
-    interior in place (pttrs) and returns b.
+    The step matrix (see implicit_operator) is D S D^-1, with S =
+    tridiag(-r, 1 + 2r cosh a, -r) symmetric positive definite, LDL^T-factored
+    once (LAPACK pttrf), and D = diag(e^{-a(i-c)}) over the m + 2 nodes,
+    centred on the middle one.  The returned function takes a step's
+    right-hand side b, pins its ends, scales it by D^-1, adds r times each
+    scaled end value to its neighbouring interior row, solves the interior in
+    place (pttrs), scales back by D, pins the ends again and returns b.  a = 0
+    skips the scaling.  The factors, up to e^{|a|(m+1)/2}, are built with
+    math.exp, whose bits do not depend on the CPU.
 
-    With the right end pinned at 0 and the interior right-hand side exactly 0
-    from row K on, the solve stops at the reach.  With q = 2r/(1 + 2r +
-    sqrt(1 + 4r)), the decay per row of the inverse of the infinite matrix,
-    and S = sum over j < K of |b_j| q^(K-1-j), every interior solution value
-    obeys |x_i| <= S q^(i-K+1) / sqrt(1 + 4r) for i >= K.  Rows where that
-    bound is below TINY/2 are past the reach: they keep their right-hand side
-    0, and the leading rows are solved as the system cut there, whose LDL^T
-    factors are the leading factors of the full one.  On such a step every
-    solved value of magnitude below TINY is set to 0 as well, so no
-    subnormal number enters the next step.  Without the cut the elimination
-    runs on across the zero rows, where with q > 1/2 rounding holds the
-    smallest subnormal instead of letting it decay, and subnormal arithmetic
-    is many times slower.  The scan for the zero rows is skipped while the
-    last interior right-hand side is nonzero.
+    Without drift, with the right end pinned at 0 and the interior right-hand
+    side exactly 0 from row K on, the solve stops at the reach.  With q =
+    2r/(1 + 2r + sqrt(1 + 4r)), the decay per row of the inverse of the
+    infinite matrix, and S = sum over j < K of |b_j| q^(K-1-j), every
+    interior solution value obeys |x_i| <= S q^(i-K+1) / sqrt(1 + 4r) for
+    i >= K.  Rows where that bound is below TINY/2 are past the reach: they
+    keep their right-hand side 0, and the leading rows are solved as the
+    system cut there, whose LDL^T factors are the leading factors of the full
+    one.  On such a step every solved value of magnitude below TINY is set to
+    0 as well, so no subnormal number enters the next step.  Without the cut
+    the elimination runs on across the zero rows, where with q > 1/2 rounding
+    holds the smallest subnormal instead of letting it decay, and subnormal
+    arithmetic is many times slower.  The scan for the zero rows is skipped
+    while the last interior right-hand side is nonzero.
     """
     # The LAPACK wrappers want an off-diagonal of length 1 for one unknown;
     # pttrf and pttrs read none of it then.
-    d, e, info = lapack.dpttrf(np.full(m, 1.0 + 2.0 * r), np.full(max(m - 1, 1), -r))
+    d, e, info = lapack.dpttrf(np.full(m, 1.0 + 2.0 * r * math.cosh(a)), np.full(max(m - 1, 1), -r))
     if info != 0:
         raise SingularSystemError(f"implicit operator is singular (pttrf info={info})")
-    left, right = ends
-    cut = right == 0.0 and r > 0.0
+    if a:
+        shifts = (a * (np.arange(m + 2) - (m + 1) / 2.0)).tolist()
+        down = np.array([math.exp(v) for v in shifts])  # D^-1
+        up = np.array([math.exp(-v) for v in shifts])  # D
+    cut = ends[1] == 0.0 and r > 0.0 and not a
     if cut:
         root = math.sqrt(1.0 + 4.0 * r)
         q = 2.0 * r / (1.0 + 2.0 * r + root)
@@ -266,10 +273,12 @@ def _drift_free_solver(
 
     def solve(b: np.ndarray) -> np.ndarray:
         b = np.ascontiguousarray(b, dtype=float)
-        x = b[1:-1]
-        x[0] += r * left
-        x[-1] += r * right
         b[0], b[-1] = ends
+        if a:
+            b *= down
+        x = b[1:-1]
+        x[0] += r * b[0]
+        x[-1] += r * b[-1]
         floor = cut and x[-1] == 0.0
         rows = reach(x) if floor else m
         if rows:
@@ -277,6 +286,9 @@ def _drift_free_solver(
         if floor:
             solved = x[:rows]
             solved[np.abs(solved) < TINY] = 0.0
+        if a:
+            b *= up
+            b[0], b[-1] = ends
         return b
 
     return solve
@@ -289,30 +301,19 @@ def _march(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, u_n) for n = 0 .. nt of the implicit diffusion scheme.
 
-    Step n solves (I - dt*(kappa*D2 + drift*D+)) u_{n+1} = rhs(n, u_n), a
-    fresh array, with u_{n+1}'s end values pinned to the Dirichlet data ends.
-    The matrix never changes, so it is factored once.  Without drift (the
-    forward and rank-local runs) the interior system is symmetric positive
-    definite: it is LDL^T-factored and solved only over the rows the solution
-    reaches (see _drift_free_solver).  With drift (the backward run) it is
-    not symmetric, and the full matrix is LU-factored (LAPACK gttrf) and
-    every step is one gttrs solve.  Each new slice is guarded: non-finite
-    values raise NonFiniteError; drift outside [0, 1] beyond OVERSHOOT_TOL
-    raises OvershootError and smaller drift is clamped; with slope -1 (+1)
-    the slice must be non-increasing (non-decreasing) in x to within
-    SLOPE_TOL, else NumericalError.
+    Step n solves (I - dt*(kappa*D2 + drift*D1)) u_{n+1} = rhs(n, u_n), a
+    fresh array, with u_{n+1}'s end values pinned to the Dirichlet data ends
+    and the drift exponentially fitted (see implicit_operator).  The matrix
+    never changes: with or without drift it is solved in its symmetric form,
+    factored once, and without drift only over the rows the solution reaches
+    (see _symmetric_solver).  Each new slice is guarded: non-finite values
+    raise NonFiniteError; drift outside [0, 1] beyond OVERSHOOT_TOL raises
+    OvershootError and smaller drift is clamped; with slope -1 (+1) the slice
+    must be non-increasing (non-decreasing) in x to within SLOPE_TOL, else
+    NumericalError.
     """
-    if drift:
-        lower, diag, upper = implicit_operator(u0.size, dx, dt, kappa, drift)
-        dl, d, du, du2, ipiv, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
-        if info != 0:
-            raise SingularSystemError(f"implicit operator is singular (gttrf info={info})")
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            b[0], b[-1] = ends
-            return lapack.dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
-    else:
-        solve = _drift_free_solver(u0.size - 2, kappa * dt / dx**2, ends)
+    a = drift * dx / (2.0 * kappa) if drift else 0.0
+    solve = _symmetric_solver(u0.size - 2, kappa * dt / dx**2, a, ends)
     u = u0
     yield 0, u
     for n in range(nt):

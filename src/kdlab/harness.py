@@ -319,10 +319,16 @@ def _diagnose(config: ExperimentConfig, snaps: list[Snapshot]) -> DiagnosticsRep
 
 
 def diagnose_run_dir(run_dir: str | Path) -> DiagnosticsReport:
-    """Re-evaluate the diagnostics of a run directory (or its fields/) from its files."""
+    """Re-evaluate the diagnostics of a run directory (or its fields/) from its files.
+
+    A directory without manifest.json, which a run writes last, is a run that
+    did not finish: ConfigError.
+    """
     run_dir = Path(run_dir)
     if run_dir.name == "fields":
         run_dir = run_dir.parent
+    if not (run_dir / "manifest.json").is_file():
+        raise ConfigError(f"{run_dir}: no manifest.json, so the run did not finish")
     config = ExperimentConfig.from_json_file(run_dir / "config.json")
     fields = run_dir / "fields"
     paths = sorted([*fields.glob("snap_*.csv"), *fields.glob("snap_*.npz")])

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model
 from .analysis import locate_level
-from .backward import TerminalCondition, iter_backward, solve_backward
+from .backward import TerminalCondition, _check_scalable, iter_backward, solve_backward
 from .errors import DomainError, GridMismatchError
 from .forward import INTRINSIC, iter_forward
 from .grid import Grid1D, Profile, SpaceTimeField, check_numbers
@@ -119,6 +119,7 @@ def solve_nash(
     """
     if cfg is None:
         cfg = MfgConfig()
+    _check_scalable(p, grid)
     # The loop holds three fields: s, F and w.  The warm start is iteration
     # 1's forward sweep: it fills s with the intrinsic closure's strategy and
     # F with the slices it generates, which a sweep under s would give again,

@@ -84,10 +84,13 @@ class TestCriterion3NashVsIntrinsic:
         sandwich_ok = all(ok for ok, _ in rows.get("front_sandwich", [(False, 0)]))
         stable_ok = all(ok for ok, _ in rows.get("sandwich_gap_stable", [(False, 0)]))
         converged = res.manifest["mfg"]["converged"]
-        ok = sandwich_ok and stable_ok and converged
+        # The Picard loop's cost: lottery-nash converges in 5 iterations.
+        iterations = res.manifest["mfg"]["iterations"]
+        ok = sandwich_ok and stable_ok and converged and iterations <= 6
         report(
             3, ok,
-            f"converged={converged}, learning front within [intrinsic - L, intrinsic]"
+            f"converged={converged} in {iterations} iterations (at most 6),"
+            " learning front within [intrinsic - L, intrinsic]"
             f" (sandwich {'ok' if sandwich_ok else 'FAIL'},"
             f" fitted gap stable {'ok' if stable_ok else 'FAIL'})",
         )

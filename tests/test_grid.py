@@ -1,5 +1,7 @@
 """Grids, profiles, and the shared stepper with its tridiagonal solve."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -139,9 +141,9 @@ def _one_step(dx, dt, kappa, drift, b):
     return list(steps)[-1][1]
 
 
-def _full_solve(b, dx, dt, kappa, drift=0.0):
-    """The full implicit system, Dirichlet rows included, solved by solve_banded."""
-    lower, diag, upper = implicit_operator(b.size, dx, dt, kappa, drift)
+def _full_solve(b, dx, dt, kappa):
+    """The full drift-free implicit system, Dirichlet rows included, solved by solve_banded."""
+    lower, diag, upper = implicit_operator(b.size, dx, dt, kappa)
     ab = np.array([np.r_[0.0, upper[:-1]], diag, np.r_[lower[1:], 0.0]])
     return scipy.linalg.solve_banded((1, 1), ab, b)
 
@@ -203,17 +205,20 @@ class TestTridiagonal:
         with pytest.raises(SingularSystemError, match="pttrf"):
             _one_step(1.0, 1.0, -0.5, 0.0, np.array([1.0, 0.5, 0.0]))
 
-    @pytest.mark.parametrize("n, kappa", [(3, 0.7), (16, 0.0)])
-    def test_drift_free_path_without_lu(self, monkeypatch, n, kappa):
-        # A single interior node and a zero diffusion both take the LDL^T path.
+    @pytest.mark.parametrize("n, kappa, drift", [
+        (3, 0.7, 0.0), (16, 0.0, 0.0), (3, 0.7, 1.4), (16, 0.7, 1.4),
+    ], ids=["3-0.7", "16-0.0", "3-0.7-drift-2kappa", "16-0.7-drift-2kappa"])
+    def test_drift_free_path_without_lu(self, monkeypatch, n, kappa, drift):
+        # Every step takes the LDL^T path: a single interior node, a zero
+        # diffusion, and the backward drift 2 kappa alike.
         def refuse(*args, **kwargs):
-            raise AssertionError("drift-free step reached the LU solve")
+            raise AssertionError("a step reached the LU solve")
 
         monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", refuse)
         monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", refuse)
         rhs = np.linspace(0.9, 0.1, n)
-        x = _one_step(0.1, 0.01, kappa, 0.0, rhs)
-        ref = _dense_eliminate(*implicit_operator(n, 0.1, 0.01, kappa, 0.0), rhs)
+        x = _one_step(0.1, 0.01, kappa, drift, rhs)
+        ref = _dense_eliminate(*implicit_operator(n, 0.1, 0.01, kappa, drift), rhs)
         assert np.max(np.abs(x - ref)) <= 1e-14
         if kappa == 0.0:
             assert np.array_equal(x, rhs)
@@ -273,42 +278,53 @@ class TestDriftFreeSolve:
 
 class TestImplicitOperator:
     def test_m_matrix_shape(self):
-        lower, diag, upper = implicit_operator(16, 0.1, 0.01, kappa=1.0, drift=2.0)
-        assert diag[0] == 1.0 and diag[-1] == 1.0 and upper[0] == 0.0 and lower[-1] == 0.0
-        assert np.all(diag[1:-1] > 0) and np.all(lower[1:-1] <= 0) and np.all(upper[1:-1] <= 0)
-        # row sums of the interior equal 1 + dt*drift/dx boundary terms aside
-        with pytest.raises(DomainError):
-            implicit_operator(16, 0.1, 0.01, kappa=1.0, drift=-1.0)
+        # The fitted stencil is a diagonally dominant M-matrix for drift of
+        # either sign, and its interior rows sum to 1, as the identity plus dt
+        # times a differential operator without a zeroth-order term must.
+        for drift in (2.0, -2.0):
+            lower, diag, upper = implicit_operator(16, 0.1, 0.01, kappa=1.0, drift=drift)
+            assert diag[0] == 1.0 and diag[-1] == 1.0 and upper[0] == 0.0 and lower[-1] == 0.0
+            lo, mid, up = lower[1:-1], diag[1:-1], upper[1:-1]
+            assert np.all(mid > -lo - up) and np.all(lo < 0) and np.all(up < 0)
+            assert np.max(np.abs(lo + mid + up - 1.0)) <= 1e-12
 
 
 def _replay(u, nt, dx, dt, kappa, rhs, ends, drift=0.0):
     """The implicit scheme rebuilt and re-solved step by step, for reference.
 
-    With drift the full system goes to solve_banded.  Without it the interior
-    system, with r = kappa*dt/dx^2 times each end value added to its
-    neighbouring right-hand side, goes to LAPACK ptsv, cut at the reach when
+    The step matrix is D S D^-1 (see implicit_operator), with
+    S = tridiag(-r, 1 + 2r cosh a, -r), r = kappa*dt/dx^2, a =
+    drift*dx/(2*kappa), and D = diag(e^{-a(i-c)}) centred on the middle node.
+    The right-hand side, ends pinned, is scaled by D^-1; r times each scaled
+    end value is added to its neighbouring interior row; the interior goes to
+    LAPACK ptsv and is scaled back by D, and the ends are pinned again.
+    Without drift D is the identity, and the solve is cut at the reach when
     the right end is pinned at 0 and the right-hand side ends in zeros; on
     such a step values below TINY in magnitude are set to 0.
     """
     r = kappa * dt / dx**2
+    a = drift * dx / (2.0 * kappa) if drift else 0.0
+    shifts = a * (np.arange(u.size) - (u.size - 1) / 2.0)
+    down = np.array([math.exp(v) for v in shifts])
+    up = np.array([math.exp(-v) for v in shifts])
     out = [u]
     for n in range(nt):
-        b = rhs(n, out[-1])
-        b[0], b[-1] = ends
-        if drift:
-            x = _full_solve(b, dx, dt, kappa, drift)
-        else:
-            x = b.copy()
-            inner = x[1:-1]
-            inner[0] += r * ends[0]
-            inner[-1] += r * ends[1]
-            cut = ends[1] == 0.0 and r > 0.0 and inner[-1] == 0.0
-            rows = _reach(inner, r) if cut else inner.size
-            if rows:
-                d, e = np.full(rows, 1.0 + 2.0 * r), np.full(max(rows - 1, 1), -r)
-                inner[:rows] = scipy.linalg.lapack.dptsv(d, e, inner[:rows].copy())[2]
-            if cut:
-                inner[np.abs(inner) < TINY] = 0.0
+        x = rhs(n, out[-1])
+        x[0], x[-1] = ends
+        x = x * down
+        inner = x[1:-1]
+        inner[0] += r * x[0]
+        inner[-1] += r * x[-1]
+        cut = ends[1] == 0.0 and r > 0.0 and not drift and inner[-1] == 0.0
+        rows = _reach(inner, r) if cut else inner.size
+        if rows:
+            d = np.full(rows, 1.0 + 2.0 * r * math.cosh(a))
+            e = np.full(max(rows - 1, 1), -r)
+            inner[:rows] = scipy.linalg.lapack.dptsv(d, e, inner[:rows].copy())[2]
+        if cut:
+            inner[np.abs(inner) < TINY] = 0.0
+        x = x * up
+        x[0], x[-1] = ends
         out.append(np.clip(x, 0.0, 1.0))
     return np.array(out)
 

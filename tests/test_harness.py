@@ -649,6 +649,29 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "dt_max" in capsys.readouterr().err
 
+    def test_nash_domain_past_the_scaling_range_exit_code(self, tmp_path, capsys):
+        # The backward step's scale factors would reach e^{+-750}: the run is
+        # refused before its first sweep, and leaves only its config behind.
+        d = tiny_particle_config().to_dict()
+        _as_nash(d)
+        d["grid"].update(x_min=-750.0, x_max=750.0, nx=1501)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(d))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "float range" in capsys.readouterr().err
+        run_dir = tmp_path / "out" / "tiny"
+        assert [f.name for f in run_dir.iterdir()] == ["config.json"]
+        assert main(["diag", str(run_dir)]) == 2
+
+    def test_diag_without_manifest_exit_code(self, tmp_path, capsys):
+        # A run that failed after writing its snapshots has no manifest.json,
+        # which a run writes last: it is not a run directory to pass.
+        run_dir = mini_kpp_run(tmp_path)
+        (run_dir / "manifest.json").unlink()
+        assert main(["diag", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "manifest.json" in err
+
     @pytest.mark.parametrize("mode, section, key, value, code", [
         ("intrinsic", "params", "alpha1", 5e-324, 0),
         ("intrinsic", "initial_condition", "l0", 5e-324, 0),

@@ -278,6 +278,13 @@ class TestBlockedTail:
         assert _tail(g, v)[-1] == 0.0
         assert np.all(_tail(g, np.stack([v, v]))[:, -1] == 0.0)
 
+    @pytest.mark.parametrize("dx", [0.0, math.nan, 1e3], ids=["zero", "nan", "past-span"])
+    def test_dx_outside_the_cell_range_refused(self, dx):
+        # Once a ZeroDivisionError (dx = 0) and an OverflowError (dx past
+        # about 709) from the block scales.
+        with pytest.raises(DomainError, match="dx"):
+            discounted_tail(np.ones(8), dx, P_HALF.rho_minus_kappa)
+
     def test_smallest_grid(self):
         g = space_grid(0.0, 0.7, 8)
         v = np.linspace(1.0, 0.2, g.nx)
