@@ -90,6 +90,8 @@ class Grid1D:
             raise DomainError("x_max must exceed x_min")
         if not self.dx <= SPAN:
             raise DomainError(f"dx = {self.dx!r} exceeds the widest cell, {SPAN} e-folds")
+        if not self.dx**2 >= TINY:  # the steps divide by dx**2
+            raise DomainError(f"dx = {self.dx!r} is too narrow: dx**2 is not a normal double")
         if self.nt < 0:
             raise DomainError("nt must be non-negative")
         if self.t_final < self.t0:

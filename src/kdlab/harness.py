@@ -15,7 +15,8 @@ import json
 import math
 import os
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
+import zlib
+from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable
@@ -37,15 +38,7 @@ from .forward import CONSTANT_ALPHA, INTRINSIC, RANK_LOCAL, iter_forward
 from .grid import Grid1D, Profile, is_int, is_number, recommended_domain
 from .mfg import MfgConfig, solve_nash
 from .model import ModelParams, TheoryPredictions
-from .particles import (
-    RANK,
-    RATIO,
-    ParticleState,
-    StrategyRule,
-    _Workspace,
-    empirical_cdf,
-    step_particles,
-)
+from .particles import RANK, RATIO, ParticleState, StrategyRule, initial_state, iter_particles
 
 SCHEMA_VERSION = 1
 CHECKPOINT_VERSION = 2
@@ -278,31 +271,44 @@ def _read_snapshot(path: Path, grid: Grid1D) -> Snapshot:
     A column that is not finite everywhere is read as absent.  A file that
     does not parse, whose x column is not grid.x, with a column not grid.nx
     long, that lacks a finite F or J column, or whose pay-off (I or J) is
-    negative raises ConfigError naming it.
+    negative raises ConfigError naming it.  A file that cannot be opened
+    raises the OSError.
     """
-    try:
-        if path.suffix == ".npz":
-            with np.load(path, allow_pickle=False) as data:
-                cols = {name: np.atleast_1d(data[name]) for name in data.files if name != "t"}
-                t = float(data["t"])
-        else:
-            with open(path) as f:
+    npz = path.suffix == ".npz"
+    # An open file, not a name: np.load leaks the file it opens when the zip
+    # directory does not parse.
+    with open(path, "rb" if npz else "r") as f:
+        try:
+            if npz:
+                data = np.load(f, allow_pickle=False)
+                if not isinstance(data, np.lib.npyio.NpzFile):
+                    raise ConfigError(f"{path}: a bare array, not an npz archive")
+                with data:
+                    cols = {name: np.atleast_1d(data[name]) for name in data.files if name != "t"}
+                    t = float(data["t"])
+            else:
                 header = f.readline().strip()
-            if not header.startswith("# t="):
-                raise ConfigError(f"{path}: missing '# t=' header")
-            t = float(header[4:])
-            data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
-            cols = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
-        if not np.array_equal(cols["x"], grid.x):
-            raise ConfigError(f"{path}: x column is not the run grid's nodes")
-        found = {name: np.asarray(cols[name], dtype=float) for name in _COLUMNS if name in cols}
-        for name, v in found.items():
-            if v.shape != (grid.nx,):
-                raise ConfigError(f"{path}: column {name} has shape {v.shape}, not ({grid.nx},)")
-    except KdlabError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"{path}: malformed snapshot: {exc!r}") from exc
+                if not header.startswith("# t="):
+                    raise ConfigError(f"{path}: missing '# t=' header")
+                t = float(header[4:])
+                data = np.genfromtxt(f, delimiter=",", names=True)
+                cols = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
+            if not np.array_equal(cols["x"], grid.x):
+                raise ConfigError(f"{path}: x column is not the run grid's nodes")
+            found = {name: np.asarray(cols[name], dtype=float)
+                     for name in _COLUMNS if name in cols}
+            for name, v in found.items():
+                if v.shape != (grid.nx,):
+                    raise ConfigError(f"{path}: column {name} has shape {v.shape}, not ({grid.nx},)")
+        except KdlabError:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError, OSError, EOFError, RuntimeError,
+                zipfile.BadZipFile, zlib.error) as exc:
+            # Anything the parse raises: a damaged member (zlib.error, a bad
+            # CRC), an unknown compression method (NotImplementedError, a
+            # RuntimeError), a member cut short (EOFError), a seek past the
+            # archive (OSError), text that is not UTF-8 (a ValueError).
+            raise ConfigError(f"{path}: malformed snapshot: {exc!r}") from exc
     found = {name: v for name, v in found.items() if np.all(np.isfinite(v))}
     if "F" not in found or "J" not in found:
         raise ConfigError(f"{path}: snapshot has no finite F or J column")
@@ -543,14 +549,15 @@ def _run_particles(
 ) -> tuple[_Recorder, ParticleState, dict]:
     """Particle run from state (fresh when None), checkpointed at every snapshot.
 
+    The run is a loop over the particle sweep, iter_particles, which owns the
+    draw worker, the step buffers and the one sort per state; the loop stops
+    at max_steps by returning, which closes the sweep and joins its worker.
     Also returns the largest counts of agents below and above the grid over
     the recorded steps.
     """
     p, grid, spec = cfg.params, cfg.grid, cfg.particles
-    rule = spec.make_rule()
     if state is None:
-        init = ramp_initial(grid, cfg.initial_l0)
-        state = ParticleState(positions=_sample_from_cdf(init, spec.n, spec.seed), seed=spec.seed)
+        state = initial_state(ramp_initial(grid, cfg.initial_l0), spec.n, spec.seed)
     last_step = grid.nt if max_steps is None else min(grid.nt, state.step_index + max_steps)
     # The s column a snapshot records: the rule's strategy read off the field estimate.
     strategy = {
@@ -559,12 +566,10 @@ def _run_particles(
     }[spec.rule]
     rec = _Recorder(cfg, out, last_step)
     stragglers = {"n_below_max": 0, "n_above_max": 0}
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        work = _Workspace(state.n, worker)
-        while True:
+    with closing(iter_particles(state, spec.make_rule(), p, grid)) as sweep:
+        for state, est in sweep:
             track, snapshot = rec.sampled(state.step_index)
             if track or snapshot:
-                est = empirical_cdf(state, grid, _workspace=work)
                 stragglers["n_below_max"] = max(stragglers["n_below_max"], est.n_below)
                 stragglers["n_above_max"] = max(stragglers["n_above_max"], est.n_above)
                 F = est.profile.values
@@ -574,16 +579,7 @@ def _run_particles(
                     save_checkpoint(state, out / "checkpoint.npz", config=cfg)
             if state.step_index >= last_step:
                 return rec, state, stragglers
-            state = step_particles(state, rule, p, grid.dt, _workspace=work)
-
-
-def _sample_from_cdf(init: Profile, n: int, seed: int) -> np.ndarray:
-    """Draw agent positions whose distribution matches the initial profile."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 3], dtype=np.uint64)))
-    u = rng.random(n)
-    # init holds the fraction above x (decreasing); 1 - init is the usual CDF,
-    # increasing in x, which np.interp inverts directly.
-    return np.interp(u, 1.0 - init.values, init.grid.x)
+            del state  # so that the next step frees its positions
 
 
 def _rank_local_rows(cfg: ExperimentConfig) -> list[tuple]:
@@ -655,7 +651,7 @@ def _execute(
         "diagnostics_passed": report.passed,
         "diagnostics_failures": [r.check for r in report.failures()],
     })
-    if max_steps is not None:
+    if final_state is not None and final_state.step_index < config.grid.nt:
         manifest["partial"] = True
     if state is not None:
         manifest["resumed_from_step"] = state.step_index

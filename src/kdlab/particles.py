@@ -13,32 +13,27 @@ slot is its random stream and runs are reproducible regardless of execution
 order.  A state is its positions, seed and step index; nothing else
 determines the steps that follow it.
 
-Nothing a step draws depends on the positions.  A run (harness.run) opens
-one worker thread for its whole length, and each step draws its three
-streams on it while the calling thread ranks the agents.  The Philox fills
-and the argsort release the interpreter lock, so the two run at once on two
-cores.  The worker is joined when the run ends, normally or by an error.
-A bare step_particles call draws in line on the calling thread, through
-the same function, and starts no thread.  The result does not
-depend on where the draws run: each stream is a fresh Generator built from
-its own key, and the step reads the draws only once they are complete.
-The draws of a step depend on nothing the step before computes, so in a
-run each step submits the next step's draws before it returns, and the
-worker draws them while the caller records the state and ranks it.
-
-A run also allocates, once, the n-sized buffers its steps write their draws
-and temporaries into: the sort, the rates, the fire threshold and the
-scaled noise.  At n = 100 000 each is 800 KB, and glibc returns freed
-arrays of that size to the system, so fresh ones made every step
-page-fault.  Only the successor's positions are a fresh array, since states
-are immutable.  Nothing configures the worker or the buffers.
+A run steps through iter_particles, the particle sweep, which alone decides
+how steps are done.  It opens one worker thread, joined when the sweep ends,
+and submits each state's draws to it before yielding the state: no draw
+reads a position, so the worker draws while the caller records the state
+and the sweep ranks the agents (the Philox fills and the argsort release
+the interpreter lock).  Each state is sorted once, and its CDF estimate and
+its strategy pass read that sort.  The sweep writes its draws and
+temporaries into n-sized buffers allocated once (800 KB each at
+n = 100 000, which glibc would return and page-fault anew every step); only
+the successor's positions are fresh.  A bare step_particles call draws in
+line into fresh buffers and starts no thread; the sweep's steps equal it
+bit for bit, since each stream is a fresh Generator built from its own key.
+Nothing configures the worker or the buffers.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -50,60 +45,39 @@ from .grid import Grid1D, Profile, check_numbers, is_number
 RANK = "rank"
 RATIO = "ratio"
 
-_FIRE, _PARTNER, _NOISE = 0, 1, 2
+#: The purposes of the Philox streams: a step's three draws, and at step 0
+#: the initial positions.
+_FIRE, _PARTNER, _NOISE, _INITIAL = 0, 1, 2, 3
 
 
 class _Workspace:
-    """A particle run's draw worker and the n-sized arrays its steps write into.
+    """The n-sized arrays a particle step writes into.
 
     The draws fill noise and fire; the strategy pass sorts into sorted and
-    rates and writes the fractions, then the rates and the fire threshold,
-    into rates; index holds 0, 1, ..., n-1.  The draws and the strategy pass
-    run at once, so they share no array.  ahead holds ((seed, step), future)
-    of the draws a step submitted for the next one.  sorted_of is the
-    positions array whose argsort is order and whose sorted values are in
-    sorted, so that the CDF estimate of a recorded state and the strategy
-    pass of its step share one sort; the strategy pass then drops both,
-    since it overwrites sorted.
+    rates and writes the fractions, then the fire threshold, into rates;
+    index holds 0, 1, ..., n-1.  The draws may run on a worker while the
+    strategy pass runs, so they share no array.
     """
 
-    def __init__(self, n: int, worker: ThreadPoolExecutor | None = None) -> None:
-        self.worker = worker
+    def __init__(self, n: int) -> None:
         self.noise, self.fire = np.empty(n), np.empty(n)
         self.sorted, self.rates, self.index = np.empty(n), np.empty(n), np.arange(n)
-        self.ahead: tuple[tuple[int, int], Future] | None = None
-        self.sorted_of: np.ndarray | None = None
-        self.order: np.ndarray | None = None
 
     def sort(self, positions: np.ndarray) -> np.ndarray:
-        """Argsort positions, and sort them into sorted, unless that is done
-        for this very array; return the order."""
-        if self.sorted_of is not positions:
-            self.order = np.argsort(positions)
-            # The order is a permutation, so no index is out of range;
-            # mode="clip" spares the copy of sorted that the bounds-checked
-            # take makes.
-            np.take(positions, self.order, out=self.sorted, mode="clip")
-            self.sorted_of = positions
-        return self.order
+        """Sort positions into sorted; return their argsort."""
+        order = np.argsort(positions)
+        # The order is a permutation, so no index is out of range; mode="clip"
+        # spares the copy of sorted that the bounds-checked take makes.
+        np.take(positions, order, out=self.sorted, mode="clip")
+        return order
 
-    def draw(self, seed: int, step: int) -> Future:
-        """The draws for (seed, step): in line without a worker, else on the
-        worker, reusing those submitted ahead if they are for these."""
-        if self.worker is None:
-            done = Future()
-            done.set_result(_draws(seed, step, self.index.size, self))
-            return done
-        ahead, self.ahead = self.ahead, None
-        if ahead is not None and ahead[0] == (seed, step):
-            return ahead[1]
-        return self.worker.submit(_draws, seed, step, self.index.size, self)
-
-    def draw_ahead(self, seed: int, step: int) -> None:
-        """Submit the draws for (seed, step) to the worker, if there is one."""
-        if self.worker is not None:
-            n = self.index.size
-            self.ahead = ((seed, step), self.worker.submit(_draws, seed, step, n, self))
+    def fractions(self, rule: StrategyRule, order: np.ndarray) -> np.ndarray:
+        """The rule's fractions by slot, in rates, from sorted (overwritten) and its order."""
+        first = self.rates.view(np.int64)
+        np.copyto(first, self.index)
+        _tie_starts(self.sorted, first)
+        fractions = _rank_fractions if rule.kind == RANK else _ratio_fractions
+        return fractions(order, self.sorted, first)
 
 
 @dataclass(frozen=True)
@@ -197,25 +171,14 @@ def _ratio_fractions(order: np.ndarray, srt: np.ndarray, first: np.ndarray) -> n
     return out
 
 
-def eval_strategy(
-    state: ParticleState, rule: StrategyRule, _workspace: _Workspace | None = None
-) -> np.ndarray:
+def eval_strategy(state: ParticleState, rule: StrategyRule) -> np.ndarray:
     """Per-agent search-time fractions in [0, 1] under the given rule.
 
-    Both rules read one sort of the positions in the workspace, reused if
-    empirical_cdf made it, and one tie pass into its rates buffer, and return
-    the rates array, which a step overwrites.  A step passes its workspace
-    (private); a bare call builds one without a worker.
+    Both rules read one argsort of the positions and one tie pass, in fresh
+    buffers.
     """
-    work = _Workspace(state.n) if _workspace is None else _workspace
-    order = work.sort(state.positions)
-    # The fractions overwrite sorted; the order is not kept past the step.
-    work.sorted_of = work.order = None
-    first = work.rates.view(np.int64)
-    np.copyto(first, work.index)
-    _tie_starts(work.sorted, first)
-    fractions = _rank_fractions if rule.kind == RANK else _ratio_fractions
-    return fractions(order, work.sorted, first)
+    work = _Workspace(state.n)
+    return work.fractions(rule, work.sort(state.positions))
 
 
 def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:
@@ -233,30 +196,24 @@ def _draws(seed: int, step: int, n: int, work: _Workspace) -> np.ndarray:
     return _stream(seed, step, _PARTNER).integers(0, n - 1, size=n)
 
 
-def step_particles(
-    state: ParticleState, rule: StrategyRule, p: model.ModelParams, dt: float,
-    _workspace: _Workspace | None = None,
-) -> ParticleState:
-    """One tau-leap step; deterministic given (positions, seed, step_index).
+def initial_state(init: Profile, n: int, seed: int) -> ParticleState:
+    """n agents at step 0, drawn from init, the fraction of agents above each node.
 
-    A bare call draws in line on the calling thread and starts no thread.  A
-    run passes its workspace (private): the draws then run on the run's
-    worker, submitted by the step before or else by this one, while this
-    thread evaluates the strategy, and are read only after the worker has
-    finished them, so the result is the same either way.  An error the
-    worker raises is raised here.  Before it returns, the step submits the
-    next step's draws.  The temporaries go into the workspace's buffers; the
-    successor's positions are a fresh array.  The worker calls only private
-    helpers, so a tracer that wraps the public functions sees every call on
-    this thread.
+    The uniforms are the seed's stream of purpose _INITIAL at step 0.
     """
-    if not (is_number(dt) and 0.0 <= dt <= dt_max(p) * (1.0 + 1e-12)):
-        raise DomainError(f"dt must be a number in [0, dt_max={dt_max(p)}], got {dt!r}")
-    work = _Workspace(state.n) if _workspace is None else _workspace
+    u = _stream(seed, 0, _INITIAL).random(n)
+    # init holds the fraction above x (decreasing); 1 - init is the usual CDF,
+    # increasing in x, which np.interp inverts directly.
+    return ParticleState(positions=np.interp(u, 1.0 - init.values, init.grid.x), seed=seed)
+
+
+def _step(
+    state: ParticleState, rates: np.ndarray, partner_draw: np.ndarray, work: _Workspace,
+    p: model.ModelParams, dt: float,
+) -> ParticleState:
+    """The tau-leap step from state, given its fractions in rates, which it
+    overwrites, and its complete draws: partner_draw, work.fire, work.noise."""
     x = state.positions
-    drawing = work.draw(state.seed, state.step_index)
-    rates = eval_strategy(state, rule, work)
-    partner_draw = drawing.result()
     # model._alpha, alpha1 * s**k, in place: every rule's fractions lie in
     # [0, 1] by construction, so the rate is unchecked.  Then the fire
     # threshold 1 - exp(-rate*dt), in place too.
@@ -276,13 +233,28 @@ def step_particles(
     new[fired] = np.where(partner_pos > own, partner_pos, own)
     work.noise *= math.sqrt(2.0 * p.kappa * dt)
     new += work.noise
-    work.draw_ahead(state.seed, state.step_index + 1)
 
     # The step keeps the positions finite and the seed as it is, so the
     # successor skips __post_init__'s O(n) check.
     successor = object.__new__(ParticleState)
     vars(successor).update(positions=new, seed=state.seed, step_index=state.step_index + 1)
     return successor
+
+
+def step_particles(
+    state: ParticleState, rule: StrategyRule, p: model.ModelParams, dt: float
+) -> ParticleState:
+    """One tau-leap step; deterministic given (positions, seed, step_index).
+
+    The call draws in line on the calling thread, into fresh buffers, takes
+    its fractions from eval_strategy and starts no thread.  iter_particles
+    makes the same step, bit for bit.
+    """
+    if not (is_number(dt) and 0.0 <= dt <= dt_max(p) * (1.0 + 1e-12)):
+        raise DomainError(f"dt must be a number in [0, dt_max={dt_max(p)}], got {dt!r}")
+    work = _Workspace(state.n)
+    partner_draw = _draws(state.seed, state.step_index, state.n, work)
+    return _step(state, eval_strategy(state, rule), partner_draw, work, p, dt)
 
 
 @dataclass(frozen=True)
@@ -294,24 +266,52 @@ class CdfEstimate:
     n_above: int
 
 
-def empirical_cdf(
-    state: ParticleState, grid: Grid1D, _workspace: _Workspace | None = None
-) -> CdfEstimate:
-    """Fraction of agents strictly above each node: non-increasing, in [0, 1].
-
-    Agents outside [x_min, x_max] are flagged by count in the result rather
-    than raised, since a diffusing cloud routinely sheds a few stragglers.
-    A run passes its workspace (private): the state is then sorted in it, and
-    the strategy pass of the state's step reuses that sort.
-    """
-    if _workspace is None:
-        srt = np.sort(state.positions)
-    else:
-        _workspace.sort(state.positions)
-        srt = _workspace.sorted
-    n = state.n
+def _cdf(srt: np.ndarray, grid: Grid1D) -> CdfEstimate:
+    """The CdfEstimate of the agents whose sorted positions are srt."""
+    n = srt.size
     above = n - np.searchsorted(srt, grid.x, side="right")
     prof = Profile(grid, above / n)
     n_below = int(np.searchsorted(srt, grid.x_min, side="left"))
     n_above = int(n - np.searchsorted(srt, grid.x_max, side="right"))
     return CdfEstimate(profile=prof, n_below=n_below, n_above=n_above)
+
+
+def empirical_cdf(state: ParticleState, grid: Grid1D) -> CdfEstimate:
+    """Fraction of agents strictly above each node: non-increasing, in [0, 1].
+
+    Agents outside [x_min, x_max] are flagged by count in the result rather
+    than raised, since a diffusing cloud routinely sheds a few stragglers.
+    """
+    return _cdf(np.sort(state.positions), grid)
+
+
+def iter_particles(
+    state: ParticleState, rule: StrategyRule, p: model.ModelParams, grid: Grid1D
+) -> Iterator[tuple[ParticleState, CdfEstimate]]:
+    """Yield (state, its CdfEstimate on grid) from state to step grid.nt, stepping lazily.
+
+    Each step is step_particles's at grid.dt, bit for bit; dt is checked
+    once, at entry, and only when the sweep will step.  The sweep owns one
+    worker thread, which draws each step's streams, and joins it when it
+    ends: exhausted, closed or by an error, which the sweep raises.  A caller
+    that stops early closes the sweep (contextlib.closing).  A state is
+    sorted once: its CDF estimate and the strategy pass of its step read the
+    same argsort, which the sweep drops before it steps.  A caller that lets
+    go of each state before asking for the next keeps one positions array
+    alive, not two.
+    """
+    if state.step_index < grid.nt and grid.dt > dt_max(p) * (1.0 + 1e-12):
+        raise DomainError(f"grid dt={grid.dt} exceeds dt_max={dt_max(p)}")
+    work = _Workspace(state.n)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        while True:
+            stepping = state.step_index < grid.nt
+            if stepping:
+                drawing = worker.submit(_draws, state.seed, state.step_index, state.n, work)
+            order = work.sort(state.positions)
+            yield state, _cdf(work.sorted, grid)
+            if not stepping:
+                return
+            rates = work.fractions(rule, order)
+            del order  # 8n bytes the step does not need
+            state = _step(state, rates, drawing.result(), work, p, grid.dt)

@@ -20,6 +20,7 @@ from kdlab.grid import (
     OVERSHOOT_TOL,
     SLOPE_TOL,
     SPAN,
+    TINY,
     Grid1D,
     Profile,
     SpaceTimeField,
@@ -60,14 +61,21 @@ class TestGrid:
         (-2**70, 1.0, 8, 0.0, 1.0, 5),
         (0.0, 1.0, 2**64, 0.0, 1.0, 5),
         (-20.0, 1e5, 61, 0.0, 1.0, 5),
+        (0.0, 1e-300, 8, 0.0, 0.1, 1),
     ], ids=["zero-dt", "infinite-dt", "int-beyond-int64", "nx-beyond-int64",
-            "cell-wider-than-span"])
+            "cell-wider-than-span", "cell-whose-square-underflows"])
     def test_refuses_grids_the_numerics_cannot_step(self, bad):
         # Each used to pass and then crash a run: a zero dt in the speed fit,
         # an integer beyond int64 as an object array in Grid1D.x, a cell
-        # wider than SPAN e-folds as an overflow in the pay-off kernel.
+        # wider than SPAN e-folds as an overflow in the pay-off kernel, a cell
+        # whose square underflows as a ZeroDivisionError in the stepper.
         with pytest.raises(DomainError):
             Grid1D(*bad)
+
+    def test_narrowest_cell_is_accepted(self):
+        dx = math.sqrt(TINY) * (1 + 1e-15)
+        g = Grid1D(0.0, 7 * dx, 8, 0.0, 0.1, 1)
+        assert g.dx**2 >= TINY
 
     def test_widest_cell_is_accepted(self):
         g = Grid1D(0.0, 7 * SPAN, 8, 0.0, 1.0, 5)

@@ -3,11 +3,15 @@
 import dataclasses
 import functools
 import gc
+import io
 import json
 import math
+import struct
 import tempfile
 import threading
 import warnings
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -185,25 +189,21 @@ class TestRun:
         data = np.load(npz[0])
         assert "F" in data and "x" in data
 
-    def test_particle_fields_only_on_recorded_steps(self, tmp_path, monkeypatch):
+    def test_particle_fields_only_on_recorded_steps(self, tmp_path):
         # A grid narrower than the cloud, so agents stray off both ends.
         cfg = dataclasses.replace(tiny_particle_config(), track_stride=4, snapshot_stride=8,
                                   grid=Grid1D(-3.0, 3.0, 25, 0.0, 3.0, 30))
-        cdf_steps, below, above = [], [], []
-        real_cdf = harness.empirical_cdf
-
-        def counted_cdf(state, grid, _workspace=None):
-            cdf_steps.append(state.step_index)
-            est = real_cdf(state, grid, _workspace=_workspace)
-            below.append(est.n_below)
-            above.append(est.n_above)
-            return est
-
-        monkeypatch.setattr(harness, "empirical_cdf", counted_cdf)
         res = run(cfg, tmp_path / "strided")
-        monkeypatch.undo()
         recorded = [*range(0, cfg.grid.nt, 4), cfg.grid.nt]  # snapshots 0, 8, ... among them
-        assert cdf_steps == recorded
+        # The straggler counts of the recorded states, from bare steps.
+        st, below, above = run(cfg, tmp_path / "start", max_steps=0).final_state, [], []
+        for j in range(cfg.grid.nt + 1):
+            if j in recorded:
+                est = particles.empirical_cdf(st, cfg.grid)
+                below.append(est.n_below)
+                above.append(est.n_above)
+            if j < cfg.grid.nt:
+                st = step_particles(st, cfg.particles.make_rule(), cfg.params, cfg.grid.dt)
         on_disk = json.loads((res.out_dir / "manifest.json").read_text())
         assert on_disk["particles"] == {"n_below_max": max(below), "n_above_max": max(above)}
         assert min(max(below), max(above)) > 0
@@ -211,6 +211,29 @@ class TestRun:
         full = (tmp_path / "full" / "tracks.csv").read_text().splitlines()
         strided = (tmp_path / "strided" / "tracks.csv").read_text().splitlines()
         assert strided == [full[0]] + [full[1 + j] for j in recorded]
+
+    def test_zero_horizon_particle_run(self, tmp_path):
+        # nt = 0: the grid's dt is a 1.0 placeholder, above dt_max = 0.1 of
+        # alpha1 = 1, and the run takes no step, so nothing checks it.
+        cfg = tiny_particle_config(nt=0)
+        cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, alpha1=1.0),
+                                  grid=dataclasses.replace(cfg.grid, t_final=0.0))
+        res = run(cfg, tmp_path / "zero")
+        assert res.final_state.step_index == 0 and "partial" not in res.manifest
+        assert len((res.out_dir / "tracks.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("mode, max_steps, partial", [
+        ("kpp", 5, False), ("particles", 10**6, False), ("particles", 7, True),
+    ], ids=["kpp-max-steps-5", "particles-max-steps-past-the-end", "particles-max-steps-7"])
+    def test_partial_only_when_the_run_stopped_early(self, tmp_path, mode, max_steps, partial):
+        cfg = tiny_particle_config(nt=20)
+        if mode == "kpp":
+            cfg = dataclasses.replace(cfg, mode="kpp", particles=None)
+        res = run(cfg, tmp_path / "run", max_steps=max_steps)
+        on_disk = json.loads((res.out_dir / "manifest.json").read_text())
+        assert on_disk.get("partial", False) is partial
+        rows = (res.out_dir / "tracks.csv").read_text().splitlines()
+        assert len(rows) == 1 + (7 if partial else cfg.grid.nt) + 1
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = tiny_particle_config()
@@ -345,6 +368,65 @@ class TestSnapshotRoundTrip:
                     assert np.array_equal(read, kept), name
                 else:
                     assert kept is None and read is None, name
+
+
+def mini_binary_run(tmp_path):
+    """The run directory of a short intrinsic run with three npz snapshots."""
+    p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.5)
+    grid = Grid1D(-20.0, 40.0, 61, 0.0, 1.0, 10)
+    cfg = ExperimentConfig(name="mini-npz", mode="intrinsic", params=p, grid=grid,
+                           snapshot_stride=5, binary_fields=True)
+    return run(cfg, tmp_path / "mini-npz").out_dir
+
+
+def _damage_member(raw: bytes, name: str, where: str, value: int) -> bytes:
+    """raw, an npz, with one field of the zip member name set to value: the
+    first byte of its compressed data, its central directory compression
+    method, or its local header's extra-field length."""
+    info = zipfile.ZipFile(io.BytesIO(raw)).getinfo(name)
+    local = info.header_offset
+    name_len, extra_len = struct.unpack_from("<HH", raw, local + 26)
+    out = bytearray(raw)
+    if where == "data":
+        out[local + 30 + name_len + extra_len] = value
+    elif where == "method":
+        central = raw.rindex(name.encode()) - 46  # the directory follows every member
+        struct.pack_into("<H", out, central + 10, value)
+    else:
+        struct.pack_into("<H", out, local + 28, value)
+    return bytes(out)
+
+
+class TestDamagedBinarySnapshot:
+    """Damage inside an npz snapshot's zip members is a ConfigError naming the file."""
+
+    @pytest.mark.parametrize("where, value, cause", [
+        ("data", 0xFF, zlib.error),
+        ("method", 99, NotImplementedError),
+        ("extra", 0xFFFF, EOFError),
+    ], ids=["zlib-error", "unknown-compression-method", "member-past-the-end"])
+    def test_damaged_member(self, tmp_path, where, value, cause):
+        # A deflate block of the reserved type; a compression method zipfile
+        # does not know; member data said to start past the end of the file.
+        snap = sorted((mini_binary_run(tmp_path) / "fields").glob("snap_*.npz"))[1]
+        snap.write_bytes(_damage_member(snap.read_bytes(), "F.npy", where, value))
+        with pytest.raises(ConfigError, match=snap.name) as err:
+            harness._read_snapshot(snap, Grid1D(-20.0, 40.0, 61, 0.0, 1.0, 10))
+        assert isinstance(err.value.__cause__, cause)
+
+    def test_truncated_archive_closes_its_file(self, tmp_path):
+        snap = sorted((mini_binary_run(tmp_path) / "fields").glob("snap_*.npz"))[1]
+        snap.write_bytes(snap.read_bytes()[:500])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ConfigError, match=snap.name):
+                harness._read_snapshot(snap, Grid1D(-20.0, 40.0, 61, 0.0, 1.0, 10))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_unopenable_file_stays_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            harness._read_snapshot(tmp_path / "snap_000000.npz", Grid1D(-2.0, 2.0, 9, 0.0, 0.0, 0))
 
 
 class TestCheckpoint:
@@ -620,6 +702,7 @@ class TestCli:
         lambda d: d["grid"].update(t_final=0.0),
         lambda d: d["grid"].update(x_min=-2**70),
         lambda d: d["grid"].update(x_max=1e5, nx=61),
+        lambda d: d["grid"].update(x_min=0.0, x_max=1e-300, nx=8),
     ], ids=["not-object", "float-nx", "float-nt", "window-length", "window-order",
             "window-string", "unknown-rule", "removed-rule", "removed-particles-key",
             "float-n", "negative-seed", "float-seed", "float-snapshot-stride",
@@ -629,7 +712,7 @@ class TestCli:
             "string-l0", "bool-l0", "unknown-top-key", "unknown-output-key",
             "unknown-initial-key", "removed-compare-mode", "kpp-with-particles",
             "particles-with-mfg", "particles-with-terminal", "zero-dt", "int-beyond-int64",
-            "cell-wider-than-span"])
+            "cell-wider-than-span", "cell-whose-square-underflows"])
     def test_invalid_config_exit_code(self, tmp_path, break_config, capsys):
         d = tiny_particle_config().to_dict()
         d = break_config(d) or d
@@ -848,6 +931,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and snap.stem in err
 
+    def test_diag_damaged_binary_snapshot_exit_code(self, tmp_path, capsys):
+        run_dir = mini_binary_run(tmp_path)
+        snap = sorted((run_dir / "fields").glob("snap_*.npz"))[1]
+        snap.write_bytes(_damage_member(snap.read_bytes(), "J.npy", "data", 0xFF))
+        assert main(["diag", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and snap.stem in err
+
     def test_diag_reports_strategy_out_of_range(self, tmp_path, capsys):
         # The diagnostics read s clipped to [0, 1]: an s outside it is a
         # failed s_range row, not an invalid input.
@@ -944,6 +1035,18 @@ def _small_checkpoint() -> bytes:
         return (out / "checkpoint.npz").read_bytes()
 
 
+@functools.cache
+def _small_snapshots() -> dict[str, bytes]:
+    """A CSV and an npz snapshot of a 61-node intrinsic run, by suffix."""
+    snaps = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for binary in (False, True):
+            cfg = dataclasses.replace(_small_configs()[1], binary_fields=binary)
+            snap = sorted((run(cfg, Path(tmp) / f"snap-{binary}").out_dir / "fields").iterdir())[1]
+            snaps[snap.suffix] = snap.read_bytes()
+    return snaps
+
+
 class TestMalformedInputProperties:
     """Whatever the input, nothing but a KdlabError leaves the harness."""
 
@@ -980,5 +1083,29 @@ class TestMalformedInputProperties:
             try:
                 load_checkpoint(path)
                 resume(path, Path(tmp) / "resumed")
+            except KdlabError:
+                pass
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(suffix=st.sampled_from([".csv", ".npz"]),
+           edits=st.lists(st.tuples(st.booleans(), st.integers(min_value=0), st.integers(1, 255)),
+                          min_size=1, max_size=3),
+           cut=st.none() | st.integers(min_value=0))
+    def test_damaged_snapshot_bytes(self, suffix, edits, cut):
+        raw = bytearray(_small_snapshots()[suffix])
+        # Half the edits land next to structure, which a uniform offset rarely
+        # hits: the zip headers of an npz, the line breaks of a CSV.
+        marks = [i for i in range(len(raw) - 1)
+                 if (raw[i:i + 2] == b"PK" if suffix == ".npz" else raw[i] == ord("\n"))]
+        for near_mark, offset, mask in edits:
+            i = marks[offset % len(marks)] + offset % 46 if near_mark else offset
+            raw[i % len(raw)] ^= mask
+        if cut is not None:
+            raw = raw[:cut % len(raw)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"snap_000005{suffix}"
+            path.write_bytes(raw)
+            try:
+                harness._read_snapshot(path, _small_configs()[1].grid)
             except KdlabError:
                 pass

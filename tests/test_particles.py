@@ -11,7 +11,7 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +22,15 @@ from hypothesis import strategies as st
 import kdlab
 from kdlab import model, particles
 from kdlab.errors import DomainError, NonFiniteError
-from kdlab.grid import Grid1D
+from kdlab.grid import Grid1D, Profile
 from kdlab.model import ModelParams, discounted_tail
 from kdlab.particles import (
     ParticleState,
     StrategyRule,
     empirical_cdf,
     eval_strategy,
+    initial_state,
+    iter_particles,
     step_particles,
 )
 
@@ -164,6 +166,16 @@ class TestParticleState:
         assert vars(out).keys() == vars(st).keys()
         assert (out.seed, out.step_index) == (st.seed, 1)
 
+    def test_initial_state_is_the_seeds_step_zero_stream(self):
+        # The initial uniforms are Philox key [seed, 3]: purpose 3 at step 0.
+        g = Grid1D(-4.0, 4.0, 33, 0.0, 0.0, 0)
+        init = Profile(g, np.clip((2.0 - g.x) / 4.0, 0.0, 1.0))
+        key = np.array([123, 3], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(500)
+        st = initial_state(init, 500, 123)
+        assert (st.seed, st.step_index) == (123, 0)
+        assert np.array_equal(st.positions, np.interp(u, 1.0 - init.values, g.x))
+
 
 class TestStepParticles:
     def test_collocated_no_kicks_without_diffusion(self):
@@ -274,32 +286,6 @@ class TestDrawWorker:
         for kind in ("rank", "ratio"):
             assert step_particles(st, StrategyRule(kind=kind), P, 0.05).step_index == 1
 
-    def test_draws_ahead_serve_only_the_next_state(self):
-        # A step with a run's workspace draws the next step's streams ahead;
-        # a state they are not for (another seed or step) draws its own, and
-        # one at that seed and step but other positions may use them, since
-        # no draw reads a position.  Every step equals the bare step of its
-        # state.
-        rule = StrategyRule(kind="rank")
-        x = np.random.default_rng(7).normal(size=300)
-        a, b = state_at(x, seed=3), state_at(x, seed=4)
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            work = particles._Workspace(a.n, worker)
-
-            def step(st):
-                return step_particles(st, rule, P, 0.05, _workspace=work)
-
-            a1 = step(a)
-            a2 = step(a1)
-            b1 = step(b)
-            a3 = step(a2)
-            c = ParticleState(positions=a3.positions, seed=3, step_index=7)
-            c1 = step(c)
-            d = ParticleState(positions=x[::-1], seed=3, step_index=8)
-            d1 = step(d)
-        for got, st in ((a1, a), (a2, a1), (b1, b), (a3, a2), (c1, c), (d1, d)):
-            assert np.array_equal(got.positions, step_particles(st, rule, P, 0.05).positions)
-
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         def fail(*args):
             raise Boom("stream")
@@ -390,28 +376,6 @@ class TestEmpiricalCdf:
         est = empirical_cdf(st, g)
         assert est.n_below == 1 and est.n_above == 2
 
-    @pytest.mark.parametrize("kind", ["rank", "ratio"])
-    def test_one_sort_per_state_in_a_workspace(self, monkeypatch, kind):
-        # The CDF sorts the state in the run's workspace and the strategy pass
-        # of its step reuses that sort, then drops it; another state sorts anew.
-        g = Grid1D(-4.0, 4.0, 33, 0.0, 0.0, 0)
-        x = np.random.default_rng(9).normal(size=300)
-        x[:40] = x[40:80]  # ties
-        a, b = state_at(x), state_at(x[::-1].copy())
-        rule = StrategyRule(kind=kind)
-        bare = [empirical_cdf(a, g).profile.values, eval_strategy(a, rule).copy(),
-                eval_strategy(b, rule).copy()]
-        sorts = []
-        argsort = np.argsort
-        monkeypatch.setattr(np, "argsort", lambda v: sorts.append(v) or argsort(v))
-        work = particles._Workspace(a.n)
-        est = empirical_cdf(a, g, _workspace=work)
-        assert np.array_equal(est.profile.values, bare[0])
-        assert np.array_equal(eval_strategy(a, rule, work), bare[1])
-        assert len(sorts) == 1 and sorts[0] is a.positions and work.sorted_of is None
-        assert np.array_equal(eval_strategy(b, rule, work), bare[2])
-        assert len(sorts) == 2
-
     def test_ratio_strategy_matches_intrinsic_payoff(self):
         # The ratio sums equal the distribution-only pay-off of the empirical
         # CDF, up to quadrature error on the grid.
@@ -434,3 +398,107 @@ class TestEmpiricalCdf:
             scale = np.maximum(direct, 1e-3)
             rel = np.abs(rho_minus_kappa * J - direct) / scale
             assert np.max(rel) < 5.0 * dx + 1e-6
+
+
+def sweep_grid(nt, dt=0.05):
+    return Grid1D(-4.0, 4.0, 33, 0.0, nt * dt, nt)
+
+
+def tied_state(seed=3, step_index=0):
+    x = np.random.default_rng(9).normal(size=300)
+    x[:40] = x[40:80]  # ties
+    return state_at(x, seed=seed, step_index=step_index)
+
+
+class TestIterParticles:
+    """The particle sweep: bare steps and CDF estimates, one sort, one worker."""
+
+    @pytest.mark.parametrize("kind", ["rank", "ratio"])
+    @pytest.mark.parametrize("start", [0, 7], ids=["fresh", "resumed"])
+    def test_equals_bare_steps_and_cdf(self, kind, start):
+        rule, g = StrategyRule(kind=kind), sweep_grid(start + 12)
+        bare = tied_state(step_index=start)
+        swept = list(iter_particles(bare, rule, P, g))
+        assert [st.step_index for st, _ in swept] == list(range(start, g.nt + 1))
+        for st, est in swept:
+            want = empirical_cdf(bare, g)
+            assert np.array_equal(st.positions, bare.positions) and st.seed == bare.seed
+            assert np.array_equal(est.profile.values, want.profile.values)
+            assert (est.n_below, est.n_above) == (want.n_below, want.n_above)
+            if bare.step_index < g.nt:
+                bare = step_particles(bare, rule, P, g.dt)
+
+    @pytest.mark.parametrize("kind", ["rank", "ratio"])
+    def test_one_argsort_per_state(self, monkeypatch, kind):
+        # The CDF estimate of a state and the strategy pass of its step share
+        # one argsort, and nothing else sorts.
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda v: sorts.append(v) or argsort(v))
+        monkeypatch.setattr(np, "sort", None)
+        states = [st.positions for st, _ in
+                  iter_particles(tied_state(), StrategyRule(kind=kind), P, sweep_grid(6))]
+        assert len(sorts) == len(states) == 7
+        assert all(a is b for a, b in zip(sorts, states))
+
+    @pytest.mark.parametrize("end", ["exhausted", "closed", "worker-error"])
+    def test_worker_is_joined(self, monkeypatch, end):
+        stream, calls = particles._stream, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) > 9:  # three steps of three streams each
+                raise Boom("stream")
+            return stream(*args)
+
+        if end == "worker-error":
+            monkeypatch.setattr(particles, "_stream", failing)
+        before = threading.active_count()
+        sweep = iter_particles(tied_state(), StrategyRule(kind="rank"), P, sweep_grid(10))
+        if end == "closed":
+            with closing(sweep):
+                next(sweep)
+                next(sweep)
+                assert threading.active_count() == before + 1
+        elif end == "exhausted":
+            assert len(list(sweep)) == 11
+        else:
+            with pytest.raises(Boom, match="stream"):
+                list(sweep)
+            assert len(calls) == 10
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kind", ["rank", "ratio"])
+    def test_public_calls_stay_on_the_calling_thread(self, monkeypatch, kind):
+        # The worker runs only the private draws; every public function a
+        # sweep calls, and every other helper, runs on the calling thread.
+        calls = []
+
+        def recording(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append((fn.__name__, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (particles, model):
+            for name, fn in list(vars(mod).items()):
+                if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                    monkeypatch.setattr(mod, name, recording(fn))
+        rule, g = StrategyRule(kind=kind), sweep_grid(5)
+        assert len(list(particles.iter_particles(tied_state(), rule, P, g))) == 6
+        here = threading.get_ident()
+        on_worker = {name for name, ident in calls if ident != here}
+        assert on_worker == {"_draws", "_stream"}
+        assert {"iter_particles", "_cdf", "_step"} <= {name for name, _ in calls}
+
+    def test_dt_checked_only_when_the_sweep_steps(self):
+        # A sweep with no step to take yields its state whatever the grid's
+        # dt; one that will step refuses a dt above dt_max before it yields.
+        fast = dataclasses.replace(P, alpha1=1.0)  # dt_max 0.1
+        st = tied_state()
+        assert len(list(iter_particles(st, StrategyRule(), fast, Grid1D(-4, 4, 33, 0, 0, 0)))) == 1
+        done = state_at(st.positions, step_index=3)
+        assert len(list(iter_particles(done, StrategyRule(), fast, sweep_grid(3, dt=1.0)))) == 1
+        with pytest.raises(DomainError, match="dt_max"):
+            next(iter_particles(st, StrategyRule(), fast, sweep_grid(3, dt=1.0)))
