@@ -33,7 +33,7 @@ from .analysis import (
     run_diagnostics,
 )
 from .backward import TerminalCondition
-from .errors import CheckpointError, ConfigError, KdlabError
+from .errors import CheckpointError, ConfigError, DomainError, KdlabError
 from .forward import CONSTANT_ALPHA, INTRINSIC, RANK_LOCAL, iter_forward
 from .grid import Grid1D, Profile, is_int, is_number, recommended_domain
 from .mfg import MfgConfig, solve_nash
@@ -406,7 +406,9 @@ def load_checkpoint(path: str | Path) -> tuple[ParticleState, ExperimentConfig |
     """Inverse of save_checkpoint; returns (state, config-or-None).
 
     A file that holds no readable checkpoint of this version is a
-    CheckpointError naming it.
+    CheckpointError naming it.  A state that contradicts its embedded
+    config (another agent count or seed, or a step past the grid's last) is
+    a CheckpointError too.
     """
     path = Path(path)
     try:
@@ -457,6 +459,16 @@ def _checkpoint_from_npz(data) -> tuple[ParticleState, ExperimentConfig | None]:
         positions=positions, seed=_checkpoint_scalar(data, "seed"),
         step_index=_checkpoint_scalar(data, "step_index"),
     )
+    # A resumed run takes its agent count, seed and horizon from the config,
+    # so a state that disagrees with them would continue another run.
+    if config is not None and config.particles is not None:
+        spec, nt = config.particles, config.grid.nt
+        if (state.n, state.seed) != (spec.n, spec.seed) or state.step_index > nt:
+            raise CheckpointError(
+                f"checkpoint state ({state.n} agents, seed {state.seed}, step "
+                f"{state.step_index}) contradicts its config ({spec.n} agents, seed "
+                f"{spec.seed}, {nt} steps)"
+            )
     return state, config
 
 
@@ -668,10 +680,12 @@ def run(
 ) -> RunResult:
     """Execute one experiment and write its artifact files.
 
-    max_steps truncates a particle run after that many steps (checkpoint
-    included), which is how interrupted-run recovery is exercised; PDE modes
-    always run to completion.
+    max_steps, a non-negative integer, truncates a particle run after that
+    many steps (checkpoint included), which is how interrupted-run recovery
+    is exercised; PDE modes always run to completion.
     """
+    if max_steps is not None and not (is_int(max_steps) and max_steps >= 0):
+        raise DomainError(f"max_steps must be a non-negative integer, got {max_steps!r}")
     return _execute(config, out_dir, max_steps)
 
 

@@ -14,18 +14,17 @@ order.  A state is its positions, seed and step index; nothing else
 determines the steps that follow it.
 
 A run steps through iter_particles, the particle sweep, which alone decides
-how steps are done.  It opens one worker thread, joined when the sweep ends,
-and submits each state's draws to it before yielding the state: no draw
-reads a position, so the worker draws while the caller records the state
-and the sweep ranks the agents (the Philox fills and the argsort release
-the interpreter lock).  Each state is sorted once, and its CDF estimate and
-its strategy pass read that sort.  The sweep writes its draws and
-temporaries into n-sized buffers allocated once (800 KB each at
-n = 100 000, which glibc would return and page-fault anew every step); only
-the successor's positions are fresh.  A bare step_particles call draws in
-line into fresh buffers and starts no thread; the sweep's steps equal it
-bit for bit, since each stream is a fresh Generator built from its own key.
-Nothing configures the worker or the buffers.
+how steps are done: it keeps one worker thread a step ahead on the draws,
+sorts each state once for its CDF estimate and its strategy pass, builds
+the rank rule's fire thresholds once per run, and writes into n-sized
+buffers allocated once (800 KB each at n = 100 000, which glibc would return
+and page-fault anew every step).  No draw reads a position, and the Philox
+fills and the argsort release the interpreter lock, so the worker draws
+while the sweep ranks and steps.  A bare step_particles call draws in line
+into fresh buffers and starts no thread; the sweep's steps equal it bit for
+bit, since each stream is a fresh Generator built from its own key and the
+table holds the values the per-step path computes.  Nothing configures the
+worker or the buffers.
 """
 
 from __future__ import annotations
@@ -53,15 +52,17 @@ _FIRE, _PARTNER, _NOISE, _INITIAL = 0, 1, 2, 3
 class _Workspace:
     """The n-sized arrays a particle step writes into.
 
-    The draws fill noise and fire; the strategy pass sorts into sorted and
-    rates and writes the fractions, then the fire threshold, into rates;
-    index holds 0, 1, ..., n-1.  The draws may run on a worker while the
-    strategy pass runs, so they share no array.
+    The draws fill noise and fire; the strategy pass sorts into sorted.  An
+    untied state under a rank sweep then scatters table, the fire thresholds
+    by sorted slot, into sorted by the argsort; every other state writes the
+    tie starts, then the fractions, then the thresholds into a fresh array,
+    with sorted as scratch.  A bare step's workspace has no table.  The draws
+    may run on a worker while the strategy pass runs, so they share no array.
     """
 
-    def __init__(self, n: int) -> None:
-        self.noise, self.fire = np.empty(n), np.empty(n)
-        self.sorted, self.rates, self.index = np.empty(n), np.empty(n), np.arange(n)
+    def __init__(self, n: int, table: np.ndarray | None = None) -> None:
+        self.noise, self.fire, self.sorted, self.table = (
+            np.empty(n), np.empty(n), np.empty(n), table)
 
     def sort(self, positions: np.ndarray) -> np.ndarray:
         """Sort positions into sorted; return their argsort."""
@@ -71,13 +72,30 @@ class _Workspace:
         np.take(positions, order, out=self.sorted, mode="clip")
         return order
 
-    def fractions(self, rule: StrategyRule, order: np.ndarray) -> np.ndarray:
-        """The rule's fractions by slot, in rates, from sorted (overwritten) and its order."""
-        first = self.rates.view(np.int64)
-        np.copyto(first, self.index)
-        _tie_starts(self.sorted, first)
+    def fractions(
+        self, rule: StrategyRule, order: np.ndarray, ties: np.ndarray | None
+    ) -> np.ndarray:
+        """The rule's fractions by slot, in a fresh array, from sorted
+        (overwritten), its order and its ties (see _ties)."""
+        # first[k] becomes the first sorted slot of slot k's tie: the count
+        # of agents strictly below it.
+        first = np.arange(self.sorted.size)
+        if ties is not None:
+            first[1:][ties] = 0
+            np.maximum.accumulate(first, out=first)
         fractions = _rank_fractions if rule.kind == RANK else _ratio_fractions
         return fractions(order, self.sorted, first)
+
+    def thresholds(
+        self, rule: StrategyRule, order: np.ndarray, p: model.ModelParams, dt: float
+    ) -> np.ndarray:
+        """The fire thresholds by slot from sorted (overwritten) and its order:
+        in sorted when the table applies, else in a fresh array."""
+        ties = _ties(self.sorted)
+        if self.table is None or ties is not None:
+            return _fire_thresholds(self.fractions(rule, order, ties), p, dt)
+        self.sorted[order] = self.table
+        return self.sorted
 
 
 @dataclass(frozen=True)
@@ -125,19 +143,17 @@ class StrategyRule:
             raise DomainError(f"strategy kind must be one of {(RANK, RATIO)}, got {self.kind!r}")
 
 
-def _tie_starts(srt: np.ndarray, first: np.ndarray) -> None:
-    """Turn first from 0, 1, ..., n-1 into the first sorted slot of each tie of srt.
+def _ties(srt: np.ndarray) -> np.ndarray | None:
+    """Where the sorted srt repeats the slot before, or None when no two agents tie.
 
-    first[k] is then the first sorted slot holding a value equal to the one
-    in slot k, i.e. the count of agents strictly below it.  Equality is
+    A tie's first sorted slot holds the count of agents strictly below it,
+    which is what the fractions read in place of the slot.  Equality is
     numeric, so -0.0 and 0.0 tie, as in searchsorted.
     """
     ties = srt[1:] == srt[:-1]
     # The innovation noise leaves a run's agents untied, and the running
-    # maximum is the pass's slowest part.
-    if ties.any():
-        first[1:][ties] = 0
-        np.maximum.accumulate(first, out=first)
+    # maximum that finds the tie starts is the pass's slowest part.
+    return ties if ties.any() else None
 
 
 def _rank_fractions(order: np.ndarray, srt: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -178,7 +194,8 @@ def eval_strategy(state: ParticleState, rule: StrategyRule) -> np.ndarray:
     buffers.
     """
     work = _Workspace(state.n)
-    return work.fractions(rule, work.sort(state.positions))
+    order = work.sort(state.positions)
+    return work.fractions(rule, order, _ties(work.sorted))
 
 
 def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:
@@ -186,13 +203,19 @@ def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draws(seed: int, step: int, n: int, work: _Workspace) -> np.ndarray:
-    """Draw the step's three streams for n agents, each in full and by slot:
-    the innovation normals into work.noise, the fire uniforms into work.fire;
-    return the partner draws.
+def _draws(
+    seed: int, step: int, n: int, noise: np.ndarray | None = None,
+    fire: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Draw the step's streams for n agents, each in full and by slot: the
+    innovation normals into noise, when given; with fire, the fire uniforms
+    into fire, and return the partner draws.
     """
-    _stream(seed, step, _NOISE).standard_normal(out=work.noise)
-    _stream(seed, step, _FIRE).random(out=work.fire)
+    if noise is not None:
+        _stream(seed, step, _NOISE).standard_normal(out=noise)
+    if fire is None:
+        return None
+    _stream(seed, step, _FIRE).random(out=fire)
     return _stream(seed, step, _PARTNER).integers(0, n - 1, size=n)
 
 
@@ -207,13 +230,9 @@ def initial_state(init: Profile, n: int, seed: int) -> ParticleState:
     return ParticleState(positions=np.interp(u, 1.0 - init.values, init.grid.x), seed=seed)
 
 
-def _step(
-    state: ParticleState, rates: np.ndarray, partner_draw: np.ndarray, work: _Workspace,
-    p: model.ModelParams, dt: float,
-) -> ParticleState:
-    """The tau-leap step from state, given its fractions in rates, which it
-    overwrites, and its complete draws: partner_draw, work.fire, work.noise."""
-    x = state.positions
+def _fire_thresholds(rates: np.ndarray, p: model.ModelParams, dt: float) -> np.ndarray:
+    """The fire thresholds 1 - exp(-alpha1 * s**k * dt) of the fractions s in
+    rates, in place; return rates."""
     # model._alpha, alpha1 * s**k, in place: every rule's fractions lie in
     # [0, 1] by construction, so the rate is unchecked.  Then the fire
     # threshold 1 - exp(-rate*dt), in place too.
@@ -222,7 +241,27 @@ def _step(
     np.multiply(rates, -dt, out=rates)
     np.expm1(rates, out=rates)
     np.negative(rates, out=rates)
-    fired = np.flatnonzero(work.fire < rates)
+    return rates
+
+
+def _rank_table(n: int, p: model.ModelParams, dt: float) -> np.ndarray:
+    """The rank rule's fire thresholds by sorted slot of n untied agents.
+
+    Slot i's fraction is (n - i)/n, computed as _rank_fractions does, so each
+    entry is the per-step path's threshold bit for bit.
+    """
+    return _fire_thresholds(np.arange(n, 0, -1) / n, p, dt)
+
+
+def _step(
+    state: ParticleState, thresholds: np.ndarray, partner_draw: np.ndarray, work: _Workspace,
+    p: model.ModelParams, dt: float,
+) -> ParticleState:
+    """The tau-leap step from state, given its fire thresholds by slot and its
+    complete draws: partner_draw, work.fire and work.noise, which it scales in
+    place."""
+    x = state.positions
+    fired = np.flatnonzero(work.fire < thresholds)
     # The partner stream is drawn in full, so its values do not depend on who
     # fires.  A draw in 0..n-2 skips the agent's own slot.
     partner = partner_draw[fired]
@@ -253,8 +292,9 @@ def step_particles(
     if not (is_number(dt) and 0.0 <= dt <= dt_max(p) * (1.0 + 1e-12)):
         raise DomainError(f"dt must be a number in [0, dt_max={dt_max(p)}], got {dt!r}")
     work = _Workspace(state.n)
-    partner_draw = _draws(state.seed, state.step_index, state.n, work)
-    return _step(state, eval_strategy(state, rule), partner_draw, work, p, dt)
+    partner_draw = _draws(state.seed, state.step_index, state.n, work.noise, work.fire)
+    thresholds = _fire_thresholds(eval_strategy(state, rule), p, dt)
+    return _step(state, thresholds, partner_draw, work, p, dt)
 
 
 @dataclass(frozen=True)
@@ -293,25 +333,47 @@ def iter_particles(
     Each step is step_particles's at grid.dt, bit for bit; dt is checked
     once, at entry, and only when the sweep will step.  The sweep owns one
     worker thread, which draws each step's streams, and joins it when it
-    ends: exhausted, closed or by an error, which the sweep raises.  A caller
-    that stops early closes the sweep (contextlib.closing).  A state is
-    sorted once: its CDF estimate and the strategy pass of its step read the
-    same argsort, which the sweep drops before it steps.  A caller that lets
-    go of each state before asking for the next keeps one positions array
-    alive, not two.
+    ends: exhausted, closed or by an error, which the sweep raises (the
+    first failed draw's: a step reads its draws in the order they were
+    submitted).  A caller that stops early closes the sweep
+    (contextlib.closing).  While the caller holds state n, the worker draws
+    step n's fire uniforms and partners, then step n + 1's innovation
+    normals into the second noise buffer; no draw is made for a step at or
+    past grid.nt.  A state is sorted once: its CDF estimate and the
+    strategy pass of its step read the same argsort, which the sweep drops
+    before it steps.  Under the rank rule an untied state's fraction at
+    sorted slot i is (n - i)/n, so a rank sweep builds its table of fire
+    thresholds by sorted slot once, at entry, and an untied state's step
+    scatters it by the argsort; a ratio sweep, and a tied state, compute
+    the thresholds from the rule's fractions in fresh arrays.  Besides the
+    positions, the argsort and the partner draws, the sweep holds five
+    n-sized arrays (four under the ratio rule): two of normals, the fire
+    uniforms, the sorted positions, which an untied rank state's thresholds
+    overwrite, and the table.  A caller that lets go of each state before
+    asking for the next keeps one positions array alive, not two.
     """
-    if state.step_index < grid.nt and grid.dt > dt_max(p) * (1.0 + 1e-12):
+    nt, n, seed = grid.nt, state.n, state.seed
+    stepping = state.step_index < nt
+    if stepping and grid.dt > dt_max(p) * (1.0 + 1e-12):
         raise DomainError(f"grid dt={grid.dt} exceeds dt_max={dt_max(p)}")
-    work = _Workspace(state.n)
+    table = _rank_table(n, p, grid.dt) if stepping and rule.kind == RANK else None
+    work, spare = _Workspace(n, table), np.empty(n)
     with ThreadPoolExecutor(max_workers=1) as worker:
+        if stepping:
+            normals = worker.submit(_draws, seed, state.step_index, n, noise=work.noise)
         while True:
-            stepping = state.step_index < grid.nt
+            step = state.step_index
+            stepping = step < nt
             if stepping:
-                drawing = worker.submit(_draws, state.seed, state.step_index, state.n, work)
+                drawing = worker.submit(_draws, seed, step, n, fire=work.fire)
+                ahead = (worker.submit(_draws, seed, step + 1, n, noise=spare)
+                         if step + 1 < nt else None)
             order = work.sort(state.positions)
             yield state, _cdf(work.sorted, grid)
             if not stepping:
                 return
-            rates = work.fractions(rule, order)
+            thresholds = work.thresholds(rule, order, p, grid.dt)
             del order  # 8n bytes the step does not need
-            state = _step(state, rates, drawing.result(), work, p, grid.dt)
+            normals.result()
+            state = _step(state, thresholds, drawing.result(), work, p, grid.dt)
+            work.noise, spare, normals = spare, work.noise, ahead

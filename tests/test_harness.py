@@ -235,6 +235,13 @@ class TestRun:
         rows = (res.out_dir / "tracks.csv").read_text().splitlines()
         assert len(rows) == 1 + (7 if partial else cfg.grid.nt) + 1
 
+    @pytest.mark.parametrize("max_steps", [-1, 1.5, 2.0, True, "3"],
+                             ids=["negative", "fraction", "float", "bool", "string"])
+    def test_max_steps_must_be_a_non_negative_integer(self, tmp_path, max_steps):
+        with pytest.raises(DomainError, match="max_steps"):
+            run(tiny_particle_config(nt=20), tmp_path / "run", max_steps=max_steps)
+        assert not (tmp_path / "run").exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = tiny_particle_config()
         a = run(cfg, tmp_path / "a")
@@ -312,19 +319,19 @@ class TestParticleRunWorker:
         assert threading.active_count() == before
 
     def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        # Every draw past the thirtieth fails; the run raises the first failure.
         stream, calls = particles._stream, []
 
         def fail_mid_run(*args):
             calls.append(args)
             if len(calls) > 30:  # past ten steps of three streams each
-                raise Boom("stream")
+                raise Boom(f"stream call {len(calls)}")
             return stream(*args)
 
         monkeypatch.setattr(particles, "_stream", fail_mid_run)
         before = threading.active_count()
-        with pytest.raises(Boom, match="stream"):
+        with pytest.raises(Boom, match="^stream call 31$"):
             run(tiny_particle_config(), tmp_path / "run")
-        assert len(calls) == 31
         assert threading.active_count() == before
 
 
@@ -604,6 +611,23 @@ class TestResume:
         assert float(tracks[1].split(",")[0]) == pytest.approx(cfg.grid.time_at(7))
         assert ((resumed.out_dir / "pde_tracks.csv").read_bytes()
                 == (fresh.out_dir / "pde_tracks.csv").read_bytes())
+
+    @pytest.mark.parametrize("n, seed, step", [(30, 11, 5), (400, 7, 5), (400, 11, 35)],
+                             ids=["agents", "seed", "step-past-the-grid"])
+    def test_state_contradicting_its_config_refused(self, tmp_path, n, seed, step):
+        # The embedded config runs 400 agents with seed 11 for 20 steps.
+        cfg = tiny_particle_config(nt=20)
+        path = tmp_path / "checkpoint.npz"
+        state = ParticleState(positions=np.linspace(-1.0, 1.0, n), seed=seed, step_index=step)
+        save_checkpoint(state, path, config=cfg)
+        with pytest.raises(CheckpointError, match="contradicts its config"):
+            load_checkpoint(path)
+        assert main(["resume", str(path), "--out", str(tmp_path / "res")]) == 4
+        assert not (tmp_path / "res").exists()
+        # A finished run's checkpoint, at the grid's last step, resumes.
+        save_checkpoint(dataclasses.replace(state, positions=np.zeros(400), seed=11,
+                                            step_index=20), path, config=cfg)
+        assert load_checkpoint(path)[0].step_index == 20
 
     def test_resume_requires_particles(self, tmp_path):
         write_field_archive(tmp_path / "f.npz", "field")

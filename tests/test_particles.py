@@ -410,23 +410,98 @@ def tied_state(seed=3, step_index=0):
     return state_at(x, seed=seed, step_index=step_index)
 
 
+#: Innovation too small to move an agent, so the ties of a state and those
+#: its jumps make persist: every state of a sweep is tied.
+STILL = dataclasses.replace(P, kappa=1e-300)
+
+#: Starting states of a sweep: (state, params).  The innovation unties the
+#: tied start after its first step; the untied start never ties.
+SWEEP_STARTS = {
+    "fresh": (tied_state(), P),
+    "resumed": (tied_state(step_index=7), P),
+    "untied": (state_at(np.random.default_rng(9).normal(size=300), seed=3), P),
+    "tied": (tied_state(), STILL),
+}
+
+
 class TestIterParticles:
     """The particle sweep: bare steps and CDF estimates, one sort, one worker."""
 
     @pytest.mark.parametrize("kind", ["rank", "ratio"])
-    @pytest.mark.parametrize("start", [0, 7], ids=["fresh", "resumed"])
+    @pytest.mark.parametrize("start", SWEEP_STARTS)
     def test_equals_bare_steps_and_cdf(self, kind, start):
-        rule, g = StrategyRule(kind=kind), sweep_grid(start + 12)
-        bare = tied_state(step_index=start)
-        swept = list(iter_particles(bare, rule, P, g))
-        assert [st.step_index for st, _ in swept] == list(range(start, g.nt + 1))
+        bare, p = SWEEP_STARTS[start]
+        rule, g = StrategyRule(kind=kind), sweep_grid(bare.step_index + 12)
+        swept = list(iter_particles(bare, rule, p, g))
+        assert [st.step_index for st, _ in swept] == list(range(bare.step_index, g.nt + 1))
         for st, est in swept:
             want = empirical_cdf(bare, g)
             assert np.array_equal(st.positions, bare.positions) and st.seed == bare.seed
             assert np.array_equal(est.profile.values, want.profile.values)
             assert (est.n_below, est.n_above) == (want.n_below, want.n_above)
             if bare.step_index < g.nt:
-                bare = step_particles(bare, rule, P, g.dt)
+                bare = step_particles(bare, rule, p, g.dt)
+        if start == "tied":
+            assert particles._ties(np.sort(bare.positions)) is not None
+
+    @pytest.mark.parametrize("kind, start, per_step", [
+        ("rank", "untied", 0), ("rank", "fresh", 1), ("rank", "tied", 12),
+        ("ratio", "untied", 12), ("ratio", "fresh", 12),
+    ], ids=["rank-untied", "rank-tied-first", "rank-tied", "ratio-untied", "ratio-tied-first"])
+    def test_rank_sweep_builds_its_table_once(self, monkeypatch, kind, start, per_step):
+        # A rank sweep tabulates the thresholds once; a tied state, and every
+        # state of a ratio sweep, computes its own from the rule's fractions.
+        calls = []
+
+        def counting(name):
+            fn = getattr(particles, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("_rank_table", "_fire_thresholds"):
+            monkeypatch.setattr(particles, name, counting(name))
+        st, p = SWEEP_STARTS[start]
+        assert len(list(iter_particles(st, StrategyRule(kind=kind), p, sweep_grid(12)))) == 13
+        table = int(kind == "rank")
+        assert calls.count("_rank_table") == table
+        assert calls.count("_fire_thresholds") == table + per_step
+
+    @pytest.mark.parametrize("start", [0, 7, 12, 15])
+    def test_no_draw_at_or_past_the_last_step(self, monkeypatch, start):
+        # Each step before grid.nt draws each of its streams once, the normals
+        # drawn a step ahead included; no stream of a later step is drawn.
+        stream, keys = particles._stream, []
+        monkeypatch.setattr(particles, "_stream", lambda *key: keys.append(key) or stream(*key))
+        st = tied_state(step_index=start)
+        swept = list(iter_particles(st, StrategyRule(), P, sweep_grid(12)))
+        assert len(swept) == max(0, 12 - start) + 1
+        assert sorted((step, purpose) for _, step, purpose in keys) == [
+            (step, purpose) for step in range(start, 12) for purpose in range(3)]
+
+    def test_close_joins_a_draw_in_flight(self, monkeypatch):
+        # The caller closes the sweep while the worker draws step 1's
+        # normals ahead: close waits for that draw, then joins the worker.
+        draws, started, done = particles._draws, threading.Event(), []
+
+        def slow(seed, step, n, noise=None, fire=None):
+            if noise is not None and step == 1:
+                started.set()
+                time.sleep(0.5)
+            out = draws(seed, step, n, noise, fire)
+            done.append((step, noise is not None))
+            return out
+
+        monkeypatch.setattr(particles, "_draws", slow)
+        before = threading.active_count()
+        sweep = iter_particles(tied_state(), StrategyRule(), P, sweep_grid(10))
+        next(sweep)
+        assert started.wait(10.0) and (1, True) not in done
+        sweep.close()
+        assert (1, True) in done
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("kind", ["rank", "ratio"])
     def test_one_argsort_per_state(self, monkeypatch, kind):
@@ -443,12 +518,14 @@ class TestIterParticles:
 
     @pytest.mark.parametrize("end", ["exhausted", "closed", "worker-error"])
     def test_worker_is_joined(self, monkeypatch, end):
+        # Every draw past the ninth fails; the caller gets the first failure,
+        # whatever the worker drew after it.
         stream, calls = particles._stream, []
 
         def failing(*args):
             calls.append(args)
             if len(calls) > 9:  # three steps of three streams each
-                raise Boom("stream")
+                raise Boom(f"stream call {len(calls)}")
             return stream(*args)
 
         if end == "worker-error":
@@ -463,9 +540,8 @@ class TestIterParticles:
         elif end == "exhausted":
             assert len(list(sweep)) == 11
         else:
-            with pytest.raises(Boom, match="stream"):
+            with pytest.raises(Boom, match="^stream call 10$"):
                 list(sweep)
-            assert len(calls) == 10
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("kind", ["rank", "ratio"])
