@@ -331,10 +331,18 @@ def run_diagnostics(
 
     # Pay-off growth factor between consecutive snapshots.
     for a, b in zip(snapshots[:-1], snapshots[1:]):
-        factor = math.exp(p.kappa * (b.t - a.t)) * (1.0 - GROWTH_SLACK)
-        rhs = factor * a.J
-        with np.errstate(over="ignore"):  # J grown from below 1e-300 reads -inf: no violation
-            viol = (rhs - b.J) / np.maximum(rhs, 1e-300)
+        growth = p.kappa * (b.t - a.t)
+        try:
+            rhs = math.exp(growth) * (1.0 - GROWTH_SLACK) * a.J
+        except OverflowError:
+            # rhs, which has a.J's sign, exceeds 1e-300 wherever a.J > 0, so
+            # viol is 1 - b.J/rhs, taken in logs.
+            rhs = a.J
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                viol = -np.expm1(np.log(b.J) - np.log(a.J) - growth - math.log1p(-GROWTH_SLACK))
+        else:
+            with np.errstate(over="ignore"):  # J grown from below 1e-300 reads -inf: no violation
+                viol = (rhs - b.J) / np.maximum(rhs, 1e-300)
         viol[rhs <= 0.0] = 0.0
         worst = float(np.max(viol))
         report.results.append(

@@ -269,10 +269,10 @@ def _read_snapshot(path: Path, grid: Grid1D) -> Snapshot:
     """Inverse of _write_snapshot for one CSV or npz file written on grid.
 
     A column that is not finite everywhere is read as absent.  A file that
-    does not parse, whose x column is not grid.x, with a column not grid.nx
-    long, that lacks a finite F or J column, or whose pay-off (I or J) is
-    negative raises ConfigError naming it.  A file that cannot be opened
-    raises the OSError.
+    does not parse, whose time is not in the grid's [t0, t_final], whose x
+    column is not grid.x, with a column not grid.nx long, that lacks a
+    finite F or J column, or whose pay-off (I or J) is negative raises
+    ConfigError naming it.  A file that cannot be opened raises the OSError.
     """
     npz = path.suffix == ".npz"
     # An open file, not a name: np.load leaks the file it opens when the zip
@@ -293,6 +293,9 @@ def _read_snapshot(path: Path, grid: Grid1D) -> Snapshot:
                 t = float(header[4:])
                 data = np.genfromtxt(f, delimiter=",", names=True)
                 cols = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
+            # NaN fails the test too; t0 + nt*dt may round past t_final.
+            if not grid.t0 <= t <= max(grid.t_final, grid.time_at(grid.nt)):
+                raise ConfigError(f"{path}: time t={t!r} is not in the run grid's [t0, t_final]")
             if not np.array_equal(cols["x"], grid.x):
                 raise ConfigError(f"{path}: x column is not the run grid's nodes")
             found = {name: np.asarray(cols[name], dtype=float)

@@ -14,17 +14,16 @@ order.  A state is its positions, seed and step index; nothing else
 determines the steps that follow it.
 
 A run steps through iter_particles, the particle sweep, which alone decides
-how steps are done: it keeps one worker thread a step ahead on the draws,
-sorts each state once for its CDF estimate and its strategy pass, builds
-the rank rule's fire thresholds once per run, and writes into n-sized
+how steps are done: its one worker thread draws all of step n + 1 while the
+sweep sorts, records and steps state n, each state is sorted once for its
+CDF estimate and its strategy pass, and every step writes into n-sized
 buffers allocated once (800 KB each at n = 100 000, which glibc would return
 and page-fault anew every step).  No draw reads a position, and the Philox
-fills and the argsort release the interpreter lock, so the worker draws
-while the sweep ranks and steps.  A bare step_particles call draws in line
-into fresh buffers and starts no thread; the sweep's steps equal it bit for
-bit, since each stream is a fresh Generator built from its own key and the
-table holds the values the per-step path computes.  Nothing configures the
-worker or the buffers.
+fills and the argsort release the interpreter lock, so the two overlap.  A
+bare step_particles call draws in line into fresh buffers, starts no thread
+and otherwise takes the sweep's path; since each stream is a fresh
+Generator built from its own key, the two agree bit for bit.  Nothing
+configures the worker or the buffers.
 """
 
 from __future__ import annotations
@@ -50,19 +49,23 @@ _FIRE, _PARTNER, _NOISE, _INITIAL = 0, 1, 2, 3
 
 
 class _Workspace:
-    """The n-sized arrays a particle step writes into.
+    """The strategy pass of a step of n agents: it sorts into sorted, then
+    turns that into the fire thresholds by slot.
 
-    The draws fill noise and fire; the strategy pass sorts into sorted.  An
-    untied state under a rank sweep then scatters table, the fire thresholds
-    by sorted slot, into sorted by the argsort; every other state writes the
-    tie starts, then the fractions, then the thresholds into a fresh array,
-    with sorted as scratch.  A bare step's workspace has no table.  The draws
-    may run on a worker while the strategy pass runs, so they share no array.
+    Under the rank rule the fraction at a sorted slot is (n - first)/n, with
+    first the slot's tie start, so the workspace builds table, the
+    thresholds by sorted slot of n untied agents, once; a state's thresholds
+    are table[first], the table itself when no two agents tie, scattered
+    into sorted by the argsort.  The ratio rule's fractions depend on the
+    positions, so each state computes its thresholds into a fresh array.
+    The pass shares no array with the draws, which may run on a worker
+    meanwhile.
     """
 
-    def __init__(self, n: int, table: np.ndarray | None = None) -> None:
-        self.noise, self.fire, self.sorted, self.table = (
-            np.empty(n), np.empty(n), np.empty(n), table)
+    def __init__(self, n: int, rule: StrategyRule, p: model.ModelParams, dt: float) -> None:
+        self.sorted, self.p, self.dt = np.empty(n), p, dt
+        self.table = (_fire_thresholds(np.arange(n, 0, -1) / n, p, dt)
+                      if rule.kind == RANK else None)
 
     def sort(self, positions: np.ndarray) -> np.ndarray:
         """Sort positions into sorted; return their argsort."""
@@ -72,29 +75,13 @@ class _Workspace:
         np.take(positions, order, out=self.sorted, mode="clip")
         return order
 
-    def fractions(
-        self, rule: StrategyRule, order: np.ndarray, ties: np.ndarray | None
-    ) -> np.ndarray:
-        """The rule's fractions by slot, in a fresh array, from sorted
-        (overwritten), its order and its ties (see _ties)."""
-        # first[k] becomes the first sorted slot of slot k's tie: the count
-        # of agents strictly below it.
-        first = np.arange(self.sorted.size)
-        if ties is not None:
-            first[1:][ties] = 0
-            np.maximum.accumulate(first, out=first)
-        fractions = _rank_fractions if rule.kind == RANK else _ratio_fractions
-        return fractions(order, self.sorted, first)
-
-    def thresholds(
-        self, rule: StrategyRule, order: np.ndarray, p: model.ModelParams, dt: float
-    ) -> np.ndarray:
-        """The fire thresholds by slot from sorted (overwritten) and its order:
-        in sorted when the table applies, else in a fresh array."""
-        ties = _ties(self.sorted)
-        if self.table is None or ties is not None:
-            return _fire_thresholds(self.fractions(rule, order, ties), p, dt)
-        self.sorted[order] = self.table
+    def thresholds(self, order: np.ndarray) -> np.ndarray:
+        """The fire thresholds by slot from sorted and its order: in sorted
+        under the rank rule, else in a fresh array."""
+        first = _tie_starts(self.sorted)
+        if self.table is None:
+            return _fire_thresholds(_ratio_fractions(order, self.sorted, first), self.p, self.dt)
+        self.sorted[order] = self.table if first is None else self.table[first]
         return self.sorted
 
 
@@ -143,34 +130,30 @@ class StrategyRule:
             raise DomainError(f"strategy kind must be one of {(RANK, RATIO)}, got {self.kind!r}")
 
 
-def _ties(srt: np.ndarray) -> np.ndarray | None:
-    """Where the sorted srt repeats the slot before, or None when no two agents tie.
+def _tie_starts(srt: np.ndarray) -> np.ndarray | None:
+    """first[k], the first slot of sorted slot k's tie, or None when no two agents tie.
 
-    A tie's first sorted slot holds the count of agents strictly below it,
-    which is what the fractions read in place of the slot.  Equality is
-    numeric, so -0.0 and 0.0 tie, as in searchsorted.
+    A tie's first slot is the count of agents strictly below it, which is
+    what the fractions read in place of the slot.  Equality is numeric, so
+    -0.0 and 0.0 tie, as in searchsorted.
     """
     ties = srt[1:] == srt[:-1]
     # The innovation noise leaves a run's agents untied, and the running
     # maximum that finds the tie starts is the pass's slowest part.
-    return ties if ties.any() else None
+    if not ties.any():
+        return None
+    first = np.arange(srt.size)
+    first[1:][ties] = 0
+    np.maximum.accumulate(first, out=first)
+    return first
 
 
-def _rank_fractions(order: np.ndarray, srt: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """(n - first) / n by slot, in first's memory as float64; srt is scratch."""
-    n = first.size
-    # (n - first) / n, computed in the sort's own buffers; first is consumed
-    # into srt before its memory takes the result.
-    np.subtract(n, first, out=first)
-    np.divide(first, n, out=srt)
-    out = first.view(float)
-    out[order] = srt
-    return out
-
-
-def _ratio_fractions(order: np.ndarray, srt: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Capped relative gain over the agents at or above, by slot, in first's memory."""
-    n = first.size
+def _ratio_fractions(order: np.ndarray, srt: np.ndarray, first: np.ndarray | None) -> np.ndarray:
+    """Capped relative gain over the agents at or above, by slot, in a fresh
+    array, from the sorted srt, its order and its tie starts first."""
+    n = srt.size
+    if first is None:
+        first = np.arange(n)
     shifted = np.exp(srt - srt[-1])
     suffix = np.cumsum(shifted[::-1])[::-1]
     # Sum over agents at or above: exp(x_m - x_i) - 1, summing ties too (they
@@ -193,9 +176,15 @@ def eval_strategy(state: ParticleState, rule: StrategyRule) -> np.ndarray:
     Both rules read one argsort of the positions and one tie pass, in fresh
     buffers.
     """
-    work = _Workspace(state.n)
-    order = work.sort(state.positions)
-    return work.fractions(rule, order, _ties(work.sorted))
+    x, n = state.positions, state.n
+    order = np.argsort(x)
+    srt = x[order]
+    first = _tie_starts(srt)
+    if rule.kind == RATIO:
+        return _ratio_fractions(order, srt, first)
+    s = np.empty(n)
+    s[order] = (n - (np.arange(n) if first is None else first)) / n
+    return s
 
 
 def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:
@@ -203,18 +192,12 @@ def _stream(seed: int, step: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draws(
-    seed: int, step: int, n: int, noise: np.ndarray | None = None,
-    fire: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """Draw the step's streams for n agents, each in full and by slot: the
-    innovation normals into noise, when given; with fire, the fire uniforms
-    into fire, and return the partner draws.
-    """
-    if noise is not None:
-        _stream(seed, step, _NOISE).standard_normal(out=noise)
-    if fire is None:
-        return None
+def _draws(seed: int, step: int, noise: np.ndarray, fire: np.ndarray) -> np.ndarray:
+    """Draw the step's three streams, each in full and by slot: the innovation
+    normals into noise and the fire uniforms into fire; return the partner
+    draws."""
+    n = noise.size
+    _stream(seed, step, _NOISE).standard_normal(out=noise)
     _stream(seed, step, _FIRE).random(out=fire)
     return _stream(seed, step, _PARTNER).integers(0, n - 1, size=n)
 
@@ -244,24 +227,14 @@ def _fire_thresholds(rates: np.ndarray, p: model.ModelParams, dt: float) -> np.n
     return rates
 
 
-def _rank_table(n: int, p: model.ModelParams, dt: float) -> np.ndarray:
-    """The rank rule's fire thresholds by sorted slot of n untied agents.
-
-    Slot i's fraction is (n - i)/n, computed as _rank_fractions does, so each
-    entry is the per-step path's threshold bit for bit.
-    """
-    return _fire_thresholds(np.arange(n, 0, -1) / n, p, dt)
-
-
 def _step(
-    state: ParticleState, thresholds: np.ndarray, partner_draw: np.ndarray, work: _Workspace,
-    p: model.ModelParams, dt: float,
+    state: ParticleState, thresholds: np.ndarray, noise: np.ndarray, fire: np.ndarray,
+    partner_draw: np.ndarray, p: model.ModelParams, dt: float,
 ) -> ParticleState:
     """The tau-leap step from state, given its fire thresholds by slot and its
-    complete draws: partner_draw, work.fire and work.noise, which it scales in
-    place."""
+    complete draws (see _draws), of which it scales noise in place."""
     x = state.positions
-    fired = np.flatnonzero(work.fire < thresholds)
+    fired = np.flatnonzero(fire < thresholds)
     # The partner stream is drawn in full, so its values do not depend on who
     # fires.  A draw in 0..n-2 skips the agent's own slot.
     partner = partner_draw[fired]
@@ -270,8 +243,8 @@ def _step(
     own = x[fired]
     new = x.copy()
     new[fired] = np.where(partner_pos > own, partner_pos, own)
-    work.noise *= math.sqrt(2.0 * p.kappa * dt)
-    new += work.noise
+    noise *= math.sqrt(2.0 * p.kappa * dt)
+    new += noise
 
     # The step keeps the positions finite and the seed as it is, so the
     # successor skips __post_init__'s O(n) check.
@@ -285,16 +258,16 @@ def step_particles(
 ) -> ParticleState:
     """One tau-leap step; deterministic given (positions, seed, step_index).
 
-    The call draws in line on the calling thread, into fresh buffers, takes
-    its fractions from eval_strategy and starts no thread.  iter_particles
+    The call draws in line on the calling thread, into fresh buffers, and
+    starts no thread; its strategy pass is the sweep's, so iter_particles
     makes the same step, bit for bit.
     """
     if not (is_number(dt) and 0.0 <= dt <= dt_max(p) * (1.0 + 1e-12)):
         raise DomainError(f"dt must be a number in [0, dt_max={dt_max(p)}], got {dt!r}")
-    work = _Workspace(state.n)
-    partner_draw = _draws(state.seed, state.step_index, state.n, work.noise, work.fire)
-    thresholds = _fire_thresholds(eval_strategy(state, rule), p, dt)
-    return _step(state, thresholds, partner_draw, work, p, dt)
+    noise, fire, work = np.empty(state.n), np.empty(state.n), _Workspace(state.n, rule, p, dt)
+    partner_draw = _draws(state.seed, state.step_index, noise, fire)
+    thresholds = work.thresholds(work.sort(state.positions))
+    return _step(state, thresholds, noise, fire, partner_draw, p, dt)
 
 
 @dataclass(frozen=True)
@@ -332,48 +305,40 @@ def iter_particles(
 
     Each step is step_particles's at grid.dt, bit for bit; dt is checked
     once, at entry, and only when the sweep will step.  The sweep owns one
-    worker thread, which draws each step's streams, and joins it when it
-    ends: exhausted, closed or by an error, which the sweep raises (the
-    first failed draw's: a step reads its draws in the order they were
-    submitted).  A caller that stops early closes the sweep
-    (contextlib.closing).  While the caller holds state n, the worker draws
-    step n's fire uniforms and partners, then step n + 1's innovation
-    normals into the second noise buffer; no draw is made for a step at or
-    past grid.nt.  A state is sorted once: its CDF estimate and the
-    strategy pass of its step read the same argsort, which the sweep drops
-    before it steps.  Under the rank rule an untied state's fraction at
-    sorted slot i is (n - i)/n, so a rank sweep builds its table of fire
-    thresholds by sorted slot once, at entry, and an untied state's step
-    scatters it by the argsort; a ratio sweep, and a tied state, compute
-    the thresholds from the rule's fractions in fresh arrays.  Besides the
-    positions, the argsort and the partner draws, the sweep holds five
-    n-sized arrays (four under the ratio rule): two of normals, the fire
-    uniforms, the sorted positions, which an untied rank state's thresholds
-    overwrite, and the table.  A caller that lets go of each state before
-    asking for the next keeps one positions array alive, not two.
+    worker thread and joins it when it ends: exhausted, closed or by an
+    error, which the sweep raises (the first failed draw's: a step reads its
+    draws in the order they were submitted).  A caller that stops early
+    closes the sweep (contextlib.closing).  The worker runs one draw job per
+    step, into the noise and fire buffers of the step's parity: while the
+    caller holds state n, it draws all of step n + 1, and no draw is made
+    for a step at or past grid.nt.  A state is sorted once: its CDF
+    estimate and the strategy pass of its step read the same argsort, which
+    the sweep drops before it steps.  Besides the positions, the argsort and
+    two steps' partner draws, a rank sweep holds six n-sized arrays: two of
+    normals, two of fire uniforms, the sorted positions, which the
+    thresholds overwrite, and the table (see _Workspace); a ratio sweep
+    holds five.  A caller that lets go of each state before asking for the
+    next keeps one positions array alive, not two.
     """
     nt, n, seed = grid.nt, state.n, state.seed
-    stepping = state.step_index < nt
-    if stepping and grid.dt > dt_max(p) * (1.0 + 1e-12):
+    if state.step_index < nt and grid.dt > dt_max(p) * (1.0 + 1e-12):
         raise DomainError(f"grid dt={grid.dt} exceeds dt_max={dt_max(p)}")
-    table = _rank_table(n, p, grid.dt) if stepping and rule.kind == RANK else None
-    work, spare = _Workspace(n, table), np.empty(n)
+    work = _Workspace(n, rule, p, grid.dt)
+    pairs = [(np.empty(n), np.empty(n)) for _ in range(2)]  # (noise, fire) by step parity
     with ThreadPoolExecutor(max_workers=1) as worker:
-        if stepping:
-            normals = worker.submit(_draws, seed, state.step_index, n, noise=work.noise)
+
+        def submit(step: int):
+            return worker.submit(_draws, seed, step, *pairs[step % 2]) if step < nt else None
+
+        job = submit(state.step_index)
         while True:
             step = state.step_index
-            stepping = step < nt
-            if stepping:
-                drawing = worker.submit(_draws, seed, step, n, fire=work.fire)
-                ahead = (worker.submit(_draws, seed, step + 1, n, noise=spare)
-                         if step + 1 < nt else None)
+            next_job = submit(step + 1)
             order = work.sort(state.positions)
             yield state, _cdf(work.sorted, grid)
-            if not stepping:
+            if job is None:
                 return
-            thresholds = work.thresholds(rule, order, p, grid.dt)
+            thresholds = work.thresholds(order)
             del order  # 8n bytes the step does not need
-            normals.result()
-            state = _step(state, thresholds, drawing.result(), work, p, grid.dt)
-            work.noise, spare, normals = spare, work.noise, ahead
+            state = _step(state, thresholds, *pairs[step % 2], job.result(), p, grid.dt)
+            job = next_job

@@ -186,6 +186,19 @@ class TestDiagnostics:
         report = run_diagnostics([mk(0.0, 5.0), mk(1.0, 4.0)], P)
         assert "intrinsic_growth" in {r.check for r in report.failures()}
 
+    @pytest.mark.parametrize("shrink, passed", [(0.0, False), (720.0, True)])
+    def test_growth_check_past_the_largest_float_factor(self, shrink, passed):
+        # e^(kappa*710) overflows a float: a J that stands still fails the
+        # growth bound, one grown from e^-720 times its size passes it.
+        g = space_grid(-10.0, 30.0, 801)
+        late = _snap(g, 710.0, np.clip((5.0 - g.x) / 10.0, 0.0, 1.0))
+        early = dataclasses.replace(late, t=0.0, J=late.J * math.exp(-shrink))
+        growth = [r for r in run_diagnostics([early, late], P).results
+                  if r.check == "intrinsic_growth"]
+        assert len(growth) == 1 and growth[0].passed == passed
+        assert math.isfinite(growth[0].worst_violation)
+        assert growth[0].worst_violation == (0.0 if passed else 1.0)
+
     def test_rows_are_flat_records(self):
         report = run_diagnostics([_steady_snapshot()], P, temporal=False)
         for row in report.to_rows():

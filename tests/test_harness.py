@@ -955,6 +955,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and snap.stem in err
 
+    @pytest.mark.parametrize("binary", [False, True], ids=["csv", "npz"])
+    @pytest.mark.parametrize("t", ["inf", "1e308", "nan", "-0.5", "2.5"])
+    def test_diag_refuses_a_snapshot_time_off_the_grid(self, tmp_path, capsys, binary, t):
+        run_dir = (mini_binary_run if binary else mini_kpp_run)(tmp_path)
+        snap = sorted((run_dir / "fields").glob("snap_*"))[1]
+        if binary:
+            with np.load(snap) as data:
+                cols = {name: data[name] for name in data.files}
+            np.savez(snap, **{**cols, "t": float(t)})
+        else:
+            lines = snap.read_text().splitlines(keepends=True)
+            snap.write_text(f"# t={t}\n" + "".join(lines[1:]))
+        assert main(["diag", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and snap.stem in err and "time" in err
+
+    def test_run_with_snapshots_too_far_apart_to_exponentiate(self, tmp_path, capsys):
+        # Snapshots 800 apart at kappa 1: the growth bound's factor e^800
+        # overflows a float, and the check is still reported.
+        cfg = ExperimentConfig(name="sparse", mode="intrinsic",
+                               params=ModelParams(kappa=1.0, rho=2.0, alpha1=0.01),
+                               grid=Grid1D(-20.0, 40.0, 61, 0.0, 800.0, 80), snapshot_stride=80)
+        out = run(cfg, tmp_path / "sparse").out_dir
+        assert (out / "manifest.json").is_file()
+        rows = [r.split(",") for r in (out / "diagnostics.csv").read_text().splitlines()]
+        growth = [r for r in rows if r[0] == "intrinsic_growth"]
+        assert len(growth) == 1 and math.isfinite(float(growth[0][3]))
+        assert main(["diag", str(out)]) == 0
+        assert "intrinsic_growth t=800" in capsys.readouterr().out
+        assert_diagnostics_rebuilt(out)
+
     def test_diag_damaged_binary_snapshot_exit_code(self, tmp_path, capsys):
         run_dir = mini_binary_run(tmp_path)
         snap = sorted((run_dir / "fields").glob("snap_*.npz"))[1]
@@ -1129,7 +1160,9 @@ class TestMalformedInputProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"snap_000005{suffix}"
             path.write_bytes(raw)
+            grid = _small_configs()[1].grid
             try:
-                harness._read_snapshot(path, _small_configs()[1].grid)
+                snap = harness._read_snapshot(path, grid)
             except KdlabError:
-                pass
+                return
+            assert grid.t0 <= snap.t <= grid.t_final

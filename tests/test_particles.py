@@ -354,7 +354,7 @@ class TestDrawWorker:
         st = state_at(np.random.default_rng(5).normal(size=200), seed=4)
         for _ in range(5):
             st = particles.step_particles(st, StrategyRule(kind=kind), P, 0.05)
-        assert {"step_particles", "eval_strategy"} <= {name for name, _ in calls}
+        assert "step_particles" in {name for name, _ in calls}
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
@@ -442,32 +442,35 @@ class TestIterParticles:
             if bare.step_index < g.nt:
                 bare = step_particles(bare, rule, p, g.dt)
         if start == "tied":
-            assert particles._ties(np.sort(bare.positions)) is not None
+            assert particles._tie_starts(np.sort(bare.positions)) is not None
 
-    @pytest.mark.parametrize("kind, start, per_step", [
-        ("rank", "untied", 0), ("rank", "fresh", 1), ("rank", "tied", 12),
+    @pytest.mark.parametrize("kind, start, calls", [
+        ("rank", "untied", 1), ("rank", "fresh", 1), ("rank", "tied", 1),
         ("ratio", "untied", 12), ("ratio", "fresh", 12),
     ], ids=["rank-untied", "rank-tied-first", "rank-tied", "ratio-untied", "ratio-tied-first"])
-    def test_rank_sweep_builds_its_table_once(self, monkeypatch, kind, start, per_step):
-        # A rank sweep tabulates the thresholds once; a tied state, and every
-        # state of a ratio sweep, computes its own from the rule's fractions.
-        calls = []
-
-        def counting(name):
-            fn = getattr(particles, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapper
-
-        for name in ("_rank_table", "_fire_thresholds"):
-            monkeypatch.setattr(particles, name, counting(name))
+    def test_rank_sweep_builds_its_table_once(self, monkeypatch, kind, start, calls):
+        # A rank sweep tabulates the thresholds once, tied states or not; a
+        # ratio sweep computes each state's from the rule's fractions.
+        made = []
+        fire_thresholds = particles._fire_thresholds
+        monkeypatch.setattr(particles, "_fire_thresholds",
+                            lambda *args: made.append(args) or fire_thresholds(*args))
         st, p = SWEEP_STARTS[start]
         assert len(list(iter_particles(st, StrategyRule(kind=kind), p, sweep_grid(12)))) == 13
-        table = int(kind == "rank")
-        assert calls.count("_rank_table") == table
-        assert calls.count("_fire_thresholds") == table + per_step
+        assert len(made) == calls
+
+    @pytest.mark.parametrize("kind", ["rank", "ratio"])
+    @pytest.mark.parametrize("start", ["untied", "fresh", "tied"])
+    def test_workspace_thresholds_equal_the_strategys(self, kind, start):
+        # The sweep and the bare step share the workspace's thresholds; the
+        # public strategy computes its fractions apart from them.
+        st, p = SWEEP_STARTS[start]
+        rule = StrategyRule(kind=kind)
+        work = particles._Workspace(st.n, rule, p, 0.05)
+        got = work.thresholds(work.sort(st.positions))
+        want = particles._fire_thresholds(eval_strategy(st, rule), p, 0.05)
+        assert np.array_equal(got, want)
+        assert (particles._tie_starts(np.sort(st.positions)) is None) == (start == "untied")
 
     @pytest.mark.parametrize("start", [0, 7, 12, 15])
     def test_no_draw_at_or_past_the_last_step(self, monkeypatch, start):
@@ -482,25 +485,25 @@ class TestIterParticles:
             (step, purpose) for step in range(start, 12) for purpose in range(3)]
 
     def test_close_joins_a_draw_in_flight(self, monkeypatch):
-        # The caller closes the sweep while the worker draws step 1's
-        # normals ahead: close waits for that draw, then joins the worker.
+        # The caller closes the sweep while the worker draws step 1 ahead:
+        # close waits for that draw, then joins the worker.
         draws, started, done = particles._draws, threading.Event(), []
 
-        def slow(seed, step, n, noise=None, fire=None):
-            if noise is not None and step == 1:
+        def slow(seed, step, noise, fire):
+            if step == 1:
                 started.set()
                 time.sleep(0.5)
-            out = draws(seed, step, n, noise, fire)
-            done.append((step, noise is not None))
+            out = draws(seed, step, noise, fire)
+            done.append(step)
             return out
 
         monkeypatch.setattr(particles, "_draws", slow)
         before = threading.active_count()
         sweep = iter_particles(tied_state(), StrategyRule(), P, sweep_grid(10))
         next(sweep)
-        assert started.wait(10.0) and (1, True) not in done
+        assert started.wait(10.0) and 1 not in done
         sweep.close()
-        assert (1, True) in done
+        assert done == [0, 1]
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("kind", ["rank", "ratio"])
