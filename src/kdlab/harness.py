@@ -331,7 +331,9 @@ def diagnose_run_dir(run_dir: str | Path) -> DiagnosticsReport:
     """Re-evaluate the diagnostics of a run directory (or its fields/) from its files.
 
     A directory without manifest.json, which a run writes last, is a run that
-    did not finish: ConfigError.
+    did not finish: ConfigError.  The snapshots are read in file-name order,
+    which is time order: a snapshot whose time does not exceed the one before
+    it (a step held as both CSV and npz included) is a ConfigError naming it.
     """
     run_dir = Path(run_dir)
     if run_dir.name == "fields":
@@ -343,7 +345,12 @@ def diagnose_run_dir(run_dir: str | Path) -> DiagnosticsReport:
     paths = sorted([*fields.glob("snap_*.csv"), *fields.glob("snap_*.npz")])
     if not paths:
         raise ConfigError(f"no field snapshots under {run_dir}")
-    return _diagnose(config, [_read_snapshot(f, config.grid) for f in paths])
+    snaps = [_read_snapshot(f, config.grid) for f in paths]
+    for path, before, snap in zip(paths[1:], snaps, snaps[1:]):
+        if not snap.t > before.t:
+            raise ConfigError(f"{path}: time t={snap.t!r} does not follow the previous "
+                              f"snapshot's t={before.t!r}")
+    return _diagnose(config, snaps)
 
 
 def _write_tracks(path: Path, rows: list[tuple[float, float, float, float]]) -> None:

@@ -319,18 +319,18 @@ class TestParticleRunWorker:
         assert threading.active_count() == before
 
     def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch):
-        # Every draw past the thirtieth fails; the run raises the first failure.
-        stream, calls = particles._stream, []
+        # The worker's draws fail from step 10 on, step 11's drawn ahead
+        # included; the run raises step 10's first failure, its normals.
+        stream = particles._stream
 
-        def fail_mid_run(*args):
-            calls.append(args)
-            if len(calls) > 30:  # past ten steps of three streams each
-                raise Boom(f"stream call {len(calls)}")
-            return stream(*args)
+        def fail_mid_run(seed, step, purpose):
+            if step >= 10 and purpose != particles._FIRE:
+                raise Boom(f"stream {step} {purpose}")
+            return stream(seed, step, purpose)
 
         monkeypatch.setattr(particles, "_stream", fail_mid_run)
         before = threading.active_count()
-        with pytest.raises(Boom, match="^stream call 31$"):
+        with pytest.raises(Boom, match=f"^stream 10 {particles._NOISE}$"):
             run(tiny_particle_config(), tmp_path / "run")
         assert threading.active_count() == before
 
@@ -970,6 +970,26 @@ class TestCli:
         assert main(["diag", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and snap.stem in err and "time" in err
+
+    @pytest.mark.parametrize("edit", ["repeated-time", "earlier-time", "csv-and-npz"])
+    def test_diag_refuses_snapshot_times_out_of_order(self, tmp_path, capsys, edit):
+        # The snapshots' file-name order is their time order; a time that
+        # does not increase would put the temporal checks on the wrong interval.
+        run_dir = mini_kpp_run(tmp_path)
+        snaps = sorted((run_dir / "fields").glob("snap_*.csv"))  # t = 0, 1, 2
+        if edit == "csv-and-npz":
+            grid = ExperimentConfig.from_json_file(run_dir / "config.json").grid
+            back, bad = harness._read_snapshot(snaps[1], grid), snaps[1].with_suffix(".npz")
+            np.savez(bad, t=back.t, x=grid.x, F=back.F, J=back.J)
+        else:
+            bad, t = (snaps[1], "0") if edit == "repeated-time" else (snaps[2], "0.5")
+            lines = bad.read_text().splitlines(keepends=True)
+            bad.write_text(f"# t={t}\n" + "".join(lines[1:]))
+        with pytest.raises(ConfigError, match="does not follow"):
+            diagnose_run_dir(run_dir)
+        assert main(["diag", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and bad.name in err and "time" in err
 
     def test_run_with_snapshots_too_far_apart_to_exponentiate(self, tmp_path, capsys):
         # Snapshots 800 apart at kappa 1: the growth bound's factor e^800

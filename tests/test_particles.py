@@ -20,8 +20,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import kdlab
-from kdlab import model, particles
-from kdlab.errors import DomainError, NonFiniteError
+from kdlab import harness, model, particles
+from kdlab.errors import DomainError, NonFiniteError, NumericalError
 from kdlab.grid import Grid1D, Profile
 from kdlab.model import ModelParams, discounted_tail
 from kdlab.particles import (
@@ -424,6 +424,29 @@ SWEEP_STARTS = {
 }
 
 
+def edge_uniforms(thresholds, rng):
+    """Fire uniforms at, or one ulp either side of, each agent's own threshold
+    or another's, with some exactly 0; all in [0, 1)."""
+    n = thresholds.size
+    t = np.where(rng.random(n) < 0.5, thresholds, rng.permutation(thresholds))
+    side = rng.integers(-1, 2, n)
+    u = np.where(side < 0, np.nextafter(t, -1.0), np.where(side > 0, np.nextafter(t, 2.0), t))
+    u[rng.random(n) < 0.05] = 0.0
+    return np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+
+
+def assert_fires_below_thresholds(x, rule, p, dt, fire):
+    """The workspace fires exactly the agents whose uniform in fire lies below
+    their threshold from eval_strategy; return how many fire."""
+    work = particles._Workspace(x.size, rule, p, dt)
+    got = work.fired(x, work.sort(x), fire)
+    thresholds = particles._fire_thresholds(eval_strategy(state_at(x), rule), p, dt)
+    want = np.flatnonzero(fire < thresholds)
+    assert np.array_equal(got, want)
+    assert np.array_equal(work.sorted, np.sort(x))
+    return want.size
+
+
 class TestIterParticles:
     """The particle sweep: bare steps and CDF estimates, one sort, one worker."""
 
@@ -462,15 +485,75 @@ class TestIterParticles:
     @pytest.mark.parametrize("kind", ["rank", "ratio"])
     @pytest.mark.parametrize("start", ["untied", "fresh", "tied"])
     def test_workspace_thresholds_equal_the_strategys(self, kind, start):
-        # The sweep and the bare step share the workspace's thresholds; the
-        # public strategy computes its fractions apart from them.
+        # The sweep and the bare step fire where the workspace says; the
+        # public strategy computes its fractions apart from it, and an agent
+        # fires when its uniform lies below its threshold.
         st, p = SWEEP_STARTS[start]
-        rule = StrategyRule(kind=kind)
-        work = particles._Workspace(st.n, rule, p, 0.05)
-        got = work.thresholds(work.sort(st.positions))
+        rule, rng = StrategyRule(kind=kind), np.random.default_rng(12)
         want = particles._fire_thresholds(eval_strategy(st, rule), p, 0.05)
-        assert np.array_equal(got, want)
+        for fire in (rng.random(st.n), edge_uniforms(want, rng)):
+            assert_fires_below_thresholds(st.positions, rule, p, 0.05, fire)
         assert (particles._tie_starts(np.sort(st.positions)) is None) == (start == "untied")
+
+    @pytest.mark.parametrize("kind", ["rank", "ratio"])
+    @pytest.mark.parametrize("alpha1, dt", [(0.0, 0.05), (0.5, 0.0)], ids=["alpha1-0", "dt-0"])
+    def test_no_one_fires_without_a_rate(self, kind, alpha1, dt):
+        st, p = tied_state(), dataclasses.replace(P, alpha1=alpha1)
+        for fire in (np.zeros(st.n), np.random.default_rng(1).random(st.n)):
+            assert assert_fires_below_thresholds(st.positions, StrategyRule(kind), p, dt, fire) == 0
+
+    @pytest.mark.parametrize("start", ["untied", "tied"])
+    def test_rank_uniforms_at_the_table_entries(self, start):
+        # Every agent draws the same uniform: exactly 0, or at and one ulp
+        # either side of the top threshold and of interior ones.  Untied, the
+        # agents whose threshold exceeds table[r] are the r lowest.
+        st, p = SWEEP_STARTS[start]
+        table = particles._Workspace(st.n, StrategyRule(), p, 0.05).table[1:-1]
+        assert np.all(np.diff(table) < 0.0)
+        x, rule = st.positions, StrategyRule()
+        assert assert_fires_below_thresholds(x, rule, p, 0.05, np.zeros(st.n)) == st.n
+        for r in (0, 1, 37, st.n // 2, st.n - 2, st.n - 1):
+            fired = [assert_fires_below_thresholds(x, rule, p, 0.05, np.full(st.n, u))
+                     for u in (np.nextafter(table[r], 0.0), table[r], np.nextafter(table[r], 1.0))]
+            if start == "untied":
+                assert fired == [r + 1, r, r]
+
+    @pytest.mark.parametrize("kind", ["rank", "ratio"])
+    @pytest.mark.parametrize("positions", [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [-0.0, 0.0]])
+    def test_two_agents(self, kind, positions):
+        x, rule = np.array(positions), StrategyRule(kind)
+        want = particles._fire_thresholds(eval_strategy(state_at(x), rule), P, 0.05)
+        for fire in (np.zeros(2), want, np.nextafter(want, 0.0), np.nextafter(want, 1.0),
+                     want[::-1], np.full(2, 0.5)):
+            assert_fires_below_thresholds(x, rule, P, 0.05, fire)
+
+    @pytest.mark.parametrize("kind", ["rank", "ratio"])
+    @given(positions=positions_st, seed=st.integers(0, 2**32 - 1))
+    @example(positions=[1.0] * 50, seed=0)
+    @example(positions=[-0.0, 0.0, -0.0, 1.0, 0.0, -1.0], seed=0)
+    def test_fired_set_equals_the_threshold_comparison(self, kind, positions, seed):
+        # Uniforms at the thresholds of tied and untied agents alike, and one
+        # ulp either side of them.
+        x, rule, rng = np.array(positions), StrategyRule(kind), np.random.default_rng(seed)
+        want = particles._fire_thresholds(eval_strategy(state_at(x), rule), P, 0.05)
+        assert_fires_below_thresholds(x, rule, P, 0.05, edge_uniforms(want, rng))
+
+    @pytest.mark.parametrize("name", ["compare-particle-pde", "particles-ratio"])
+    def test_rank_table_decreases_at_the_preset_sizes(self, name):
+        cfg = harness.preset_config(name)
+        work = particles._Workspace(cfg.particles.n, StrategyRule(), cfg.params, cfg.grid.dt)
+        assert work.table.size == cfg.particles.n + 2
+        assert work.table[0] == math.inf and work.table[-1] == -math.inf
+        assert np.all(np.diff(work.table) <= 0.0)
+
+    def test_increasing_rank_table_refused(self, monkeypatch):
+        # The table is checked once, when the workspace is built; there is
+        # no other path to fall back to.
+        monkeypatch.setattr(particles, "_fire_thresholds", lambda rates, p, dt: rates.sort())
+        with pytest.raises(NumericalError, match="increase"):
+            particles._Workspace(10, StrategyRule(), P, 0.05)
+        with pytest.raises(NumericalError, match="increase"):
+            next(iter_particles(tied_state(), StrategyRule(), P, sweep_grid(3)))
 
     @pytest.mark.parametrize("start", [0, 7, 12, 15])
     def test_no_draw_at_or_past_the_last_step(self, monkeypatch, start):
@@ -489,11 +572,11 @@ class TestIterParticles:
         # close waits for that draw, then joins the worker.
         draws, started, done = particles._draws, threading.Event(), []
 
-        def slow(seed, step, noise, fire):
+        def slow(seed, step, noise):
             if step == 1:
                 started.set()
                 time.sleep(0.5)
-            out = draws(seed, step, noise, fire)
+            out = draws(seed, step, noise)
             done.append(step)
             return out
 
@@ -507,29 +590,31 @@ class TestIterParticles:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("kind", ["rank", "ratio"])
-    def test_one_argsort_per_state(self, monkeypatch, kind):
+    def test_one_sort_per_state(self, monkeypatch, kind):
         # The CDF estimate of a state and the strategy pass of its step share
-        # one argsort, and nothing else sorts.
-        sorts = []
-        argsort = np.argsort
-        monkeypatch.setattr(np, "argsort", lambda v: sorts.append(v) or argsort(v))
+        # one sort, and nothing else sorts; only the ratio rule argsorts.
+        sorts, argsorts = [], []
+        sort, argsort = particles._Workspace.sort, np.argsort
+        monkeypatch.setattr(particles._Workspace, "sort",
+                            lambda work, v: sorts.append(v) or sort(work, v))
+        monkeypatch.setattr(np, "argsort", lambda v: argsorts.append(v) or argsort(v))
         monkeypatch.setattr(np, "sort", None)
         states = [st.positions for st, _ in
                   iter_particles(tied_state(), StrategyRule(kind=kind), P, sweep_grid(6))]
         assert len(sorts) == len(states) == 7
         assert all(a is b for a, b in zip(sorts, states))
+        assert argsorts == ([] if kind == "rank" else sorts)
 
     @pytest.mark.parametrize("end", ["exhausted", "closed", "worker-error"])
     def test_worker_is_joined(self, monkeypatch, end):
-        # Every draw past the ninth fails; the caller gets the first failure,
-        # whatever the worker drew after it.
-        stream, calls = particles._stream, []
+        # The worker's draws fail from step 3 on, step 4's drawn ahead
+        # included; the caller gets step 3's first failed draw, its normals.
+        stream = particles._stream
 
-        def failing(*args):
-            calls.append(args)
-            if len(calls) > 9:  # three steps of three streams each
-                raise Boom(f"stream call {len(calls)}")
-            return stream(*args)
+        def failing(seed, step, purpose):
+            if step >= 3 and purpose != particles._FIRE:
+                raise Boom(f"stream {step} {purpose}")
+            return stream(seed, step, purpose)
 
         if end == "worker-error":
             monkeypatch.setattr(particles, "_stream", failing)
@@ -543,7 +628,7 @@ class TestIterParticles:
         elif end == "exhausted":
             assert len(list(sweep)) == 11
         else:
-            with pytest.raises(Boom, match="^stream call 10$"):
+            with pytest.raises(Boom, match=f"^stream 3 {particles._NOISE}$"):
                 list(sweep)
         assert threading.active_count() == before
 
