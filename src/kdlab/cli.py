@@ -16,10 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness
-from .analysis import FrontTrack, estimate_speed
+from .analysis import estimate_speed
 from .errors import CheckpointError, ConfigError, KdlabError, NumericalError
 
 
@@ -29,56 +27,41 @@ def _out_root(override: str | None) -> Path:
     return Path(os.environ.get(harness.OUTPUT_ROOT_ENV, "runs"))
 
 
-def _cmd_run(args) -> int:
-    config = harness.ExperimentConfig.from_json_file(args.config)
-    out = _out_root(args.out) / config.name
-    result = harness.run(config, out)
+def _run_and_report(config: harness.ExperimentConfig, out: str | None, speeds: bool = False) -> int:
+    """Run config under the output root; print where, the speeds if asked, and any failed checks."""
+    result = harness.run(config, _out_root(out) / config.name)
     print(f"wrote {result.out_dir}")
+    if speeds:
+        for kind, entry in sorted(result.manifest["speeds"].items()):
+            if entry:
+                print(f"{kind} speed: {entry['speed']:.4f} (r^2={entry['r_squared']:.5f})")
     if not result.manifest["diagnostics_passed"]:
         print("diagnostics: FAILED checks " + ", ".join(result.manifest["diagnostics_failures"]))
     return 0
+
+
+def _cmd_run(args) -> int:
+    return _run_and_report(harness.ExperimentConfig.from_json_file(args.config), args.out)
 
 
 def _cmd_preset(args) -> int:
     if args.list:
-        for name in harness.PRESET_NAMES:
-            print(name)
+        print("\n".join(harness.PRESET_NAMES))
         return 0
     if not args.name:
         raise ConfigError("preset name required (or use --list)")
-    config = harness.preset_config(args.name)
-    out = _out_root(args.out) / config.name
-    result = harness.run(config, out)
-    print(f"wrote {result.out_dir}")
-    for kind, entry in sorted(result.manifest["speeds"].items()):
-        if entry:
-            print(f"{kind} speed: {entry['speed']:.4f} (r^2={entry['r_squared']:.5f})")
-    if not result.manifest["diagnostics_passed"]:
-        print("diagnostics: FAILED checks " + ", ".join(result.manifest["diagnostics_failures"]))
-    return 0
+    return _run_and_report(harness.preset_config(args.name), args.out, speeds=True)
 
 
 def _cmd_speeds(args) -> int:
     try:
-        a, b = (float(v) for v in args.window.split(","))
+        window = [float(v) for v in args.window.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--window must be 'a,b', got {args.window!r}") from exc
-    try:
-        data = np.genfromtxt(args.track_file, delimiter=",", names=True)
-    except ValueError as exc:  # a ragged row, or bytes that are not UTF-8
-        raise ConfigError(f"{args.track_file}: malformed track file: {exc!r}") from exc
-    if "t" not in (data.dtype.names or ()):
-        raise ConfigError(f"{args.track_file}: no 't' column")
-    t = np.atleast_1d(data["t"])
-    for col, kind in (("x_median", "median"), ("x_learning", "learning"), ("x_intrinsic", "intrinsic")):
-        if col not in (data.dtype.names or ()):
-            continue
-        xs = np.atleast_1d(data[col])
-        if not np.any(np.isfinite(xs)):
-            continue
-        track = FrontTrack(t, xs)
+    window = harness.check_window(window, "--window")
+    for kind, track in harness.read_tracks(args.track_file).items():
         try:
-            fit = estimate_speed(track, (a, b))
+            fit = estimate_speed(track, window)
         except KdlabError as exc:
             print(f"{kind}: {exc}")
             continue
@@ -97,10 +80,8 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    out = _out_root(args.out)
     ck = Path(args.checkpoint)
-    run_name = ck.parent.name or "resumed"
-    result = harness.resume(ck, out / f"{run_name}-resumed")
+    result = harness.resume(ck, _out_root(args.out) / f"{ck.parent.name or 'resumed'}-resumed")
     print(f"wrote {result.out_dir}")
     return 0
 
@@ -114,13 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("config", help="path to a JSON experiment config")
-    p_run.add_argument("--out", help="output root (default $KDLAB_OUT or ./runs)")
     p_run.set_defaults(func=_cmd_run)
 
     p_preset = sub.add_parser("preset", help="run a shipped preset by name")
     p_preset.add_argument("name", nargs="?", help="preset name")
     p_preset.add_argument("--list", action="store_true", help="list preset names")
-    p_preset.add_argument("--out", help="output root (default $KDLAB_OUT or ./runs)")
     p_preset.set_defaults(func=_cmd_preset)
 
     p_speeds = sub.add_parser("speeds", help="fit front speeds from a track file")
@@ -134,14 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_resume = sub.add_parser("resume", help="resume a checkpointed particle run")
     p_resume.add_argument("checkpoint")
-    p_resume.add_argument("--out", help="output root (default $KDLAB_OUT or ./runs)")
     p_resume.set_defaults(func=_cmd_resume)
+    for p in (p_run, p_preset, p_resume):
+        p.add_argument("--out", help="output root (default $KDLAB_OUT or ./runs)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

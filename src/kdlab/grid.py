@@ -150,10 +150,6 @@ class Profile:
         self.grid = grid
         self.values = values
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Profile):
             return NotImplemented

@@ -63,6 +63,14 @@ class ParticleSpec:
         return StrategyRule(kind=self.rule)
 
 
+def check_window(window, where: str) -> tuple[float, float]:
+    """window as a fit window: two finite numbers in increasing order; else ConfigError."""
+    if not (isinstance(window, (tuple, list)) and len(window) == 2
+            and all(is_number(v) for v in window) and window[0] < window[1]):
+        raise ConfigError(f"{where} must be two increasing numbers, got {window!r}")
+    return tuple(window)
+
+
 def _keys(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
@@ -133,12 +141,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"output.binary_fields must be true or false, got {self.binary_fields!r}"
             )
-        fw = self.fit_window
-        if fw is not None:
-            if not (isinstance(fw, (tuple, list)) and len(fw) == 2
-                    and all(is_number(v) for v in fw) and fw[0] < fw[1]):
-                raise ConfigError(f"output.fit_window must be two increasing numbers, got {fw!r}")
-            self.fit_window = tuple(fw)
+        if self.fit_window is not None:
+            self.fit_window = check_window(self.fit_window, "output.fit_window")
 
     # -- JSON round trip ---------------------------------------------------
 
@@ -353,9 +357,31 @@ def diagnose_run_dir(run_dir: str | Path) -> DiagnosticsReport:
     return _diagnose(config, snaps)
 
 
+#: The fronts of a track row after t, in Snapshot.fronts' order; front k's column is x_k.
+FRONTS = ("median", "learning", "intrinsic")
+_TRACK_COLUMNS = ("t", *(f"x_{kind}" for kind in FRONTS))
+
+
 def _write_tracks(path: Path, rows: list[tuple[float, float, float, float]]) -> None:
-    lines = ["t,x_median,x_learning,x_intrinsic", *_csv_rows(rows, 4)]
+    lines = [",".join(_TRACK_COLUMNS), *_csv_rows(rows, len(_TRACK_COLUMNS))]
     path.write_text("\n".join(lines) + "\n")
+
+
+def read_tracks(path: str | Path) -> dict[str, FrontTrack]:
+    """Inverse of _write_tracks: the track of each front with a finite value, by name.
+
+    A file that does not parse (empty, a ragged row, bytes that are not UTF-8) or
+    has no t column is a ConfigError naming it; a file not opened, the OSError."""
+    try:
+        data = np.genfromtxt(path, delimiter=",", names=True)
+    except (ValueError, IndexError) as exc:  # IndexError: an empty file
+        raise ConfigError(f"{path}: malformed track file: {exc!r}") from exc
+    names = data.dtype.names or ()
+    if "t" not in names:
+        raise ConfigError(f"{path}: no 't' column")
+    columns = {k: np.atleast_1d(data[c]) for k, c in zip(FRONTS, _TRACK_COLUMNS[1:]) if c in names}
+    return {kind: FrontTrack(np.atleast_1d(data["t"]), xs)
+            for kind, xs in columns.items() if np.any(np.isfinite(xs))}
 
 
 def _write_diagnostics(path: Path, rows: list[tuple]) -> None:
@@ -368,9 +394,8 @@ def _write_diagnostics(path: Path, rows: list[tuple]) -> None:
 def _speed_entry(rows: list[tuple], kind: str, window: tuple[float, float]) -> dict | None:
     """Speed fit of one front column of the track rows; None when it cannot be fitted."""
     arr = np.array(rows)
-    col = {"median": 1, "learning": 2, "intrinsic": 3}[kind]
     try:
-        fit = estimate_speed(FrontTrack(arr[:, 0], arr[:, col]), window)
+        fit = estimate_speed(FrontTrack(arr[:, 0], arr[:, 1 + FRONTS.index(kind)]), window)
     except KdlabError:
         return None
     return {
@@ -648,8 +673,7 @@ def _execute(
 
     _write_tracks(out / "tracks.csv", rec.rows)
     window = config.fit_window or default_window(config.grid.t0, config.grid.t_final)
-    speeds = {kind: _speed_entry(rec.rows, kind, window)
-              for kind in ("median", "learning", "intrinsic")}
+    speeds = {kind: _speed_entry(rec.rows, kind, window) for kind in FRONTS}
     if rank:
         pde_rows = _rank_local_rows(config)
         _write_tracks(out / "pde_tracks.csv", pde_rows)

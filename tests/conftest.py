@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kdlab import harness
 from kdlab.analysis import FrontTrack
 from kdlab.grid import Grid1D, Profile
 from kdlab.harness import preset_config, run
@@ -43,9 +44,9 @@ def preset_runs(tmp_path_factory):
     return get
 
 
-def read_tracks(res) -> np.ndarray:
-    """The run's `tracks.csv` as a structured array keyed by column name."""
-    return np.genfromtxt(res.out_dir / "tracks.csv", delimiter=",", names=True)
+def read_tracks(res) -> dict[str, FrontTrack]:
+    """The run's `tracks.csv`, read by `harness.read_tracks`: each front's track by name."""
+    return harness.read_tracks(res.out_dir / "tracks.csv")
 
 
 def bramson_delay(res, t: np.ndarray) -> np.ndarray:
@@ -62,9 +63,10 @@ def bramson_delay(res, t: np.ndarray) -> np.ndarray:
 
 
 def gap_track(res) -> FrontTrack:
-    """Raw separation x_learning - x_median of the learning and median fronts."""
-    data = read_tracks(res)
-    return FrontTrack(data["t"], data["x_learning"] - data["x_median"])
+    """Raw separation of the learning front ahead of the median front."""
+    tracks = read_tracks(res)
+    median, learning = tracks["median"], tracks["learning"]
+    return FrontTrack(median.times, learning.positions - median.positions)
 
 
 def corrected_gap_track(res) -> FrontTrack:

@@ -49,8 +49,8 @@ class TestCriterion2LotteryFronts:
         window = (12.0, 108.0)
         raw_gap = estimate_speed(gap_track(res), window).speed
         gap = estimate_speed(corrected_gap_track(res), window).speed
-        data = read_tracks(res)
-        med_track = FrontTrack(data["t"], data["x_median"] + bramson_delay(res, data["t"]))
+        median = read_tracks(res)["median"]
+        med_track = FrontTrack(median.times, median.positions + bramson_delay(res, median.times))
         med_corr = estimate_speed(med_track, window).speed
         med_theory = res.manifest["theory"]["median_speed"]
         ok_med = abs(med - 1.00) <= 0.10

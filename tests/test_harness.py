@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdlab.analysis import Snapshot
@@ -179,6 +179,21 @@ class TestRun:
         lines = ["t,x_median,x_learning,x_intrinsic",
                  *(",".join(f"{v:.17g}" for v in r) for r in track_rows)]
         assert (tmp_path / "tracks.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_read_tracks_inverts_write_tracks(self, tmp_path):
+        t = np.arange(6.0)
+        cols = {"median": t / 3.0, "learning": np.array([math.nan, 5e-324, -0.0, 1e308, 0.1, 2.0]),
+                "intrinsic": np.full(6, math.nan)}
+        harness._write_tracks(tmp_path / "tracks.csv", list(zip(t, *cols.values())))
+        tracks = harness.read_tracks(tmp_path / "tracks.csv")
+        assert list(tracks) == ["median", "learning"]  # a front with no finite value is left out
+        for kind, track in tracks.items():
+            assert track.times.tobytes() == t.tobytes()
+            assert track.positions.tobytes() == cols[kind].tobytes()
+        harness._write_tracks(tmp_path / "one.csv", [(0.5, 1.0, 2.0, 3.0)])
+        tracks = harness.read_tracks(tmp_path / "one.csv")
+        assert [(tr.times.tolist(), tr.positions.tolist()) for tr in tracks.values()] == [
+            ([0.5], [1.0]), ([0.5], [2.0]), ([0.5], [3.0])]
 
     def test_binary_snapshot_option(self, tmp_path):
         cfg = tiny_particle_config()
@@ -807,14 +822,35 @@ class TestCli:
         tracks.write_text("time,x_median\n0,1\n1,2\n")
         assert main(["speeds", str(tracks), "--window", "0,1"]) == 2
 
-    @pytest.mark.parametrize("content", [b"t,x_median\n0,1\n1,2,3\n", b"t,x_median\n0,\xff\xfe\n"],
-                             ids=["ragged-row", "not-utf8"])
+    @pytest.mark.parametrize("content", [
+        b"t,x_median\n0,1\n1,2,3\n", b"t,x_median\n0,\xff\xfe\n",
+        pytest.param(b"", marks=pytest.mark.filterwarnings("ignore:genfromtxt:UserWarning")),
+    ], ids=["ragged-row", "not-utf8", "empty"])
     def test_speeds_malformed_track_file(self, tmp_path, content, capsys):
         tracks = tmp_path / "tracks.csv"
         tracks.write_bytes(content)
         assert main(["speeds", str(tracks), "--window", "0,1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(tracks) in err
+
+    def test_speeds_of_a_header_only_track_file(self, tmp_path, capsys):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text("t,x_median,x_learning,x_intrinsic\n")
+        assert main(["speeds", str(tracks), "--window", "0,1"]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("window", ["nan,1", "0,inf", "2,1", "1,1"])
+    def test_speeds_refuses_the_windows_the_config_refuses(self, tmp_path, window, capsys):
+        tracks = tmp_path / "tracks.csv"
+        harness._write_tracks(tracks, [(t, 2.0 * t, 3.0 * t, 3.0 * t) for t in range(20)])
+        assert main(["speeds", str(tracks), "--window", "0,19"]) == 0
+        capsys.readouterr()
+        assert main(["speeds", str(tracks), "--window", window]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --window must be two increasing numbers")
+        a, b = (float(v) for v in window.split(","))
+        with pytest.raises(ConfigError, match="output.fit_window must be two increasing numbers"):
+            dataclasses.replace(preset_config("kpp"), fit_window=(a, b))
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["speeds", str(tmp_path / "nope.csv"), "--window", "0,1"]) == 4
@@ -1122,6 +1158,13 @@ def _small_snapshots() -> dict[str, bytes]:
     return snaps
 
 
+@functools.cache
+def _small_tracks() -> bytes:
+    """The tracks.csv of a 61-node intrinsic run: eleven rows, t from 0 to 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return (run(_small_configs()[1], Path(tmp) / "tracks").out_dir / "tracks.csv").read_bytes()
+
+
 class TestMalformedInputProperties:
     """Whatever the input, nothing but a KdlabError leaves the harness."""
 
@@ -1186,3 +1229,27 @@ class TestMalformedInputProperties:
             except KdlabError:
                 return
             assert grid.t0 <= snap.t <= grid.t_final
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(edits=st.lists(st.tuples(st.booleans(), st.integers(min_value=0), st.integers(1, 255)),
+                          min_size=1, max_size=3),
+           cut=st.none() | st.integers(min_value=0))
+    @example(edits=[(True, 0, 1)], cut=0)  # cut to nothing, which few draws hit
+    @pytest.mark.filterwarnings("ignore:genfromtxt:UserWarning")  # a file cut to nothing
+    def test_damaged_track_bytes(self, edits, cut):
+        raw = bytearray(_small_tracks())
+        # Half the edits land next to a line break, which a uniform offset rarely hits.
+        breaks = [i for i, b in enumerate(raw) if b == ord("\n")]
+        for near_break, offset, mask in edits:
+            i = breaks[offset % len(breaks)] + offset % 46 if near_break else offset
+            raw[i % len(raw)] ^= mask
+        if cut is not None:
+            raw = raw[:cut % len(raw)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tracks.csv"
+            path.write_bytes(raw)
+            try:
+                harness.read_tracks(path)
+            except KdlabError:
+                pass
+            assert main(["speeds", str(path), "--window", "0,1"]) in (0, 2)
