@@ -16,7 +16,7 @@ import math
 import os
 import zipfile
 import zlib
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable
@@ -189,14 +189,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            with open(path) as f:
-                d = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
-            raise ConfigError(f"{path}: not a readable JSON config: {exc}") from exc
-        return cls.from_dict(d)
+        with open(path) as f, _parsing(path, "JSON config"):
+            return cls.from_dict(json.load(f))
 
 
 def ramp_initial(grid: Grid1D, l0: float) -> Profile:
@@ -234,6 +228,47 @@ def preset_config(name: str) -> ExperimentConfig:
     nx = int(round((x_max - x_min) / 0.05)) + 1
     grid = Grid1D(x_min, x_max, nx, 0.0, t_final, int(round(t_final / dt)))
     return ExperimentConfig(name=name, mode=mode, params=p, grid=grid, **kwargs)
+
+
+# -- reading files back ------------------------------------------------------
+
+#: What parsing a file raises: numpy's, zipfile's (EOFError for a member cut
+#: short, RuntimeError for an unknown method or an encrypted member, OSError for
+#: a seek past the archive), zlib's, json's, and the KdlabError of a value read.
+_PARSE_ERRORS = (KdlabError, KeyError, IndexError, TypeError, ValueError, OSError, EOFError,
+                 RuntimeError, zipfile.BadZipFile, zlib.error)
+
+
+@contextmanager
+def _parsing(path: str | Path, what: str, error: type[KdlabError] = ConfigError):
+    """Make anything reading path raises an error naming it; error itself passes."""
+    try:
+        yield
+    except error:
+        raise
+    except _PARSE_ERRORS as exc:
+        raise error(f"{path}: malformed {what}: {exc!r}") from exc
+
+
+def _load_npz(f) -> np.lib.npyio.NpzFile:
+    """The npz archive in the open binary file f (not a name: np.load leaks the file
+    it opens when the zip directory does not parse); a bare array is a ValueError."""
+    data = np.load(f, allow_pickle=False)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("a bare array, not an npz archive")
+    return data
+
+
+def _read_table(f) -> dict[str, np.ndarray]:
+    """The columns, by name, of the CSV table in the rest of the open text file f:
+    a row of names, then rows of numbers.  No row of names is a ValueError."""
+    lines = f.readlines()
+    # numpy warns on an empty table; with comments=None, each line that str.strip
+    # leaves something of is one genfromtxt reads.
+    if not any(line.strip() for line in lines):
+        raise ValueError("an empty table")
+    data = np.genfromtxt(lines, delimiter=",", names=True, comments=None)
+    return {name: np.atleast_1d(data[name]) for name in data.dtype.names}
 
 
 # -- output writers ----------------------------------------------------------
@@ -279,49 +314,32 @@ def _read_snapshot(path: Path, grid: Grid1D) -> Snapshot:
     ConfigError naming it.  A file that cannot be opened raises the OSError.
     """
     npz = path.suffix == ".npz"
-    # An open file, not a name: np.load leaks the file it opens when the zip
-    # directory does not parse.
-    with open(path, "rb" if npz else "r") as f:
-        try:
-            if npz:
-                data = np.load(f, allow_pickle=False)
-                if not isinstance(data, np.lib.npyio.NpzFile):
-                    raise ConfigError(f"{path}: a bare array, not an npz archive")
-                with data:
-                    cols = {name: np.atleast_1d(data[name]) for name in data.files if name != "t"}
-                    t = float(data["t"])
-            else:
-                header = f.readline().strip()
-                if not header.startswith("# t="):
-                    raise ConfigError(f"{path}: missing '# t=' header")
-                t = float(header[4:])
-                data = np.genfromtxt(f, delimiter=",", names=True)
-                cols = {name: np.atleast_1d(data[name]) for name in data.dtype.names}
-            # NaN fails the test too; t0 + nt*dt may round past t_final.
-            if not grid.t0 <= t <= max(grid.t_final, grid.time_at(grid.nt)):
-                raise ConfigError(f"{path}: time t={t!r} is not in the run grid's [t0, t_final]")
-            if not np.array_equal(cols["x"], grid.x):
-                raise ConfigError(f"{path}: x column is not the run grid's nodes")
-            found = {name: np.asarray(cols[name], dtype=float)
-                     for name in _COLUMNS if name in cols}
-            for name, v in found.items():
-                if v.shape != (grid.nx,):
-                    raise ConfigError(f"{path}: column {name} has shape {v.shape}, not ({grid.nx},)")
-        except KdlabError:
-            raise
-        except (KeyError, IndexError, TypeError, ValueError, OSError, EOFError, RuntimeError,
-                zipfile.BadZipFile, zlib.error) as exc:
-            # Anything the parse raises: a damaged member (zlib.error, a bad
-            # CRC), an unknown compression method (NotImplementedError, a
-            # RuntimeError), a member cut short (EOFError), a seek past the
-            # archive (OSError), text that is not UTF-8 (a ValueError).
-            raise ConfigError(f"{path}: malformed snapshot: {exc!r}") from exc
-    found = {name: v for name, v in found.items() if np.all(np.isfinite(v))}
-    if "F" not in found or "J" not in found:
-        raise ConfigError(f"{path}: snapshot has no finite F or J column")
-    if any(np.any(found[name] < 0.0) for name in ("I", "J") if name in found):
-        raise ConfigError(f"{path}: snapshot has a negative pay-off (I or J) column")
-    return Snapshot(t, grid, **found)
+    with open(path, "rb" if npz else "r") as f, _parsing(path, "snapshot"):
+        if npz:
+            with _load_npz(f) as data:
+                cols = {name: np.atleast_1d(data[name]) for name in data.files if name != "t"}
+                t = float(data["t"])
+        else:
+            header = f.readline().strip()
+            if not header.startswith("# t="):
+                raise ConfigError(f"{path}: missing '# t=' header")
+            t = float(header[4:])
+            cols = _read_table(f)
+        # NaN fails the test too; t0 + nt*dt may round past t_final.
+        if not grid.t0 <= t <= max(grid.t_final, grid.time_at(grid.nt)):
+            raise ConfigError(f"{path}: time t={t!r} is not in the run grid's [t0, t_final]")
+        if not np.array_equal(cols["x"], grid.x):
+            raise ConfigError(f"{path}: x column is not the run grid's nodes")
+        found = {name: np.asarray(cols[name], dtype=float) for name in _COLUMNS if name in cols}
+        for name, v in found.items():
+            if v.shape != (grid.nx,):
+                raise ConfigError(f"{path}: column {name} has shape {v.shape}, not ({grid.nx},)")
+        found = {name: v for name, v in found.items() if np.all(np.isfinite(v))}
+        if "F" not in found or "J" not in found:
+            raise ConfigError(f"{path}: snapshot has no finite F or J column")
+        if any(np.any(found[name] < 0.0) for name in ("I", "J") if name in found):
+            raise ConfigError(f"{path}: snapshot has a negative pay-off (I or J) column")
+        return Snapshot(t, grid, **found)
 
 
 def _diagnose(config: ExperimentConfig, snaps: list[Snapshot]) -> DiagnosticsReport:
@@ -370,18 +388,15 @@ def _write_tracks(path: Path, rows: list[tuple[float, float, float, float]]) -> 
 def read_tracks(path: str | Path) -> dict[str, FrontTrack]:
     """Inverse of _write_tracks: the track of each front with a finite value, by name.
 
-    A file that does not parse (empty, a ragged row, bytes that are not UTF-8) or
-    has no t column is a ConfigError naming it; a file not opened, the OSError."""
-    try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-    except (ValueError, IndexError) as exc:  # IndexError: an empty file
-        raise ConfigError(f"{path}: malformed track file: {exc!r}") from exc
-    names = data.dtype.names or ()
-    if "t" not in names:
-        raise ConfigError(f"{path}: no 't' column")
-    columns = {k: np.atleast_1d(data[c]) for k, c in zip(FRONTS, _TRACK_COLUMNS[1:]) if c in names}
-    return {kind: FrontTrack(np.atleast_1d(data["t"]), xs)
-            for kind, xs in columns.items() if np.any(np.isfinite(xs))}
+    A file that does not parse (empty, a ragged row, bytes that are not UTF-8),
+    has no t column or whose times decrease is a ConfigError naming it; a file
+    not opened, the OSError."""
+    with open(path) as f, _parsing(path, "track file"):
+        cols = _read_table(f)
+        if "t" not in cols:
+            raise ConfigError(f"{path}: no 't' column")
+        return {kind: FrontTrack(cols["t"], cols[c]) for kind, c in zip(FRONTS, _TRACK_COLUMNS[1:])
+                if c in cols and np.any(np.isfinite(cols[c]))}
 
 
 def _write_diagnostics(path: Path, rows: list[tuple]) -> None:
@@ -441,32 +456,13 @@ def load_checkpoint(path: str | Path) -> tuple[ParticleState, ExperimentConfig |
     """Inverse of save_checkpoint; returns (state, config-or-None).
 
     A file that holds no readable checkpoint of this version is a
-    CheckpointError naming it.  A state that contradicts its embedded
-    config (another agent count or seed, or a step past the grid's last) is
-    a CheckpointError too.
+    CheckpointError naming it; a file not opened, the OSError.  A state that
+    contradicts its embedded config (a config of no particle run, another
+    agent count or seed, or a step past the grid's last) is a CheckpointError
+    too.
     """
-    path = Path(path)
-    try:
-        # An open file, not a name: np.load leaks the file it opens when the
-        # zip directory does not parse.
-        with open(path, "rb") as f:
-            data = np.load(f, allow_pickle=False)
-            if not isinstance(data, np.lib.npyio.NpzFile):
-                raise CheckpointError(f"checkpoint {path} is a bare array, not an npz archive")
-            with data:
-                return _checkpoint_from_npz(data)
-    except CheckpointError:
-        raise
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint {path} lacks key {exc}") from exc
-    except (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
-        # No archive numpy reads, a damaged member, malformed meta, an array
-        # that needs pickle to load, or positions the state rejects (its
-        # DomainError or NonFiniteError).  zipfile raises EOFError for a
-        # member cut short, NotImplementedError (a RuntimeError) for an
-        # unknown compression method or zip version, and RuntimeError for an
-        # encrypted member.
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc!r}") from exc
+    with open(path, "rb") as f, _parsing(path, "checkpoint", CheckpointError), _load_npz(f) as data:
+        return _checkpoint_from_npz(data)
 
 
 def _checkpoint_from_npz(data) -> tuple[ParticleState, ExperimentConfig | None]:
@@ -496,7 +492,10 @@ def _checkpoint_from_npz(data) -> tuple[ParticleState, ExperimentConfig | None]:
     )
     # A resumed run takes its agent count, seed and horizon from the config,
     # so a state that disagrees with them would continue another run.
-    if config is not None and config.particles is not None:
+    if config is not None:
+        if config.particles is None:
+            raise CheckpointError(f"checkpoint holds a mode {config.mode!r} config, "
+                                  "not a particle run's")
         spec, nt = config.particles, config.grid.nt
         if (state.n, state.seed) != (spec.n, spec.seed) or state.step_index > nt:
             raise CheckpointError(
@@ -734,6 +733,4 @@ def resume(checkpoint_path: str | Path, out_dir: str | Path) -> RunResult:
     state, config = load_checkpoint(checkpoint_path)
     if config is None:
         raise CheckpointError("resume needs a checkpoint with an embedded config")
-    if config.mode != "particles":
-        raise ConfigError(f"resume supports particle runs, not mode {config.mode!r}")
     return _execute(config, out_dir, state=state)

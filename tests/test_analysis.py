@@ -120,6 +120,8 @@ class TestEstimateSpeed:
     def test_track_validation(self):
         with pytest.raises(DomainError):
             FrontTrack([1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(DomainError, match="equal length"):
+            FrontTrack([0.0, 1.0], [0.0, 1.0, 2.0])
 
     @pytest.mark.parametrize("t", [np.zeros(12), np.full(12, 5.0), np.linspace(0.0, 1e-320, 12)],
                              ids=["all-at-zero", "all-at-five", "subnormal-spread"])

@@ -50,7 +50,8 @@ class TestTerminalCondition:
         with pytest.raises(DomainError):
             TerminalCondition(kind="custom")
 
-    @pytest.mark.parametrize("bad", [{"center": "3"}, {"slope": True}, {"center": math.inf}])
+    @pytest.mark.parametrize("bad", [{"center": "3"}, {"slope": True}, {"center": math.inf},
+                                     {"slope": 0.0}, {"slope": -1.0}])
     def test_center_and_slope_are_finite_numbers(self, bad):
         with pytest.raises(DomainError):
             TerminalCondition(kind="logistic", **bad)
@@ -106,6 +107,15 @@ class TestStepBackward:
     def test_dt_cap(self):
         with pytest.raises(DomainError):
             backward_steps(np.zeros(801), 0.0, 0.0, dt_max_backward(P) * 1.5, 1)
+
+    @pytest.mark.parametrize("off", ["F", "s"])
+    def test_fields_off_the_run_grid_refused(self, off):
+        g = Grid1D(-20.0, 20.0, 401, 0.0, 0.5, 5)
+        other = Grid1D(-20.0, 20.0, 401, 0.0, 1.0, 5)
+        fields = {name: SpaceTimeField(other if name == off else g, np.zeros((6, 401)))
+                  for name in ("F", "s")}
+        with pytest.raises(GridMismatchError):
+            next(iter_backward(TerminalCondition(), fields["F"], fields["s"], P, g))
 
 
 def _lottery_fields(t_final=20.0, dt=0.02, dx=0.05):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kdlab.errors import DomainError
+from kdlab.errors import DomainError, GridMismatchError
 from kdlab.forward import (
     CONSTANT_ALPHA,
     INTRINSIC,
@@ -192,6 +192,15 @@ class TestSolveForward:
         e1 = np.max(np.abs(f1 - f4[::4]))
         e2 = np.max(np.abs(f2 - f4[::2]))
         assert e1 / e2 > 1.5
+
+    def test_inputs_off_the_run_refused_at_entry(self):
+        g, other = Grid1D(-5.0, 5.0, 64, 0.0, 1.0, 10), space_grid(-5.0, 5.0, 64)
+        F0 = step_profile(g, 0.0)
+        for F, strategy, error in [(F0, SpaceTimeField(other, np.ones((1, 64))), GridMismatchError),
+                                   (F0, "majority", DomainError),
+                                   (step_profile(other, 0.0), INTRINSIC, GridMismatchError)]:
+            with pytest.raises(error):
+                next(iter_forward(F, strategy, P, g))
 
     def test_requires_monotone_initial(self):
         g = Grid1D(-5.0, 5.0, 64, 0.0, 1.0, 10)

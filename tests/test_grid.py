@@ -50,6 +50,8 @@ class TestGrid:
             Grid1D(1.0, 0.0, 16, 0.0, 1.0, 10)
         with pytest.raises(DomainError):
             Grid1D(0.0, 1.0, 16, 0.0, 1.0, 0)  # nt=0 needs t0 == t_final
+        with pytest.raises(DomainError, match="nt"):
+            Grid1D(0.0, 1.0, 16, 0.0, 1.0, -1)
         for bad in ([0.0, 1.0, 16.0, 0.0, 1.0, 10], [0.0, 1.0, 16, 0.0, 1.0, True],
                     ["0", "1", 16, 0.0, 1.0, 10], [0.0, float("inf"), 16, 0.0, 1.0, 10]):
             with pytest.raises(DomainError):
@@ -113,6 +115,18 @@ class TestProfile:
         bad[3] = np.nan
         with pytest.raises(NonFiniteError):
             Profile(g, bad)
+
+
+class TestSpaceTimeField:
+    def test_shape_and_finite(self):
+        g = Grid1D(0.0, 1.0, 16, 0.0, 1.0, 4)
+        with pytest.raises(GridMismatchError, match="shape"):
+            SpaceTimeField(g, np.zeros((4, 16)))  # one slice short of nt + 1
+        bad = np.zeros((5, 16))
+        bad[2, 3] = np.inf
+        with pytest.raises(NonFiniteError):
+            SpaceTimeField(g, bad)
+        assert SpaceTimeField(g, np.zeros((5, 16))) == SpaceTimeField(g, np.zeros((5, 16)))
 
 
 def _dense_eliminate(lower, diag, upper, rhs):

@@ -644,6 +644,15 @@ class TestResume:
                                             step_index=20), path, config=cfg)
         assert load_checkpoint(path)[0].step_index == 20
 
+    def test_resume_requires_an_embedded_config(self, tmp_path):
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(ParticleState(positions=np.zeros(4), seed=1), path)
+        assert load_checkpoint(path)[1] is None
+        with pytest.raises(CheckpointError, match="embedded config"):
+            resume(path, tmp_path / "out")
+        assert main(["resume", str(path), "--out", str(tmp_path / "res")]) == 4
+        assert not (tmp_path / "out").exists() and not (tmp_path / "res").exists()
+
     def test_resume_requires_particles(self, tmp_path):
         write_field_archive(tmp_path / "f.npz", "field")
         with pytest.raises(CheckpointError):
@@ -667,6 +676,13 @@ def _npz_with_short_F(path):
     cols = {name: data[name] for name in data.dtype.names}
     cols["F"] = cols["F"][:-5]
     np.savez(path.with_suffix(".npz"), t=t, **cols)
+    path.unlink()
+
+
+def _npz_bare_array(path):
+    """Replace a CSV snapshot by an npz-named file that holds one bare .npy array."""
+    with open(path.with_suffix(".npz"), "wb") as f:
+        np.save(f, np.zeros(8))
     path.unlink()
 
 
@@ -695,8 +711,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "median" in out
         assert main(["diag", str(run_dir)]) == 0
-        assert "diagnostics:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "diagnostics:" in out
+        assert main(["diag", str(run_dir / "fields")]) == 0  # the run directory's fields/
+        assert capsys.readouterr().out == out
         assert_diagnostics_rebuilt(run_dir)
+
+    def test_run_with_failed_diagnostics_exit_code(self, tmp_path, capsys):
+        # A domain too short for the run: the intrinsic front stalls at x_max.
+        # The failed checks are printed, and the exit status stays 0.
+        d = _small_configs()[1].to_dict()
+        d["grid"].update(x_max=20.0, t_final=20.0, nt=100)
+        path = tmp_path / "stall.json"
+        path.write_text(json.dumps(d))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "diagnostics: FAILED checks intrinsic_front_advance" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["preset"], "preset name required"),
+        (["speeds", "tracks.csv", "--window", "a,b"], "--window must be 'a,b'"),
+    ], ids=["preset-without-name", "window-not-numbers"])
+    def test_argument_error_exit_code(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -785,6 +822,14 @@ class TestCli:
         assert [f.name for f in run_dir.iterdir()] == ["config.json"]
         assert main(["diag", str(run_dir)]) == 2
 
+    def test_diag_without_snapshots_exit_code(self, tmp_path, capsys):
+        run_dir = mini_kpp_run(tmp_path)
+        for snap in (run_dir / "fields").iterdir():
+            snap.unlink()
+        assert main(["diag", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no field snapshots") and str(run_dir) in err
+
     def test_diag_without_manifest_exit_code(self, tmp_path, capsys):
         # A run that failed after writing its snapshots has no manifest.json,
         # which a run writes last: it is not a run directory to pass.
@@ -824,8 +869,9 @@ class TestCli:
 
     @pytest.mark.parametrize("content", [
         b"t,x_median\n0,1\n1,2,3\n", b"t,x_median\n0,\xff\xfe\n",
-        pytest.param(b"", marks=pytest.mark.filterwarnings("ignore:genfromtxt:UserWarning")),
-    ], ids=["ragged-row", "not-utf8", "empty"])
+        pytest.param(b"", marks=pytest.mark.filterwarnings("error::UserWarning")),
+        b"t,x_median\n1,1\n0,2\n",
+    ], ids=["ragged-row", "not-utf8", "empty", "decreasing-times"])
     def test_speeds_malformed_track_file(self, tmp_path, content, capsys):
         tracks = tmp_path / "tracks.csv"
         tracks.write_bytes(content)
@@ -944,6 +990,17 @@ class TestCli:
         assert "compare" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
+    def test_checkpoint_with_a_pde_config_exit_code(self, tmp_path, capsys):
+        # A particle state under a kpp config contradicts its config.
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(ParticleState(positions=np.zeros(4), seed=1), path,
+                        config=preset_config("kpp"))
+        with pytest.raises(CheckpointError, match="'kpp'"):
+            load_checkpoint(path)
+        assert main(["resume", str(path), "--out", str(tmp_path / "res")]) == 4
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert not (tmp_path / "res").exists()
+
     def test_diag_on_resumed_run(self, tmp_path, capsys):
         partial = run(tiny_particle_config(nt=20), tmp_path / "part", max_steps=7)
         resumed = resume(partial.out_dir / "checkpoint.npz", tmp_path / "resumed")
@@ -981,8 +1038,11 @@ class TestCli:
         lambda f: f.write_text("".join(f.read_text().splitlines(keepends=True)[:-10])),
         lambda f: _map_csv_column(f, "J", lambda v: -v),
         _npz_with_short_F,
+        pytest.param(lambda f: f.write_text(f.read_text().splitlines(keepends=True)[0]),
+                     marks=pytest.mark.filterwarnings("error::UserWarning")),
+        _npz_bare_array,
     ], ids=["no-x-column", "ragged-row", "no-F-column", "csv-named-npz", "no-J-column",
-            "truncated", "negative-J", "npz-short-F"])
+            "truncated", "negative-J", "npz-short-F", "header-only", "npz-bare-array"])
     def test_diag_malformed_snapshot_exit_code(self, tmp_path, corrupt, capsys):
         run_dir = mini_kpp_run(tmp_path)
         snap = sorted((run_dir / "fields").glob("snap_*.csv"))[1]
@@ -1235,7 +1295,7 @@ class TestMalformedInputProperties:
                           min_size=1, max_size=3),
            cut=st.none() | st.integers(min_value=0))
     @example(edits=[(True, 0, 1)], cut=0)  # cut to nothing, which few draws hit
-    @pytest.mark.filterwarnings("ignore:genfromtxt:UserWarning")  # a file cut to nothing
+    @pytest.mark.filterwarnings("error::UserWarning")  # numpy's, on a file cut to nothing
     def test_damaged_track_bytes(self, edits, cut):
         raw = bytearray(_small_tracks())
         # Half the edits land next to a line break, which a uniform offset rarely hits.

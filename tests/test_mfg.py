@@ -9,7 +9,7 @@ import pytest
 import kdlab.mfg
 from kdlab.analysis import _front, locate_level
 from kdlab.backward import TerminalCondition, iter_backward, solve_backward
-from kdlab.errors import DomainError, GridMismatchError
+from kdlab.errors import DomainError, GridMismatchError, NonFiniteError
 from kdlab.forward import INTRINSIC, iter_forward, solve_forward
 from kdlab.grid import Grid1D, Profile, SpaceTimeField
 from kdlab.mfg import (MfgConfig, MfgSolution, _best_response, _residual, best_response,
@@ -155,6 +155,13 @@ class TestBestResponse:
     def test_shape_mismatch(self):
         with pytest.raises(GridMismatchError):
             best_response(np.zeros((2, 3)), np.zeros((3, 2)), 0.1, P_LOTTERY)
+
+    @pytest.mark.parametrize("F, error", [(np.nan, NonFiniteError), (np.inf, NonFiniteError),
+                                          (-1.0, DomainError)], ids=["nan", "inf", "negative"])
+    def test_payoff_outside_its_domain_refused(self, F, error):
+        g = space_grid(-5.0, 5.0, 64)
+        with pytest.raises(error, match="pay-off"):
+            best_response(np.full(g.nx, F), np.ones(g.nx), g.dx, P_LOTTERY)
 
 
 class TestSolveNash:
