@@ -14,6 +14,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shutil
 import zipfile
 import zlib
 from contextlib import closing, contextmanager
@@ -162,13 +164,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Inverse of to_dict.  Each section is a JSON object of its own keys,
-        and an absent key takes the default of the field it fills."""
+        """Inverse of to_dict.  Each section is a JSON object of its own keys, and an
+        absent key takes the default of the field it fills (name, mode, params, grid: none)."""
         _section(d, "the config", _TOP_KEYS)
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version must be {SCHEMA_VERSION}, got {d.get('schema_version')!r}"
             )
+        if "mode" in d and d["mode"] not in MODES:  # the mode decides which sections are read
+            raise ConfigError(f"mode must be one of {MODES}, got {d['mode']!r}")
+        if missing := [key for key in ("name", "mode", "params", "grid") if key not in d]:
+            raise ConfigError(f"the config lacks required keys {missing}")
         ic = _section(d.get("initial_condition", {}), "initial_condition", ("kind", "l0"))
         if "kind" in ic and ic["kind"] != "ramp":
             raise ConfigError(f"initial_condition.kind must be 'ramp', got {ic['kind']!r}")
@@ -241,13 +247,13 @@ _PARSE_ERRORS = (KdlabError, KeyError, IndexError, TypeError, ValueError, OSErro
 
 @contextmanager
 def _parsing(path: str | Path, what: str, error: type[KdlabError] = ConfigError):
-    """Make anything reading path raises an error naming it; error itself passes."""
+    """Make anything reading path raises an error naming it, once; an error keeps its type."""
     try:
         yield
-    except error:
-        raise
     except _PARSE_ERRORS as exc:
-        raise error(f"{path}: malformed {what}: {exc!r}") from exc
+        own = isinstance(exc, error)  # a reader's own refusal, with its message
+        message = str(exc) if own else f"malformed {what}: {exc!r}"
+        raise (type(exc) if own else error)(f"{path}: {message}") from exc
 
 
 def _load_npz(f) -> np.lib.npyio.NpzFile:
@@ -322,23 +328,23 @@ def _read_snapshot(path: Path, grid: Grid1D) -> Snapshot:
         else:
             header = f.readline().strip()
             if not header.startswith("# t="):
-                raise ConfigError(f"{path}: missing '# t=' header")
+                raise ConfigError("missing '# t=' header")
             t = float(header[4:])
             cols = _read_table(f)
         # NaN fails the test too; t0 + nt*dt may round past t_final.
         if not grid.t0 <= t <= max(grid.t_final, grid.time_at(grid.nt)):
-            raise ConfigError(f"{path}: time t={t!r} is not in the run grid's [t0, t_final]")
+            raise ConfigError(f"time t={t!r} is not in the run grid's [t0, t_final]")
         if not np.array_equal(cols["x"], grid.x):
-            raise ConfigError(f"{path}: x column is not the run grid's nodes")
+            raise ConfigError("x column is not the run grid's nodes")
         found = {name: np.asarray(cols[name], dtype=float) for name in _COLUMNS if name in cols}
         for name, v in found.items():
             if v.shape != (grid.nx,):
-                raise ConfigError(f"{path}: column {name} has shape {v.shape}, not ({grid.nx},)")
+                raise ConfigError(f"column {name} has shape {v.shape}, not ({grid.nx},)")
         found = {name: v for name, v in found.items() if np.all(np.isfinite(v))}
         if "F" not in found or "J" not in found:
-            raise ConfigError(f"{path}: snapshot has no finite F or J column")
+            raise ConfigError("snapshot has no finite F or J column")
         if any(np.any(found[name] < 0.0) for name in ("I", "J") if name in found):
-            raise ConfigError(f"{path}: snapshot has a negative pay-off (I or J) column")
+            raise ConfigError("snapshot has a negative pay-off (I or J) column")
         return Snapshot(t, grid, **found)
 
 
@@ -394,7 +400,7 @@ def read_tracks(path: str | Path) -> dict[str, FrontTrack]:
     with open(path) as f, _parsing(path, "track file"):
         cols = _read_table(f)
         if "t" not in cols:
-            raise ConfigError(f"{path}: no 't' column")
+            raise ConfigError("no 't' column")
         return {kind: FrontTrack(cols["t"], cols[c]) for kind, c in zip(FRONTS, _TRACK_COLUMNS[1:])
                 if c in cols and np.any(np.isfinite(cols[c]))}
 
@@ -641,11 +647,27 @@ def _rank_local_rows(cfg: ExperimentConfig) -> list[tuple]:
     return [(snap.t, *snap.fronts(p.i_crit)) for snap in snaps]
 
 
+#: Every path, relative to its run directory, that a run writes.
+_RUN_PATHS = re.compile(r"(config|manifest|speeds)\.json|(pde_)?tracks\.csv|diagnostics\.csv"
+                        r"|checkpoint\.npz(\.tmp)?|fields(/snap_\d{6,}\.(csv|npz))?")
+
+
+def _clear_run_dir(out: Path) -> None:
+    """Make out an empty directory; one holding a path no run writes is a ConfigError."""
+    if out.is_dir():
+        foreign = [p for p in sorted(out.rglob("*"))
+                   if not _RUN_PATHS.fullmatch(p.relative_to(out).as_posix())]
+        if foreign:
+            raise ConfigError(f"{out}: holds {foreign[0].relative_to(out)}, which no run writes")
+        shutil.rmtree(out)
+    out.mkdir(parents=True)
+
+
 def _execute(
     config: ExperimentConfig, out_dir: str | Path, max_steps: int | None = None,
     state: ParticleState | None = None,
 ) -> RunResult:
-    """Run config into out_dir and write every artifact of its run directory.
+    """Run config into out_dir, emptied first (_clear_run_dir), and write every artifact.
 
     With a particle state the run continues from it, and the manifest records
     the step it resumed from.  A rank-rule particle run also writes its mean
@@ -655,7 +677,7 @@ def _execute(
     # before anything is written.
     config = replace(config)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _clear_run_dir(out)
     (out / "config.json").write_text(config.to_json() + "\n")
     manifest: dict = {}
     final_state = None
@@ -694,16 +716,14 @@ def _execute(
         "speeds": speeds,
         "theory": asdict(theory),
         "diagnostics_passed": report.passed,
-        "diagnostics_failures": [r.check for r in report.failures()],
+        "diagnostics_failures": list(dict.fromkeys(r.check for r in report.failures())),
     })
     if final_state is not None and final_state.step_index < config.grid.nt:
         manifest["partial"] = True
     if state is not None:
         manifest["resumed_from_step"] = state.step_index
-    manifest["files"] = {
-        str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
-        for f in sorted(out.rglob("*")) if f.is_file() and f.name != "manifest.json"
-    }
+    manifest["files"] = {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
+                         for f in sorted(out.rglob("*")) if f.is_file()}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return RunResult(out_dir=out, manifest=manifest, final_state=final_state)
 
@@ -711,7 +731,7 @@ def _execute(
 def run(
     config: ExperimentConfig, out_dir: str | Path, max_steps: int | None = None
 ) -> RunResult:
-    """Execute one experiment and write its artifact files.
+    """Execute one experiment and write its artifact files into out_dir, replaced whole.
 
     max_steps, a non-negative integer, truncates a particle run after that
     many steps (checkpoint included), which is how interrupted-run recovery

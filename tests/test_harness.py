@@ -725,7 +725,9 @@ class TestCli:
         path = tmp_path / "stall.json"
         path.write_text(json.dumps(d))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert "diagnostics: FAILED checks intrinsic_front_advance" in capsys.readouterr().out
+        # Each failed check is named once, in the order of its first failure.
+        assert ("diagnostics: FAILED checks intrinsic_front_advance, intrinsic_growth, "
+                "median_vs_learning") in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("argv, message", [
         (["preset"], "preset name required"),
@@ -741,6 +743,17 @@ class TestCli:
             bad.write_bytes(text)
             assert main(["run", str(bad)]) == 2
             assert capsys.readouterr().err.startswith("config error:")
+        # The mode decides which sections are read, so an unknown one is named
+        # first; a missing section is named as its JSON key.
+        for d, message in [({"schema_version": 1, "name": "x", "mode": "zzz"},
+                            f"mode must be one of {harness.MODES}, got 'zzz'"),
+                           ({"schema_version": 1, "name": "x", "mode": "kpp"},
+                            "the config lacks required keys ['params', 'grid']"),
+                           ({"schema_version": 1}, "the config lacks required keys "
+                            "['name', 'mode', 'params', 'grid']")]:
+            bad.write_text(json.dumps(d))
+            assert main(["run", str(bad)]) == 2
+            assert capsys.readouterr().err == f"config error: {bad}: {message}\n"
 
     @pytest.mark.parametrize("break_config", [
         lambda d: [d],
@@ -897,6 +910,23 @@ class TestCli:
         a, b = (float(v) for v in window.split(","))
         with pytest.raises(ConfigError, match="output.fit_window must be two increasing numbers"):
             dataclasses.replace(preset_config("kpp"), fit_window=(a, b))
+
+    def test_readers_own_refusals_name_the_file(self, tmp_path, capsys):
+        # A reader's own check names the file once, as a parse failure does.
+        ck = tmp_path / "checkpoint.npz"
+        save_checkpoint(ParticleState(positions=np.zeros(4), seed=1), ck)
+        data = dict(np.load(ck, allow_pickle=False))
+        data["meta"] = json.dumps({**json.loads(str(data["meta"])), "checkpoint_version": 9})
+        np.savez(ck, **data)
+        assert main(["resume", str(ck), "--out", str(tmp_path / "res")]) == 4
+        assert capsys.readouterr().err == f"i/o error: {ck}: checkpoint version 9 unsupported\n"
+        d = tiny_particle_config().to_dict()
+        d["output"]["snapshot_stride"] = 0
+        path = tmp_path / "stride.json"
+        path.write_text(json.dumps(d))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: output.snapshot_stride must be a positive integer, got 0\n")
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["speeds", str(tmp_path / "nope.csv"), "--window", "0,1"]) == 4
@@ -1135,6 +1165,95 @@ class TestCli:
             assert_diagnostics_rebuilt(res.out_dir)
         assert "diagnostics: PASS" in reports[1]
         assert reports[1] == reports[0]
+
+
+def _tree(d: Path) -> dict[str, bytes | None]:
+    """Every path under d, relative and in POSIX form, with its bytes (None for a directory)."""
+    return {p.relative_to(d).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in d.rglob("*")}
+
+
+class TestRunDirectory:
+    """A run replaces an earlier run's directory whole, and refuses any other."""
+
+    def test_rerun_with_a_coarser_stride_equals_a_fresh_run(self, tmp_path):
+        cfg = _small_configs()[1]  # 10 steps, a snapshot every 5
+        run(dataclasses.replace(cfg, snapshot_stride=2), tmp_path / "run")
+        res = run(cfg, tmp_path / "run")
+        assert sorted(f for f in res.manifest["files"] if f.startswith("fields/")) == [
+            f"fields/snap_{j:06d}.csv" for j in (0, 5, 10)]
+        assert _tree(res.out_dir) == _tree(run(cfg, tmp_path / "fresh").out_dir)
+
+    def test_rerun_that_stops_early_leaves_no_manifest(self, tmp_path, monkeypatch):
+        cfg = _small_configs()[1]
+        out = run(cfg, tmp_path / "run").out_dir
+
+        def fail(path, rows):
+            raise Boom
+
+        monkeypatch.setattr(harness, "_write_diagnostics", fail)
+        with pytest.raises(Boom):
+            run(dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, alpha1=0.25)), out)
+        assert not (out / "manifest.json").exists()
+        with pytest.raises(ConfigError, match="did not finish"):
+            diagnose_run_dir(out)
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["csv-after-npz", "npz-after-csv"])
+    def test_switching_the_snapshot_format_leaves_one_format(self, tmp_path, binary, capsys):
+        cfg = dataclasses.replace(_small_configs()[1], binary_fields=binary)
+        run(dataclasses.replace(cfg, binary_fields=not binary), tmp_path / "run")
+        res = run(cfg, tmp_path / "run")
+        assert {f.suffix for f in (res.out_dir / "fields").iterdir()} == {
+            ".npz" if binary else ".csv"}
+        assert main(["diag", str(res.out_dir)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "diagnostics: PASS"
+
+    def test_a_kpp_run_over_a_rank_rule_run_leaves_no_particle_file(self, tmp_path):
+        rank = run(tiny_particle_config(nt=20), tmp_path / "run").out_dir
+        assert {"pde_tracks.csv", "checkpoint.npz"} <= set(_tree(rank))
+        kpp = dataclasses.replace(tiny_particle_config(nt=20), mode="kpp", particles=None)
+        res = run(kpp, rank)
+        assert not {"pde_tracks.csv", "checkpoint.npz"} & set(_tree(res.out_dir))
+        assert _tree(res.out_dir) == _tree(run(kpp, tmp_path / "fresh").out_dir)
+
+    @pytest.mark.parametrize("foreign, named", [
+        ("notes.txt", "notes.txt"),
+        ("fields/snap_000010.csv.bak", "fields/snap_000010.csv.bak"),
+        ("old/config.json", "old"),
+    ], ids=["file", "file-in-fields", "directory"])
+    def test_a_directory_holding_a_path_no_run_writes_is_refused(self, tmp_path, capsys,
+                                                                  foreign, named):
+        path = tmp_path / "tiny.json"
+        path.write_text(tiny_particle_config(nt=20).to_json())
+        argv = ["run", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        run_dir = tmp_path / "out" / "tiny"
+        (run_dir / foreign).parent.mkdir(exist_ok=True)
+        (run_dir / foreign).write_text("kept")
+        before = _tree(run_dir)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {run_dir}: holds {named}, which no run writes\n")
+        assert _tree(run_dir) == before
+
+    def test_a_file_at_the_run_directory_stays_an_os_error(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(tiny_particle_config(nt=20).to_json())
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "tiny").write_text("kept")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert (tmp_path / "out" / "tiny").read_text() == "kept"
+
+    def test_a_second_resume_replaces_the_first(self, tmp_path):
+        cfg = tiny_particle_config(nt=20)
+        ck = tmp_path / "part" / "checkpoint.npz"
+        run(cfg, ck.parent, max_steps=7)
+        assert main(["resume", str(ck), "--out", str(tmp_path / "res")]) == 0
+        run(cfg, ck.parent, max_steps=15)
+        assert main(["resume", str(ck), "--out", str(tmp_path / "res")]) == 0
+        assert main(["resume", str(ck), "--out", str(tmp_path / "fresh")]) == 0
+        assert _tree(tmp_path / "res" / "part-resumed") == _tree(tmp_path / "fresh" / "part-resumed")
 
 
 # -- malformed input properties ------------------------------------------------
