@@ -22,9 +22,7 @@ from .errors import CheckpointError, ConfigError, KdlabError, NumericalError
 
 
 def _out_root(override: str | None) -> Path:
-    if override:
-        return Path(override)
-    return Path(os.environ.get(harness.OUTPUT_ROOT_ENV, "runs"))
+    return Path(override or os.environ.get(harness.OUTPUT_ROOT_ENV, "runs"))
 
 
 def _run_and_report(config: harness.ExperimentConfig, out: str | None, speeds: bool = False) -> int:

@@ -19,7 +19,7 @@ import shutil
 import zipfile
 import zlib
 from contextlib import closing, contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__, model
 from .analysis import (
+    CheckResult,
     DiagnosticsReport,
     FrontTrack,
     Snapshot,
@@ -98,6 +99,14 @@ def _section(value, where: str, keys: tuple[str, ...]) -> dict:
     unknown = sorted(set(value) - set(keys))
     if unknown:
         raise ConfigError(f"{where} has unknown keys {unknown}; it takes {list(keys)}")
+    return value
+
+
+def _require(value: dict, where: str, cls) -> dict:
+    """value, if it holds each field of cls with no default (a JSON key each); else ConfigError."""
+    if missing := [f.name for f in fields(cls) if f.name not in value
+                   and f.default is MISSING and f.default_factory is MISSING]:
+        raise ConfigError(f"{where} lacks required keys {missing}")
     return value
 
 
@@ -173,8 +182,7 @@ class ExperimentConfig:
             )
         if "mode" in d and d["mode"] not in MODES:  # the mode decides which sections are read
             raise ConfigError(f"mode must be one of {MODES}, got {d['mode']!r}")
-        if missing := [key for key in ("name", "mode", "params", "grid") if key not in d]:
-            raise ConfigError(f"the config lacks required keys {missing}")
+        _require(d, "the config", cls)
         ic = _section(d.get("initial_condition", {}), "initial_condition", ("kind", "l0"))
         if "kind" in ic and ic["kind"] != "ramp":
             raise ConfigError(f"initial_condition.kind must be 'ramp', got {ic['kind']!r}")
@@ -183,7 +191,7 @@ class ExperimentConfig:
         try:
             for key, (field, cls_, keys, _) in _SECTIONS.items():
                 if key in d:
-                    kwargs[field] = cls_(**_section(d[key], key, keys))
+                    kwargs[field] = cls_(**_require(_section(d[key], key, keys), key, cls_))
             return cls(name=d["name"], mode=d["mode"], **kwargs)
         except ConfigError:
             raise
@@ -280,14 +288,16 @@ def _read_table(f) -> dict[str, np.ndarray]:
 # -- output writers ----------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _write_table(path: Path, names: tuple[str, ...], rows: Iterable[tuple],
+                 fmt: str | None = None, lead: tuple[str, ...] = ()) -> None:
+    """The lead lines, then the table _read_table reads back: the names, each row % fmt."""
+    fmt = fmt or ",".join(["%.17g"] * len(names))
+    lines = [*lead, ",".join(names), *(fmt % row for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
 
 
-def _csv_rows(rows: Iterable[tuple], width: int) -> list[str]:
-    """Each row of width floats as one CSV line, every value formatted as _fmt does."""
-    fmt = ",".join(["%.17g"] * width)
-    return [fmt % row for row in rows]
+def _write_json(path: Path, obj: dict) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 #: The columns of a snapshot file after x, each the Snapshot field of its name.
@@ -305,9 +315,8 @@ def _write_snapshot(cfg: ExperimentConfig, out: Path, j: int, snap: Snapshot) ->
         return
     columns = [x.tolist()] + [cols[n].tolist() if n in cols else [math.nan] * x.size
                               for n in _COLUMNS]
-    lines = [f"# t={_fmt(snap.t)}", ",".join(("x", *_COLUMNS)),
-             *_csv_rows(zip(*columns), len(columns))]
-    (fields_dir / f"snap_{j:06d}.csv").write_text("\n".join(lines) + "\n")
+    _write_table(fields_dir / f"snap_{j:06d}.csv", ("x", *_COLUMNS), zip(*columns),
+                 lead=("# t=%.17g" % snap.t,))
 
 
 def _read_snapshot(path: Path, grid: Grid1D) -> Snapshot:
@@ -358,14 +367,16 @@ def _diagnose(config: ExperimentConfig, snaps: list[Snapshot]) -> DiagnosticsRep
 def diagnose_run_dir(run_dir: str | Path) -> DiagnosticsReport:
     """Re-evaluate the diagnostics of a run directory (or its fields/) from its files.
 
-    A directory without manifest.json, which a run writes last, is a run that
-    did not finish: ConfigError.  The snapshots are read in file-name order,
-    which is time order: a snapshot whose time does not exceed the one before
-    it (a step held as both CSV and npz included) is a ConfigError naming it.
+    A path that is not a directory raises its OSError, and a directory without
+    manifest.json, which a run writes last, is a run that did not finish:
+    ConfigError.  The snapshots are read in file-name order, which is time
+    order: a snapshot whose time does not exceed the one before it (a step
+    held as both CSV and npz included) is a ConfigError naming it.
     """
     run_dir = Path(run_dir)
     if run_dir.name == "fields":
         run_dir = run_dir.parent
+    next(run_dir.iterdir(), None)  # a path that is not a directory raises its OSError
     if not (run_dir / "manifest.json").is_file():
         raise ConfigError(f"{run_dir}: no manifest.json, so the run did not finish")
     config = ExperimentConfig.from_json_file(run_dir / "config.json")
@@ -386,13 +397,8 @@ FRONTS = ("median", "learning", "intrinsic")
 _TRACK_COLUMNS = ("t", *(f"x_{kind}" for kind in FRONTS))
 
 
-def _write_tracks(path: Path, rows: list[tuple[float, float, float, float]]) -> None:
-    lines = [",".join(_TRACK_COLUMNS), *_csv_rows(rows, len(_TRACK_COLUMNS))]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def read_tracks(path: str | Path) -> dict[str, FrontTrack]:
-    """Inverse of _write_tracks: the track of each front with a finite value, by name.
+    """The track of each front with a finite value, by name, in a run's track table.
 
     A file that does not parse (empty, a ragged row, bytes that are not UTF-8),
     has no t column or whose times decrease is a ConfigError naming it; a file
@@ -405,11 +411,8 @@ def read_tracks(path: str | Path) -> dict[str, FrontTrack]:
                 if c in cols and np.any(np.isfinite(cols[c]))}
 
 
-def _write_diagnostics(path: Path, rows: list[tuple]) -> None:
-    lines = ["check,time,passed,worst_violation,location"]
-    for check, t, passed, worst, loc in rows:
-        lines.append(f"{check},{_fmt(t)},{passed},{_fmt(worst)},{_fmt(loc)}")
-    path.write_text("\n".join(lines) + "\n")
+#: A DiagnosticsReport.to_rows() row as a line of the table under CheckResult's fields.
+_DIAGNOSTICS_ROW = "%s,%.17g,%d,%.17g,%.17g"
 
 
 def _speed_entry(rows: list[tuple], kind: str, window: tuple[float, float]) -> dict | None:
@@ -419,13 +422,7 @@ def _speed_entry(rows: list[tuple], kind: str, window: tuple[float, float]) -> d
         fit = estimate_speed(FrontTrack(arr[:, 0], arr[:, 1 + FRONTS.index(kind)]), window)
     except KdlabError:
         return None
-    return {
-        "speed": fit.speed,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "window": list(fit.window),
-        "n_samples": fit.n_samples,
-    }
+    return {**asdict(fit), "window": list(fit.window)}
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -585,14 +582,8 @@ def _run_nash(cfg: ExperimentConfig, out: Path) -> tuple[_Recorder, dict]:
             rec.record(j, F=F, w=w, s=s,
                        I=model.discounted_tail(F * w, grid.dx, p.rho_minus_kappa),
                        J=model.discounted_tail(F, grid.dx, p.rho_minus_kappa))
-    mfg_info = {
-        "converged": sol.converged,
-        "iterations": sol.iterations,
-        "residuals": sol.residuals,
-        "thetas": sol.thetas,
-        "contraction": sol.contraction,
-    }
-    return rec, mfg_info
+    keys = ("converged", "iterations", "residuals", "thetas", "contraction")  # of MfgSolution
+    return rec, {key: getattr(sol, key) for key in keys}
 
 
 def _run_particles(
@@ -678,7 +669,7 @@ def _execute(
     config = replace(config)
     out = Path(out_dir)
     _clear_run_dir(out)
-    (out / "config.json").write_text(config.to_json() + "\n")
+    _write_json(out / "config.json", config.to_dict())
     manifest: dict = {}
     final_state = None
     # The rank rule's mean field is the rank-local equation: a rank-rule run
@@ -692,17 +683,17 @@ def _execute(
     else:
         rec, final_state, manifest["particles"] = _run_particles(config, out, max_steps, state)
 
-    _write_tracks(out / "tracks.csv", rec.rows)
+    _write_table(out / "tracks.csv", _TRACK_COLUMNS, rec.rows)
     window = config.fit_window or default_window(config.grid.t0, config.grid.t_final)
     speeds = {kind: _speed_entry(rec.rows, kind, window) for kind in FRONTS}
     if rank:
         pde_rows = _rank_local_rows(config)
-        _write_tracks(out / "pde_tracks.csv", pde_rows)
+        _write_table(out / "pde_tracks.csv", _TRACK_COLUMNS, pde_rows)
         speeds["pde_median"] = _speed_entry(pde_rows, "median", window)
-    (out / "speeds.json").write_text(json.dumps(speeds, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "speeds.json", speeds)
 
     report = _diagnose(config, rec.snaps)
-    _write_diagnostics(out / "diagnostics.csv", report.to_rows())
+    _write_table(out / "diagnostics.csv", _keys(CheckResult), report.to_rows(), _DIAGNOSTICS_ROW)
 
     p = config.params
     theory = TheoryPredictions.from_params(p, model._q_integral(1.0, p) if rank else None)
@@ -724,7 +715,7 @@ def _execute(
         manifest["resumed_from_step"] = state.step_index
     manifest["files"] = {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
                          for f in sorted(out.rglob("*")) if f.is_file()}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "manifest.json", manifest)
     return RunResult(out_dir=out, manifest=manifest, final_state=final_state)
 
 

@@ -108,8 +108,8 @@ def solve_nash(
     its right) is near-equilibrium.  It is iteration 1's forward sweep: the
     run yields each slice's strategy and the F it generates, so iteration 1
     starts at the backward sweep.  When wT is None, the terminal condition
-    defaults to a unit-slope logistic centered at the warm start's final
-    intrinsic front, which minimizes the terminal boundary layer.
+    defaults to a logistic of unit slope centred at the warm start's final
+    intrinsic front.
 
     The residual is measured on the strategy field, the fixed-point variable.
     The damped step runs only when another iteration follows, so the returned

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kdlab.analysis import Snapshot
+from kdlab.analysis import CheckResult, Snapshot
 from kdlab.backward import TerminalCondition
 from kdlab.cli import main
 from kdlab.errors import CheckpointError, ConfigError, DomainError, KdlabError, NonFiniteError
@@ -29,7 +29,6 @@ from kdlab.harness import (
     PRESET_NAMES,
     ExperimentConfig,
     ParticleSpec,
-    _write_diagnostics,
     diagnose_run_dir,
     load_checkpoint,
     preset_config,
@@ -62,7 +61,8 @@ def _as_nash(d):
 def assert_diagnostics_rebuilt(out):
     """The diagnostics rebuilt from out/fields equal out/diagnostics.csv byte for byte."""
     rebuilt = out.parent / f"{out.name}-rebuilt.csv"
-    _write_diagnostics(rebuilt, diagnose_run_dir(out).to_rows())
+    harness._write_table(rebuilt, harness._keys(CheckResult), diagnose_run_dir(out).to_rows(),
+                         harness._DIAGNOSTICS_ROW)
     assert rebuilt.read_bytes() == (out / "diagnostics.csv").read_bytes()
 
 
@@ -175,7 +175,7 @@ class TestRun:
         assert (tmp_path / "fields" / "snap_000003.csv").read_text() == "\n".join(lines) + "\n"
 
         track_rows = [tuple(vals[i:i + 4]) for i in range(5)]
-        harness._write_tracks(tmp_path / "tracks.csv", track_rows)
+        harness._write_table(tmp_path / "tracks.csv", harness._TRACK_COLUMNS, track_rows)
         lines = ["t,x_median,x_learning,x_intrinsic",
                  *(",".join(f"{v:.17g}" for v in r) for r in track_rows)]
         assert (tmp_path / "tracks.csv").read_text() == "\n".join(lines) + "\n"
@@ -184,13 +184,13 @@ class TestRun:
         t = np.arange(6.0)
         cols = {"median": t / 3.0, "learning": np.array([math.nan, 5e-324, -0.0, 1e308, 0.1, 2.0]),
                 "intrinsic": np.full(6, math.nan)}
-        harness._write_tracks(tmp_path / "tracks.csv", list(zip(t, *cols.values())))
+        harness._write_table(tmp_path / "tracks.csv", harness._TRACK_COLUMNS, zip(t, *cols.values()))
         tracks = harness.read_tracks(tmp_path / "tracks.csv")
         assert list(tracks) == ["median", "learning"]  # a front with no finite value is left out
         for kind, track in tracks.items():
             assert track.times.tobytes() == t.tobytes()
             assert track.positions.tobytes() == cols[kind].tobytes()
-        harness._write_tracks(tmp_path / "one.csv", [(0.5, 1.0, 2.0, 3.0)])
+        harness._write_table(tmp_path / "one.csv", harness._TRACK_COLUMNS, [(0.5, 1.0, 2.0, 3.0)])
         tracks = harness.read_tracks(tmp_path / "one.csv")
         assert [(tr.times.tolist(), tr.positions.tolist()) for tr in tracks.values()] == [
             ([0.5], [1.0]), ([0.5], [2.0]), ([0.5], [3.0])]
@@ -701,6 +701,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "kpp" in out and "lottery-nash" in out
 
+    def test_preset_writes_under_the_output_root_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(harness.OUTPUT_ROOT_ENV, str(tmp_path))
+        assert main(["preset", "particles-ratio"]) == 0
+        out_dir = tmp_path / "particles-ratio"
+        speeds = json.loads((out_dir / "speeds.json").read_text())
+        fitted = [(kind, e) for kind, e in sorted(speeds.items()) if e]
+        assert fitted  # one speed line per fitted front
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out_dir}", *(
+            f"{kind} speed: {e['speed']:.4f} (r^2={e['r_squared']:.5f})" for kind, e in fitted)]
+
     def test_run_and_speeds_and_diag(self, tmp_path, capsys):
         cfg = tiny_particle_config()
         cfg_path = tmp_path / "tiny.json"
@@ -744,13 +754,22 @@ class TestCli:
             assert main(["run", str(bad)]) == 2
             assert capsys.readouterr().err.startswith("config error:")
         # The mode decides which sections are read, so an unknown one is named
-        # first; a missing section is named as its JSON key.
+        # first; a missing section, or a key a section lacks, is named as its JSON key.
+        kpp = {"schema_version": 1, "name": "x", "mode": "kpp",
+               "params": {"kappa": 1.0, "rho": 2.0, "alpha1": 1.0},
+               "grid": {"x_min": -20.0, "x_max": 20.0, "nx": 81, "t0": 0.0, "t_final": 1.0, "nt": 10}}
         for d, message in [({"schema_version": 1, "name": "x", "mode": "zzz"},
                             f"mode must be one of {harness.MODES}, got 'zzz'"),
                            ({"schema_version": 1, "name": "x", "mode": "kpp"},
                             "the config lacks required keys ['params', 'grid']"),
                            ({"schema_version": 1}, "the config lacks required keys "
-                            "['name', 'mode', 'params', 'grid']")]:
+                            "['name', 'mode', 'params', 'grid']"),
+                           ({**kpp, "params": {}},
+                            "params lacks required keys ['kappa', 'rho', 'alpha1']"),
+                           ({**kpp, "grid": {"x_min": -20.0, "nx": 81}},
+                            "grid lacks required keys ['x_max', 't0', 't_final', 'nt']"),
+                           ({**kpp, "mode": "particles", "particles": {"rule": "rank"}},
+                            "particles lacks required keys ['n', 'seed']")]:
             bad.write_text(json.dumps(d))
             assert main(["run", str(bad)]) == 2
             assert capsys.readouterr().err == f"config error: {bad}: {message}\n"
@@ -843,6 +862,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: no field snapshots") and str(run_dir) in err
 
+    @pytest.mark.parametrize("make, error", [
+        (lambda path: None, FileNotFoundError),
+        (lambda path: path.write_text("kept\n"), NotADirectoryError),
+    ], ids=["missing", "plain-file"])
+    def test_diag_on_a_path_that_is_no_directory_is_an_io_error(self, tmp_path, make, error,
+                                                                capsys):
+        # Like a missing input to run, speeds or resume: the OS error, not "did not finish".
+        path = tmp_path / "run"
+        make(path)
+        with pytest.raises(error) as exc:
+            diagnose_run_dir(path)
+        assert main(["diag", str(path)]) == 4
+        assert capsys.readouterr().err == f"i/o error: {exc.value}\n"
+        assert str(path) in str(exc.value)
+
     def test_diag_without_manifest_exit_code(self, tmp_path, capsys):
         # A run that failed after writing its snapshots has no manifest.json,
         # which a run writes last: it is not a run directory to pass.
@@ -901,7 +935,8 @@ class TestCli:
     @pytest.mark.parametrize("window", ["nan,1", "0,inf", "2,1", "1,1"])
     def test_speeds_refuses_the_windows_the_config_refuses(self, tmp_path, window, capsys):
         tracks = tmp_path / "tracks.csv"
-        harness._write_tracks(tracks, [(t, 2.0 * t, 3.0 * t, 3.0 * t) for t in range(20)])
+        harness._write_table(tracks, harness._TRACK_COLUMNS,
+                             [(t, 2.0 * t, 3.0 * t, 3.0 * t) for t in range(20)])
         assert main(["speeds", str(tracks), "--window", "0,19"]) == 0
         capsys.readouterr()
         assert main(["speeds", str(tracks), "--window", window]) == 2
@@ -1037,6 +1072,17 @@ class TestCli:
         assert main(["diag", str(resumed.out_dir)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "diagnostics: PASS"
         assert_diagnostics_rebuilt(resumed.out_dir)
+
+    def test_one_iteration_nash_run_records_no_contraction(self, tmp_path):
+        cfg = ExperimentConfig(name="one", mode="nash", mfg=MfgConfig(max_iter=1),
+                               params=ModelParams(kappa=1.0, rho=2.0, alpha1=0.25),
+                               grid=Grid1D(-20.0, 44.0, 321, 0.0, 2.0, 40), snapshot_stride=20)
+        res = run(cfg, tmp_path / "one")
+        mfg = res.manifest["mfg"]
+        assert sorted(mfg) == ["contraction", "converged", "iterations", "residuals", "thetas"]
+        assert (mfg["iterations"], len(mfg["residuals"]), mfg["thetas"]) == (1, 1, [cfg.mfg.theta])
+        assert mfg["contraction"] is None
+        assert '"contraction": null' in (res.out_dir / "manifest.json").read_text()
 
     def test_diag_on_coupled_run(self, tmp_path, capsys):
         # Exercise the full snapshot schema (w, I present) through the
@@ -1188,10 +1234,10 @@ class TestRunDirectory:
         cfg = _small_configs()[1]
         out = run(cfg, tmp_path / "run").out_dir
 
-        def fail(path, rows):
+        def fail(config, snaps):
             raise Boom
 
-        monkeypatch.setattr(harness, "_write_diagnostics", fail)
+        monkeypatch.setattr(harness, "_diagnose", fail)
         with pytest.raises(Boom):
             run(dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, alpha1=0.25)), out)
         assert not (out / "manifest.json").exists()
