@@ -9,12 +9,16 @@ owns their range and monotonicity guards.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .errors import (
     DomainError,
@@ -41,6 +45,26 @@ TINY = float(np.finfo(float).tiny)
 #: cell: e^{-SPAN} is still a normal double, so a block's scale factors
 #: neither overflow nor underflow, and a wider cell's would.
 SPAN = 512.0
+
+
+def _load_flapack():
+    """Load scipy's compiled LAPACK module without importing scipy.linalg,
+    which loads some 340 other modules first.  The module is entered in
+    sys.modules under its own name, so a later import of scipy.linalg reuses
+    it; one already there is returned."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = Path(scipy.__file__).parent / "linalg"
+    spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled {name} in {where}", name=name)
+    module = sys.modules[name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
 
 
 def is_int(v) -> bool:
@@ -239,7 +263,7 @@ def _symmetric_solver(
     """
     # The LAPACK wrappers want an off-diagonal of length 1 for one unknown;
     # pttrf and pttrs read none of it then.
-    d, e, info = lapack.dpttrf(np.full(m, 1.0 + 2.0 * r * math.cosh(a)), np.full(max(m - 1, 1), -r))
+    d, e, info = _flapack.dpttrf(np.full(m, 1.0 + 2.0 * r * math.cosh(a)), np.full(max(m - 1, 1), -r))
     if info != 0:
         raise SingularSystemError(f"implicit operator is singular (pttrf info={info})")
     if a:
@@ -280,7 +304,7 @@ def _symmetric_solver(
         floor = cut and x[-1] == 0.0
         rows = reach(x) if floor else m
         if rows:
-            lapack.dpttrs(d[:rows], e[:max(rows - 1, 1)], x[:rows], overwrite_b=1)
+            _flapack.dpttrs(d[:rows], e[:max(rows - 1, 1)], x[:rows], overwrite_b=1)
         if floor:
             solved = x[:rows]
             solved[np.abs(solved) < TINY] = 0.0

@@ -702,7 +702,7 @@ def _execute(
         "code_version": __version__,
         "mode": config.mode,
         "name": config.name,
-        "config_sha256": hashlib.sha256(config.to_json().encode()).hexdigest(),
+        "config_sha256": hashlib.sha256((out / "config.json").read_bytes()).hexdigest(),
         "seeds": {"particles": config.particles.seed} if config.particles else {},
         "speeds": speeds,
         "theory": asdict(theory),

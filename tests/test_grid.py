@@ -1,11 +1,16 @@
 """Grids, profiles, and the shared stepper with its tridiagonal solve."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from kdlab import grid
 from kdlab.backward import TerminalCondition, solve_backward
 from kdlab.errors import (
     DomainError,
@@ -236,14 +241,58 @@ class TestTridiagonal:
         def refuse(*args, **kwargs):
             raise AssertionError("a step reached the LU solve")
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", refuse)
-        monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", refuse)
+        monkeypatch.setattr(grid._flapack, "dgttrf", refuse)
+        monkeypatch.setattr(grid._flapack, "dgttrs", refuse)
         rhs = np.linspace(0.9, 0.1, n)
         x = _one_step(0.1, 0.01, kappa, drift, rhs)
         ref = _dense_eliminate(*implicit_operator(n, 0.1, 0.01, kappa, drift), rhs)
         assert np.max(np.abs(x - ref)) <= 1e-14
         if kappa == 0.0:
             assert np.array_equal(x, rhs)
+
+
+def _python(code: str, path: str = "") -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports kdlab from this tree, path first."""
+    src = str(Path(grid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (path, src)))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+#: Imports in the order given, then the kpp preset's sweep: whether the
+#: stepper's pttrs is scipy.linalg.lapack's, and the sha256 of every slice.
+_SWEEP = """
+import hashlib
+{}
+from kdlab.forward import CONSTANT_ALPHA, iter_forward
+cfg = harness.preset_config("kpp")
+h = hashlib.sha256()
+for _, F, _, _ in iter_forward(harness.ramp_initial(cfg.grid, cfg.initial_l0),
+                               CONSTANT_ALPHA, cfg.params, cfg.grid):
+    h.update(F.tobytes())
+print(scipy.linalg.lapack.dpttrs is grid._flapack.dpttrs, h.hexdigest())
+"""
+
+
+class TestLapackModule:
+    """The stepper calls scipy's own compiled LAPACK module, loaded without scipy.linalg."""
+
+    def test_one_module_in_either_import_order(self):
+        first = ("from kdlab import grid, harness", "import scipy.linalg")
+        outs = [_python(_SWEEP.format("\n".join(order))) for order in (first, first[::-1])]
+        assert [o.returncode for o in outs] == [0, 0], [o.stderr for o in outs]
+        (same_a, digest_a), (same_b, digest_b) = (o.stdout.split() for o in outs)
+        assert same_a == same_b == "True"
+        assert digest_a == digest_b
+
+    def test_missing_module_is_an_import_error_naming_it(self, tmp_path):
+        # A scipy package without linalg/_flapack.
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        out = _python("import kdlab", str(tmp_path))
+        assert out.returncode == 1
+        last = out.stderr.strip().splitlines()[-1]
+        assert last == f"ImportError: no compiled scipy.linalg._flapack in {tmp_path}/scipy/linalg"
 
 
 class TestDriftFreeSolve:

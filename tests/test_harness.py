@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import gc
+import hashlib
 import io
 import json
 import math
@@ -146,8 +147,6 @@ class TestRun:
                   "manifest.json", "checkpoint.npz"):
             assert (out / f).exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        import hashlib
-
         on_disk = {str(f.relative_to(out)) for f in out.rglob("*")
                    if f.is_file() and f.name != "manifest.json"}
         assert set(manifest["files"]) == on_disk
@@ -155,6 +154,16 @@ class TestRun:
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
         header = (out / "tracks.csv").read_text().splitlines()[0]
         assert header == "t,x_median,x_learning,x_intrinsic"
+
+    def test_config_hash_is_the_config_file_hash(self, tmp_path):
+        # config_sha256 hashes the bytes of config.json, fresh or resumed.
+        cfg = tiny_particle_config(nt=20)
+        partial = run(cfg, tmp_path / "partial", max_steps=7)
+        for res in (run(cfg, tmp_path / "fresh"),
+                    resume(partial.out_dir / "checkpoint.npz", tmp_path / "resumed")):
+            manifest = json.loads((res.out_dir / "manifest.json").read_text())
+            digest = hashlib.sha256((res.out_dir / "config.json").read_bytes()).hexdigest()
+            assert manifest["config_sha256"] == manifest["files"]["config.json"] == digest
 
     def test_snapshot_format(self, tmp_path):
         run(tiny_particle_config(), tmp_path / "fmt")
