@@ -198,9 +198,6 @@ class ExperimentConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         with open(path) as f, _parsing(path, "JSON config"):
@@ -369,9 +366,10 @@ def diagnose_run_dir(run_dir: str | Path) -> DiagnosticsReport:
 
     A path that is not a directory raises its OSError, and a directory without
     manifest.json, which a run writes last, is a run that did not finish:
-    ConfigError.  The snapshots are read in file-name order, which is time
-    order: a snapshot whose time does not exceed the one before it (a step
-    held as both CSV and npz included) is a ConfigError naming it.
+    ConfigError.  The snapshots are read in the order of the step in their
+    names, which is time order: a snapshot whose time does not exceed the
+    one before it (a step held as both CSV and npz included) is a
+    ConfigError naming it.
     """
     run_dir = Path(run_dir)
     if run_dir.name == "fields":
@@ -381,7 +379,10 @@ def diagnose_run_dir(run_dir: str | Path) -> DiagnosticsReport:
         raise ConfigError(f"{run_dir}: no manifest.json, so the run did not finish")
     config = ExperimentConfig.from_json_file(run_dir / "config.json")
     fields = run_dir / "fields"
-    paths = sorted([*fields.glob("snap_*.csv"), *fields.glob("snap_*.npz")])
+    # snap_{j:06d} grows past six digits at step 1 000 000: by length, then
+    # by name, is step order, and a step held twice stays side by side.
+    paths = sorted([*fields.glob("snap_*.csv"), *fields.glob("snap_*.npz")],
+                   key=lambda f: (len(f.stem), f.stem))
     if not paths:
         raise ConfigError(f"no field snapshots under {run_dir}")
     snaps = [_read_snapshot(f, config.grid) for f in paths]

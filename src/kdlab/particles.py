@@ -21,9 +21,9 @@ and its strategy pass, and every step writes into n-sized buffers
 allocated once (800 KB each at n = 100 000, which glibc would return and
 page-fault anew every step).  No draw reads a position, and the Philox
 fills and the sort release the interpreter lock, so the two overlap.
-Under the rank rule a step sorts the positions in place and makes no
-argsort: an agent fires when its position is at or below one order
-statistic, picked by its fire uniform (see _Workspace).  A bare
+A step sorts the positions in place and makes no argsort: the strategy
+pass tabulates its fire thresholds by sorted slot, and an agent reads the
+threshold of its tie's first slot (see _Workspace).  A bare
 step_particles call draws in line into fresh buffers, starts no thread
 and otherwise takes the sweep's path; since each stream is a fresh
 Generator built from its own key, the two agree bit for bit.  Nothing
@@ -54,22 +54,25 @@ _FIRE, _PARTNER, _NOISE, _INITIAL = 0, 1, 2, 3
 
 class _Workspace:
     """The strategy pass of a step of n agents: it sorts the positions into
-    sorted and returns the slots that fire, given the step's fire uniforms.
+    sorted, in place, and returns the slots that fire, given the step's fire
+    uniforms.
 
-    Under the rank rule an agent's fraction is (n - first)/n, with first the
-    count of agents strictly below it, so its fire threshold is the
-    threshold of sorted slot first, and the workspace tabulates those by
-    slot once, non-increasing, between sentinels: table[r + 1] is slot r's,
-    table[0] = +inf and table[n + 1] = -inf.  With r*(u) the count of slots
-    whose threshold exceeds u, an agent fires when u < table[first + 1],
-    that is when first < r*(u), that is when its position is at or below
+    An agent's fire threshold is that of sorted slot first, the count of
+    agents strictly below it.  Under the rank rule the workspace tabulates
+    the thresholds of the fractions (n - r)/n by slot r once, non-increasing,
+    between sentinels: table[r + 1] is slot r's, table[0] = +inf and
+    table[n + 1] = -inf.  With r*(u) the count of slots whose threshold
+    exceeds u, an agent fires when u < table[first + 1], that is when
+    first < r*(u), that is when its position is at or below
     sorted[r*(u) - 1]; ties need no pass of their own.  Only the agents
     with u < table[1], about 9.5 % of them on compare-particle-pde, are
     candidates: the closed-form inverse of the threshold guesses their r*,
-    and a walk against the table makes it exact.  The positions are sorted
-    in place, with no argsort.  The ratio rule's fractions depend on the
-    positions, so it argsorts and computes each state's thresholds into a
-    fresh array.  The pass shares no array with the worker's draws.
+    and a walk against the table makes it exact.  The ratio rule's
+    thresholds depend on the positions: each state tabulates them by slot,
+    and a candidate, whose uniform lies below the largest, finds first by
+    searchsorted.  They fall with the slot only in exact arithmetic, so
+    that rule fires by no order statistic.  The pass shares no array with
+    the worker's draws.
     """
 
     def __init__(self, n: int, rule: StrategyRule, p: model.ModelParams, dt: float) -> None:
@@ -84,27 +87,20 @@ class _Workspace:
             if np.any(self.table[2:-1] > self.table[1:-2]):
                 raise NumericalError(f"the rank rule's fire thresholds of {n} agents increase")
 
-    def sort(self, positions: np.ndarray) -> np.ndarray | None:
-        """Sort positions into sorted; return their argsort under the ratio
-        rule, None under the rank rule."""
-        if self.table is not None:
-            np.copyto(self.sorted, positions)
-            self.sorted.sort()
-            return None
-        order = np.argsort(positions)
-        # The order is a permutation, so no index is out of range; mode="clip"
-        # spares the copy of sorted that the bounds-checked take makes.
-        np.take(positions, order, out=self.sorted, mode="clip")
-        return order
+    def sort(self, positions: np.ndarray) -> None:
+        """Sort a copy of positions into sorted."""
+        np.copyto(self.sorted, positions)
+        self.sorted.sort()
 
-    def fired(self, positions: np.ndarray, order: np.ndarray | None,
-              fire: np.ndarray) -> np.ndarray:
+    def fired(self, positions: np.ndarray, fire: np.ndarray) -> np.ndarray:
         """The slots whose fire uniform lies below their fire threshold, in
-        increasing order, given the argsort that sort returned for positions."""
+        increasing order, once sort has sorted positions."""
         table = self.table
         if table is None:
-            fractions = _ratio_fractions(order, self.sorted, _tie_starts(self.sorted))
-            return np.flatnonzero(fire < _fire_thresholds(fractions, self.p, self.dt))
+            thresholds = _fire_thresholds(_ratio_fractions(self.sorted), self.p, self.dt)
+            candidates = np.flatnonzero(fire < thresholds.max())
+            first = np.searchsorted(self.sorted, positions[candidates])
+            return candidates[fire[candidates] < thresholds[first]]
         n = positions.size
         candidates = np.flatnonzero(fire < table[1])
         u = fire[candidates]
@@ -177,8 +173,8 @@ def _tie_starts(srt: np.ndarray) -> np.ndarray | None:
     -0.0 and 0.0 tie, as in searchsorted.
     """
     ties = srt[1:] == srt[:-1]
-    # The innovation noise leaves a run's agents untied, and the running
-    # maximum that finds the tie starts is the pass's slowest part.
+    # The innovation noise leaves a run's agents untied, and then the
+    # running maximum that finds the tie starts is not needed.
     if not ties.any():
         return None
     first = np.arange(srt.size)
@@ -187,42 +183,37 @@ def _tie_starts(srt: np.ndarray) -> np.ndarray | None:
     return first
 
 
-def _ratio_fractions(order: np.ndarray, srt: np.ndarray, first: np.ndarray | None) -> np.ndarray:
-    """Capped relative gain over the agents at or above, by slot, in a fresh
-    array, from the sorted srt, its order and its tie starts first."""
+def _ratio_fractions(srt: np.ndarray) -> np.ndarray:
+    """Capped relative gain over the agents at or above each sorted slot r,
+    in a fresh array, from the sorted positions srt: a tied agent reads the
+    value of its tie's first slot, r the count of agents strictly below it."""
     n = srt.size
-    if first is None:
-        first = np.arange(n)
     shifted = np.exp(srt - srt[-1])
     suffix = np.cumsum(shifted[::-1])[::-1]
     # Sum over agents at or above: exp(x_m - x_i) - 1, summing ties too (they
     # contribute zero).  Positions far enough below the maximum saturate.
     gap = srt[-1] - srt
     s_sorted = np.ones(n)
-    safe = gap < math.log(n + 1.0) + 1.0
+    safe = np.flatnonzero(gap < math.log(n + 1.0) + 1.0)
     # Each summand is >= 0, so the clip at 0 only absorbs roundoff.
-    s_sorted[safe] = np.clip(
-        (np.exp(gap[safe]) * suffix[first[safe]] - (n - first[safe])) / n, 0.0, 1.0
-    )
-    out = first.view(float)
-    out[order] = s_sorted
-    return out
+    s_sorted[safe] = np.clip((np.exp(gap[safe]) * suffix[safe] - (n - safe)) / n, 0.0, 1.0)
+    return s_sorted
 
 
 def eval_strategy(state: ParticleState, rule: StrategyRule) -> np.ndarray:
     """Per-agent search-time fractions in [0, 1] under the given rule.
 
-    Both rules read one argsort of the positions and one tie pass, in fresh
-    buffers.
+    Both rules tabulate their fractions by sorted slot and read each agent's
+    at the first slot of its tie, through one argsort of the positions and
+    one tie pass, in fresh buffers.
     """
     x, n = state.positions, state.n
     order = np.argsort(x)
     srt = x[order]
     first = _tie_starts(srt)
-    if rule.kind == RATIO:
-        return _ratio_fractions(order, srt, first)
+    fractions = _ratio_fractions(srt) if rule.kind == RATIO else np.arange(n, 0, -1) / n
     s = np.empty(n)
-    s[order] = (n - (np.arange(n) if first is None else first)) / n
+    s[order] = fractions if first is None else fractions[first]
     return s
 
 
@@ -304,8 +295,8 @@ def step_particles(
     noise, work = np.empty(state.n), _Workspace(state.n, rule, p, dt)
     partner_draw = _draws(state.seed, state.step_index, noise)
     fire = _stream(state.seed, state.step_index, _FIRE).random(state.n)
-    fired = work.fired(state.positions, work.sort(state.positions), fire)
-    return _step(state, fired, noise, partner_draw, p, dt)
+    work.sort(state.positions)
+    return _step(state, work.fired(state.positions, fire), noise, partner_draw, p, dt)
 
 
 @dataclass(frozen=True)
@@ -355,10 +346,9 @@ def iter_particles(
     CDF estimate and the strategy pass of its step.  Besides the positions
     and two steps' partner draws, a rank sweep holds five n-sized arrays:
     two of normals, one of fire uniforms, the sorted positions and the
-    table (see _Workspace); a ratio sweep holds four and the state's
-    argsort, which it drops before it steps.  A caller that lets go of each
-    state before asking for the next keeps one positions array alive, not
-    two.
+    table (see _Workspace); a ratio sweep holds four, and its strategy pass
+    makes its thresholds afresh.  A caller that lets go of each state
+    before asking for the next keeps one positions array alive, not two.
     """
     nt, n, seed = grid.nt, state.n, state.seed
     if state.step_index < nt and grid.dt > dt_max(p) * (1.0 + 1e-12):
@@ -374,12 +364,11 @@ def iter_particles(
         while True:
             step = state.step_index
             next_job = submit(step + 1)
-            order = work.sort(state.positions)
+            work.sort(state.positions)
             yield state, _cdf(work.sorted, grid)
             if job is None:
                 return
             _stream(seed, step, _FIRE).random(out=fire)
-            fired = work.fired(state.positions, order, fire)
-            del order  # the ratio rule's 8n bytes, which the step does not need
+            fired = work.fired(state.positions, fire)
             state = _step(state, fired, noises[step % 2], job.result(), p, grid.dt)
             job = next_job

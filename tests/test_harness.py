@@ -77,15 +77,19 @@ EXTRA_CONFIGS = {
 
 class TestConfig:
     @pytest.mark.parametrize("name", [*PRESET_NAMES, *EXTRA_CONFIGS])
-    def test_json_roundtrip(self, name):
+    def test_json_roundtrip(self, tmp_path, name):
+        # A config read from the config.json a run writes, and written again
+        # as a run writes it, is byte-identical to that file.
         cfg = EXTRA_CONFIGS[name]() if name in EXTRA_CONFIGS else preset_config(name)
-        again = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
-        assert again.to_json() == cfg.to_json()
+        first, again = tmp_path / "config.json", tmp_path / "again.json"
+        harness._write_json(first, cfg.to_dict())
+        harness._write_json(again, ExperimentConfig.from_json_file(first).to_dict())
+        assert again.read_bytes() == first.read_bytes()
 
     def test_schema_version_checked(self):
-        d = json.loads(preset_config("kpp").to_json())
+        d = preset_config("kpp").to_dict()
         d["schema_version"] = 99
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="schema_version"):
             ExperimentConfig.from_dict(d)
 
     def test_parse_error_reports_location(self, tmp_path):
@@ -105,7 +109,7 @@ class TestConfig:
             preset_config("not-a-preset")
 
     def test_particle_seed_mandatory(self):
-        d = json.loads(preset_config("particles-ratio").to_json())
+        d = preset_config("particles-ratio").to_dict()
         del d["particles"]["seed"]
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
@@ -723,7 +727,7 @@ class TestCli:
     def test_run_and_speeds_and_diag(self, tmp_path, capsys):
         cfg = tiny_particle_config()
         cfg_path = tmp_path / "tiny.json"
-        cfg_path.write_text(cfg.to_json())
+        harness._write_json(cfg_path, cfg.to_dict())
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         run_dir = tmp_path / "out" / "tiny"
         assert main(["speeds", str(run_dir / "tracks.csv"), "--window", "0,3"]) == 0
@@ -1172,6 +1176,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and bad.name in err and "time" in err
 
+    def test_diag_reads_snapshots_past_step_999999_in_step_order(self, tmp_path, capsys):
+        # snap_{j:06d} grows to seven digits at step 1 000 000, so the name
+        # snap_1000000 sorts before snap_999999, which it follows in time.
+        run_dir = mini_kpp_run(tmp_path)
+        cfg = ExperimentConfig.from_json_file(run_dir / "config.json")
+        snaps = sorted((run_dir / "fields").glob("snap_*.csv"))
+        last = harness._read_snapshot(snaps[-1], cfg.grid)
+        for snap in snaps:
+            snap.unlink()
+        g = cfg.grid
+        cfg = dataclasses.replace(cfg, grid=Grid1D(g.x_min, g.x_max, g.nx, 0.0, 10000.1, 1_000_010))
+        harness._write_json(run_dir / "config.json", cfg.to_dict())
+        for j in (999_999, 1_000_000):
+            snap = dataclasses.replace(last, t=cfg.grid.time_at(j), grid=cfg.grid)
+            harness._write_snapshot(cfg, run_dir, j, snap)
+        assert main(["diag", str(run_dir)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_run_with_snapshots_too_far_apart_to_exponentiate(self, tmp_path, capsys):
         # Snapshots 800 apart at kappa 1: the growth bound's factor e^800
         # overflows a float, and the check is still reported.
@@ -1279,7 +1301,7 @@ class TestRunDirectory:
     def test_a_directory_holding_a_path_no_run_writes_is_refused(self, tmp_path, capsys,
                                                                   foreign, named):
         path = tmp_path / "tiny.json"
-        path.write_text(tiny_particle_config(nt=20).to_json())
+        harness._write_json(path, tiny_particle_config(nt=20).to_dict())
         argv = ["run", str(path), "--out", str(tmp_path / "out")]
         assert main(argv) == 0
         run_dir = tmp_path / "out" / "tiny"
@@ -1294,7 +1316,7 @@ class TestRunDirectory:
 
     def test_a_file_at_the_run_directory_stays_an_os_error(self, tmp_path):
         path = tmp_path / "tiny.json"
-        path.write_text(tiny_particle_config(nt=20).to_json())
+        harness._write_json(path, tiny_particle_config(nt=20).to_dict())
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "tiny").write_text("kept")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4

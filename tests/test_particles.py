@@ -439,7 +439,8 @@ def assert_fires_below_thresholds(x, rule, p, dt, fire):
     """The workspace fires exactly the agents whose uniform in fire lies below
     their threshold from eval_strategy; return how many fire."""
     work = particles._Workspace(x.size, rule, p, dt)
-    got = work.fired(x, work.sort(x), fire)
+    work.sort(x)
+    got = work.fired(x, fire)
     thresholds = particles._fire_thresholds(eval_strategy(state_at(x), rule), p, dt)
     want = np.flatnonzero(fire < thresholds)
     assert np.array_equal(got, want)
@@ -531,6 +532,9 @@ class TestIterParticles:
     @given(positions=positions_st, seed=st.integers(0, 2**32 - 1))
     @example(positions=[1.0] * 50, seed=0)
     @example(positions=[-0.0, 0.0, -0.0, 1.0, 0.0, -1.0], seed=0)
+    @example(positions=[0.0, 5e-324, 1e-323, 1.0], seed=0)
+    @example(positions=[np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)] * 7, seed=0)
+    @example(positions=[-0.0, 0.0, 5e-324, -5e-324] * 20, seed=0)
     def test_fired_set_equals_the_threshold_comparison(self, kind, positions, seed):
         # Uniforms at the thresholds of tied and untied agents alike, and one
         # ulp either side of them.
@@ -592,7 +596,7 @@ class TestIterParticles:
     @pytest.mark.parametrize("kind", ["rank", "ratio"])
     def test_one_sort_per_state(self, monkeypatch, kind):
         # The CDF estimate of a state and the strategy pass of its step share
-        # one sort, and nothing else sorts; only the ratio rule argsorts.
+        # one sort, and nothing else sorts or argsorts, under either rule.
         sorts, argsorts = [], []
         sort, argsort = particles._Workspace.sort, np.argsort
         monkeypatch.setattr(particles._Workspace, "sort",
@@ -603,7 +607,7 @@ class TestIterParticles:
                   iter_particles(tied_state(), StrategyRule(kind=kind), P, sweep_grid(6))]
         assert len(sorts) == len(states) == 7
         assert all(a is b for a, b in zip(sorts, states))
-        assert argsorts == ([] if kind == "rank" else sorts)
+        assert argsorts == []
 
     @pytest.mark.parametrize("end", ["exhausted", "closed", "worker-error"])
     def test_worker_is_joined(self, monkeypatch, end):
