@@ -56,6 +56,15 @@ def _checked_terminal(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _terminal_values(wT: TerminalCondition | Profile, grid: Grid1D) -> np.ndarray:
+    """wT's checked values on grid, a fresh array; a Profile on another grid is refused."""
+    if isinstance(wT, Profile):
+        if wT.grid != grid:
+            raise GridMismatchError("terminal profile does not live on the run grid")
+        return _checked_terminal(wT.values.copy())
+    return wT.build(grid)
+
+
 def dt_max_backward(p: model.ModelParams) -> float:
     """Step bound keeping the explicit source a contraction on [0, 1]."""
     return 1.0 / (p.rho_minus_kappa + p.alpha1)
@@ -84,8 +93,11 @@ def iter_backward(
     fitted drift implicitly and the source explicitly, on the shared stepper
     with w pinned to 0 left and 1 right; a domain past about 1 400 e-folds
     is a DomainError.  strategy_field holds the allocation values s of the
-    current outer iterate; they are consumed as given, not recomputed here,
-    and slice j is read only when the step that needs it is taken.  Every
+    current outer iterate; they are consumed as given, not recomputed here.
+    Row j of F_field and of strategy_field is read by the step from slice j
+    to j - 1 alone, which runs when slice j - 1 is asked for: once the sweep
+    has yielded slice j - 1, rows j and above are never read again, and a
+    caller may overwrite them (solve_nash stores best responses there).  Every
     slice stays in [0, 1] and, like the terminal condition, non-decreasing in
     x within the slope tolerance.  Consumers that keep slices should copy them.
     """
@@ -96,12 +108,7 @@ def iter_backward(
             f"grid dt={grid.dt} exceeds the backward source bound {dt_max_backward(p)}"
         )
     _check_scalable(p, grid)
-    if isinstance(wT, Profile):
-        if wT.grid != grid:
-            raise GridMismatchError("terminal profile does not live on the run grid")
-        w0 = _checked_terminal(wT.values.copy())
-    else:
-        w0 = wT.build(grid)
+    w0 = _terminal_values(wT, grid)
     nt, dt = grid.nt, grid.dt
     F, s = F_field.values, strategy_field.values
 

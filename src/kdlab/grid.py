@@ -194,7 +194,9 @@ class SpaceTimeField:
             raise GridMismatchError(
                 f"field needs shape {(grid.nt + 1, grid.nx)}, got {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        # NaN propagates through min and max, and an infinity is one of them:
+        # no field-sized mask is allocated.
+        if not (math.isfinite(values.min()) and math.isfinite(values.max())):
             raise NonFiniteError("field values must be finite")
         self.grid = grid
         self.values = values

@@ -35,7 +35,7 @@ from .analysis import (
     estimate_speed,
     run_diagnostics,
 )
-from .backward import TerminalCondition
+from .backward import TerminalCondition, iter_backward
 from .errors import CheckpointError, ConfigError, DomainError, KdlabError
 from .forward import CONSTANT_ALPHA, INTRINSIC, RANK_LOCAL, iter_forward
 from .grid import Grid1D, Profile, is_int, is_number, recommended_domain
@@ -577,12 +577,17 @@ def _run_nash(cfg: ExperimentConfig, out: Path) -> tuple[_Recorder, dict]:
     p, grid = cfg.params, cfg.grid
     sol = solve_nash(ramp_initial(grid, cfg.initial_l0), cfg.terminal, p, grid, cfg.mfg)
     rec = _Recorder(cfg, out)
-    fields = zip(sol.F_field.values, sol.w_field.values, sol.strategy_field.values)
-    for j, (F, w, s) in enumerate(fields):
+    # solve_nash keeps no w: sweep it again from the solution, slice nt first,
+    # and put the recorded rows and snapshots back in time order.
+    F_all, s_all = sol.F_field.values, sol.strategy_field.values
+    for j, w in iter_backward(sol.terminal, sol.F_field, sol.strategy_field, p, grid):
         if any(rec.sampled(j)):
-            rec.record(j, F=F, w=w, s=s,
+            F = F_all[j]
+            rec.record(j, F=F, w=w, s=s_all[j],
                        I=model.discounted_tail(F * w, grid.dx, p.rho_minus_kappa),
                        J=model.discounted_tail(F, grid.dx, p.rho_minus_kappa))
+    rec.rows.reverse()
+    rec.snaps.reverse()
     keys = ("converged", "iterations", "residuals", "thetas", "contraction")  # of MfgSolution
     return rec, {key: getattr(sol, key) for key in keys}
 

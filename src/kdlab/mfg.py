@@ -12,12 +12,14 @@ is reported in the result, never raised or silently retried.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import model
 from .analysis import locate_level
-from .backward import TerminalCondition, _check_scalable, iter_backward, solve_backward
+from .backward import (TerminalCondition, _check_scalable, _terminal_values, iter_backward,
+                       solve_backward)
 from .errors import DomainError, GridMismatchError
 from .forward import INTRINSIC, iter_forward
 from .grid import Grid1D, Profile, SpaceTimeField, check_numbers
@@ -47,11 +49,17 @@ class MfgConfig:
 
 @dataclass
 class MfgSolution:
-    """Converged (or flagged) output of the fixed-point loop."""
+    """Converged (or flagged) output of the fixed-point loop.
+
+    w is not kept: it is the backward sweep of (terminal, F_field,
+    strategy_field), which iter_backward or solve_backward recomputes bit for
+    bit.  terminal is the wT the loop used, the caller's or the warm start's
+    default logistic.
+    """
 
     F_field: SpaceTimeField
-    w_field: SpaceTimeField
     strategy_field: SpaceTimeField
+    terminal: TerminalCondition | Profile
     residuals: list[float] = field(default_factory=list)
     thetas: list[float] = field(default_factory=list)
     converged: bool = False
@@ -113,16 +121,20 @@ def solve_nash(
 
     The residual is measured on the strategy field, the fixed-point variable.
     The damped step runs only when another iteration follows, so the returned
-    F and w are always the fields generated by the returned strategy, and
-    re-deriving the best response from them reproduces the strategy within
-    the last residual.
+    F is always the field generated by the returned strategy.  w is not
+    returned: one backward sweep of (terminal, F, strategy) gives it bit for
+    bit, and the best response of F and that w reproduces the strategy within
+    the last residual.  An explicit wT is checked on the grid before the warm
+    start.
     """
     if cfg is None:
         cfg = MfgConfig()
     _check_scalable(p, grid)
-    # The loop holds three fields: s, F and w.  The warm start is iteration
-    # 1's forward sweep: it fills s with the intrinsic closure's strategy and
-    # F with the slices it generates, which a sweep under s would give again,
+    if wT is not None:
+        _terminal_values(wT, grid)
+    # The loop holds two fields: s and F.  The warm start is iteration 1's
+    # forward sweep: it fills s with the intrinsic closure's strategy and F
+    # with the slices it generates, which a sweep under s would give again,
     # since s_m is in [0, 1] and each step reads the slice's s.
     # iter_forward checks F0 lies in [0, 1] and the stepper keeps every later
     # slice of F and w there, so every pay-off is finite and non-negative.
@@ -138,20 +150,21 @@ def solve_nash(
     if grid.nt == 0:
         # Zero horizon: the fields cannot depend on the strategy, so the best
         # response of (F0, wT) is already the fixed point.
-        w_field = solve_backward(wT, F_field, s_field, p, grid)
-        s_field = SpaceTimeField(grid, best_response(F, w_field.values, grid.dx, p))
-        return MfgSolution(F_field, w_field, s_field, residuals=[0.0], thetas=[cfg.theta],
+        w = solve_backward(wT, F_field, s_field, p, grid).values
+        s_field = SpaceTimeField(grid, best_response(F, w, grid.dx, p))
+        return MfgSolution(F_field, s_field, wT, residuals=[0.0], thetas=[cfg.theta],
                            converged=True, iterations=1)
 
     # Once a sweep's running residual exceeds tol before max_iter, another
-    # iteration is certain and this sweep's w is never returned, so from that
-    # slice down w's rows hold the best response instead.  The rows swept
-    # before the switch keep w, and the damped step recomputes their best
-    # response from the same F and w rows, which gives the same bits.  A
-    # converged sweep, or the one at max_iter, never switches and returns its
-    # w.  The damped step is followed by the next iteration's forward sweep.
-    w_field = SpaceTimeField(grid, np.zeros_like(s))
-    w = w_field.values
+    # iteration is certain and the damped step's forward sweep rewrites F, so
+    # from that slice (the switch) down each slice's best response goes into
+    # F's row one yield late, after the sweep's last read of the row (see
+    # iter_backward); row 0's goes in after the sweep.  The rows swept before
+    # the switch still hold F: a second sweep from wT recomputes their w, the
+    # same bits, and stores their best responses the same way, stopping at
+    # the row above the switch, before the step that reads it.  A converged
+    # sweep, or the one at max_iter, never switches, and F and s are returned
+    # intact.
     theta = cfg.theta
     residuals: list[float] = []
     thetas: list[float] = []
@@ -159,13 +172,14 @@ def solve_nash(
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         res = 0.0
-        switch = None  # first slice whose row holds the best response
+        switch = None  # first slice whose best response goes into F
         for j, w_j in iter_backward(wT, F_field, s_field, p, grid):
+            if switch is not None:
+                F[j + 1] = resp
             resp = _best_response(F[j], w_j, grid.dx, p)
             res = max(res, _residual(resp, s[j]))
             if switch is None and res > cfg.tol and iterations < cfg.max_iter:
                 switch = j
-            w[j] = w_j if switch is None else resp
         if residuals and res > residuals[-1]:
             theta *= 0.5
         residuals.append(res)
@@ -174,18 +188,24 @@ def solve_nash(
             converged = True
             break
         if iterations < cfg.max_iter:
-            for j in range(switch + 1, grid.nt + 1):
-                w[j] = _best_response(F[j], w[j], grid.dx, p)
-            # (1 - theta) s + theta BR(s), in place and bit for bit; w now holds BR(s).
+            F[0] = resp
+            if switch < grid.nt:
+                for j, w_j in islice(iter_backward(wT, F_field, s_field, p, grid),
+                                     grid.nt - switch):
+                    if j < grid.nt:
+                        F[j + 1] = resp
+                    resp = _best_response(F[j], w_j, grid.dx, p)
+                F[switch + 1] = resp
+            # (1 - theta) s + theta BR(s), in place and bit for bit; F now holds BR(s).
             s *= 1.0 - theta
-            w *= theta
-            s += w
+            F *= theta
+            s += F
             for j, F_j, _, _ in iter_forward(F0, s_field, p, grid):
                 F[j] = F_j
     return MfgSolution(
         F_field=F_field,
-        w_field=w_field,
         strategy_field=s_field,
+        terminal=wT,
         residuals=residuals,
         thetas=thetas,
         converged=converged,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,26 @@ class TestSpaceTimeField:
         with pytest.raises(NonFiniteError):
             SpaceTimeField(g, bad)
         assert SpaceTimeField(g, np.zeros((5, 16))) == SpaceTimeField(g, np.zeros((5, 16)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_refused(self, value):
+        g = Grid1D(0.0, 1.0, 16, 0.0, 1.0, 4)
+        bad = np.linspace(0.0, 1.0, 5 * 16).reshape(5, 16)
+        bad[3, 7] = value
+        with pytest.raises(NonFiniteError):
+            SpaceTimeField(g, bad)
+
+    def test_finiteness_check_allocates_no_field_sized_mask(self):
+        # A bool mask of the field would be 1/8 of its bytes.
+        g = Grid1D(0.0, 1.0, 901, 0.0, 1.0, 400)
+        values = np.full((g.nt + 1, g.nx), 0.5)
+        tracemalloc.start()
+        try:
+            SpaceTimeField(g, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes / 16
 
 
 def _dense_eliminate(lower, diag, upper, rhs):

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdlab.analysis import CheckResult, Snapshot
-from kdlab.backward import TerminalCondition
+from kdlab.backward import TerminalCondition, solve_backward
 from kdlab.cli import main
 from kdlab.errors import CheckpointError, ConfigError, DomainError, KdlabError, NonFiniteError
 from kdlab.grid import Grid1D, SpaceTimeField
@@ -38,8 +38,8 @@ from kdlab.harness import (
     run,
     save_checkpoint,
 )
-from kdlab.mfg import MfgConfig
-from kdlab.model import ModelParams
+from kdlab.mfg import MfgConfig, solve_nash
+from kdlab.model import ModelParams, discounted_tail
 from kdlab.particles import ParticleState, step_particles
 
 
@@ -143,6 +143,28 @@ class TestRun:
         snaps = list((tmp_path / "t0" / "fields").glob("snap_*.csv"))
         assert len(snaps) == 1
         assert (tmp_path / "t0" / "manifest.json").exists()
+
+    def test_nash_run_records_the_swept_again_w_in_time_order(self, tmp_path):
+        # solve_nash returns no w: the run sweeps it again from the solution,
+        # slice nt first, and writes its rows and snapshots in time order.
+        p = ModelParams(kappa=1.0, rho=2.0, alpha1=0.25)
+        grid = Grid1D(-20.0, 44.0, 321, 0.0, 2.0, 40)
+        cfg = ExperimentConfig(name="mini-nash", mode="nash", params=p, grid=grid,
+                               track_stride=3, snapshot_stride=7)
+        out = run(cfg, tmp_path / "mini-nash").out_dir
+        sol = solve_nash(ramp_initial(grid, cfg.initial_l0), None, p, grid, cfg.mfg)
+        w = solve_backward(sol.terminal, sol.F_field, sol.strategy_field, p, grid).values
+        steps = [*range(0, grid.nt + 1, 7), grid.nt]
+        paths = sorted((out / "fields").iterdir())
+        assert [f.name for f in paths] == [f"snap_{j:06d}.csv" for j in steps]
+        for j, path in zip(steps, paths):
+            snap = harness._read_snapshot(path, grid)
+            F = sol.F_field.values[j]
+            assert np.array_equal(snap.w, w[j])
+            assert np.array_equal(snap.I, discounted_tail(F * w[j], grid.dx, p.rho_minus_kappa))
+        times = np.loadtxt(out / "tracks.csv", delimiter=",", skiprows=1, usecols=0)
+        assert np.array_equal(times, [grid.time_at(j) for j in [*range(0, grid.nt, 3), grid.nt]])
+        assert_diagnostics_rebuilt(out)
 
     def test_outputs_and_manifest_hashes(self, tmp_path):
         res = run(tiny_particle_config(), tmp_path / "tiny")

@@ -1,5 +1,6 @@
 """Fixed-point loop: best response, residuals, convergence, equilibrium structure."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import kdlab.mfg
+from kdlab import harness
 from kdlab.analysis import _front, locate_level
 from kdlab.backward import TerminalCondition, iter_backward, solve_backward
 from kdlab.errors import DomainError, GridMismatchError, NonFiniteError
@@ -39,6 +41,11 @@ def small_nash():
 
 
 @pytest.fixture(scope="module")
+def small_nash_w(small_nash):
+    return _w(small_nash[1], P_LOTTERY)
+
+
+@pytest.fixture(scope="module")
 def two_step_nash():
     """A run stopped after two iterations, with its traced peak in fields of the grid."""
     grid = _nash_grid(20.0)
@@ -61,12 +68,18 @@ def _default_terminal(F0, grid, p):
     return TerminalCondition(kind="logistic", center=center, slope=1.0)
 
 
+def _w(sol, p):
+    """The w of a solution: one backward sweep of (sol.terminal, F, s)."""
+    return solve_backward(sol.terminal, sol.F_field, sol.strategy_field, p,
+                          sol.F_field.grid).values
+
+
 def _four_field_nash(F0, p, grid, cfg):
-    """Reference: the Picard loop with the best response in a fourth field.
+    """Reference: the Picard loop with w and the best response in fields of their own.
 
     Same warm start, default terminal condition, damping and stopping rule as
-    solve_nash.  Also returns, per iteration, the first slice at which the
-    running residual exceeds tol (None if it never does).
+    solve_nash.  Also returns the last sweep's w and, per iteration, the first
+    slice at which the running residual exceeds tol (None if it never does).
     """
     s = np.empty((grid.nt + 1, grid.nx))
     for j, _, J, _ in iter_forward(F0, INTRINSIC, p, grid):
@@ -100,15 +113,14 @@ def _four_field_nash(F0, p, grid, cfg):
             s *= 1.0 - theta
             s_resp *= theta
             s += s_resp
-    sol = MfgSolution(F_field, w_field, s_field, residuals=residuals, thetas=thetas,
+    sol = MfgSolution(F_field, s_field, wT, residuals=residuals, thetas=thetas,
                       converged=converged, iterations=iterations)
-    return sol, passes
+    return sol, w, passes
 
 
-def _payoff(sol, grid, j, p):
-    """The learning pay-off of slice j of a solution, as the harness records it."""
-    F, w = sol.F_field.values[j], sol.w_field.values[j]
-    return discounted_tail(F * w, grid.dx, p.rho_minus_kappa)
+def _payoff(sol, w, j, p):
+    """The learning pay-off of slice j of a solution with w, as the harness records it."""
+    return discounted_tail(sol.F_field.values[j] * w[j], sol.F_field.grid.dx, p.rho_minus_kappa)
 
 
 class TestResidual:
@@ -145,9 +157,9 @@ class TestBestResponse:
         s = best_response(np.exp(-2.0 * g.x), np.ones(g.nx), g.dx, p)
         assert s[0] == pytest.approx(0.0625, abs=1e-4)
 
-    def test_rows_equal_the_whole_field(self, small_nash):
+    def test_rows_equal_the_whole_field(self, small_nash, small_nash_w):
         grid, sol = small_nash
-        F, w = sol.F_field.values, sol.w_field.values
+        F, w = sol.F_field.values, small_nash_w
         whole = best_response(F, w, grid.dx, P_LOTTERY)
         rows = np.array([best_response(F[j], w[j], grid.dx, P_LOTTERY) for j in range(grid.nt + 1)])
         assert np.array_equal(rows, whole)
@@ -171,8 +183,31 @@ class TestSolveNash:
         wT = TerminalCondition(kind="logistic", center=0.0, slope=1.0)
         sol = solve_nash(F0, wT, P_LOTTERY, g, MfgConfig())
         assert sol.converged and sol.iterations == 1
-        bres = best_response(sol.F_field.values, sol.w_field.values, g.dx, P_LOTTERY)
+        assert sol.terminal == wT
+        bres = best_response(sol.F_field.values, _w(sol, P_LOTTERY), g.dx, P_LOTTERY)
         assert np.max(np.abs(bres - sol.strategy_field.values)) == 0.0
+
+    @pytest.mark.parametrize("case", ["logistic-off-the-grid", "profile-on-another-grid"])
+    def test_bad_terminal_refused_before_the_warm_start(self, case, tmp_path, monkeypatch):
+        sweeps = []
+
+        def counted_iter_forward(*args):
+            sweeps.append(args)
+            return iter_forward(*args)
+
+        monkeypatch.setattr(kdlab.mfg, "iter_forward", counted_iter_forward)
+        if case == "logistic-off-the-grid":
+            # lottery-nash's grid ends at x = 120, where this logistic is ~0.
+            cfg = dataclasses.replace(harness.preset_config("lottery-nash"),
+                                      terminal=TerminalCondition(center=500.0))
+            with pytest.raises(DomainError, match="terminal condition"):
+                harness.run(cfg, tmp_path / "run")
+        else:
+            grid, other = _nash_grid(5.0), _nash_grid(6.0)
+            wT = Profile(other, TerminalCondition(center=10.0).build(other))
+            with pytest.raises(GridMismatchError, match="terminal profile"):
+                solve_nash(_ramp(grid), wT, P_LOTTERY, grid, MfgConfig())
+        assert sweeps == []
 
     def test_warm_start_is_iteration_one_sweep(self):
         # Iteration 1 runs no forward sweep of its own: its F is the intrinsic
@@ -190,9 +225,9 @@ class TestSolveNash:
         assert sol.residuals[-1] <= 1e-6
         assert all(b < a for a, b in zip(sol.residuals, sol.residuals[1:]))
 
-    def test_fixed_point_consistency(self, small_nash):
+    def test_fixed_point_consistency(self, small_nash, small_nash_w):
         grid, sol = small_nash
-        bres = best_response(sol.F_field.values, sol.w_field.values, grid.dx, P_LOTTERY)
+        bres = best_response(sol.F_field.values, small_nash_w, grid.dx, P_LOTTERY)
         assert np.max(np.abs(bres - sol.strategy_field.values)) <= 1e-6
 
     @pytest.mark.parametrize("run", ["converged", "max_iter=2"])
@@ -202,40 +237,38 @@ class TestSolveNash:
         F0 = _ramp(grid)
         F = solve_forward(F0, sol.strategy_field, P_LOTTERY, grid)
         assert np.array_equal(sol.F_field.values, F.values)
-        wT = _default_terminal(F0, grid, P_LOTTERY)
-        w = solve_backward(wT, sol.F_field, sol.strategy_field, P_LOTTERY, grid)
-        assert np.array_equal(sol.w_field.values, w.values)
-        bres = best_response(F.values, w.values, grid.dx, P_LOTTERY)
+        assert sol.terminal == _default_terminal(F0, grid, P_LOTTERY)
+        bres = best_response(F.values, _w(sol, P_LOTTERY), grid.dx, P_LOTTERY)
         assert np.max(np.abs(bres - sol.strategy_field.values)) == sol.residuals[-1]
 
-    def test_peak_memory_is_three_fields(self, two_step_nash):
-        # s, F and w (whose rows hold the best response before a damped
-        # step), plus slice-sized temporaries.
+    def test_peak_memory_is_two_fields(self, two_step_nash):
+        # s and F (whose rows hold the best response before a damped step),
+        # plus slice-sized temporaries.
         _, _, peak_fields = two_step_nash
-        assert peak_fields <= 3.5
+        assert peak_fields <= 2.25
 
     def test_strategy_monotone_slices(self, small_nash):
         _, sol = small_nash
         assert np.max(np.diff(sol.strategy_field.values, axis=1)) <= 1e-9
 
-    def test_full_search_region_is_exact(self, small_nash):
+    def test_full_search_region_is_exact(self, small_nash, small_nash_w):
         # s equals 1 exactly where the pay-off is at or above the threshold,
         # and is strictly below 1 to the right of the learning front.
         grid, sol = small_nash
         p = P_LOTTERY
         for j in (grid.nt // 2, grid.nt):
-            payoff = _payoff(sol, grid, j, p)
+            payoff = _payoff(sol, small_nash_w, j, p)
             s = _s_m(payoff, p)
             assert np.all(s[payoff >= p.i_crit] == 1.0)
             assert np.all(s[payoff < p.i_crit] < 1.0)
 
-    def test_learning_decay_bounds(self, small_nash):
+    def test_learning_decay_bounds(self, small_nash, small_nash_w):
         # Beyond the learning front: pay-off and allocation decay at least
         # exponentially, with 5% slack for quadrature and interpolation.
         grid, sol = small_nash
         p = P_LOTTERY
         for j in (grid.nt // 2, int(grid.nt * 0.75)):
-            payoff = _payoff(sol, grid, j, p)
+            payoff = _payoff(sol, small_nash_w, j, p)
             front = _front(payoff, grid.x, p.i_crit)
             assert math.isfinite(front)
             ahead = grid.x > front
@@ -245,7 +278,7 @@ class TestSolveNash:
             s_bound = 1.05 * np.exp(-2.0 * (grid.x[ahead] - front))
             assert np.all(_s_m(payoff[ahead], p) <= s_bound)
 
-    def test_propensity_front_tightness(self, small_nash):
+    def test_propensity_front_tightness(self, small_nash, small_nash_w):
         # w reaches 1/2 within a bounded, non-growing offset of the learning
         # front for all t up to a terminal layer.
         grid, sol = small_nash
@@ -256,9 +289,9 @@ class TestSolveNash:
             t = grid.time_at(j)
             if t > grid.t_final - 5.0:
                 break
-            eta = _front(_payoff(sol, grid, j, p), grid.x, p.i_crit)
+            eta = _front(_payoff(sol, small_nash_w, j, p), grid.x, p.i_crit)
             # w increases in x: locate its level 1/2 on -w.
-            half = _front(-sol.w_field.values[j], grid.x, -0.5)
+            half = _front(-small_nash_w[j], grid.x, -0.5)
             offsets.append(half - eta)
             times.append(t)
         offsets = np.array(offsets)
@@ -266,9 +299,9 @@ class TestSolveNash:
         l_fit = float(np.max(offsets))
         # with the offset fixed at its fitted value, w is at least 1/2 there
         for j, t in ((int(round(t / grid.dt)), t) for t in times):
-            eta = _front(_payoff(sol, grid, j, p), grid.x, p.i_crit)
+            eta = _front(_payoff(sol, small_nash_w, j, p), grid.x, p.i_crit)
             xq = min(eta + l_fit, grid.x_max)
-            w_at = np.interp(xq, grid.x, sol.w_field.values[j])
+            w_at = np.interp(xq, grid.x, small_nash_w[j])
             assert w_at >= 0.5 - 1e-9
         # and the fitted offset does not grow over the final half
         mid = times[0] + 0.5 * (times[-1] - times[0])
@@ -333,10 +366,11 @@ class TestSolveNash:
         grid = _nash_grid(10.0, dx=0.1, dt=0.05)
         sol = solve_nash(_ramp(grid), None, p, grid, MfgConfig())
         assert sol.converged
-        bres = best_response(sol.F_field.values, sol.w_field.values, grid.dx, p)
+        w = _w(sol, p)
+        bres = best_response(sol.F_field.values, w, grid.dx, p)
         assert np.max(np.abs(bres - sol.strategy_field.values)) <= 1e-6
         assert np.max(np.diff(sol.strategy_field.values, axis=1)) <= 1e-9
-        payoff = _payoff(sol, grid, grid.nt // 2, p)
+        payoff = _payoff(sol, w, grid.nt // 2, p)
         s = _s_m(payoff, p)
         assert np.all(s[payoff >= p.i_crit] == 1.0)
         assert np.all(s[payoff < p.i_crit] < 1.0)
@@ -356,14 +390,14 @@ _EQUIVALENCE_CASES = {
 }
 
 
-class TestThreeFieldLoop:
-    """solve_nash keeps the best response in w's rows yet matches the four-field loop."""
+class TestTwoFieldLoop:
+    """solve_nash keeps the best response in F's rows yet matches the four-field loop."""
 
     @pytest.mark.parametrize("case", list(_EQUIVALENCE_CASES))
     def test_equals_four_field_reference(self, case, monkeypatch):
         p, grid, cfg, where = _EQUIVALENCE_CASES[case]
         F0 = _ramp(grid)
-        ref, passes = _four_field_nash(F0, p, grid, cfg)
+        ref, ref_w, passes = _four_field_nash(F0, p, grid, cfg)
         if where == "terminal":
             assert passes[0] == grid.nt
         elif where == "partway":
@@ -396,16 +430,18 @@ class TestThreeFieldLoop:
         sol = solve_nash(F0, None, p, grid, cfg)
 
         assert np.array_equal(sol.F_field.values, ref.F_field.values)
-        assert np.array_equal(sol.w_field.values, ref.w_field.values)
+        assert sol.terminal == ref.terminal
+        assert np.array_equal(_w(sol, p), ref_w)
         assert np.array_equal(sol.strategy_field.values, ref.strategy_field.values)
         assert sol.residuals == ref.residuals
         assert sol.thetas == ref.thetas
         assert (sol.converged, sol.iterations) == (ref.converged, ref.iterations)
-        # No extra sweep: the warm start is iteration 1's forward sweep.  The
-        # only extra best responses are those of the rows swept before the
-        # switch in each iteration a damped step follows.
+        # No extra forward sweep: the warm start is iteration 1's.  The only
+        # extra backward slices and best responses are those of the rows
+        # swept before the switch in each iteration a damped step follows,
+        # swept again.
         damped = sol.iterations - (1 if sol.converged or sol.iterations == cfg.max_iter else 0)
+        again = sum(grid.nt - passes[i] for i in range(damped))
         assert calls["forward_sweeps"] == 1 + damped
-        assert calls["backward_slices"] == sol.iterations * (grid.nt + 1)
-        assert calls["best_response"] == sol.iterations * (grid.nt + 1) + sum(
-            grid.nt - passes[i] for i in range(damped))
+        assert calls["backward_slices"] == sol.iterations * (grid.nt + 1) + again
+        assert calls["best_response"] == sol.iterations * (grid.nt + 1) + again
